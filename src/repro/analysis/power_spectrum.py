@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sim.pm import cic_deposit
+from ..sim.pmsolver import get_solver
 
 __all__ = ["PowerSpectrumResult", "measure_power_spectrum", "power_spectrum_from_delta"]
 
@@ -68,7 +68,7 @@ def measure_power_spectrum(
     n_particles = len(pos)
     if n_particles == 0:
         raise ValueError("no particles")
-    delta = cic_deposit(pos / (box / ng), ng)
+    delta = get_solver(ng).deposit(pos / (box / ng))
     return power_spectrum_from_delta(
         delta,
         box,

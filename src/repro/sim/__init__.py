@@ -3,7 +3,7 @@
 Provides the Level 1 data producer the workflow framework analyzes:
 ΛCDM background (:mod:`.cosmology`), Eisenstein–Hu linear power spectrum
 (:mod:`.power`), Zel'dovich initial conditions
-(:mod:`.initial_conditions`), CIC/FFT particle-mesh gravity (:mod:`.pm`),
+(:mod:`.initial_conditions`), CIC/FFT particle-mesh gravity (:mod:`.pmsolver`),
 and the time-stepping driver with CosmoTools hooks (:mod:`.hacc`).
 """
 
@@ -11,7 +11,6 @@ from .cosmology import Cosmology, QCONTINUUM_COSMOLOGY, a_of_z, z_of_a
 from .hacc import HACCSimulation, SimulationConfig, StepRecord
 from .initial_conditions import ICConfig, gaussian_field, make_initial_conditions, za_displacements
 from .particles import BYTES_PER_PARTICLE, LEVEL1_SCHEMA, Particles
-from .pm import cic_deposit, cic_interpolate, gradient_spectral, pm_accelerations, solve_poisson
 from .pmsolver import PMSolver, get_solver
 from .power import LinearPower, transfer_eisenstein_hu
 
@@ -30,11 +29,6 @@ __all__ = [
     "BYTES_PER_PARTICLE",
     "LEVEL1_SCHEMA",
     "Particles",
-    "cic_deposit",
-    "cic_interpolate",
-    "gradient_spectral",
-    "pm_accelerations",
-    "solve_poisson",
     "PMSolver",
     "get_solver",
     "LinearPower",

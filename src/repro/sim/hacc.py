@@ -33,7 +33,6 @@ from ..obs import get_recorder
 from .cosmology import Cosmology, QCONTINUUM_COSMOLOGY, a_of_z, z_of_a
 from .initial_conditions import ICConfig, make_initial_conditions
 from .particles import Particles
-from .pm import cic_interpolate, cic_deposit, gradient_spectral, solve_poisson
 from .pmsolver import get_solver
 
 __all__ = ["SimulationConfig", "StepRecord", "HACCSimulation"]
@@ -75,11 +74,7 @@ class SimulationConfig:
     n_steps: int = 60
     ng: int | None = None
     seed: int = 12345
-    #: PM force engine: ``"fused"`` (the :class:`~repro.sim.pmsolver.PMSolver`
-    #: 4-FFT path, default) or ``"reference"`` (the original 6-FFT
-    #: function-at-a-time pipeline, kept for cross-validation).
-    pm_backend: str = "fused"
-    #: FFT threads for the fused solver (None = auto; bit-identical
+    #: FFT threads for the PM solver (None = auto; bit-identical
     #: results for any value).
     fft_workers: int | None = None
 
@@ -88,10 +83,6 @@ class SimulationConfig:
             raise ValueError("n_steps must be >= 1")
         if self.z_final >= self.z_initial:
             raise ValueError("z_final must be < z_initial")
-        if self.pm_backend not in ("fused", "reference"):
-            raise ValueError(
-                f"pm_backend must be 'fused' or 'reference', got {self.pm_backend!r}"
-            )
 
     @property
     def mesh_size(self) -> int:
@@ -167,7 +158,8 @@ class HACCSimulation:
         # conversion: positions stored in box units; PM works in grid cells
         self._cell = config.box / config.mesh_size
         #: the fused spectral PM engine (shared per (ng, workers) so the
-        #: k-grids / Green's functions / CIC scratch persist across steps)
+        #: k-grids / Green's functions / CIC operator buffers persist
+        #: across steps)
         self.pm = get_solver(config.mesh_size, workers=config.fft_workers)
 
     # -- mesh-unit helpers -------------------------------------------------
@@ -178,20 +170,13 @@ class HACCSimulation:
         return self.particles.pos / self._cell
 
     def _compute_accelerations(self, a: float) -> np.ndarray:
-        ng = self.config.mesh_size
-        pos_grid = self.grid_positions
-        factor = self.cosmo.poisson_factor(a)
-        if self.config.pm_backend == "fused":
-            # fused spectral engine: 4 FFTs, bincount deposit, one CIC
-            # geometry shared by scatter and gather
-            accel = self.pm.accelerations(pos_grid, factor)
-        else:
-            delta = cic_deposit(pos_grid, ng)
-            phi = solve_poisson(delta, factor=factor)
-            grad = gradient_spectral(phi)
-            accel = -cic_interpolate(grad, pos_grid)
-        # mesh acceleration (grid units) -> box units: one factor of cell
-        return accel * self._cell
+        with get_recorder().span("sim.force", step=self.step + 1):
+            accel = self.pm.accelerations(
+                self.grid_positions, self.cosmo.poisson_factor(a)
+            )
+            # mesh acceleration (grid units) -> box units: one factor of cell
+            accel *= self._cell
+        return accel
 
     # -- main loop -----------------------------------------------------------
 
@@ -221,12 +206,12 @@ class HACCSimulation:
 
         with rec.span("sim.step", step=self.step + 1):
             t0 = time.perf_counter()
-            with rec.span("sim.force", step=self.step + 1):
-                if self._accel_cache is None:
-                    self._accel_cache = self._compute_accelerations(a0)
+            if self._accel_cache is None:
+                self._accel_cache = self._compute_accelerations(a0)
 
+            p = self.particles.vel
+            with rec.span("sim.integrate", step=self.step + 1):
                 # kick (half) at a0
-                p = self.particles.vel
                 p += self._accel_cache * (self.cosmo.f_drift(a0) * 0.5 * da)
 
                 # drift (full) with midpoint factor
@@ -234,10 +219,11 @@ class HACCSimulation:
                 self.particles.pos += p * drift
                 self.particles.wrap()
 
-                # new force at a1, kick (half)
-                accel = self._compute_accelerations(a1)
+            # new force at a1, kick (half)
+            accel = self._compute_accelerations(a1)
+            with rec.span("sim.integrate", step=self.step + 1):
                 p += accel * (self.cosmo.f_drift(a1) * 0.5 * da)
-                self._accel_cache = accel
+            self._accel_cache = accel
             force_seconds = time.perf_counter() - t0
 
             self.a = a1

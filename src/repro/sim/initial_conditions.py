@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cosmology import Cosmology, a_of_z
-from .particles import Particles
+from .particles import Particles, wrap_periodic
 from .power import LinearPower
 
 __all__ = ["ICConfig", "gaussian_field", "za_displacements", "make_initial_conditions"]
@@ -137,7 +137,7 @@ def make_initial_conditions(
     pos[:, 0] = (qx + psi[0]).ravel()
     pos[:, 1] = (qy + psi[1]).ravel()
     pos[:, 2] = (qz + psi[2]).ravel()
-    np.mod(pos, box, out=pos)
+    wrap_periodic(pos, box)
 
     # Code momenta in box-length units: p = a^2 E(a) f(a) * psi.
     f_growth = float(cosmo.growth_rate(a_init))

@@ -1,59 +1,64 @@
 """Fused spectral particle-mesh force engine (the PM hot path).
 
-The function-at-a-time pipeline in :mod:`repro.sim.pm` pays 6 full-mesh
-FFTs per force evaluation — ``solve_poisson`` does rfftn+irfftn to
-materialize φ in real space, then ``gradient_spectral`` re-FFTs φ and
-runs 3 inverse transforms — plus an 8×``np.add.at`` CIC deposit, the
-slowest possible scatter in numpy.  :class:`PMSolver` fuses the whole
-evaluation:
+One force evaluation is ``scatter → 4 FFTs → gather``.  :class:`PMSolver`
+runs all three stages off a single sparse cloud-in-cell operator:
 
+* **one CIC operator per evaluation** — a ``scipy.sparse`` CSR matrix
+  ``W`` of shape ``(n, ng³)`` with exactly 8 entries per row (the corner
+  cell of each particle and its trilinear weight, in the ``(a, b, c) ∈
+  {0,1}³`` loop-nest order).  The scatter is ``Wᵀ @ masses`` and the
+  gather is ``W @ mesh``, so the two are adjoint by construction — the
+  matched scatter/gather pair that makes the PM force conserve momentum.
+* **cache-blocked build** — ``W`` is filled :data:`_BLOCK_ROWS` particles
+  at a time into reusable ``(n, 8)`` index/weight buffers: per block,
+  transpose to structure-of-arrays, ``floor``, integer ``%= ng``, 8 corner
+  writes.  Every temporary stays cache-resident and each particle is
+  touched once.  Indices are ``int32`` whenever ``8n`` and ``ng³`` fit
+  (``int64`` otherwise); positions too large for the index type raise
+  instead of wrapping.
+* **a single gather** — the three inverse transforms are laid out as one
+  ``(ng³, 3)`` mesh, so ``W @ mesh`` reads each corner's three force
+  components from one cache line and sums the 8 corners in operator
+  order: accelerations are bit-identical for any block size.
 * **4 FFTs, never materializing φ** — Poisson (``-1/k²``) and gradient
   (``i·k``) are applied together in k-space to the single forward
-  transform of δ, so the acceleration mesh for each axis comes straight
-  out of one inverse transform:  ``a_k = i k · factor · δ_k / k²``.
-* **bincount deposit** — the CIC scatter accumulates the 8 corner
-  contributions through flattened-index ``np.bincount``, which is both
-  deterministic (fixed summation order) and far faster than
-  ``np.add.at``.
-* **one CIC geometry per evaluation** — corner indices and weights are
-  computed once and shared by the scatter (deposit) *and* the gather
-  (force interpolation), through preallocated scratch buffers that are
-  reused across steps.
-* **threaded transforms** — ``scipy.fft`` with ``workers=`` when scipy
-  is available (it is a hard dependency of the repo, but the numpy
-  fallback keeps the module importable without it).  pocketfft's
-  threading parallelizes over independent 1-D transform lines, so
-  results are bit-identical for any worker count.
+  transform of δ:  ``a_k = i k · factor · δ_k / k²``.  Transforms run on
+  ``scipy.fft`` with ``workers=``; pocketfft threads over independent
+  1-D lines, so results are bit-identical for any worker count.
 
-The old free functions (``cic_deposit`` / ``solve_poisson`` /
-``gradient_spectral`` / ``cic_interpolate``) are kept in
-:mod:`repro.sim.pm` as cross-validation references, the same precedent
-as ``potential_reference`` for the center-finder kernels.
+The function-at-a-time 6-FFT chain this engine replaced lives on as the
+test oracle ``tests/oracles/pm_reference.py``.
 
 Purity contract: no wall-clock reads in this module (rule RPR003 covers
 it); timing goes through :func:`repro.obs.timed`, whose clock lives in
-``repro.obs`` where it belongs.
+``repro.obs`` where it belongs.  Every stage of :meth:`PMSolver.accelerations`
+sits under one of ``pm_deposit_seconds`` (operator build + scatter),
+``pm_fft_seconds`` or ``pm_gather_seconds``.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
+from scipy import fft as sp_fft
+from scipy import sparse
 
 from ..check.sanitize import guard_kernel
 from ..obs import get_recorder, timed
-
-try:  # scipy.fft supports multi-threaded transforms via workers=
-    from scipy import fft as _sp_fft
-except ImportError:  # pragma: no cover - scipy is a hard dependency
-    _sp_fft = None  # type: ignore[assignment]
 
 __all__ = ["PMSolver", "get_solver", "clear_solver_cache", "resolve_fft_workers"]
 
 #: Cap on auto-detected FFT threads: beyond this the per-transform lines
 #: are too short for threading to pay at mini-HACC mesh sizes.
 _MAX_AUTO_WORKERS = 8
+
+#: Particle rows per operator-build block.  A block's SoA temporaries plus
+#: its slices of the index/weight buffers come to ~200 B/row, so 4096 rows
+#: stay L2-resident (measured at 64³: 12 ms blocked vs 27 ms whole-array).
+#: Results do not depend on it.
+_BLOCK_ROWS = 4096
 
 
 def resolve_fft_workers(workers: int | None = None) -> int:
@@ -73,24 +78,21 @@ def resolve_fft_workers(workers: int | None = None) -> int:
     return max(int(workers), 1)
 
 
-def _rfftn(x: np.ndarray, workers: int) -> np.ndarray:
-    if _sp_fft is not None:
-        return _sp_fft.rfftn(x, workers=workers)
-    return np.fft.rfftn(x)
+def _index_dtype(n: int, ng: int) -> type[np.signedinteger]:
+    """Operator index type: ``int32`` when ``8n`` and ``ng³`` fit, else ``int64``.
 
-
-def _irfftn(xk: np.ndarray, shape: tuple[int, ...], workers: int) -> np.ndarray:
-    if _sp_fft is not None:
-        return _sp_fft.irfftn(xk, s=shape, workers=workers)
-    return np.fft.irfftn(xk, s=shape)
+    The same rule scipy applies to ``(indices, indptr)``, so the buffers
+    are adopted without a copy and never narrowed behind our back.
+    """
+    return np.int32 if max(8 * n, ng**3) <= np.iinfo(np.int32).max else np.int64
 
 
 class PMSolver:
     """Stateful fused spectral PM solver for one mesh size ``ng``.
 
     Precomputes the k-grids and the combined Poisson+gradient kernels
-    ``i·k_axis / k²`` once per ``ng`` and keeps per-particle-count
-    scratch buffers alive across calls, so a steady-state force
+    ``i·k_axis / k²`` once per ``ng`` and keeps the CIC operator's
+    ``(n, 8)`` buffers alive across calls, so a steady-state force
     evaluation allocates only the FFT work arrays and the returned
     acceleration array.
 
@@ -104,8 +106,8 @@ class PMSolver:
     Notes
     -----
     Arrays returned by :meth:`deposit` and :meth:`accelerations` are
-    freshly allocated (safe to hold across calls); only internal scratch
-    is reused.
+    freshly allocated (safe to hold across calls); only the operator's
+    buffers are reused.
     """
 
     def __init__(self, ng: int, workers: int | None = None):
@@ -130,109 +132,127 @@ class PMSolver:
             (1j * k * inv_k2).astype(np.complex128) for k in (kx, ky, kzb)
         )
         self._inv_k2 = inv_k2
-        # per-particle-count scratch (rebuilt only when n changes)
-        self._scratch_n = -1
-        self._flat: np.ndarray | None = None  # (8, n) corner flat indices
-        self._w8: np.ndarray | None = None  # (8, n) corner weights
-        self._gather: np.ndarray | None = None  # (8, n) gather landing pad
+        #: the CIC operator over its reusable buffers (rebuilt only when
+        #: the particle count changes; refilled in place otherwise)
+        self._op: sparse.csr_matrix | None = None
+        #: held while the operator is filled and used: a cached solver is
+        #: shared by the simulation loop and by power-spectrum deposits,
+        #: which the pipelined in-situ manager runs on a worker thread
+        self._op_lock = threading.Lock()
 
-    # -- CIC geometry (shared by scatter and gather) --------------------------
+    # -- the CIC operator (scatter is Wᵀ, gather is W) -------------------------
 
-    def _ensure_scratch(self, n: int) -> None:
-        if n != self._scratch_n:
-            self._flat = np.empty((8, n), dtype=np.intp)
-            self._w8 = np.empty((8, n), dtype=np.float64)
-            self._gather = np.empty((8, n), dtype=np.float64)
-            self._scratch_n = n
+    def _operator(self, pos: np.ndarray) -> sparse.csr_matrix:
+        """Fill and return the ``(n, ng³)`` CIC operator for ``pos``.
 
-    def _geometry(self, pos_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Corner flat indices and weights for CIC scatter *and* gather.
-
-        Computed once per force evaluation into the reusable scratch
-        buffers; corner order matches the reference implementation's
-        ``(a, b, c) ∈ {0,1}³`` loop nest.
+        Row ``i`` holds particle ``i``'s 8 corner cells (flattened mesh
+        index) and trilinear weights, corners in ``(a, b, c) ∈ {0,1}³``
+        loop-nest order with weight ``(wx·wy)·wz``.  Any finite position
+        is folded into the periodic mesh by the integer ``%= ng``.
         """
         ng = self.ng
-        pos = np.mod(np.asarray(pos_grid, dtype=np.float64), ng)
         n = len(pos)
-        self._ensure_scratch(n)
-        flat = self._flat
-        w8 = self._w8
-        assert flat is not None and w8 is not None
+        if self._op is None or self._op.shape[0] != n:
+            itype = _index_dtype(n, ng)
+            self._op = sparse.csr_matrix(
+                (
+                    np.empty(8 * n, dtype=np.float64),
+                    np.empty(8 * n, dtype=itype),
+                    np.arange(0, 8 * n + 1, 8, dtype=itype),
+                ),
+                shape=(n, ng**3),
+                copy=False,
+            )
+        op = self._op
+        itype = op.indices.dtype
+        idx = op.indices.reshape(n, 8)
+        wts = op.data.reshape(n, 8)
+        mesh_strides = np.array([[ng * ng], [ng], [1]], dtype=itype)
+        # a float → int cast that does not fit sets the FP invalid flag:
+        # raise on it rather than deposit into a wrapped-around cell
+        with np.errstate(invalid="raise"):
+            for start in range(0, n, _BLOCK_ROWS):
+                block = slice(start, start + _BLOCK_ROWS)
+                frac = pos[block].T.copy()  # (3, rows) SoA; always a copy
+                lo = np.floor(frac)
+                i0 = lo.astype(itype)
+                frac -= lo
+                np.subtract(1.0, frac, out=lo)  # lo: weight of the lower corner
+                i0 %= ng
+                i1 = i0 + 1
+                i1[i1 == ng] = 0
+                i0 *= mesh_strides
+                i1 *= mesh_strides
+                wx, wy, wz = zip(lo, frac)
+                ix, iy, iz = zip(i0, i1)
+                corner = 0
+                for a in (0, 1):
+                    for b in (0, 1):
+                        ixy = ix[a] + iy[b]
+                        wxy = wx[a] * wy[b]
+                        for c in (0, 1):
+                            np.add(ixy, iz[c], out=idx[block, corner])
+                            np.multiply(wxy, wz[c], out=wts[block, corner])
+                            corner += 1
+        return op
 
-        i0 = np.floor(pos).astype(np.intp)
-        frac = pos - i0
-        i0 %= ng
-        i1 = i0 + 1
-        i1[i1 == ng] = 0
-
-        wx = (1.0 - frac[:, 0], frac[:, 0])
-        wy = (1.0 - frac[:, 1], frac[:, 1])
-        wz = (1.0 - frac[:, 2], frac[:, 2])
-        ix = (i0[:, 0], i1[:, 0])
-        iy = (i0[:, 1], i1[:, 1])
-        iz = (i0[:, 2], i1[:, 2])
-
-        row = 0
-        for a in (0, 1):
-            for b in (0, 1):
-                for c in (0, 1):
-                    np.multiply(wx[a], wy[b], out=w8[row])
-                    w8[row] *= wz[c]
-                    np.multiply(ix[a], ng, out=flat[row])
-                    flat[row] += iy[b]
-                    flat[row] *= ng
-                    flat[row] += iz[c]
-                    row += 1
-        return flat, w8
-
-    def _deposit_from_geometry(
-        self, flat: np.ndarray, w8: np.ndarray, weights: np.ndarray | None
+    def _scatter(
+        self, op: sparse.csr_matrix, weights: np.ndarray | None, normalize: bool
     ) -> np.ndarray:
-        """Flattened-index ``bincount`` CIC accumulation → overdensity δ."""
+        """``Wᵀ @ masses`` → raw mass mesh, or the overdensity δ."""
         ng = self.ng
-        if weights is None:
-            wflat = w8.ravel()
-            total = float(w8.shape[1])
-        else:
-            w = np.asarray(weights, dtype=np.float64)
-            wflat = (w8 * w).ravel()
-            total = float(w.sum())
-        rho = np.bincount(flat.ravel(), weights=wflat, minlength=ng**3)
-        rho = rho.reshape(ng, ng, ng)
-        mean = total / ng**3
-        if mean > 0:
-            rho /= mean
-        rho -= 1.0
+        n = op.shape[0]
+        w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+        rho = (op.T @ w).reshape(ng, ng, ng)
+        if normalize:
+            total = float(n) if weights is None else float(w.sum())
+            mean = total / ng**3
+            if mean > 0:
+                rho /= mean
+            rho -= 1.0
         return rho
 
     # -- public kernels --------------------------------------------------------
 
     @guard_kernel(name="PMSolver.deposit")
     def deposit(
-        self, pos_grid: np.ndarray, weights: np.ndarray | None = None
+        self,
+        pos_grid: np.ndarray,
+        weights: np.ndarray | None = None,
+        normalize: bool = True,
     ) -> np.ndarray:
-        """CIC overdensity field (``bincount`` path).
+        """CIC mass deposit onto the periodic ``ng³`` mesh.
 
-        Equivalent to :func:`repro.sim.pm.cic_deposit` up to float
-        summation order (agreement to ~1e-13 relative).
+        Parameters
+        ----------
+        pos_grid:
+            ``(n, 3)`` positions in grid units (any finite value; folded
+            periodically).
+        weights:
+            Optional per-particle masses (default 1).
+        normalize:
+            When true (default) return the zero-mean overdensity
+            ``δ = ρ/ρ̄ - 1``.  When false return the *raw* mass mesh —
+            additive across particle subsets, which is what one-pass
+            streaming accumulation folds chunk by chunk before
+            normalizing once at the end.
         """
-        if len(np.atleast_2d(pos_grid)) == 0:
+        pos = np.atleast_2d(np.asarray(pos_grid, dtype=np.float64))
+        if len(pos) == 0:
             return np.zeros((self.ng, self.ng, self.ng), dtype=np.float64)
-        with timed("pm_deposit_seconds"):
-            flat, w8 = self._geometry(np.atleast_2d(pos_grid))
-            return self._deposit_from_geometry(flat, w8, weights)
+        with self._op_lock, timed("pm_deposit_seconds"):
+            return self._scatter(self._operator(pos), weights, normalize)
 
     def potential(self, delta: np.ndarray, factor: float = 1.0) -> np.ndarray:
         """Real-space φ with ``∇²φ = factor·δ`` (cross-validation path).
 
         The fused force path never materializes φ; this method exists so
-        tests can compare against :func:`repro.sim.pm.solve_poisson`.
+        tests can compare against the oracle ``solve_poisson``.
         """
         with timed("pm_fft_seconds"):
-            dk = _rfftn(np.asarray(delta, dtype=np.float64), self.workers)
+            dk = sp_fft.rfftn(np.asarray(delta, dtype=np.float64), workers=self.workers)
             phik = -factor * self._inv_k2 * dk
-            out = _irfftn(phik, delta.shape, self.workers)
+            out = sp_fft.irfftn(phik, s=delta.shape, workers=self.workers)
         self._count_ffts(2)
         return out
 
@@ -247,10 +267,12 @@ class PMSolver:
         delta = np.asarray(delta, dtype=np.float64)
         ng = self.ng
         with timed("pm_fft_seconds"):
-            dk = _rfftn(delta, self.workers)
+            dk = sp_fft.rfftn(delta, workers=self.workers)
             out = np.empty((3, ng, ng, ng), dtype=np.float64)
             for axis, kern in enumerate(self._grad_kernels):
-                out[axis] = _irfftn(factor * kern * dk, delta.shape, self.workers)
+                out[axis] = sp_fft.irfftn(
+                    factor * kern * dk, s=delta.shape, workers=self.workers
+                )
         self._count_ffts(4)
         return out
 
@@ -261,40 +283,38 @@ class PMSolver:
         factor: float,
         weights: np.ndarray | None = None,
     ) -> np.ndarray:
-        """One fused PM force evaluation: deposit → k-space → gather.
+        """One fused PM force evaluation: scatter → k-space → gather.
 
         Returns per-particle accelerations ``-∇φ`` in grid units for
-        ``∇²φ = factor·δ``; numerically equivalent to the reference
+        ``∇²φ = factor·δ``; numerically equivalent to the oracle
         ``cic_deposit → solve_poisson → gradient_spectral →
         cic_interpolate`` chain (rtol ≲ 1e-12) at 4 FFTs instead of 6
-        and a single CIC geometry shared by scatter and gather.
+        and one CIC operator shared by scatter and gather.
         """
         pos = np.atleast_2d(np.asarray(pos_grid, dtype=np.float64))
-        n = len(pos)
-        ng = self.ng
-        if n == 0:
+        if len(pos) == 0:
             return np.zeros((0, 3), dtype=np.float64)
+        ng = self.ng
 
-        # one CIC geometry for both the scatter and the gather
-        flat, w8 = self._geometry(pos)
-        with timed("pm_deposit_seconds"):
-            delta = self._deposit_from_geometry(flat, w8, weights)
+        with self._op_lock:
+            with timed("pm_deposit_seconds"):
+                op = self._operator(pos)
+                delta = self._scatter(op, weights, normalize=True)
 
-        with timed("pm_fft_seconds"):
-            dk = _rfftn(delta, self.workers)
-
-        acc = np.empty((n, 3), dtype=np.float64)
-        gather = self._gather
-        assert gather is not None
-        for axis, kern in enumerate(self._grad_kernels):
             with timed("pm_fft_seconds"):
-                mesh = _irfftn(factor * kern * dk, delta.shape, self.workers)
+                dk = sp_fft.rfftn(delta, workers=self.workers)
+                # the three force components of a cell side by side, so
+                # the gather reads each corner from one cache line
+                mesh = np.empty((ng**3, 3), dtype=np.float64)
+                for axis, kern in enumerate(self._grad_kernels):
+                    mesh[:, axis] = sp_fft.irfftn(
+                        factor * kern * dk, s=delta.shape, workers=self.workers
+                    ).reshape(ng**3)
+
             with timed("pm_gather_seconds"):
-                np.take(mesh.reshape(ng**3), flat, out=gather)
-                np.einsum("cn,cn->n", w8, gather, out=acc[:, axis])
+                acc = op @ mesh
         self._count_ffts(4)
-        rec = get_recorder()
-        rec.counter("pm_force_evals_total").inc()
+        get_recorder().counter("pm_force_evals_total").inc()
         return acc
 
     # -- accounting ------------------------------------------------------------
@@ -316,9 +336,8 @@ def get_solver(ng: int, workers: int | None = None) -> PMSolver:
     """The shared :class:`PMSolver` for ``(ng, workers)``.
 
     Caching the solver preserves the precomputed k-grids / Green's
-    functions and the CIC scratch buffers across force evaluations and
-    across callers (simulation loop, Zel'dovich setup, free-function
-    API).
+    functions and the CIC operator buffers across force evaluations and
+    across callers (simulation loop, Zel'dovich setup, power spectra).
     """
     key = (int(ng), resolve_fft_workers(workers))
     solver = _SOLVER_CACHE.get(key)

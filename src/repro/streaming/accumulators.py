@@ -30,7 +30,7 @@ import numpy as np
 
 from ..analysis.mass_function import MassFunction, log_bin_edges
 from ..analysis.power_spectrum import PowerSpectrumResult, power_spectrum_from_delta
-from ..sim.pm import cic_deposit
+from ..sim.pmsolver import get_solver
 
 __all__ = ["StreamingMassFunction", "MisraGries", "StreamingPowerSpectrum"]
 
@@ -154,7 +154,9 @@ class StreamingPowerSpectrum:
         pos = np.atleast_2d(np.asarray(pos, dtype=np.float64))
         if len(pos) == 0:
             return
-        self.rho += cic_deposit(pos / (self.box / self.ng), self.ng, normalize=False)
+        self.rho += get_solver(self.ng).deposit(
+            pos / (self.box / self.ng), normalize=False
+        )
         # mirror the in-memory normalization exactly: w.sum() of unit
         # weights, accumulated chunk by chunk (exact for n < 2**53)
         self._weight_sum += float(np.ones(len(pos)).sum())
@@ -163,7 +165,7 @@ class StreamingPowerSpectrum:
     def finalize(self) -> PowerSpectrumResult:
         if self.n_particles == 0:
             raise ValueError("no particles")
-        # same op sequence as cic_deposit(normalize=True): /= mean, -= 1
+        # same op sequence as PMSolver.deposit(normalize=True): /= mean, -= 1
         delta = self.rho.copy()
         delta /= self._weight_sum / self.ng**3
         delta -= 1.0

