@@ -72,7 +72,8 @@ def main() -> None:
     print(f"wrote {path} — load it in chrome://tracing or ui.perfetto.dev")
 
     # 4. the structured event log
-    events, spans = obs.read_jsonl("events.jsonl")
+    view = obs.read_journal("events.jsonl")
+    events, spans = view.events(), view.spans()
     print(f"wrote events.jsonl — {len(events)} events, {len(spans)} spans replayable")
     errors = [e for e in events if e.level == "error"]
     print(f"errors during the run: {len(errors)}")

@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -225,23 +226,8 @@ def run_combined_workflow(
     directory (defaults to the recorder's generated id).
     """
     if journal_dir is not None:
-        return _run_combined_journaled(
-            config,
-            spool_dir,
-            threshold,
-            linking_length_factor=linking_length_factor,
-            min_count=min_count,
-            n_ranks=n_ranks,
-            coschedule=coschedule,
-            listener_poll=listener_poll,
-            analysis_workers=analysis_workers,
-            retry=retry,
-            journal_dir=journal_dir,
-            run_id=run_id,
-            spmd_transport=spmd_transport,
-            pipeline_insitu=pipeline_insitu,
-            analysis_steps=analysis_steps,
-        )
+        # nothing but the parameters is bound yet: locals() *is* the call
+        return _run_combined_journaled(dict(locals()))
     rec = get_recorder()
     spool_dir = os.fspath(spool_dir)
     os.makedirs(spool_dir, exist_ok=True)
@@ -366,30 +352,14 @@ def run_combined_workflow(
     )
 
 
-def _run_combined_journaled(
-    config: SimulationConfig,
-    spool_dir: str | os.PathLike,
-    threshold: int,
-    *,
-    linking_length_factor: float,
-    min_count: int,
-    n_ranks: int,
-    coschedule: bool,
-    listener_poll: float,
-    analysis_workers: int | None,
-    retry: RetryPolicy | None,
-    journal_dir: str | os.PathLike,
-    run_id: str | None,
-    spmd_transport=None,
-    pipeline_insitu: bool = False,
-    analysis_steps: list[int] | None = None,
-) -> CombinedRunResult:
+def _run_combined_journaled(call: dict[str, Any]) -> CombinedRunResult:
     """The durable wrapper around :func:`run_combined_workflow`.
 
-    Opens the run directory + journal, scopes the recorder to the run
-    id, and guarantees the journal's terminal records (failures, final
-    metrics snapshot, ``run.end``) even when the run raises — a crashed
-    run keeps its tail via the journal's ``atexit`` flush.
+    ``call`` is the caller's complete keyword-argument mapping.  Opens
+    the run directory + journal, scopes the recorder to the run id, and
+    guarantees the journal's terminal records (failures, final metrics
+    snapshot, ``run.end``) even when the run raises — a crashed run
+    keeps its tail via the journal's ``atexit`` flush.
     """
     from dataclasses import asdict
 
@@ -397,6 +367,17 @@ def _run_combined_journaled(
     from ..obs import TelemetryRecorder, set_recorder
     from ..obs.journal import RunJournal
 
+    journal_dir, run_id = call.pop("journal_dir"), call.pop("run_id")
+    config: SimulationConfig = call["config"]
+    # the manifest records every science-relevant knob; where the files go
+    # and how patiently the listener polls and retries are not among them
+    workflow = {
+        k: v
+        for k, v in call.items()
+        if k not in ("config", "spool_dir", "listener_poll", "retry")
+    }
+    transport = workflow["spmd_transport"]
+    workflow["spmd_transport"] = str(transport) if transport else None
     rec = get_recorder()
     previous_rec = None
     if not getattr(rec, "enabled", False):
@@ -407,22 +388,8 @@ def _run_combined_journaled(
     journal = RunJournal.create(
         journal_dir,
         rid,
-        config={
-            "workflow": {
-                "kind": "combined",
-                "threshold": threshold,
-                "linking_length_factor": linking_length_factor,
-                "min_count": min_count,
-                "n_ranks": n_ranks,
-                "coschedule": coschedule,
-                "analysis_workers": analysis_workers,
-                "spmd_transport": str(spmd_transport) if spmd_transport else None,
-                "pipeline_insitu": pipeline_insitu,
-                "analysis_steps": analysis_steps,
-            },
-            "sim": asdict(config),
-        },
-        seeds={"sim": config.seed, "retry": resolve_retry(retry).seed},
+        config={"workflow": {"kind": "combined", **workflow}, "sim": asdict(config)},
+        seeds={"sim": config.seed, "retry": resolve_retry(call["retry"]).seed},
         fault_plan=plan.to_dict() if plan is not None else None,
     )
     status = "ok"
@@ -431,21 +398,7 @@ def _run_combined_journaled(
         with rec.run_scope(rid):
             rec.attach_journal(journal)
             try:
-                result = run_combined_workflow(
-                    config,
-                    spool_dir,
-                    threshold,
-                    linking_length_factor=linking_length_factor,
-                    min_count=min_count,
-                    n_ranks=n_ranks,
-                    coschedule=coschedule,
-                    listener_poll=listener_poll,
-                    analysis_workers=analysis_workers,
-                    retry=retry,
-                    spmd_transport=spmd_transport,
-                    pipeline_insitu=pipeline_insitu,
-                    analysis_steps=analysis_steps,
-                )
+                result = run_combined_workflow(**call)
             except BaseException:
                 status = "error"
                 raise

@@ -3,8 +3,8 @@
 One subsystem for the three observability signals, correlated on a
 single timeline (run / step / rank):
 
-* **events** — structured log records in a thread-safe bounded ring,
-  with an optional JSONL sink (:mod:`repro.obs.events`);
+* **events** — structured log records in a thread-safe bounded ring
+  (:mod:`repro.obs.events`);
 * **spans** — nested, thread-aware tracing exportable to Chrome
   ``chrome://tracing`` JSON (:mod:`repro.obs.spans`);
 * **metrics** — counters, gauges and fixed-bucket histograms with
@@ -27,7 +27,7 @@ cost one global read when disabled.  Typical use::
 """
 
 from .context import TraceContext, current_trace_context, export_snapshot, merge_snapshot
-from .events import Event, EventLog, JsonlSink, read_jsonl
+from .events import Event, EventLog
 from .journal import JournalView, RunJournal, RunManifest, read_journal
 from .live import follow_journal
 from .metrics import (
@@ -63,7 +63,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "JournalView",
-    "JsonlSink",
     "MachineTimeline",
     "MetricsRegistry",
     "NullRecorder",
@@ -88,7 +87,6 @@ __all__ = [
     "merge_snapshot",
     "phase_of",
     "read_journal",
-    "read_jsonl",
     "sample_memory",
     "set_recorder",
     "telemetry",

@@ -9,9 +9,11 @@ repro stack:
   (``run``/``step``/``rank``) so simulation steps, in-situ algorithms,
   listener polls and off-line jobs land on a single timeline;
 * :class:`EventLog` — a thread-safe bounded in-memory ring (old events
-  fall off the back, so long co-scheduled runs cannot leak);
-* :class:`JsonlSink` — an optional append-only JSONL file sink, and
-  :func:`read_jsonl` to replay a sink back into records.
+  fall off the back, so long co-scheduled runs cannot leak).
+
+Durability is not this module's job: the recorder streams events into a
+:class:`repro.obs.journal.AppendLog` (``jsonl_path``) or an attached
+run journal, and :func:`repro.obs.journal.read_journal` replays either.
 
 Timestamps are ``time.perf_counter()`` (monotonic — immune to NTP
 steps; what span durations are measured with) plus a wall-clock epoch
@@ -20,14 +22,13 @@ field for correlating across processes.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-__all__ = ["Event", "EventLog", "JsonlSink", "read_jsonl"]
+__all__ = ["Event", "EventLog"]
 
 #: Default in-memory ring capacity (events beyond this age out).
 DEFAULT_CAPACITY = 65_536
@@ -152,45 +153,6 @@ class EventLog:
         return iter(self.snapshot())
 
 
-class JsonlSink:
-    """Append-only JSONL sink for events and span records.
-
-    Thread-safe; one JSON object per line.  Records carry a ``kind``
-    discriminator (``event`` or ``span``) so :func:`read_jsonl` can
-    replay a mixed stream.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._fh = open(path, "a", encoding="utf-8")
-        self._lock = threading.Lock()
-        self.lines_written = 0
-
-    def write(self, record: dict[str, Any]) -> None:
-        line = json.dumps(record, default=_json_default)
-        with self._lock:
-            if self._fh.closed:  # tolerate late writers during shutdown
-                return
-            self._fh.write(line + "\n")
-            self.lines_written += 1
-
-    def flush(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
-
-    def __enter__(self) -> "JsonlSink":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def _json_default(obj: Any) -> Any:
     """Best-effort serialization for numpy scalars and friends."""
     for attr in ("item",):  # numpy scalar -> python scalar
@@ -200,29 +162,6 @@ def _json_default(obj: Any) -> Any:
             except (TypeError, ValueError):  # pragma: no cover - non-scalar .item()
                 pass
     return repr(obj)
-
-
-def read_jsonl(path: str) -> tuple[list[Event], list[dict[str, Any]]]:
-    """Replay a JSONL sink: returns ``(events, span_records)``.
-
-    Span records are returned as plain dicts (see
-    :meth:`repro.obs.spans.Span.to_dict` for their shape).  Unknown
-    kinds are ignored, so the format is forward-compatible.
-    """
-    events: list[Event] = []
-    spans: list[dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            kind = d.get("kind")
-            if kind == "event":
-                events.append(Event.from_dict(d))
-            elif kind == "span":
-                spans.append(d)
-    return events, spans
 
 
 def merge_timelines(*streams: Iterable[Event]) -> list[Event]:

@@ -1,9 +1,17 @@
-"""Durable run journal: a crash-safe on-disk record of one workflow run.
+"""The durable-file layer, and the run journal built on it.
 
-Campaign services (Balsam — see PAPERS.md) are built on a durable job
-store first and analytics second: nothing a run learns is worth much if
-it dies with the producing process.  This module is that store for the
-repro stack.  A *run directory* holds exactly two files::
+Everything in this repo that must outlive its producing process — a
+run's journal, a campaign's job store, the recorder's ``jsonl_path``
+sink — is the same two file shapes, implemented here once and described
+once in ARCHITECTURE.md ("Durable files"):
+
+* :class:`AppendLog` / :func:`read_records` / :func:`recover_tail` — the
+  append-only JSONL log: line framing, ``seq``, the two flush policies,
+  torn-tail recovery, the tolerant reader;
+* :func:`atomic_write_json` — the replace-don't-rewrite JSON file that
+  manifests are.
+
+On top of that a *run directory* holds exactly two files::
 
     <root>/<run_id>/
         manifest.json     # who/what/how: config hash, seeds, fault plan
@@ -12,33 +20,15 @@ repro stack.  A *run directory* holds exactly two files::
 **Manifest** (:class:`RunManifest`): the run's identity — ``run_id``,
 creation wall time, the workflow configuration and its SHA-256 hash,
 every seed in play, the active fault plan (so a failure is replayable),
-and the code version.  Written atomically (temp file + ``os.replace``)
-so a reader never sees a torn manifest.
+and the code version.
 
-**Journal** (:class:`RunJournal`): an append-only JSONL stream with
-*atomic line framing*: every record is serialized to one
-newline-terminated line and handed to the OS in a single buffered
-``write`` under a lock, so concurrent writers (the sim loop, the
-listener thread, merged exec-worker telemetry) never interleave within
-a line.  A crash can still tear the *final* line at a buffer boundary —
-that is recovered, never propagated:
-
-* readers (:func:`read_journal`) drop an unterminated tail and flag it
-  (``truncated=True``);
-* re-opening a journal for append (:meth:`RunJournal.open`) truncates
-  the file back to the last complete line first
-  (:func:`recover_tail`).
-
-Records carry a monotonically increasing ``seq`` and a ``kind``
+**Journal** (:class:`RunJournal`): an :class:`AppendLog` under the
+batched flush policy (run journals see thousands of records; a process
+crash loses nothing that reached the OS, and the ``atexit`` hook flushes
+the buffered tail of a run that never closed).  Records carry a ``kind``
 discriminator: ``run.start`` / ``event`` / ``span`` / ``metrics`` /
 ``failure`` / ``run.end``.  Unknown kinds are preserved by readers, so
-the format is forward-compatible (the campaign service's job store,
-:mod:`repro.service.store`, reuses these idioms — atomic manifest,
-single-``write`` line framing, :func:`recover_tail` — for its own
-``jobs.jsonl`` stream).
-
-The journal registers an ``atexit`` flush so a run that crashes (rather
-than closing cleanly) still keeps its buffered tail on disk.
+the format is forward-compatible.
 """
 
 from __future__ import annotations
@@ -60,13 +50,16 @@ from .spans import Span
 __all__ = [
     "JOURNAL_FILE",
     "MANIFEST_FILE",
+    "AppendLog",
     "JournalView",
     "RunJournal",
     "RunManifest",
+    "atomic_write_json",
     "config_hash",
     "detect_code_version",
     "find_journal",
     "read_journal",
+    "read_records",
     "recover_tail",
 ]
 
@@ -76,9 +69,13 @@ JOURNAL_FILE = "journal.jsonl"
 #: Journal format tag written into every manifest.
 JOURNAL_FORMAT = "repro-journal/1"
 
-#: Flush the journal file to the OS every N records (the atexit hook and
-#: ``close`` flush unconditionally; a torn final line is recoverable).
+#: The batched flush policy hands the file to the OS every N records (the
+#: atexit hook and ``close`` flush unconditionally; a torn final line is
+#: recoverable).
 DEFAULT_FLUSH_EVERY = 32
+
+#: How far :func:`recover_tail` reads per backwards step.
+TAIL_CHUNK = 1 << 20
 
 
 def config_hash(config: dict[str, Any] | None) -> str:
@@ -156,16 +153,7 @@ class RunManifest:
         )
 
     def save(self, path: str | os.PathLike) -> str:
-        """Atomic write: temp file in the same directory + ``os.replace``."""
-        path = os.fspath(path)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True, default=_json_default)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        return path
+        return atomic_write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "RunManifest":
@@ -173,31 +161,157 @@ class RunManifest:
             return cls.from_dict(json.load(fh))
 
 
+def atomic_write_json(path: str | os.PathLike, payload: dict[str, Any]) -> str:
+    """Write ``payload`` so a reader sees the old file or the new, never a mix.
+
+    Temp file in the same directory, fsynced, then ``os.replace``.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=_json_default)
+        fh.write("\n")
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    return path
+
+
 def recover_tail(path: str | os.PathLike) -> int:
-    """Truncate an append-target journal back to its last complete line.
+    """Truncate an append-target log back to its last complete line.
 
     Returns the number of torn-tail bytes dropped (0 for a clean file).
+    The file is scanned backwards a chunk at a time until a newline
+    turns up, so a torn line of any length costs only that line.
     """
     path = os.fspath(path)
     try:
         size = os.path.getsize(path)
     except OSError:
         return 0
-    if size == 0:
-        return 0
+    keep = end = size
     with open(path, "rb+") as fh:
-        # scan backwards in one bounded read: torn tails are < one line
-        chunk = min(size, 1 << 20)
-        fh.seek(size - chunk)
-        data = fh.read(chunk)
-        if data.endswith(b"\n"):
-            return 0
-        last_nl = data.rfind(b"\n")
-        keep = size - chunk + last_nl + 1 if last_nl >= 0 else size - chunk
-        if last_nl < 0 and chunk < size:  # pragma: no cover - pathological line
-            keep = 0
-        fh.truncate(keep)
-        return size - keep
+        while end > 0:
+            start = max(0, end - TAIL_CHUNK)
+            fh.seek(start)
+            last_nl = fh.read(end - start).rfind(b"\n")
+            if last_nl >= 0:
+                keep = start + last_nl + 1
+                break
+            keep = end = start
+        if keep < size:
+            fh.truncate(keep)
+    return size - keep
+
+
+def read_records(path: str | os.PathLike) -> tuple[list[dict[str, Any]], bool, list[int]]:
+    """The one tolerant log reader: ``(records, truncated, corrupt)``.
+
+    Safe on a live or crashed log: an unterminated final line is dropped
+    and flagged (``truncated``), never parsed.  A *terminated* line that
+    does not parse cannot be a torn write of ours (a record never
+    contains a raw newline) — it is skipped and its 1-based line number
+    lands in ``corrupt``; the caller decides whether that is a warning
+    (the console) or fatal (the campaign store).  A missing file reads
+    as an empty log.
+    """
+    try:
+        with open(os.fspath(path), "rb") as fh:
+            lines = fh.read().split(b"\n")
+    except FileNotFoundError:
+        return [], False, []
+    truncated = bool(lines.pop().strip())  # b"" for a newline-terminated file
+    records: list[dict[str, Any]] = []
+    corrupt: list[int] = []
+    for i, raw in enumerate(lines, 1):
+        if not raw.strip():
+            continue
+        try:
+            records.append(json.loads(raw.decode("utf-8")))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            corrupt.append(i)
+    return records, truncated, corrupt
+
+
+class AppendLog:
+    """The one append-only JSONL writer (ARCHITECTURE.md, "Durable files").
+
+    Each record gets the next ``seq`` and is serialized to one
+    newline-terminated line handed to the OS in a single buffered
+    ``write`` under a lock, so concurrent writers never interleave within
+    a line.  ``fsync_each`` picks the flush policy: flush *and fsync*
+    every record (survives power loss; the campaign store), or flush
+    every :data:`DEFAULT_FLUSH_EVERY` records and fsync on ``close``
+    (survives a process crash; run journals, which are far busier).
+    """
+
+    def __init__(self, path: str | os.PathLike, fsync_each: bool = False, seq0: int = 0):
+        self.path = os.fspath(path)
+        self.fsync_each = fsync_each
+        #: torn-tail bytes :meth:`reopen` dropped
+        self.recovered_bytes = 0
+        self._lock = threading.Lock()
+        self._seq = seq0
+        self._fh = open(self.path, "a", encoding="utf-8")
+
+    @classmethod
+    def reopen(
+        cls, path: str | os.PathLike, fsync_each: bool = False
+    ) -> tuple["AppendLog", list[dict[str, Any]], list[int]]:
+        """Resume appending: ``(log, surviving records, corrupt line numbers)``.
+
+        A torn final line (a crash mid-write) is truncated away first and
+        ``seq`` continues from the surviving line count.  A path that
+        does not exist yet reopens as an empty log.
+        """
+        dropped = recover_tail(path)
+        records, _, corrupt = read_records(path)
+        log = cls(path, fsync_each, seq0=len(records) + len(corrupt))
+        log.recovered_bytes = dropped
+        return log, records, corrupt
+
+    def append(self, record: dict[str, Any]) -> int:
+        """Append one record (adds ``seq``); returns its sequence number.
+
+        Returns ``-1`` if the log is already closed (late writers during
+        shutdown).
+        """
+        with self._lock:
+            if self._fh.closed:
+                return -1
+            seq = self._seq
+            self._fh.write(json.dumps({"seq": seq, **record}, default=_json_default) + "\n")
+            self._seq += 1
+            if self.fsync_each:
+                self._sync()
+            elif self._seq % DEFAULT_FLUSH_EVERY == 0:
+                self._fh.flush()
+            return seq
+
+    def _sync(self) -> None:
+        self._fh.flush()
+        try:
+            # looked up on the module at call time: benchmarks and tests
+            # substitute the device there
+            os.fsync(self._fh.fileno())
+        except OSError:  # pragma: no cover - fs without fsync
+            pass
+
+    def flush(self) -> None:
+        with self._lock:
+            if not self._fh.closed:
+                self._fh.flush()
+
+    def close(self) -> None:
+        """Flush, fsync and close (idempotent)."""
+        with self._lock:
+            if not self._fh.closed:
+                self._sync()
+                self._fh.close()
+
+    @property
+    def closed(self) -> bool:
+        return self._fh.closed
 
 
 class RunJournal:
@@ -208,21 +322,12 @@ class RunJournal:
     writes are thread-safe; each record gets the next ``seq``.
     """
 
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        manifest: RunManifest,
-        flush_every: int = DEFAULT_FLUSH_EVERY,
-        _seq0: int = 0,
-    ):
+    def __init__(self, directory: str | os.PathLike, manifest: RunManifest, log: AppendLog):
         self.directory = os.fspath(directory)
         self.manifest = manifest
-        self.flush_every = max(1, int(flush_every))
-        self._lock = threading.Lock()
-        self._seq = int(_seq0)
-        self._writes = 0
-        self._fh = open(self.journal_path, "a", encoding="utf-8")
-        atexit.register(self._atexit_flush)
+        self._log = log
+        # crash-path flush: keep the buffered tail when a run never closes
+        atexit.register(log.flush)
 
     # -- construction ----------------------------------------------------------
 
@@ -236,7 +341,6 @@ class RunJournal:
         fault_plan: dict[str, Any] | None = None,
         code_version: str | None = None,
         extra: dict[str, Any] | None = None,
-        flush_every: int = DEFAULT_FLUSH_EVERY,
     ) -> "RunJournal":
         """Create ``<root>/<run_id>/`` with a manifest and empty journal.
 
@@ -256,12 +360,12 @@ class RunJournal:
             extra=dict(extra or {}),
         )
         manifest.save(directory / MANIFEST_FILE)
-        journal = cls(directory, manifest, flush_every=flush_every)
+        journal = cls(directory, manifest, AppendLog(directory / JOURNAL_FILE))
         journal.write({"kind": "run.start", "run": run_id, "wall": manifest.created})
         return journal
 
     @classmethod
-    def open(cls, path: str | os.PathLike, flush_every: int = DEFAULT_FLUSH_EVERY) -> "RunJournal":
+    def open(cls, path: str | os.PathLike) -> "RunJournal":
         """Re-open an existing run directory for appending.
 
         Any torn final line (a crash mid-flush) is truncated away first;
@@ -273,11 +377,8 @@ class RunJournal:
             manifest = RunManifest.load(manifest_path)
         else:
             manifest = RunManifest(run_id=directory.name)
-        journal_path = directory / JOURNAL_FILE
-        recover_tail(journal_path)
-        with open(journal_path, "r", encoding="utf-8") as fh:
-            seq0 = sum(1 for line in fh if line.strip())
-        return cls(directory, manifest, flush_every=flush_every, _seq0=seq0)
+        log, _, _ = AppendLog.reopen(directory / JOURNAL_FILE)
+        return cls(directory, manifest, log)
 
     # -- paths -----------------------------------------------------------------
 
@@ -292,24 +393,8 @@ class RunJournal:
     # -- writing ---------------------------------------------------------------
 
     def write(self, record: dict[str, Any]) -> int:
-        """Append one record (adds ``seq``); returns its sequence number.
-
-        The full line is serialized outside the lock and written with a
-        single ``write`` call inside it — records from concurrent
-        threads never interleave within a line.  Returns ``-1`` if the
-        journal is already closed (late writers during shutdown).
-        """
-        with self._lock:
-            if self._fh.closed:
-                return -1
-            seq = self._seq
-            line = json.dumps({"seq": seq, **record}, default=_json_default)
-            self._fh.write(line + "\n")
-            self._seq += 1
-            self._writes += 1
-            if self._writes % self.flush_every == 0:
-                self._fh.flush()
-            return seq
+        """Append one record; returns its ``seq`` (``-1`` once closed)."""
+        return self._log.append(record)
 
     def metrics_snapshot(self, values: dict[str, Any], label: str = "") -> int:
         """Journal a point-in-time metrics snapshot (flat name → value)."""
@@ -323,32 +408,19 @@ class RunJournal:
         return self.write({"kind": "failure", **record})
 
     def flush(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.flush()
-
-    def _atexit_flush(self) -> None:
-        """Crash-path flush: keep the buffered tail when a run never closes."""
-        self.flush()
+        self._log.flush()
 
     def close(self, status: str = "ok", **fields: Any) -> None:
         """Write the terminal ``run.end`` record and close the file."""
         self.write(
             {"kind": "run.end", "run": self.manifest.run_id, "status": status, **fields}
         )
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.flush()
-                try:
-                    os.fsync(self._fh.fileno())
-                except OSError:  # pragma: no cover - fs without fsync
-                    pass
-                self._fh.close()
-        atexit.unregister(self._atexit_flush)
+        self._log.close()
+        atexit.unregister(self._log.flush)
 
     @property
     def closed(self) -> bool:
-        return self._fh.closed
+        return self._log.closed
 
     def __enter__(self) -> "RunJournal":
         return self
@@ -393,7 +465,7 @@ class JournalView:
     manifest: RunManifest | None
     records: list[dict[str, Any]]
     truncated: bool = False  # a torn final line was dropped
-    corrupt: int = 0  # interior lines that failed to parse (never ours)
+    corrupt: int = 0  # terminated lines that failed to parse (never ours)
 
     @property
     def run_id(self) -> str | None:
@@ -429,10 +501,10 @@ class JournalView:
 def read_journal(path: str | os.PathLike) -> JournalView:
     """Read a journal (possibly live/crashed) into a :class:`JournalView`.
 
-    Safe against a torn final line: an unterminated or unparseable tail
-    is dropped and flagged via ``truncated`` instead of raising, so
-    ``tail``/``report`` can follow a journal that is still being
-    written.
+    Accepts anything :func:`find_journal` does, including a bare JSONL
+    file such as the recorder's ``jsonl_path`` sink.  Tolerant the way
+    :func:`read_records` is, so ``tail``/``report`` can follow a journal
+    that is still being written.
     """
     journal_path = find_journal(path)
     directory = Path(journal_path).parent
@@ -441,29 +513,11 @@ def read_journal(path: str | os.PathLike) -> JournalView:
     if manifest_path.is_file():
         manifest = RunManifest.load(manifest_path)
 
-    records: list[dict[str, Any]] = []
-    truncated = False
-    corrupt = 0
-    with open(journal_path, "rb") as fh:
-        data = fh.read()
-    lines = data.split(b"\n")
-    tail = lines.pop()  # b"" for a newline-terminated file
-    if tail.strip():
-        truncated = True  # torn final line: dropped, never parsed
-    for i, raw in enumerate(lines):
-        if not raw.strip():
-            continue
-        try:
-            records.append(json.loads(raw.decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            if i == len(lines) - 1:
-                truncated = True  # final complete-looking line still torn
-            else:
-                corrupt += 1
+    records, truncated, corrupt = read_records(journal_path)
     return JournalView(
         path=journal_path,
         manifest=manifest,
         records=records,
         truncated=truncated,
-        corrupt=corrupt,
+        corrupt=len(corrupt),
     )

@@ -27,7 +27,8 @@ import uuid
 from typing import Any, Iterator
 
 from .context import TraceContext
-from .events import DEFAULT_CAPACITY, Event, EventLog, JsonlSink
+from .events import DEFAULT_CAPACITY, Event, EventLog
+from .journal import AppendLog
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .spans import Span, Tracer, write_chrome_trace
 
@@ -146,8 +147,9 @@ class TelemetryRecorder:
         if omitted) — the "run" axis of the timeline.
     jsonl_path:
         If given, every event and finished span is appended to this
-        JSONL file as it happens (replayable via
-        :func:`repro.obs.events.read_jsonl`).
+        JSONL file as it happens (an
+        :class:`~repro.obs.journal.AppendLog`, replayable via
+        :func:`repro.obs.journal.read_journal`).
     capacity:
         In-memory ring bound for both events and finished spans.
     """
@@ -164,10 +166,10 @@ class TelemetryRecorder:
         self.events = EventLog(capacity=capacity)
         self.tracer = Tracer(capacity=capacity, run=self.run_id)
         self.metrics = MetricsRegistry()
-        self.sink: JsonlSink | None = JsonlSink(jsonl_path) if jsonl_path else None
+        self.sink: AppendLog | None = AppendLog.reopen(jsonl_path)[0] if jsonl_path else None
         #: attached :class:`repro.obs.journal.RunJournal` (durable sink)
         self.journal: Any = None
-        self.tracer.on_finish = self._on_span_finish
+        self.tracer.on_finish = self._persist
 
     # -- spans ----------------------------------------------------------------
 
@@ -200,12 +202,15 @@ class TelemetryRecorder:
             name, t0, t1, thread=thread, step=step, rank=rank, parent_id=parent_id, **fields
         )
 
-    def _on_span_finish(self, span: Span) -> None:
-        """Every finished span flows to the JSONL sink and the journal."""
+    def _persist(self, item: Span | Event) -> None:
+        """Every finished span and event flows to the JSONL sink and the journal."""
+        if self.sink is None and self.journal is None:
+            return
+        record = item.to_dict()
         if self.sink is not None:
-            self.sink.write(span.to_dict())
+            self.sink.append(record)
         if self.journal is not None:
-            self.journal.write(span.to_dict())
+            self.journal.write(record)
 
     # -- trace propagation -----------------------------------------------------
 
@@ -269,19 +274,13 @@ class TelemetryRecorder:
         ev = self.events.emit(
             name, level=level, run=self.run_id, step=step, rank=rank, **fields
         )
-        if self.sink is not None:
-            self.sink.write(ev.to_dict())
-        if self.journal is not None:
-            self.journal.write(ev.to_dict())
+        self._persist(ev)
         return ev
 
     def ingest_event(self, event: Event) -> Event:
         """Adopt a fully-formed event (merged from another process)."""
         self.events.append(event)
-        if self.sink is not None:
-            self.sink.write(event.to_dict())
-        if self.journal is not None:
-            self.journal.write(event.to_dict())
+        self._persist(event)
         return event
 
     # -- metrics --------------------------------------------------------------

@@ -464,6 +464,16 @@ def run_process_spmd(
     dead: dict[int, int] = {}
     timed_out = False
 
+    def abort_world() -> None:
+        # the flag stops ranks at their next poll; breaking the barrier
+        # releases the ones already parked in it (they would otherwise
+        # sit out the whole per-wait timeout)
+        abort.set()
+        try:
+            barrier.abort()
+        except (OSError, ValueError):  # pragma: no cover - barrier torn down
+            pass
+
     def absorb(msg: tuple[Any, ...]) -> None:
         # decode at receipt time, while the payload's segments are still
         # guaranteed un-reaped; error payloads are plain tuples
@@ -473,7 +483,7 @@ def run_process_spmd(
         got[rank_] = (rank_, status_, payload_, stats_, snap_)
         dead.pop(rank_, None)
         if status_ == "error":
-            abort.set()
+            abort_world()
 
     try:
         for p in procs:
@@ -488,15 +498,14 @@ def run_process_spmd(
                 for r, p in enumerate(procs):
                     if r not in got and r not in dead and not p.is_alive():
                         dead[r] = p.exitcode if p.exitcode is not None else -1
-                        abort.set()
+                        abort_world()
                 if waited >= budget:
                     timed_out = True
-                    abort.set()
                     break
             else:
                 absorb(msg)
     finally:
-        abort.set()
+        abort_world()
         for p in procs:
             p.join(timeout=5.0)
         for p in procs:

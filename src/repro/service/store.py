@@ -1,20 +1,24 @@
-"""The durable campaign job store: crash-safe JSONL + atomic manifest.
+"""The durable campaign job store: a replayed job journal + manifest.
 
 The store is the service's source of truth — Balsam's first design rule
-("a campaign is worth nothing if it dies with the submitting process")
-applied with the :mod:`repro.obs.journal` idioms this repo already
-trusts:
+("a campaign is worth nothing if it dies with the submitting process").
+Its files are the repo's one durable-file layer
+(:mod:`repro.obs.journal`; the format is described once, in
+ARCHITECTURE.md "Durable files"); what is specific to the store:
 
-* **Atomic manifest** (``manifest.json``): the store's identity —
-  format tag ``repro-service/1``, creation wall time, seed, code
-  version — written via temp file + ``os.replace`` so a reader never
-  sees a torn manifest.
-* **Append-only job journal** (``jobs.jsonl``): every campaign
-  submission, job creation, and state transition is one
-  newline-terminated JSON record handed to the OS in a single buffered
-  ``write`` under a lock (concurrent writers never interleave within a
-  line), flushed *and fsynced* per record.  The current job table is
-  *derived state*: opening a store replays the journal from the top.
+* **Manifest** (``manifest.json``): the store's identity — format tag
+  ``repro-service/1``, creation wall time, seed, code version.
+* **Job journal** (``jobs.jsonl``): every campaign submission, job
+  creation, and state transition is one record of an
+  :class:`~repro.obs.journal.AppendLog` under the *fsync-per-record*
+  policy (campaign stores see orders of magnitude fewer records than
+  run journals, so surviving OS/power crashes, not just process kills,
+  wins over batching).  The current job table is *derived state*:
+  opening a store replays the journal from the top.  A crash can
+  therefore lose exactly one record — the one being written at the
+  instant of death — and it is always the *latest* transition, so
+  replay re-derives a consistent earlier lifecycle position for that
+  job.  Interior damage is not tolerated (:class:`StoreCorruptError`).
 * **Single-writer exclusion** (``lock``): a writable store holds an
   advisory ``flock`` on a lockfile for its whole lifetime, so a second
   writer (two ``python -m repro.service work`` invocations, say) fails
@@ -25,14 +29,6 @@ trusts:
   (``CampaignStore.open(..., readonly=True)``) take no lock and never
   write, so ``status``/``ls``/``pack`` stay available while a worker
   drains.
-* **Torn-tail recovery**: a crash can tear the final line at a buffer
-  boundary.  Opening for append truncates back to the last complete
-  line (:func:`repro.obs.journal.recover_tail`) — exactly one record
-  (the one being written at the instant of death, whether the process
-  was killed or the machine lost power: everything earlier was
-  fsynced) can be lost, and it is always the *latest* transition, so
-  replay re-derives a consistent earlier lifecycle position for that
-  job.
 * **Crash recovery** (:meth:`CampaignStore.recover`): jobs a dead
   worker stranded mid-lifecycle are rolled back to ``CREATED`` with an
   explicit ``recovery=True`` transition record, so a resumed worker
@@ -80,7 +76,13 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from ..faults import DEAD_LETTER_LIMIT, DeadLetterBox
 from ..obs import get_recorder
-from ..obs.journal import config_hash, detect_code_version, recover_tail
+from ..obs.journal import (
+    AppendLog,
+    atomic_write_json,
+    config_hash,
+    detect_code_version,
+    read_records,
+)
 from .states import IN_FLIGHT_STATES, JobState, validate_transition
 
 __all__ = [
@@ -247,16 +249,7 @@ class StoreManifest:
         )
 
     def save(self, path: str | os.PathLike[str]) -> str:
-        """Atomic write: temp file in the same directory + ``os.replace``."""
-        path = os.fspath(path)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        return path
+        return atomic_write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str | os.PathLike[str]) -> "StoreManifest":
@@ -284,7 +277,6 @@ class CampaignStore:
         manifest: StoreManifest,
         clock: Callable[[], float] | None = None,
         readonly: bool = False,
-        _seq0: int = 0,
     ) -> None:
         self.directory = os.fspath(directory)
         self.manifest = manifest
@@ -295,18 +287,32 @@ class CampaignStore:
         # reentrant: transition() holds it across validate+append+apply
         # while _append takes it again for the journal write
         self._lock = threading.RLock()
-        self._seq = int(_seq0)
         self.jobs: dict[str, JobRecord] = {}
         self.campaigns: dict[str, CampaignInfo] = {}
         self.dead_letter = DeadLetterBox("service", limit=DEAD_LETTER_LIMIT)
-        #: torn-tail bytes dropped when this store was last opened
+        #: torn-tail bytes dropped when this store was opened
         self.recovered_bytes = 0
         self._closed = False
-        self._fh: TextIO | None = None
+        self._log: AppendLog | None = None
         self._lock_fh: TextIO | None = None
-        if not self.readonly:
+        if self.readonly:
+            # must not write: a torn tail stays in place, the reader drops it
+            records, _, corrupt = read_records(self.jobs_path)
+        else:
             self._lock_fh = _acquire_writer_lock(self.directory)
-            self._fh = open(self.jobs_path, "a", encoding="utf-8")
+            self._log, records, corrupt = AppendLog.reopen(self.jobs_path, fsync_each=True)
+            self.recovered_bytes = self._log.recovered_bytes
+        try:
+            if corrupt:
+                raise StoreCorruptError(
+                    f"{self.jobs_path}: unparseable interior record at line {corrupt[0]}"
+                )
+            for rec in records:
+                self._apply(rec)
+            self._discard_partial_campaigns()
+        except BaseException:
+            self.close()  # a store that fails to replay must not keep the lock
+            raise
 
     # -- construction ----------------------------------------------------------
 
@@ -354,23 +360,13 @@ class CampaignStore:
         manifest_path = directory / MANIFEST_FILE
         if not manifest_path.is_file():
             raise FileNotFoundError(f"{directory}: no campaign store here ({MANIFEST_FILE})")
-        manifest = StoreManifest.load(manifest_path)
-        jobs_path = directory / JOBS_FILE
-        # readonly opens must not write: leave a torn tail in place
-        # (_read_records drops an unterminated final line on its own)
-        dropped = 0 if readonly else recover_tail(jobs_path)
-        records = _read_records(jobs_path) if jobs_path.is_file() else []
-        store = cls(directory, manifest, clock=clock, readonly=readonly, _seq0=len(records))
-        store.recovered_bytes = dropped
-        for rec in records:
-            store._apply(rec)
-        store._discard_partial_campaigns()
-        if dropped:
+        store = cls(directory, StoreManifest.load(manifest_path), clock=clock, readonly=readonly)
+        if store.recovered_bytes:
             get_recorder().event(
                 "service.store_tail_recovered",
                 level="warning",
                 store=str(directory),
-                dropped_bytes=dropped,
+                dropped_bytes=store.recovered_bytes,
             )
         return store
 
@@ -397,29 +393,13 @@ class CampaignStore:
     # -- journal ---------------------------------------------------------------
 
     def _append(self, record: dict[str, Any]) -> int:
-        """Append one record (adds ``seq`` + ``wall``); returns its seq.
-
-        Same atomic-line-framing contract as
-        :meth:`repro.obs.journal.RunJournal.write`: serialize outside
-        the file write, one ``write`` call per record, flush *and fsync*
-        per record (campaign stores see orders of magnitude fewer
-        records than run journals, so durability — surviving OS/power
-        crashes, not just process kills — wins over batching here).
-        """
-        with self._lock:
-            if self._fh is None:
+        """Journal one record (adds ``seq`` + ``wall``, fsynced); returns its seq."""
+        with self._lock:  # wall stamps are taken in seq order
+            if self._log is None:
                 raise RuntimeError("store is read-only")
-            if self._fh.closed:
+            seq = self._log.append({"wall": self._clock(), **record})
+            if seq < 0:
                 raise RuntimeError("store is closed")
-            seq = self._seq
-            line = json.dumps({"seq": seq, "wall": self._clock(), **record})
-            self._fh.write(line + "\n")
-            self._fh.flush()
-            try:
-                os.fsync(self._fh.fileno())
-            except OSError:  # pragma: no cover - fs without fsync
-                pass
-            self._seq += 1
             return seq
 
     def _apply(self, record: dict[str, Any]) -> None:
@@ -794,13 +774,8 @@ class CampaignStore:
     def close(self) -> None:
         """Flush + close the journal and release the single-writer lock."""
         with self._lock:
-            if self._fh is not None and not self._fh.closed:
-                self._fh.flush()
-                try:
-                    os.fsync(self._fh.fileno())
-                except OSError:  # pragma: no cover - fs without fsync
-                    pass
-                self._fh.close()
+            if self._log is not None:
+                self._log.close()
             if self._lock_fh is not None and not self._lock_fh.closed:
                 # closing the fd drops the flock; no unlink (another
                 # writer may be racing to take the lock on the same path)
@@ -809,7 +784,7 @@ class CampaignStore:
 
     @property
     def closed(self) -> bool:
-        return self._closed if self._fh is None else self._fh.closed
+        return self._closed
 
     def __enter__(self) -> "CampaignStore":
         return self
@@ -850,25 +825,3 @@ def _acquire_writer_lock(directory: str) -> TextIO:
             "inspect, or wait for the other writer to finish)"
         ) from None
     return fh
-
-
-def _read_records(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
-    """Parse a (tail-recovered) job journal; interior damage raises."""
-    records: list[dict[str, Any]] = []
-    with open(os.fspath(path), "rb") as fh:
-        data = fh.read()
-    lines = data.split(b"\n")
-    if lines and lines[-1].strip():
-        # an unterminated tail: recover_tail truncated it for writable
-        # opens; readonly opens leave the file alone and drop it here
-        lines = lines[:-1]
-    for i, raw in enumerate(lines):
-        if not raw.strip():
-            continue
-        try:
-            records.append(json.loads(raw.decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StoreCorruptError(
-                f"{os.fspath(path)}: unparseable interior record at line {i + 1}: {exc}"
-            ) from exc
-    return records

@@ -1,0 +1,235 @@
+"""The durable-file layer as a whole: one format, written in one place.
+
+* **Cross-version compatibility**: ``tests/data/seed_store`` and
+  ``tests/data/seed_run`` were written by the code *before* the store,
+  the run journal and the recorder's file sink were rebased on
+  :class:`repro.obs.journal.AppendLog` (commit 7fa00ac, by the
+  ``_write_store`` / ``_write_run`` scenarios below under a frozen clock).
+  They must still open and replay, and the same scenarios run against
+  today's code must reproduce them byte for byte.
+* **Architecture guard**: ``os.fsync``, ``os.replace`` and append-mode
+  ``open`` appear in ``src/repro`` only inside ``obs/journal.py`` plus an
+  explicit allowlist, so a fourth hand-rolled writer cannot reappear
+  unnoticed.
+
+Regenerate the fixtures (only ever from a commit whose format is the
+reference) with ``PYTHONPATH=src python tests/test_durable_files.py``.
+"""
+
+from __future__ import annotations
+
+import ast
+import itertools
+import json
+import shutil
+import time
+from pathlib import Path
+
+import pytest
+
+from repro.obs.journal import RunJournal, read_journal
+from repro.service.states import JobState
+from repro.service.store import JOBS_FILE, CampaignStore, JobSpec
+
+DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src" / "repro"
+
+CODE_VERSION = "fixture:seed"
+T0 = 1_700_000_000.0
+STORE_FINGERPRINT = "122ce81c896b149a4f9c3eb6898b3047fa52e042bfd7051f7e33315c8de592e4"
+
+
+def _stepping_clock():
+    """Frozen-rate clock: every read is 0.25 s after the previous one."""
+    ticks = itertools.count()
+    return lambda: T0 + 0.25 * next(ticks)
+
+
+def _write_store(root: Path) -> str:
+    """One campaign touching every record kind; returns the fingerprint."""
+    store = CampaignStore.create(root, seed=3, extra={"note": "fixture"}, clock=_stepping_clock())
+    store.submit_campaign(
+        "demo",
+        [
+            JobSpec(name="ok", params={"i": 0}),
+            JobSpec(name="doomed", params={"i": 1}, max_requeues=0),
+            JobSpec(name="stranded", params={"i": 2}, n_nodes=2, wall_estimate=2.5),
+        ],
+        seed=5,
+    )
+    for state in (
+        JobState.STAGED_IN,
+        JobState.PREPROCESSED,
+        JobState.RUNNING,
+        JobState.RUN_DONE,
+        JobState.POSTPROCESSED,
+    ):
+        store.transition("demo.00000", state)
+    store.transition("demo.00000", JobState.JOB_FINISHED, result={"halos": 7, "mass": 1.5})
+    store.transition("demo.00001", JobState.STAGED_IN)
+    store.transition("demo.00001", JobState.FAILED, error="boom")
+    store.mark_dead_letter("demo.00001", "requeue budget exhausted after 1 attempts: boom")
+    store.transition("demo.00002", JobState.STAGED_IN)  # left in flight: a crash
+    fingerprint = store.fingerprint()
+    store.close()
+    return fingerprint
+
+
+def _write_run(root: Path) -> None:
+    """One run journal touching every record kind the journal itself writes."""
+    journal = RunJournal.create(
+        root,
+        "seed_run",
+        config={"workflow": {"kind": "combined", "threshold": 60}, "sim": {"np_per_dim": 20}},
+        seeds={"sim": 42, "retry": 0},
+        fault_plan={"seed": 7, "sites": {}},
+        extra={"note": "fixture"},
+    )
+    journal.write({"kind": "event", "name": "workflow.start", "t": 1.0, "wall": T0, "level": "info"})
+    journal.write({"kind": "span", "name": "sim.step", "t0": 1.0, "t1": 1.5, "span_id": 1})
+    journal.write({"kind": "future.kind", "payload": [1, 2, 3]})
+    journal.failure({"stage": "offline", "key": "16", "reason": "gave up", "attempts": 3})
+    journal.metrics_snapshot({"widgets_total": 3.0}, label="final")
+    journal.close(status="ok", degraded=True)
+
+
+@pytest.fixture
+def frozen(monkeypatch):
+    monkeypatch.setenv("REPRO_CODE_VERSION", CODE_VERSION)
+    monkeypatch.setattr(time, "time", lambda: T0)
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(root)): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and p.name != "lock"
+    }
+
+
+# -- cross-version compatibility -------------------------------------------------
+
+
+def test_seed_written_store_opens_replays_and_reserializes(tmp_path, frozen):
+    assert _write_store(tmp_path / "fresh") == STORE_FINGERPRINT
+    assert _files(tmp_path / "fresh") == _files(DATA / "seed_store")
+
+    shutil.copytree(DATA / "seed_store", tmp_path / "old")
+    with CampaignStore.open(tmp_path / "old", readonly=True) as view:
+        assert view.fingerprint() == STORE_FINGERPRINT
+        assert view.jobs["demo.00001"].dead_lettered
+    with CampaignStore.open(tmp_path / "old", clock=lambda: T0 + 60.0) as store:
+        assert store.recovered_bytes == 0
+        assert store.recover() == ["demo.00002"]  # the stranded job rolls back
+    # the resumed writer appended one record after the seed's, seq contiguous
+    lines = (tmp_path / "old" / JOBS_FILE).read_bytes().splitlines(keepends=True)
+    assert b"".join(lines[:-1]) == (DATA / "seed_store" / JOBS_FILE).read_bytes()
+    assert json.loads(lines[-1]) == {
+        "seq": len(lines) - 1,
+        "wall": T0 + 60.0,
+        "kind": "job.transition",
+        "job": "demo.00002",
+        "from": "STAGED_IN",
+        "to": "CREATED",
+        "attempts": 0,
+        "recovery": True,
+    }
+
+
+def test_seed_written_run_opens_replays_and_reserializes(tmp_path, frozen):
+    _write_run(tmp_path)
+    assert _files(tmp_path / "seed_run") == _files(DATA / "seed_run")
+
+    old = read_journal(DATA / "seed_run")
+    new = read_journal(tmp_path / "seed_run")
+    assert old.records == new.records and old.manifest == new.manifest
+    assert old.complete and not old.truncated and old.corrupt == 0
+    assert [r["seq"] for r in old.records] == list(range(7))
+    assert old.failures()[0]["key"] == "16" and old.last_metrics() == {"widgets_total": 3.0}
+
+    shutil.copytree(DATA / "seed_run", tmp_path / "old")
+    resumed = RunJournal.open(tmp_path / "old")
+    assert resumed.manifest == old.manifest
+    assert resumed.write({"kind": "event", "name": "resumed"}) == 7
+    resumed.close()
+
+
+# -- architecture guard ------------------------------------------------------------
+
+#: the only places outside ``obs/journal.py`` that may call these, and why
+ALLOWED = {
+    # per-job product drop: atomic but deliberately un-fsynced (ISSUE 15 scope)
+    ("service/worker.py", "_write_product", "os.replace"),
+    # the single-writer flock file, never written to
+    ("service/store.py", "_acquire_writer_lock", "open-append"),
+}
+
+
+def _durable_calls(tree: ast.AST):
+    """Yield ``(enclosing function, what)`` for every durable-write call."""
+
+    def visit(node: ast.AST, func: str):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (
+                    isinstance(f, ast.Attribute)
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "os"
+                    and f.attr in ("fsync", "fdatasync", "replace", "rename")
+                ):
+                    yield inner, f"os.{f.attr}"
+                if isinstance(f, ast.Name) and f.id == "open":
+                    mode = child.args[1] if len(child.args) > 1 else None
+                    for kw in child.keywords:
+                        if kw.arg == "mode":
+                            mode = kw.value
+                    if mode is not None and not isinstance(mode, ast.Constant):
+                        yield inner, "open-dynamic-mode"
+                    elif mode is not None and "a" in str(mode.value):
+                        yield inner, "open-append"
+            yield from visit(child, inner)
+
+    yield from visit(tree, "<module>")
+
+
+def test_durable_writes_live_in_one_module():
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel == "obs/journal.py":
+            continue
+        for func, what in _durable_calls(ast.parse(path.read_text(), filename=str(path))):
+            found.add((rel, func, what))
+    assert found == ALLOWED, (
+        "durable-write primitives outside repro/obs/journal.py: "
+        f"unexpected {sorted(found - ALLOWED)}, stale allowlist {sorted(ALLOWED - found)} "
+        "— use AppendLog / atomic_write_json (ARCHITECTURE.md, Durable files)"
+    )
+
+
+def test_the_guard_sees_each_primitive():
+    sample = (
+        "import os\n"
+        "def w(p, m):\n"
+        "    with open(p, 'ab') as fh:\n"
+        "        os.fsync(fh.fileno())\n"
+        "    open(p, mode='a'); open(p, m); open(p); open(p, 'rb')\n"
+        "    os.replace(p, p)\n"
+    )
+    assert sorted(what for _, what in _durable_calls(ast.parse(sample))) == [
+        "open-append", "open-append", "open-dynamic-mode", "os.fsync", "os.replace",
+    ]
+
+
+if __name__ == "__main__":  # regenerate the fixtures (see the module docstring)
+    import os
+
+    os.environ["REPRO_CODE_VERSION"] = CODE_VERSION
+    time.time = lambda: T0
+    for name in ("seed_store", "seed_run"):
+        shutil.rmtree(DATA / name, ignore_errors=True)
+    print("store fingerprint:", _write_store(DATA / "seed_store"))
+    (DATA / "seed_store" / "lock").unlink()
+    _write_run(DATA)

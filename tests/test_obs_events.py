@@ -5,7 +5,8 @@ from __future__ import annotations
 import json
 import threading
 
-from repro.obs import Event, EventLog, JsonlSink, read_jsonl
+from repro import obs
+from repro.obs import Event, EventLog, read_journal
 from repro.obs.events import merge_timelines
 
 
@@ -64,24 +65,39 @@ def test_concurrent_emit_is_safe():
 
 def test_jsonl_sink_replay(tmp_path):
     path = str(tmp_path / "events.jsonl")
-    log = EventLog()
-    with JsonlSink(path) as sink:
+    with obs.telemetry(run_id="r", jsonl_path=path) as rec:
         for i in range(5):
-            sink.write(log.emit("tick", i=i).to_dict())
-        sink.write({"kind": "span", "name": "s", "t0": 0.0, "t1": 1.0, "span_id": 1})
-        sink.write({"kind": "mystery"})  # unknown kinds are skipped
-    events, spans = read_jsonl(path)
-    assert [e.fields["i"] for e in events] == [0, 1, 2, 3, 4]
-    assert len(spans) == 1 and spans[0]["name"] == "s"
+            rec.event("tick", i=i)
+        with rec.span("s"):
+            pass
+        rec.sink.append({"kind": "mystery"})  # unknown kinds are preserved, not replayed
+    view = read_journal(path)
+    assert [e.fields["i"] for e in view.events()] == [0, 1, 2, 3, 4]
+    assert [s.name for s in view.spans()] == ["s"]
+    assert [r["seq"] for r in view.records] == list(range(7))
+    assert view.manifest is None and not view.truncated and view.corrupt == 0
 
 
 def test_jsonl_sink_tolerates_late_writes(tmp_path):
-    sink = JsonlSink(str(tmp_path / "x.jsonl"))
-    sink.write({"kind": "event", "name": "a", "t": 0.0, "wall": 0.0})
-    sink.close()
-    sink.write({"kind": "event", "name": "late", "t": 1.0, "wall": 1.0})  # no raise
-    events, _ = read_jsonl(str(tmp_path / "x.jsonl"))
-    assert [e.name for e in events] == ["a"]
+    path = str(tmp_path / "x.jsonl")
+    with obs.telemetry(jsonl_path=path) as rec:
+        rec.event("a")
+    rec.event("late")  # the sink is closed: no raise, nothing written
+    assert [e.name for e in read_journal(path).events()] == ["a"]
+
+
+def test_jsonl_sink_resumes_an_existing_file(tmp_path):
+    """The sink is the one durable log: a torn tail is dropped, seq continues."""
+    path = tmp_path / "x.jsonl"
+    with obs.telemetry(jsonl_path=str(path)) as rec:
+        rec.event("a")
+    with open(path, "ab") as fh:
+        fh.write(b'{"seq": 1, "kind": "ev')
+    with obs.telemetry(jsonl_path=str(path)) as rec:
+        rec.event("b")
+    view = read_journal(path)
+    assert [e.name for e in view.events()] == ["a", "b"]
+    assert [r["seq"] for r in view.records] == [0, 1] and not view.truncated
 
 
 def test_merge_timelines_orders_by_monotonic_time():

@@ -192,11 +192,12 @@ def test_jsonl_sink_replays_the_run(small_config, tmp_path):
         run_combined_workflow(
             small_config, spool, threshold=100, min_count=40, n_ranks=4
         )
-    events, spans = obs.read_jsonl(jsonl)
-    assert any(e.name == "workflow.done" for e in events)
-    span_names = {s["name"] for s in spans}
-    assert {"sim.step", "insitu.halo_finder", "offline.center_job"} <= span_names
-    assert all(s["run"] == "jsonl-test" for s in spans)
+    view = obs.read_journal(jsonl)
+    assert any(e.name == "workflow.done" for e in view.events())
+    spans = view.spans()
+    assert {"sim.step", "insitu.halo_finder", "offline.center_job"} <= {s.name for s in spans}
+    assert all(s.run == "jsonl-test" for s in spans)
+    assert [r["seq"] for r in view.records] == list(range(len(view.records)))
 
 
 def test_disabled_telemetry_records_nothing(small_config, tmp_path):

@@ -20,17 +20,23 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
+from repro.obs import journal as journal_module
 from repro.obs.journal import (
+    AppendLog,
     RunJournal,
     RunManifest,
     config_hash,
     find_journal,
     read_journal,
+    read_records,
     recover_tail,
 )
 
@@ -151,6 +157,68 @@ def test_recover_tail_noop_on_clean_file(tmp_path):
     assert p.read_bytes() == b'{"a": 1}\n'
 
 
+def test_torn_line_longer_than_one_scan_chunk_costs_only_itself(tmp_path):
+    """Regression: a > 1 MiB torn tail used to truncate the file to 0 bytes."""
+    j = RunJournal.create(tmp_path, run_id="caseA")
+    for i in range(150):
+        j.write({"kind": "event", "name": f"e{i}"})
+    j.flush()
+    path = tmp_path / "caseA" / "journal.jsonl"
+    complete = path.read_bytes()
+    with open(path, "ab") as fh:
+        fh.write(b'{"kind": "event", "name": "' + b"x" * (journal_module.TAIL_CHUNK + 4096))
+    j2 = RunJournal.open(tmp_path / "caseA")
+    assert path.read_bytes() == complete  # every complete record survived
+    assert j2.write({"kind": "event", "name": "resumed"}) == 151
+    j2.close()
+    view = read_journal(path)
+    assert [e.name for e in view.events()] == [f"e{i}" for i in range(150)] + ["resumed"]
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+_records = st.lists(
+    st.dictionaries(st.text(max_size=4).filter(lambda k: k != "seq"), _json_scalars, max_size=3),
+    max_size=10,
+)
+
+
+@pytest.mark.parametrize("fsync_each", [False, True], ids=["batched", "fsync-each"])
+@settings(max_examples=60, deadline=None)
+@given(records=_records, data=st.data(), chunk=st.sampled_from([1, 5, 1 << 20]))
+def test_any_cut_recovers_the_longest_complete_prefix(fsync_each, records, data, chunk):
+    """Cut the file at any byte: a writable reopen keeps exactly the
+    complete records before the cut and continues ``seq`` from there, and
+    the reader already saw that same prefix in the cut file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.jsonl")
+        log = AppendLog(path, fsync_each=fsync_each)
+        assert [log.append(r) for r in records] == list(range(len(records)))
+        log.close()
+        with open(path, "rb") as fh:
+            whole = fh.read()
+        cut = data.draw(st.integers(0, len(whole)), label="cut")
+        with open(path, "wb") as fh:
+            fh.write(whole[:cut])
+        keep = whole.rfind(b"\n", 0, cut) + 1
+        survivors = [{"seq": i, **r} for i, r in enumerate(records)][: whole[:cut].count(b"\n")]
+
+        assert read_records(path) == (survivors, keep < cut, [])
+
+        saved, journal_module.TAIL_CHUNK = journal_module.TAIL_CHUNK, chunk
+        try:
+            log, replayed, corrupt = AppendLog.reopen(path, fsync_each=fsync_each)
+        finally:
+            journal_module.TAIL_CHUNK = saved
+        assert (replayed, corrupt, log.recovered_bytes) == (survivors, [], cut - keep)
+        with open(path, "rb") as fh:
+            assert fh.read() == whole[:keep]
+        assert log.append({"kind": "next"}) == len(survivors)
+        log.close()
+        after, truncated, corrupt = read_records(path)
+        assert after == survivors + [{"seq": len(survivors), "kind": "next"}]
+        assert not truncated and not corrupt
+
+
 def test_corrupt_interior_line_is_counted_not_fatal(tmp_path):
     j = RunJournal.create(tmp_path, run_id="caseA")
     j.write({"kind": "event", "name": "a"})
@@ -198,10 +266,11 @@ def test_atexit_flush_preserves_tail_of_crashed_run(tmp_path):
     script = (
         "import sys\n"
         "from repro.obs.journal import RunJournal\n"
-        "j = RunJournal.create(sys.argv[1], run_id='crashy', flush_every=10**9)\n"
+        "j = RunJournal.create(sys.argv[1], run_id='crashy')\n"
         "for i in range(5):\n"
         "    j.write({'kind': 'event', 'name': f'e{i}'})\n"
-        # no close(), no flush(): interpreter exit must save the tail
+        # no close(), no flush(), fewer records than one flush batch:
+        # interpreter exit must save the tail
     )
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
     subprocess.run(

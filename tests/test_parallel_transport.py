@@ -255,8 +255,12 @@ def test_process_rank_death_mid_collective_fails_cleanly():
         comm.barrier()
         return comm.rank
 
+    t0 = time.perf_counter()
     with pytest.raises(SpmdError, match=r"rank 1"):
         run_spmd(2, prog, transport="process", timeout=10.0)
+    # the parent breaks the barrier under rank 0 the moment it sees rank 1
+    # dead: nobody sits out the 10 s wait
+    assert time.perf_counter() - t0 < 2.0
     assert _no_orphans()
     assert _shm_segments() == before
 

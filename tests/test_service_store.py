@@ -182,6 +182,24 @@ def test_torn_tail_loses_at_most_the_last_transition(tmp_path):
     reopened.close()
 
 
+def test_torn_line_longer_than_one_scan_chunk_costs_only_itself(tmp_path):
+    """Regression: a > 1 MiB torn tail used to truncate the journal to 0
+    bytes — the whole campaign gone, and the reopen *succeeding*."""
+    store = make_store(tmp_path / "s", n=120)
+    fingerprint = store.fingerprint()
+    store.close()
+    jobs_path = tmp_path / "s" / JOBS_FILE
+    complete = jobs_path.read_bytes()
+    with open(jobs_path, "ab") as fh:
+        fh.write(b'{"seq": 121, "kind": "job.transition", "error": "' + b"x" * (1 << 20))
+
+    reopened = CampaignStore.open(tmp_path / "s")
+    assert reopened.recovered_bytes > 1 << 20
+    assert jobs_path.read_bytes() == complete
+    assert len(reopened.jobs) == 120 and reopened.fingerprint() == fingerprint
+    reopened.close()
+
+
 def test_interior_corruption_raises(tmp_path):
     store = make_store(tmp_path / "s")
     store.transition("demo.00000", JobState.STAGED_IN)
