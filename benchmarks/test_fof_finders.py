@@ -1,4 +1,4 @@
-"""Halo finder benchmarks: serial k-d tree vs grid, parallel scaling.
+"""Halo finder benchmarks: the serial finder and its parallel scaling.
 
 The paper's FOF is "efficiently parallelizable" (Table 2 shows max/min
 find ratios near 1).  These benches measure our implementations and the
@@ -9,7 +9,7 @@ breaks halo completeness.
 import numpy as np
 import pytest
 
-from repro.analysis import fof_grid, fof_kdtree, parallel_fof
+from repro.analysis import fof_grid, parallel_fof
 from repro.parallel import CartesianDecomposition, run_spmd
 
 from conftest import save_result
@@ -26,17 +26,6 @@ def test_fof_grid(benchmark, particle_set):
     ll = 0.2 * box / 32
     result = benchmark(fof_grid, pos, ll, min_count=40, box=box)
     assert result.n_halos > 0
-
-
-def test_fof_kdtree(benchmark, particle_set):
-    pos, box = particle_set
-    ll = 0.2 * box / 32
-    # non-periodic reference on a subvolume (the per-rank usage pattern)
-    sub = pos[np.all(pos < box / 2, axis=1)]
-    result = benchmark.pedantic(
-        fof_kdtree, args=(sub, ll), kwargs={"min_count": 40}, rounds=2, iterations=1
-    )
-    assert result.labels is not None
 
 
 @pytest.mark.parametrize("nranks", [2, 4, 8])

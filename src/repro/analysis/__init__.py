@@ -1,6 +1,6 @@
 """Halo analysis algorithms (the CosmoTools algorithm library).
 
-FOF halo finding (serial k-d tree, vectorized grid, and distributed),
+FOF halo finding (serial and distributed, over one compiled pair search),
 MBP center finding (brute force on any backend, A*-style search, and
 approximations), SPH density + subhalo finding with unbinding, spherical
 overdensity masses, the power spectrum, and the halo mass function.
@@ -24,7 +24,6 @@ from .fof import (
     DEFAULT_MIN_COUNT,
     FOFResult,
     fof_grid,
-    fof_kdtree,
     halo_groups,
     parallel_fof,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "DEFAULT_MIN_COUNT",
     "FOFResult",
     "fof_grid",
-    "fof_kdtree",
     "halo_groups",
     "parallel_fof",
     "KDTree",

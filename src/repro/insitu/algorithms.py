@@ -130,7 +130,6 @@ class HaloFinderAlgorithm(_Scheduled):
     min_count: int = 40
     n_ranks: int = 8
     overload_factor: float = 8.0
-    local_finder: str = "grid"
     transport: Any = None
 
     def execute(self, sim: Any, context: AnalysisContext) -> None:
@@ -156,7 +155,6 @@ class HaloFinderAlgorithm(_Scheduled):
                 linking_length=ll,
                 overload_width=overload,
                 min_count=self.min_count,
-                local_finder=self.local_finder,
             )
             return halos, time.perf_counter() - t0
 

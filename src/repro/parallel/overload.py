@@ -75,7 +75,13 @@ def overload_destinations(
     near_lo = positions < (lo + width)  # (n, 3) booleans
     near_hi = positions >= (hi - width)
 
-    out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    # A neighbor reachable via several directions (small grids with
+    # wraparound) gets one (indices, shifts) part per direction.  Parts
+    # never repeat a row: indices are unique within a direction, and two
+    # directions onto the same neighbor differ in their shift vector
+    # (2-wide axis: +box / 0 or 0 / -box; 1-wide: +box / 0 / -box).
+    parts: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+    coords = np.asarray([ix, iy, iz])
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
             for dz in (-1, 0, 1):
@@ -97,28 +103,19 @@ def overload_destinations(
                 # Stepping below cell 0 wraps to the highest rank, whose
                 # high face sits at x=box: the copy must appear at x+box.
                 shift = np.zeros(3)
-                coords = np.asarray([ix, iy, iz])
                 for axis, step in enumerate(d):
                     tgt = coords[axis] + step
                     if tgt < 0:
                         shift[axis] = box
                     elif tgt >= dims[axis]:
                         shift[axis] = -box
-                shifts = np.broadcast_to(shift, (idx.size, 3)).copy()
-                if nbr in out:
-                    prev_idx, prev_shift = out[nbr]
-                    # Same neighbor reachable via several corner directions
-                    # (small grids with wraparound): merge, dedup on index
-                    # + shift so distinct periodic images are all kept.
-                    merged_idx = np.concatenate([prev_idx, idx])
-                    merged_shift = np.concatenate([prev_shift, shifts])
-                    key = np.column_stack([merged_idx.astype(float), merged_shift])
-                    _, unique_pos = np.unique(key, axis=0, return_index=True)
-                    unique_pos.sort()
-                    out[nbr] = (merged_idx[unique_pos], merged_shift[unique_pos])
-                else:
-                    out[nbr] = (idx, shifts)
-    return out
+                idx_parts, shift_parts = parts.setdefault(nbr, ([], []))
+                idx_parts.append(idx)
+                shift_parts.append(np.broadcast_to(shift, (idx.size, 3)))
+    return {
+        nbr: (np.concatenate(idx_parts), np.concatenate(shift_parts))
+        for nbr, (idx_parts, shift_parts) in parts.items()
+    }
 
 
 def select_overload(

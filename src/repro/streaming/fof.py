@@ -17,7 +17,7 @@ Exactness argument (the contract ``docs/streaming.md`` spells out):
   resident when ``q`` arrives: ``qx >= frontier`` implies
   ``px >= qx - ll >= frontier - ll`` for a direct link, and a wrapped
   link forces ``px <= ll``.
-* Per chunk, one :func:`~repro.analysis.fof.fof_grid` call over
+* Per chunk, one :func:`~repro.analysis.fof.link_components` call over
   ``ring + chunk`` finds every new edge (the periodic metric links the
   head slab to late chunks with no extra pass), and components are
   merged into persistent groups through a
@@ -32,11 +32,11 @@ The emitted catalog is bit-identical to the in-memory finder's
 the argument above, and both sides identify a halo by its minimum
 particle tag.
 
-Implementation note: the ISSUE sketches per-chunk linking via
-:class:`~repro.analysis.spatial_index.PeriodicCellIndex`; that index
-allocates a *dense* ``ncell³`` prefix array (1 GB at box/ll = 500), so
-chunk linking reuses ``fof_grid``'s occupied-cell machinery instead —
-same cell-list algorithm, memory proportional to occupied cells only.
+Implementation note: the chunk link is the same compiled periodic pair
+search the in-memory finder runs (``link_components``: a k-d tree over
+the resident particles, memory proportional to ring + chunk), so the
+streamed and in-memory catalogs cannot drift apart at the
+``d <= linking_length`` boundary — there is one finder, not two.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..analysis.fof import DEFAULT_MIN_COUNT, fof_grid
+from ..analysis.fof import DEFAULT_MIN_COUNT, link_components, wrap_periodic
 from ..analysis.union_find import GrowableDisjointSet
 
 __all__ = ["StreamOrderError", "StreamedCatalog", "StreamingFOF", "GroupForest"]
@@ -195,7 +195,7 @@ class StreamingFOF:
         self.n_chunks += 1
         if n_c == 0:
             return
-        pos = np.mod(pos, self.box)
+        pos = wrap_periodic(pos, self.box)
         x = pos[:, 0]
         xmin = float(x.min())
         if xmin < self._frontier:
@@ -210,11 +210,11 @@ class StreamingFOF:
         resident_pos = np.concatenate([self._ring_pos, pos])
         self.peak_resident = max(self.peak_resident, len(resident_pos))
 
-        # one periodic cell-list pass over ring + chunk finds every new
-        # edge, including head-slab links through the x wrap
-        local = fof_grid(resident_pos, ll, tags=None, min_count=1, box=self.box)
-        _, comp_inv = np.unique(local.labels, return_inverse=True)
-        n_comp = int(comp_inv.max()) + 1 if len(comp_inv) else 0
+        # one periodic pair search over ring + chunk (both already
+        # wrapped) finds every new edge, including head-slab links
+        # through the x wrap
+        comp_inv = link_components(resident_pos, ll, self.box)
+        n_comp = int(comp_inv.max()) + 1
         chunk_inv = comp_inv[n_r:]
 
         # per-component aggregates over the chunk's members

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
+from ..analysis.fof import wrap_periodic
 from ..faults import FaultInjected, RetryPolicy, maybe_inject, resolve_retry
 from ..io.genericio import GenericIOFile, write_genericio
 from ..obs import get_recorder
@@ -72,7 +73,7 @@ class ParticleStream(Protocol):
 
 def slab_order(pos: np.ndarray, box: float) -> np.ndarray:
     """Stable permutation sorting particles by wrapped x (slab order)."""
-    x = np.mod(np.asarray(pos, dtype=np.float64)[:, 0], box)
+    x = wrap_periodic(np.asarray(pos, dtype=np.float64)[:, 0], box)
     return np.argsort(x, kind="stable")
 
 
@@ -121,7 +122,7 @@ class ArrayStream:
         if len(tag) != n:
             raise ValueError("tags length mismatch")
         order = slab_order(pos, box)
-        self._pos = np.mod(pos[order], box)
+        self._pos = wrap_periodic(pos[order], box)
         self._tag = tag[order]
         self.box = float(box)
         self.chunk_rows = int(chunk_rows)
@@ -239,7 +240,7 @@ def write_slab_snapshot(
     if len(tag) != n:
         raise ValueError("tags length mismatch")
     order = slab_order(pos, box)
-    spos = np.mod(pos[order], box)
+    spos = wrap_periodic(pos[order], box)
     stag = tag[order]
     blocks = []
     for start in range(0, max(n, 1), block_rows):

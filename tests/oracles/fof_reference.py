@@ -1,0 +1,125 @@
+"""Test oracles: the two FOF finders production code is checked against.
+
+``fof_kdtree`` is the paper's serial algorithm (§3.3.1) written out in
+Python — build a balanced k-d tree and recursively merge, using subtree
+bounding boxes to merge or exclude whole subtrees at once; open
+(non-periodic) boxes only.  ``_fof_brute_periodic`` is the O(n²) all-pairs
+finder under the minimum-image metric (positions need not be wrapped).
+They share only the label convention (``_finalize``: a halo is named by
+its minimum tag) with the production finder
+(:func:`repro.analysis.fof.link_components`), none of the pair search.
+
+``catalog_sha256`` is the digest the benchmarks compare catalogs by.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
+from repro.analysis.fof import DEFAULT_MIN_COUNT, FOFResult, _finalize
+from repro.analysis.kdtree import KDTree, box_gap_sq, box_span_sq
+from repro.analysis.union_find import DisjointSet
+
+__all__ = ["fof_kdtree", "_fof_brute_periodic", "catalog_sha256"]
+
+
+def catalog_sha256(*arrays) -> str:
+    """SHA-256 over the int64 bytes of each array, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def fof_kdtree(
+    pos: np.ndarray,
+    linking_length: float,
+    tags: np.ndarray | None = None,
+    min_count: int = DEFAULT_MIN_COUNT,
+    leaf_size: int = 8,
+) -> FOFResult:
+    """Serial FOF via recursive traversal of a balanced k-d tree.
+
+    Non-periodic (HACC applies it per rank to overloaded local volumes;
+    periodicity is handled by the ghost images at the parallel layer).
+    """
+    pos = np.atleast_2d(np.asarray(pos, dtype=float))
+    n = len(pos)
+    if n == 0:
+        return _finalize(np.empty(0, dtype=np.intp), tags, min_count)
+    tree = KDTree(pos, leaf_size=leaf_size)
+    dsu = DisjointSet(n)
+    ll2 = linking_length * linking_length
+
+    def process(node_id: int) -> None:
+        node = tree.nodes[node_id]
+        if node.is_leaf:
+            idx = tree.index[node.start : node.end]
+            if len(idx) > 1:
+                d2 = np.sum((pos[idx][:, None, :] - pos[idx][None, :, :]) ** 2, axis=-1)
+                ii, jj = np.nonzero(np.triu(d2 <= ll2, k=1))
+                for a, b in zip(idx[ii], idx[jj]):
+                    dsu.union(int(a), int(b))
+            return
+        process(node.left)
+        process(node.right)
+        merge(node.left, node.right)
+
+    def merge(na: int, nb: int) -> None:
+        a = tree.nodes[na]
+        b = tree.nodes[nb]
+        if box_gap_sq(a.lo, a.hi, b.lo, b.hi) > ll2:
+            return  # whole subtrees excluded at once
+        if box_span_sq(a.lo, a.hi, b.lo, b.hi) <= ll2:
+            # every cross pair is a link: merge both subtrees wholesale
+            ia = tree.index[a.start : a.end]
+            ib = tree.index[b.start : b.end]
+            anchor = int(ia[0])
+            for x in ia[1:]:
+                dsu.union(anchor, int(x))
+            for x in ib:
+                dsu.union(anchor, int(x))
+            return
+        if a.is_leaf and b.is_leaf:
+            ia = tree.index[a.start : a.end]
+            ib = tree.index[b.start : b.end]
+            d2 = np.sum((pos[ia][:, None, :] - pos[ib][None, :, :]) ** 2, axis=-1)
+            ii, jj = np.nonzero(d2 <= ll2)
+            for x, y in zip(ia[ii], ib[jj]):
+                dsu.union(int(x), int(y))
+            return
+        # recurse into the children of the larger (or non-leaf) node
+        if a.is_leaf or (not b.is_leaf and b.count > a.count):
+            merge(na, b.left)
+            merge(na, b.right)
+        else:
+            merge(a.left, nb)
+            merge(a.right, nb)
+
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old_limit, 10000))
+    try:
+        process(0)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    return _finalize(dsu.labels(), tags, min_count)
+
+
+def _fof_brute_periodic(
+    pos: np.ndarray, ll: float, box: float, tags: np.ndarray | None, min_count: int
+) -> FOFResult:
+    """O(n²) periodic FOF: every pair under the minimum-image metric."""
+    pos = np.atleast_2d(np.asarray(pos, dtype=float))
+    if len(pos) == 0:
+        return _finalize(np.empty(0, dtype=np.intp), tags, min_count)
+    d = pos[:, None, :] - pos[None, :, :]
+    d -= box * np.round(d / box)
+    adj = np.sum(d * d, axis=-1) <= ll * ll
+    graph = coo_matrix(adj)
+    _, roots = connected_components(graph, directed=False)
+    return _finalize(np.asarray(roots, dtype=np.intp), tags, min_count)

@@ -1,13 +1,65 @@
-"""FOF halo finding: cross-validation of all three implementations."""
+"""FOF halo finding: the one production finder against its oracles.
+
+``fof_grid`` / ``parallel_fof`` are checked three ways: against the
+pure-Python k-d tree and O(n²) periodic brute-force oracles
+(:mod:`tests.oracles.fof_reference`), against each other across
+decompositions and transports, and against golden digests recorded from
+the commit *before* the compiled pair search replaced the cell grid
+(ea6c278) — so "identical to the parent, known deficiencies included" is
+asserted rather than promised.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import fof_grid, fof_kdtree, halo_groups, parallel_fof
-from repro.analysis.fof import _fof_brute_periodic
+from repro.analysis import fof_grid, halo_groups, parallel_fof
 from repro.parallel import CartesianDecomposition, run_spmd
+from tests.oracles.fof_reference import _fof_brute_periodic, catalog_sha256, fof_kdtree
+
+
+def _oracle(pos, ll, box, tags=None, min_count=1):
+    """The reference result: k-d tree oracle (open box) or brute force."""
+    if box is None:
+        return fof_kdtree(pos, ll, tags=tags, min_count=min_count)
+    return _fof_brute_periodic(np.mod(pos, box), ll, box, tags, min_count)
+
+
+def _assert_same_result(a, b):
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.halo_tags, b.halo_tags)
+    assert np.array_equal(a.halo_counts, b.halo_counts)
+
+
+def _parallel_halos(pos, tags, box, nranks, ll, overload, min_count, transport=None):
+    """Merged ``halo tag -> sorted member tags`` over all ranks."""
+
+    def prog(comm):
+        decomp = CartesianDecomposition.for_ranks(box, comm.size)
+        mine = decomp.rank_of_position(pos) == comm.rank
+        return parallel_fof(
+            comm,
+            decomp,
+            pos[mine],
+            tags[mine],
+            linking_length=ll,
+            overload_width=overload,
+            min_count=min_count,
+        )
+
+    halos = {}
+    for rank_halos in run_spmd(nranks, prog, transport=transport):
+        for tag, members in rank_halos.items():
+            assert tag not in halos, "halo owned by two ranks"
+            halos[tag] = members
+    return halos
+
+
+def _parallel_digest(halos) -> str:
+    order = sorted(halos)
+    members = np.concatenate([halos[t] for t in order]) if order else []
+    return catalog_sha256(order, [len(halos[t]) for t in order], members)
 
 
 def test_two_points_linked_iff_within_ll():
@@ -52,9 +104,7 @@ def test_kdtree_and_grid_agree(blob_points):
     tags = np.arange(len(blob_points))
     a = fof_kdtree(blob_points, 0.2, tags=tags, min_count=10)
     b = fof_grid(blob_points, 0.2, tags=tags, min_count=10)
-    assert np.array_equal(a.labels, b.labels)
-    assert np.array_equal(a.halo_tags, b.halo_tags)
-    assert np.array_equal(a.halo_counts, b.halo_counts)
+    _assert_same_result(a, b)
 
 
 def test_grid_periodic_matches_brute(rng):
@@ -94,39 +144,35 @@ def test_members_accessor(blob_points):
     assert len(r.members(tag)) == r.halo_counts[0]
 
 
-@pytest.mark.parametrize("local_finder", ["grid", "kdtree"])
-@pytest.mark.parametrize("nranks", [2, 8])
-def test_parallel_matches_serial(blob_points, local_finder, nranks):
-    box = 20.0
-    tags = np.arange(len(blob_points))
-
-    def prog(comm):
-        decomp = CartesianDecomposition.for_ranks(box, comm.size)
-        owners = decomp.rank_of_position(blob_points)
-        mine = owners == comm.rank
-        return parallel_fof(
-            comm,
-            decomp,
-            blob_points[mine],
-            tags[mine],
-            linking_length=0.2,
-            overload_width=2.0,
-            min_count=10,
-            local_finder=local_finder,
-        )
-
-    results = run_spmd(nranks, prog)
-    parallel_halos = {}
-    for r in results:
-        for tag, members in r.items():
-            assert tag not in parallel_halos, "halo owned by two ranks"
-            parallel_halos[tag] = members
-
-    serial = fof_grid(blob_points, 0.2, tags=tags, min_count=10, box=box)
+def _assert_parallel_equals_serial(parallel_halos, pos, tags, box, ll, min_count):
+    serial = fof_grid(pos, ll, tags=tags, min_count=min_count, box=box)
     groups = halo_groups(serial)
     assert set(parallel_halos) == set(groups)
     for tag, idx in groups.items():
         assert np.array_equal(np.sort(tags[idx]), parallel_halos[tag])
+
+
+@pytest.mark.parametrize("local_finder", ["grid", "kdtree"])
+@pytest.mark.parametrize("nranks", [2, 8])
+def test_parallel_matches_serial(blob_points, local_finder, nranks, monkeypatch):
+    """The ghost exchange + min-tag ownership give the serial catalog —
+    with the production local find, and with the paper-faithful k-d tree
+    oracle standing in for it (thread ranks share this module patch)."""
+    if local_finder == "kdtree":
+        monkeypatch.setattr("repro.analysis.fof.fof_grid", fof_kdtree)
+    tags = np.arange(len(blob_points))
+    halos = _parallel_halos(blob_points, tags, 20.0, nranks, ll=0.2, overload=2.0, min_count=10)
+    _assert_parallel_equals_serial(halos, blob_points, tags, 20.0, 0.2, 10)
+
+
+@pytest.mark.parametrize("transport", ["thread", "process"])
+def test_parallel_222_grid_matches_serial_on_both_transports(blob_points, transport):
+    assert CartesianDecomposition.for_ranks(20.0, 8).dims == (2, 2, 2)
+    tags = np.arange(len(blob_points))
+    halos = _parallel_halos(
+        blob_points, tags, 20.0, 8, ll=0.2, overload=2.0, min_count=10, transport=transport
+    )
+    _assert_parallel_equals_serial(halos, blob_points, tags, 20.0, 0.2, 10)
 
 
 def test_parallel_halo_spanning_rank_boundary():
@@ -204,3 +250,133 @@ def test_prop_kdtree_equals_brute_force(seed, ll):
     assert result.n_halos == len(comps)
     for comp in comps:
         assert len({result.labels[i] for i in comp}) == 1
+
+
+# -- golden digests from the parent commit ---------------------------------------
+#
+# Recorded at ea6c278 (cell-grid ``fof_grid``) by running exactly these
+# helpers with that commit's ``src`` on the path.  Do not regenerate them
+# with the code under test: they pin "same products as before the swap",
+# including ``parallel_fof``'s known non-periodicity on 1-wide process-grid
+# axes (ROADMAP item 1), which is why the three rank counts differ.
+
+
+def _clustered_field(seed, n):
+    """Bench-style clustered periodic field at unit mean spacing."""
+    rng = np.random.default_rng(seed)
+    box = float(round(n ** (1 / 3)))
+    n_blob = n // 4
+    centers = rng.uniform(0, box, (max(n // 2000, 8), 3))
+    blob = centers[rng.integers(0, len(centers), n_blob)] + rng.normal(0, 0.15, (n_blob, 3))
+    pos = np.mod(np.concatenate([blob, rng.uniform(0, box, (n - n_blob, 3))]), box)
+    return pos, box
+
+
+def _golden_field_result():
+    pos, box = _clustered_field(2015, 2**16)
+    tags = np.random.default_rng(7).permutation(len(pos)) + 100
+    return fof_grid(pos, 0.2, tags=tags, min_count=10, box=box)
+
+
+def _golden_mini_sim_halos(sim, nranks):
+    box = sim.config.box
+    ll = 0.2 * box / sim.config.np_per_dim
+    pos = np.asarray(sim.particles.pos, dtype=float)
+    tags = np.asarray(sim.particles.tag, dtype=np.int64)
+    return _parallel_halos(pos, tags, box, nranks, ll, overload=8 * ll, min_count=10)
+
+
+def test_golden_digest_clustered_periodic_field():
+    r = _golden_field_result()
+    assert (r.n_halos, int((r.labels >= 0).sum())) == (32, 16355)
+    assert catalog_sha256(r.labels, r.halo_tags, r.halo_counts) == (
+        "77ff3ae4b2d38e309bded2d0ddff4378da6dfcaa3e0413c1f4a676766c90acd3"
+    )
+
+
+@pytest.mark.parametrize(
+    "nranks, n_halos, digest",
+    [
+        (1, 74, "6b27fe84f58e80e619cdfcb2991319cd42cdb7fa58ccd687ee7acfb9c1f53202"),
+        (2, 72, "abc7c1888021643745ab150c263ba04ddc228024058c20ee01b6e9e0076f89b8"),
+        (4, 69, "dd69f0dc7dea430ddc9151bf8f5339ae76b5c8bd637b4c198fbc53c3dbb43b49"),
+    ],
+)
+def test_golden_digest_mini_sim_parallel(mini_sim, nranks, n_halos, digest):
+    halos = _golden_mini_sim_halos(mini_sim, nranks)
+    assert len(halos) == n_halos
+    assert _parallel_digest(halos) == digest
+
+
+# -- the production finder against both oracles ----------------------------------
+
+
+def _mixed_field(seed, n, box, coincident):
+    """Half clustered, half uniform; optionally with exact duplicates."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0, box, (3, 3))
+    clustered = centers[rng.integers(0, 3, n // 2)] + rng.normal(0, 0.05 * box, (n // 2, 3))
+    pos = np.concatenate([clustered, rng.uniform(0, box, (n - n // 2, 3))])
+    if coincident and n >= 2:
+        pos[n // 2 :: 3] = pos[: len(pos[n // 2 :: 3])]
+    return pos, rng.permutation(np.arange(10, 10 + n)).astype(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.one_of(st.integers(0, 2), st.integers(3, 150)),
+    ll_frac=st.floats(0.01, 0.7),  # of the box: past box/3 and past box/2
+    box=st.floats(0.5, 50.0),
+    coincident=st.booleans(),
+    min_count=st.integers(1, 5),
+)
+def test_prop_fof_grid_equals_oracles(seed, n, ll_frac, box, coincident, min_count):
+    """``fof_grid`` ≡ k-d tree oracle (open box) ≡ brute force (periodic)."""
+    pos, tags = _mixed_field(seed, n, box, coincident)
+    ll = ll_frac * box
+    for periodic_box in (None, box):
+        _assert_same_result(
+            fof_grid(pos, ll, tags=tags, min_count=min_count, box=periodic_box),
+            _oracle(pos, ll, periodic_box, tags, min_count),
+        )
+
+
+@pytest.mark.parametrize("box", [None, 2.0])
+def test_link_threshold_is_inclusive(box):
+    """``d == ll`` links, anything above does not.  Lattice spacing 0.25 is
+    exact in binary, so every distance here is exact; with ``box=2`` the
+    8-per-axis lattice also closes on itself through the wrap."""
+    ll = 0.25
+    lattice = np.stack(np.meshgrid(*[np.arange(8) * ll] * 3, indexing="ij"), -1).reshape(-1, 3)
+    at = fof_grid(lattice, ll, min_count=1, box=box)
+    assert np.array_equal(at.halo_counts, [len(lattice)])
+    _assert_same_result(at, _oracle(lattice, ll, box))
+    shorter = np.nextafter(ll, 0)
+    below = fof_grid(lattice, shorter, min_count=1, box=box)
+    assert below.n_halos == len(lattice)
+    _assert_same_result(below, _oracle(lattice, shorter, box))
+
+
+@pytest.mark.parametrize(
+    "box, x_at_ll, apart",  # ``apart``: the direction of x that separates the pair
+    [(None, 0.25, np.inf), (2.0, 1.75, -np.inf)],  # directly / through the wrap
+)
+def test_pair_one_ulp_past_linking_length_is_not_linked(box, x_at_ll, apart):
+    for x, linked in [(x_at_ll, True), (np.nextafter(x_at_ll, apart), False)]:
+        pos = np.array([[0.0, 1.0, 1.0], [x, 1.0, 1.0]])
+        got = fof_grid(pos, 0.25, min_count=1, box=box)
+        assert (got.n_halos == 1) == linked, (box, x)
+        _assert_same_result(got, _oracle(pos, 0.25, box))
+
+
+def test_box_edge_positions_wrap_to_half_open_interval():
+    """``np.mod(-1e-17, box)`` is ``box``; the tree needs ``[0, box)``."""
+    box = 102.0
+    edge = [-1e-17, box, np.nextafter(box, 0), np.nextafter(0, -1)]
+    pos = np.array([[x, 5.0, 5.0] for x in edge] + [[0.1, 5.0, 5.0], [50.0, 5.0, 5.0]])
+    for perm in ([0, 1, 2], [1, 2, 0], [2, 0, 1]):  # the edge on every axis
+        p = pos[:, perm]
+        got = fof_grid(p, 0.2, min_count=1, box=box)
+        assert np.array_equal(got.halo_counts, [5, 1])
+        _assert_same_result(got, _oracle(p, 0.2, box))

@@ -10,7 +10,9 @@
 * **Architecture guard**: ``os.fsync``, ``os.replace`` and append-mode
   ``open`` appear in ``src/repro`` only inside ``obs/journal.py`` plus an
   explicit allowlist, so a fourth hand-rolled writer cannot reappear
-  unnoticed.
+  unnoticed.  The same walk over ``src/repro`` keeps the test oracles out
+  of production code (nothing imports ``tests.``) and the FOF pair search
+  in one place (``query_pairs`` has one call site).
 
 Regenerate the fixtures (only ever from a commit whose format is the
 reference) with ``PYTHONPATH=src python tests/test_durable_files.py``.
@@ -194,13 +196,17 @@ def _durable_calls(tree: ast.AST):
     yield from visit(tree, "<module>")
 
 
+def _src_trees():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text(), filename=str(path))
+
+
 def test_durable_writes_live_in_one_module():
     found = set()
-    for path in sorted(SRC.rglob("*.py")):
-        rel = path.relative_to(SRC).as_posix()
+    for rel, tree in _src_trees():
         if rel == "obs/journal.py":
             continue
-        for func, what in _durable_calls(ast.parse(path.read_text(), filename=str(path))):
+        for func, what in _durable_calls(tree):
             found.add((rel, func, what))
     assert found == ALLOWED, (
         "durable-write primitives outside repro/obs/journal.py: "
@@ -221,6 +227,34 @@ def test_the_guard_sees_each_primitive():
     assert sorted(what for _, what in _durable_calls(ast.parse(sample))) == [
         "open-append", "open-append", "open-dynamic-mode", "os.fsync", "os.replace",
     ]
+
+
+def test_src_never_imports_the_test_oracles():
+    offenders = []
+    for rel, tree in _src_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [(rel, n) for n in names if n == "tests" or n.startswith("tests.")]
+    assert offenders == []
+
+
+def test_one_pair_finder_under_every_fof():
+    """``link_components`` is the only pair search: a second one (a cell
+    grid, another tree query) would have to be cross-validated again."""
+    sites = [
+        rel
+        for rel, tree in _src_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "query_pairs"
+    ]
+    assert sites == ["analysis/fof.py"]
 
 
 if __name__ == "__main__":  # regenerate the fixtures (see the module docstring)

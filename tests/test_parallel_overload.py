@@ -1,5 +1,7 @@
 """Overload (ghost) region construction: coverage and periodic shifts."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,32 @@ def test_ghost_coverage_complete(rng):
             d = view - p
             d -= box * np.round(d / box)
             assert np.min(np.sum(d * d, axis=1)) < 1e-18
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [d for d in itertools.product((1, 2, 3), repeat=3) if d == tuple(sorted(d, reverse=True))]
+    + [(1, 2, 3), (1, 1, 2), (2, 1, 2)],  # 1- and 2-wide axes in other positions
+)
+def test_no_duplicate_rows_in_any_neighbor_plan(dims, rng):
+    """Directions that map onto one neighbor (1- and 2-wide axes) differ
+    in their periodic shift, so a plan is built by plain concatenation —
+    no ``(index, shift)`` row may repeat, and every image must be there."""
+    box = 60.0
+    decomp = CartesianDecomposition(box=box, dims=dims)
+    pos = rng.uniform(0, box, (1500, 3))
+    owners = decomp.rank_of_position(pos)
+    width = 4.0
+    for rank in range(decomp.nranks):
+        mine = pos[owners == rank]
+        plan = overload_destinations(decomp, rank, mine, width)
+        n_rows = 0
+        for idx, shift in plan.values():
+            assert shift.shape == (len(idx), 3)
+            rows = np.column_stack([idx.astype(float), shift])
+            assert len(np.unique(rows, axis=0)) == len(rows)
+            n_rows += len(rows)
+        # one image per direction whose faces the particle is near
+        lo, hi = decomp.bounds(rank)
+        near = (mine < lo + width).astype(int) + (mine >= hi - width)
+        assert n_rows == int(np.sum(np.prod(1 + near, axis=1) - 1))

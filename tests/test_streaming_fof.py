@@ -14,6 +14,7 @@ from repro.streaming import (
     StreamOrderError,
     slab_order,
 )
+from tests.oracles.fof_reference import _fof_brute_periodic, catalog_sha256
 
 
 def _reference_catalog(pos, tags, box, ll, min_count):
@@ -87,6 +88,39 @@ def test_prop_streamed_equals_in_memory(seed, n, chunk_rows, box, ll_frac, min_c
     ref_tags, ref_counts = _reference_catalog(pos, tags, box, ll, min_count)
     cat = _stream_catalog(pos, tags, box, ll, min_count, chunk_rows)
     _assert_bit_identical(cat, ref_tags, ref_counts)
+
+
+def test_catalog_digest_is_chunk_size_invariant(blob_points):
+    """Streamed ≡ in-memory by ``catalog_sha256``, from one particle per
+    chunk to the whole snapshot in one."""
+    box, ll, min_count = 20.0, 0.4, 10
+    n = len(blob_points)
+    tags = np.random.default_rng(3).permutation(n).astype(np.int64)
+    want = catalog_sha256(*_reference_catalog(blob_points, tags, box, ll, min_count))
+    for chunk_rows in (1, 7, 1000, n):
+        cat = _stream_catalog(blob_points, tags, box, ll, min_count, chunk_rows)
+        assert catalog_sha256(cat.halo_tags, cat.halo_counts) == want, chunk_rows
+
+
+def test_box_edge_positions_stream_like_the_oracle():
+    """Coordinates that ``np.mod`` leaves *at* ``box`` (``-1e-17``) must
+    sort, link and retire as ``0.0`` — on the slab axis above all."""
+    box = 102.0
+    edge = [-1e-17, box, np.nextafter(box, 0), np.nextafter(0, -1)]
+    pos = np.array([[x, 5.0, 5.0] for x in edge] + [[0.1, 5.0, 5.0], [50.0, 5.0, 5.0]])
+    tags = np.arange(len(pos), dtype=np.int64) + 3
+    for perm in ([0, 1, 2], [1, 2, 0], [2, 0, 1]):
+        p = pos[:, perm]
+        ref = _fof_brute_periodic(p, 0.2, box, tags, 1)
+        assert np.array_equal(ref.halo_counts, [5, 1])
+        for chunk_rows in (1, 2, len(p)):
+            cat = _stream_catalog(p, tags, box, 0.2, 1, chunk_rows)
+            _assert_bit_identical(cat, ref.halo_tags, ref.halo_counts)
+        # ingest() on its own wraps too, not only the stream sources
+        fof = StreamingFOF(box, 0.2, min_count=1)
+        order = slab_order(p, box)
+        fof.ingest(p[order], tags[order])
+        _assert_bit_identical(fof.finalize(), ref.halo_tags, ref.halo_counts)
 
 
 def test_retirement_is_incremental(blob_points):
