@@ -20,8 +20,8 @@ from repro.analysis import (
     mbp_center_astar,
     mbp_center_bruteforce,
     potential_bruteforce,
-    potential_reference,
 )
+from tests.oracles.centers_reference import potential_reference  # run pytest from the repo root
 
 from conftest import bench_rng, save_result
 
@@ -48,8 +48,8 @@ def test_bruteforce_serial(benchmark, halo):
     """The CPU-reference path (expect orders of magnitude slower).
 
     The ``serial`` backend now shares the blocked vectorized kernel, so
-    the per-element reference (:func:`potential_reference`) carries the
-    historical pure-Python timing role.
+    the per-element reference (``tests.oracles.centers_reference``)
+    carries the historical pure-Python timing role.
     """
     small = halo[:300]
     benchmark.pedantic(potential_reference, args=(small,), rounds=2, iterations=1)

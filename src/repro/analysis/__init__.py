@@ -6,7 +6,6 @@ approximations), SPH density + subhalo finding with unbinding, spherical
 overdensity masses, the power spectrum, and the halo mass function.
 """
 
-from .bhtree import BarnesHutTree
 from .centers import (
     CenterStats,
     DEFAULT_SOFTENING,
@@ -18,7 +17,6 @@ from .centers import (
     mbp_center_astar,
     mbp_center_bruteforce,
     potential_bruteforce,
-    potential_reference,
 )
 from .fof import (
     DEFAULT_MIN_COUNT,
@@ -37,7 +35,6 @@ from .subhalos import DEFAULT_MIN_SUBHALO, SubhaloResult, find_subhalos, unbind_
 from .union_find import DisjointSet, GrowableDisjointSet
 
 __all__ = [
-    "BarnesHutTree",
     "CenterStats",
     "DEFAULT_SOFTENING",
     "approximate_center_densest_cell",
@@ -48,7 +45,6 @@ __all__ = [
     "mbp_center_astar",
     "mbp_center_bruteforce",
     "potential_bruteforce",
-    "potential_reference",
     "DEFAULT_MIN_COUNT",
     "FOFResult",
     "fof_grid",

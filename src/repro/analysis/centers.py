@@ -29,10 +29,12 @@ Implementations:
 
 ``halo_centers``
     Batch driver over a FOF catalog, with per-halo pair-interaction
-    counters used for the cost model and Figure 4.  With ``workers > 1``
-    the batch is dispatched to the :mod:`repro.exec` work-stealing
-    multi-process engine (bit-identical results, cost-model-guided
-    scheduling).
+    counters used for the cost model and Figure 4.  There is one path:
+    every batch is scheduled by the :mod:`repro.exec` engine, whose item
+    runners are the only callers of the ``mbp_center_*`` kernels, and
+    ``workers`` is only its width (one worker runs inline on the calling
+    thread).  The independent per-halo loop the engine is checked
+    against is a test oracle (``tests/oracles/centers_reference.py``).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from ..dataparallel import get_backend
 __all__ = [
     "DEFAULT_SOFTENING",
     "CenterStats",
-    "potential_reference",
     "potential_bruteforce",
     "mbp_center_bruteforce",
     "mbp_center_astar",
@@ -60,6 +61,9 @@ __all__ = [
 
 #: Constant offset added to pair distances (paper §3.3.2).
 DEFAULT_SOFTENING = 1.0e-5
+
+#: Row cap of one pair-sum temporary: 2048 rows x n x 3 doubles.
+_BLOCK_ROWS = 2048
 
 
 @dataclass
@@ -76,39 +80,6 @@ class CenterStats:
         self.exact_potentials += other.exact_potentials
 
 
-def potential_reference(
-    pos: np.ndarray,
-    mass: float = 1.0,
-    softening: float = DEFAULT_SOFTENING,
-) -> np.ndarray:
-    """Tiny-n pure-Python all-pairs potential (cross-validation only).
-
-    The explicit per-element double loop that used to back the
-    ``serial`` backend path of :func:`potential_bruteforce`.  It is kept
-    solely so tests (and the backend-ratio benchmark, the paper's ~50x
-    GPU-speedup analogue) can cross-validate the blocked vectorized
-    kernel against an independent formulation — never use it on more
-    than a few hundred particles.
-    """
-    pos = np.atleast_2d(np.asarray(pos, dtype=float))
-    n = len(pos)
-    phi = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        pi = pos[i]
-        for j in range(n):
-            if i == j:
-                continue
-            d = np.sqrt(
-                (pi[0] - pos[j, 0]) ** 2
-                + (pi[1] - pos[j, 1]) ** 2
-                + (pi[2] - pos[j, 2]) ** 2
-            )
-            acc -= mass / (d + softening)
-        phi[i] = acc
-    return phi
-
-
 def _phi_rows(
     pos: np.ndarray,
     start: int,
@@ -118,11 +89,10 @@ def _phi_rows(
 ) -> np.ndarray:
     """Potentials of rows ``start:end`` against *all* particles.
 
-    The one blocked kernel shared by every execution path — the serial
-    batch driver, the vector backend, and the :mod:`repro.exec` slab
-    subtasks that split a giant halo across workers — so each row's
-    potential is a single vectorized sum in a fixed order and results
-    stay bit-identical no matter how the rows were scheduled.
+    Each row's potential is a single vectorized sum in a fixed order, so
+    results are bit-identical no matter how the rows were grouped.  The
+    temporary is ``(end - start, n, 3)``: call it through
+    :func:`_phi_blocked`, which caps the row count.
     """
     d = np.sqrt(
         np.maximum(np.sum((pos[start:end, None, :] - pos[None, :, :]) ** 2, axis=-1), 0.0)
@@ -135,33 +105,50 @@ def _phi_rows(
     return contrib.sum(axis=1)
 
 
+def _phi_blocked(
+    pos: np.ndarray,
+    start: int,
+    end: int,
+    mass: float,
+    softening: float,
+    block: int = _BLOCK_ROWS,
+) -> np.ndarray:
+    """Potentials of rows ``start:end``, at most ``block`` rows at a time.
+
+    The one memory-bounded kernel under :func:`potential_bruteforce`
+    (all rows) and the :mod:`repro.exec` slab items that split a giant
+    halo (a row range): rows are independent sums, so blocking changes
+    the peak temporary and nothing else.
+    """
+    phi = np.empty(end - start)
+    for s in range(start, end, block):
+        e = min(s + block, end)
+        phi[s - start : e - start] = _phi_rows(pos, s, e, mass, softening)
+    return phi
+
+
 @guard_kernel
 def potential_bruteforce(
     pos: np.ndarray,
     mass: float = 1.0,
     softening: float = DEFAULT_SOFTENING,
     backend: str | None = None,
-    block: int = 2048,
+    block: int = _BLOCK_ROWS,
 ) -> np.ndarray:
     """All-pairs potential ``Φ_i = Σ_{j≠i} -m/(d_ij + ε)`` for every particle.
 
     The pair sums are evaluated in row blocks (memory-bounded) through
     the same vectorized kernel on every backend; ``serial`` and
-    ``vector`` are numerically identical (the historical per-element
-    Python double loop survives as :func:`potential_reference` for
-    cross-validation only).
+    ``vector`` are numerically identical (the per-element Python double
+    loop they are cross-validated against is a test oracle,
+    ``tests/oracles/centers_reference.py``).
     """
     pos = np.atleast_2d(np.asarray(pos, dtype=float))
     n = len(pos)
     get_backend(backend)  # validate the backend name
     if n < 2:
         return np.zeros(n)
-
-    phi = np.zeros(n)
-    for s in range(0, n, block):
-        e = min(s + block, n)
-        phi[s:e] = _phi_rows(pos, s, e, mass, softening)
-    return phi
+    return _phi_blocked(pos, 0, n, mass, softening, block)
 
 
 @guard_kernel
@@ -366,8 +353,8 @@ class HaloCentersResult:
     potentials: np.ndarray
     stats: CenterStats = field(default_factory=CenterStats)
     per_halo_pairs: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
-    #: :class:`repro.exec.engine.ExecReport` when the batch ran on the
-    #: multi-process engine (``None`` on the serial path).
+    #: the :class:`repro.exec.engine.ExecReport` of the engine run that
+    #: produced this batch (always set by :func:`halo_centers`)
     exec_report: object | None = None
 
 
@@ -430,69 +417,28 @@ def halo_centers(
         Restrict to these halo tags (the workflow's in-situ/off-line
         split passes the below- or above-threshold subset).
     workers:
-        With ``workers > 1`` the batch runs on the :mod:`repro.exec`
-        work-stealing multi-process engine (zero-copy shared-memory
-        particle views, LPT scheduling by the ``n(n-1)`` cost model,
-        giant halos split into row slabs).  Results are bit-identical
-        to the serial path.  ``None`` (default) runs serially, unless
-        ``backend`` names the ``process`` backend, whose configured
-        worker count is then used.
+        Width of the :mod:`repro.exec` engine run that executes the
+        batch (LPT scheduling by the ``n(n-1)`` cost model, giant halos
+        split into row slabs).  ``None`` (default) and ``1`` run the
+        work items inline on the calling thread — no fork, no
+        shared-memory segment; ``>= 2`` fans them out over the worker
+        pool.  The width selects no code: results are bit-identical for
+        every value.  This is
+        :func:`repro.exec.parallel_halo_centers` with ``workers``
+        defaulting to one.
     """
-    if method not in ("bruteforce", "astar"):
-        raise ValueError(f"unknown method {method!r}")
-    pos = np.atleast_2d(np.asarray(pos, dtype=float))
-    tags = np.asarray(tags)
-    labels = np.asarray(labels)
+    from ..exec import parallel_halo_centers
 
-    if workers is None:
-        be = get_backend(backend)
-        if be.name == "process":
-            workers = int(getattr(be, "workers", 1))
-            backend = getattr(be, "kernel_backend", "vector")
-    if workers is not None and workers > 1:
-        from ..exec import parallel_halo_centers
-
-        return parallel_halo_centers(
-            pos,
-            tags,
-            labels,
-            mass=mass,
-            softening=softening,
-            method=method,
-            backend=backend,
-            select_tags=select_tags,
-            workers=workers,
-        )
-
-    halo_tags, groups = group_halo_members(labels, select_tags=select_tags)
-
-    centers = np.empty((len(halo_tags), 3))
-    mbp_tags = np.empty(len(halo_tags), dtype=tags.dtype)
-    potentials = np.empty(len(halo_tags))
-    per_halo_pairs = np.empty(len(halo_tags), dtype=np.int64)
-    total = CenterStats()
-
-    for h, members in enumerate(groups):
-        hpos = pos[members]
-        if method == "astar":
-            idx, phi, stats = mbp_center_astar(hpos, mass=mass, softening=softening)
-        else:
-            idx, phi, stats = mbp_center_bruteforce(
-                hpos, mass=mass, softening=softening, backend=backend
-            )
-        centers[h] = hpos[idx]
-        mbp_tags[h] = tags[members[idx]]
-        potentials[h] = phi
-        per_halo_pairs[h] = stats.pair_evaluations
-        total.merge(stats)
-
-    return HaloCentersResult(
-        halo_tags=halo_tags,
-        centers=centers,
-        mbp_tags=mbp_tags,
-        potentials=potentials,
-        stats=total,
-        per_halo_pairs=per_halo_pairs,
+    return parallel_halo_centers(
+        pos,
+        tags,
+        labels,
+        mass=mass,
+        softening=softening,
+        method=method,
+        backend=backend,
+        select_tags=select_tags,
+        workers=workers or 1,
     )
 
 

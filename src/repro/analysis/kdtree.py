@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KDTree", "KDNode", "box_gap_sq", "box_span_sq"]
+__all__ = ["KDTree", "KDNode"]
 
 
 @dataclass(frozen=True)
@@ -201,16 +201,4 @@ def _box_min_dist_sq(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
 def _box_max_dist_sq(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
     """Squared distance from point ``p`` to the farthest point of a box."""
     d = np.maximum(np.abs(p - lo), np.abs(p - hi))
-    return float(np.dot(d, d))
-
-
-def box_gap_sq(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray) -> float:
-    """Squared minimum distance between two axis-aligned boxes."""
-    d = np.maximum(np.maximum(lo_a - hi_b, 0.0), lo_b - hi_a)
-    return float(np.dot(d, d))
-
-
-def box_span_sq(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray) -> float:
-    """Squared maximum distance between two axis-aligned boxes."""
-    d = np.maximum(np.abs(hi_a - lo_b), np.abs(hi_b - lo_a))
     return float(np.dot(d, d))

@@ -95,9 +95,10 @@ def centers_from_level2_arrays(
 ) -> HaloCatalog:
     """Find MBP centers for a Level 2 bundle (pos/tag/halo_tag arrays).
 
-    ``workers > 1`` routes the batch through the :mod:`repro.exec`
-    work-stealing engine — the off-loaded halos are exactly the giant
-    ones, so this is where slab-splitting pays off most.
+    ``workers`` is the width of the :mod:`repro.exec` engine run (the
+    same batch path the in-situ centers take) — the off-loaded halos are
+    exactly the giant ones, so this is where slab-splitting over several
+    workers pays off most.
     """
     pos = np.asarray(data["pos"], dtype=float)
     tags = np.asarray(data["tag"], dtype=np.int64)
@@ -142,8 +143,8 @@ def offline_center_job(
 
     Reads one Level 2 file (or a single block of it, the Moonlight
     single-node-job pattern), groups particles by halo tag, and finds
-    each halo's MBP center.  ``workers > 1`` fills the analysis node's
-    cores through the :mod:`repro.exec` engine.
+    each halo's MBP center.  ``workers`` is the width of that
+    :mod:`repro.exec` batch: ``> 1`` fills the analysis node's cores.
     """
     rec = get_recorder()
     with rec.span(
@@ -190,9 +191,9 @@ def run_combined_workflow(
     otherwise the off-line pass runs after the simulation completes
     (the "simple" variant).  Results are identical either way.
 
-    ``analysis_workers > 1`` runs every off-line center job on the
-    :mod:`repro.exec` multi-process engine (same results, the node's
-    cores actually used).
+    ``analysis_workers`` is the width of every off-line center job's
+    :mod:`repro.exec` batch (``> 1``: the node's cores actually used;
+    same results at any value).
 
     ``spmd_transport`` selects the halo finder's SPMD substrate
     (``"thread"``, ``"process"``, or a

@@ -7,7 +7,6 @@ NumPy-vectorized — the stand-ins for the paper's CPU and GPU targets).
 
 from .backends import (
     Backend,
-    ProcessBackend,
     SerialBackend,
     VectorBackend,
     available_backends,
@@ -36,7 +35,6 @@ from .primitives import (
 
 __all__ = [
     "Backend",
-    "ProcessBackend",
     "SerialBackend",
     "VectorBackend",
     "available_backends",

@@ -34,7 +34,6 @@ import numpy as np
 
 __all__ = [
     "Backend",
-    "ProcessBackend",
     "SerialBackend",
     "VectorBackend",
     "available_backends",
@@ -273,35 +272,6 @@ class VectorBackend(Backend):
         return out
 
 
-class ProcessBackend(VectorBackend):
-    """Multi-process backend: vectorized kernels fanned out over workers.
-
-    Primitives behave exactly like :class:`VectorBackend` (they are
-    fine-grained and not worth crossing a process boundary for), but
-    batch drivers that understand this backend — e.g.
-    :func:`repro.analysis.centers.halo_centers` — route whole per-halo
-    work items through the :class:`repro.exec.ExecutionEngine`
-    work-stealing executor instead of a serial loop.  ``workers`` is the
-    process count the engine targets and ``kernel_backend`` names the
-    in-worker primitive backend.
-    """
-
-    name = "process"
-
-    def __init__(self, workers: int | None = None, kernel_backend: str = "vector"):
-        if workers is None:
-            try:
-                import os
-
-                workers = max(len(os.sched_getaffinity(0)), 1)
-            except AttributeError:  # pragma: no cover - non-Linux
-                import os
-
-                workers = max(os.cpu_count() or 1, 1)
-        self.workers = int(workers)
-        self.kernel_backend = kernel_backend
-
-
 def _lookup_ufunc(op: Callable) -> np.ufunc | None:
     """Map a scalar binary callable to the equivalent numpy ufunc, if known."""
     if isinstance(op, np.ufunc):
@@ -370,4 +340,3 @@ def use_backend(name: str) -> Iterator[Backend]:
 
 register_backend(SerialBackend())
 register_backend(VectorBackend())
-register_backend(ProcessBackend())

@@ -1,19 +1,21 @@
-"""Multi-process work-stealing execution engine for per-halo analysis.
+"""Work-stealing execution engine for per-halo analysis.
 
 The paper's per-halo kernels (MBP center finding, subhalo finding) have
 n(n-1) cost over a brutally skewed halo-mass distribution, so *work
 placement* — not raw FLOPs — decides wall-clock (§3.3.2, Figure 4).
-This package supplies the intra-node parallel executor under the
-workflow layer:
+This package is the one executor under every per-halo batch, in-situ
+and off-line:
 
-- :class:`SharedParticleStore` — zero-copy shared-memory particle arrays
 - :class:`HaloWorkQueue` — cost-model-guided LPT schedule with halo
   splitting, small-halo chunking, and a work-stealing tail pool
-- :class:`ExecutionEngine` — the multi-process driver with full
+- :class:`ExecutionEngine` — runs a queue inline on the calling thread
+  (one worker) or over a pool of worker processes, with full
   :mod:`repro.obs` instrumentation (per-worker spans, load-imbalance
   gauge, steal counters, dispatch-overhead histogram)
-- :func:`parallel_halo_centers` / :func:`parallel_subhalos` — batch
-  drivers returning bit-identical results to the serial paths
+- :class:`SharedParticleStore` — zero-copy shared-memory particle arrays
+  for the pooled runs
+- :func:`parallel_halo_centers` / :func:`parallel_subhalos` — the batch
+  drivers; results are bit-identical at every worker count
 """
 
 from .engine import (

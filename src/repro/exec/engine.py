@@ -1,9 +1,10 @@
-"""Work-stealing multi-process execution engine for per-halo analysis.
+"""Work-stealing execution engine for per-halo analysis.
 
-This is the intra-node parallel executor under the workflow layer: the
-paper schedules *where* per-halo analysis runs (in-situ vs off-line,
-which cluster), and this engine decides *how* a batch of per-halo
-kernels fills the cores of whatever node it landed on.
+This is the intra-node executor under the workflow layer: the paper
+schedules *where* per-halo analysis runs (in-situ vs off-line, which
+cluster), and this engine decides *how* a batch of per-halo kernels
+fills the cores of whatever node it landed on — one of them inline, or
+several through a pool of worker processes.
 
 Design (see :mod:`repro.exec.workqueue` for the scheduling policy):
 
@@ -14,10 +15,15 @@ Design (see :mod:`repro.exec.workqueue` for the scheduling policy):
   giant halos into row slabs, and packs small halos into amortized
   chunks; the head items seed one worker each and idle workers steal
   the tail through an atomic cursor;
-* results return through a queue as tiny tuples (indices + scalars for
-  centers; pickled :class:`~repro.analysis.subhalos.SubhaloResult` for
-  subhalos) and are reassembled in deterministic halo order, so output
-  is **bit-identical** to the serial path for any worker count;
+* results return as tiny tuples (indices + scalars for centers; pickled
+  :class:`~repro.analysis.subhalos.SubhaloResult` for subhalos) and are
+  reassembled in deterministic halo order.  This is the **one path** a
+  batch of per-halo kernels takes — the item runners below are the only
+  callers of ``mbp_center_*`` / ``find_subhalos`` in ``src/`` — so the
+  worker count is a width, not a choice of code: one worker runs the
+  same items inline on the calling thread (no fork, no shared-memory
+  segment), and output is bit-identical for any count (the independent
+  per-halo loop it is checked against lives in ``tests/oracles``);
 * a crashing worker is isolated: its traceback is shipped back, the
   remaining workers drain at the next item boundary, and the engine
   raises :class:`WorkerError` instead of hanging;
@@ -29,7 +35,8 @@ Design (see :mod:`repro.exec.workqueue` for the scheduling policy):
   :class:`~repro.faults.DeadLetterBox` and excluded from the output,
   while every other item completes normally (see ``docs/failures.md``);
 * everything is instrumented through :mod:`repro.obs`: per-worker item
-  spans land in the Chrome trace on ``exec-worker-N`` tracks, the
+  spans land in the Chrome trace on ``exec-worker-N`` tracks (on the
+  calling thread's own track for an inline run), the
   ``exec_load_imbalance_ratio`` gauge reports max/mean worker busy time
   (the paper's Figure 4 metric), ``exec_steals_total`` counts tail
   steals, and ``exec_dispatch_overhead_seconds`` histograms the
@@ -52,11 +59,12 @@ from ..analysis.centers import (
     DEFAULT_SOFTENING,
     CenterStats,
     HaloCentersResult,
-    _phi_rows,
+    _phi_blocked,
     group_halo_members,
     mbp_center_astar,
     mbp_center_bruteforce,
 )
+from ..dataparallel import get_backend
 from ..faults import DeadLetterBox, get_fault_plan, maybe_inject
 from ..obs import NullRecorder, TelemetryRecorder, get_recorder
 from ..obs.context import merge_snapshot
@@ -192,7 +200,7 @@ def _run_centers_item(
             hpos = pos[_members_of(store, h)]
             cache[h] = hpos
         n = len(hpos)
-        phi = _phi_rows(hpos, item.row_start, item.row_end, mass, softening)
+        phi = _phi_blocked(hpos, item.row_start, item.row_end, mass, softening)
         b = int(np.argmin(phi))
         out.append(
             (
@@ -247,7 +255,7 @@ def _run_subhalos_item(
         hpos = pos[m].copy()
         if box:
             # halo-local frame: unwrap periodic coordinates about the first
-            # member (mirrors SubhaloFinderAlgorithm exactly)
+            # member so distances are physical
             hpos -= box * np.round((hpos - hpos[0]) / box)
         hvel = vel[m] * vel_scale
         res = find_subhalos(
@@ -360,12 +368,14 @@ def shutdown_pool() -> None:
 
 
 class ExecutionEngine:
-    """Multi-process work-stealing executor for per-halo batches.
+    """Work-stealing executor for per-halo batches, at any width.
 
     Parameters
     ----------
     workers:
-        Worker process count (default: cores available to this process).
+        Width of a run (default: cores available to this process).  One
+        worker — or a queue of one item — runs inline on the calling
+        thread; more fan out over pooled worker processes.
     start_method:
         ``multiprocessing`` start method (``None`` = platform default;
         ``fork`` on Linux).
@@ -376,7 +386,8 @@ class ExecutionEngine:
         no-hang guarantee even if a worker is killed outright.
     item_retries:
         ``0`` (default) keeps the historical contract: any failing item
-        crashes its worker and the run raises :class:`WorkerError`.
+        crashes its worker and the run raises :class:`WorkerError` (an
+        inline run re-raises the item's own exception).
         ``N > 0`` shrinks the failure unit to the *item*: a failing
         item is retried inline up to ``N`` times and then poisoned
         (quarantined in :attr:`dead_letter`, excluded from the output)
@@ -748,6 +759,10 @@ class ExecutionEngine:
         # worker tracks link causally back to the driver in the trace
         ctx = rec.trace_context()
         parent_id = ctx.span_id if ctx is not None else None
+        # a one-worker run executed its items on this thread: keep them on
+        # its lane, so exec.run's self time excludes them and the phase
+        # table does not count an inline batch twice
+        inline = report.workers == 1
         for it in report.item_log:
             hist.observe(max(it.overhead, 0.0))
             if record_span is not None and getattr(rec, "enabled", False):
@@ -755,7 +770,7 @@ class ExecutionEngine:
                     "exec.item",
                     it.t0,
                     it.t1,
-                    thread=f"exec-worker-{it.worker}",
+                    thread=None if inline else f"exec-worker-{it.worker}",
                     parent_id=parent_id,
                     task=task.get("task"),
                     kind=it.kind,
@@ -814,17 +829,19 @@ def parallel_halo_centers(
     workers: int | None = None,
     engine: ExecutionEngine | None = None,
 ) -> HaloCentersResult:
-    """Batch MBP center finding on the multi-process engine.
+    """Batch MBP center finding over a labeled particle set, at any width.
 
-    Drop-in parallel fast path for
-    :func:`repro.analysis.centers.halo_centers`: same arguments, same
-    :class:`HaloCentersResult`, **bit-identical** centers / MBP tags /
-    potentials / pair counts for any worker count.  Brute-force batches
-    additionally split giant halos into row slabs so a single dominant
-    halo no longer pins the makespan to one core.
+    The one body behind :func:`repro.analysis.centers.halo_centers`
+    (same arguments; that name defaults ``workers`` to one, this one to
+    every core, and takes a configured ``engine``): group →
+    :class:`HaloWorkQueue` → :meth:`ExecutionEngine.run` → one
+    reassembly, so centers / MBP tags / potentials / pair counts are
+    **bit-identical** whatever the width.  Brute-force batches split
+    giant halos into row slabs so a single dominant halo does not pin
+    the makespan to one core.
     """
-    from ..analysis.centers import halo_centers
-
+    if method not in ("bruteforce", "astar"):
+        raise ValueError(f"unknown method {method!r}")
     pos = np.atleast_2d(np.asarray(pos, dtype=float))
     tags = np.asarray(tags)
     labels = np.asarray(labels)
@@ -832,42 +849,19 @@ def parallel_halo_centers(
         engine = ExecutionEngine(workers=workers)
     elif workers is not None:
         engine.workers = int(workers)
-    if engine.workers <= 1:
-        return halo_centers(
-            pos, tags, labels, mass=mass, softening=softening, method=method,
-            backend=backend, select_tags=select_tags, workers=None,
-        )
 
     halo_tags, groups = group_halo_members(labels, select_tags=select_tags)
     n_halos = len(halo_tags)
-    if n_halos == 0:
-        return HaloCentersResult(
-            halo_tags=halo_tags,
-            centers=np.empty((0, 3)),
-            mbp_tags=np.empty(0, dtype=tags.dtype),
-            potentials=np.empty(0),
-            stats=CenterStats(),
-            per_halo_pairs=np.empty(0, np.int64),
-        )
-
     counts = np.asarray([len(g) for g in groups], dtype=np.int64)
-    members = np.concatenate(groups).astype(np.int64)
+    members = np.concatenate([np.empty(0, np.int64), *groups])
     starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     work = engine.build_queue(counts, splittable=(method == "bruteforce"))
-
-    from ..dataparallel import get_backend
-
-    kernel_backend = "vector"
-    if backend is not None:
-        resolved = get_backend(backend)
-        if resolved.name != "process":
-            kernel_backend = resolved.name
     task = {
         "task": "centers",
         "method": method,
         "mass": mass,
         "softening": softening,
-        "backend": kernel_backend,
+        "backend": get_backend(backend).name,
     }
     payloads, report = engine.run(
         {"pos": pos, "members": members, "starts": starts}, work, task
@@ -970,9 +964,9 @@ def parallel_subhalos(
 
     ``halos`` maps parent halo tag -> member particle *indices* into
     ``pos``/``vel``.  ``box`` enables the periodic halo-local unwrap and
-    ``vel_scale`` the proper-velocity conversion, mirroring
-    :class:`~repro.insitu.algorithms.SubhaloFinderAlgorithm`.  Results
-    are identical to the serial loop for any worker count.
+    ``vel_scale`` the proper-velocity conversion that
+    :class:`~repro.insitu.algorithms.SubhaloFinderAlgorithm` needs.
+    Results are identical for any worker count.
     """
     pos = np.atleast_2d(np.asarray(pos, dtype=float))
     vel = np.atleast_2d(np.asarray(vel, dtype=float))

@@ -39,7 +39,8 @@ Site                   Hop
 ``io.write``           :func:`repro.io.genericio.write_genericio`
 ``io.read``            :meth:`repro.io.genericio.GenericIOFile.read_block`
 ``stream.read``        one chunk hand-off in a :mod:`repro.streaming` stream
-``exec.item``          one work item inside a :mod:`repro.exec` worker
+``exec.item``          one per-halo work item of a :mod:`repro.exec` batch
+                       (pool worker or inline; in-situ batches included)
 ``service.job``        one campaign-service payload attempt
                        (:meth:`repro.service.worker.ServiceWorker.run_job`)
 =====================  ======================================================

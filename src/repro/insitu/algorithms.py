@@ -31,7 +31,7 @@ from ..analysis.centers import halo_centers
 from ..analysis.fof import parallel_fof
 from ..analysis.power_spectrum import measure_power_spectrum
 from ..analysis.so import so_masses_indexed
-from ..analysis.subhalos import find_subhalos
+from ..exec import parallel_subhalos
 from ..io.catalog import HaloCatalog
 from ..io.genericio import write_genericio
 from ..parallel.communicator import Communicator, run_spmd
@@ -190,8 +190,11 @@ class HaloCenterAlgorithm(_Scheduled):
     Stores under ``"centers"``: a :class:`HaloCatalog` of the in-situ
     centers, the list of off-loaded halo tags, and per-rank seconds.
 
-    With ``workers > 1`` each simulated rank's owned-halo batch runs on
-    the :mod:`repro.exec` work-stealing engine (bit-identical results).
+    Each simulated rank's owned halos are one
+    :func:`~repro.analysis.centers.halo_centers` batch on the
+    :mod:`repro.exec` engine; ``workers`` is the width of that run
+    (``None``/``1`` = inline on the in-situ thread) and changes neither
+    the catalog nor its row order.
     """
 
     name = "halo_centers"
@@ -225,15 +228,13 @@ class HaloCenterAlgorithm(_Scheduled):
         for t in insitu_tags:
             by_rank.setdefault(owner_rank[t], []).append(t)
 
-        parallel = bool(self.workers and int(self.workers) > 1)
         for rank in range(n_ranks):
             t0 = time.perf_counter()
             rank_tags = by_rank.get(rank, [])
-            if parallel and rank_tags:
-                # one engine batch per simulated rank: the exec layer
-                # LPT-schedules (and slab-splits) the rank's halos across
-                # worker processes; output order is re-mapped so the
-                # catalog matches the serial path exactly
+            if rank_tags:
+                # the exec layer LPT-schedules (and slab-splits) the rank's
+                # halos and returns them in ascending tag order; rows are
+                # re-mapped so the catalog keeps FOF discovery order
                 idx = np.concatenate([index_of[halos[t]] for t in rank_tags])
                 member_tags = np.concatenate([halos[t] for t in rank_tags])
                 labels = np.concatenate(
@@ -247,7 +248,7 @@ class HaloCenterAlgorithm(_Scheduled):
                     softening=self.softening,
                     method=self.method,
                     backend=self.backend,
-                    workers=int(self.workers),
+                    workers=self.workers,
                 )
                 row_of = {int(t): i for i, t in enumerate(res.halo_tags)}
                 for halo_tag in rank_tags:
@@ -257,27 +258,7 @@ class HaloCenterAlgorithm(_Scheduled):
                     cat_centers.append(res.centers[i])
                     cat_mbp.append(int(res.mbp_tags[i]))
                     cat_phi.append(float(res.potentials[i]))
-                rank_pairs[rank] += int(res.stats.pair_evaluations)
-            else:
-                for halo_tag in rank_tags:
-                    members = halos[halo_tag]
-                    idx = index_of[members]
-                    hpos = pos[idx]
-                    res = halo_centers(
-                        hpos,
-                        members,
-                        np.full(len(members), halo_tag, dtype=np.int64),
-                        mass=sim.particles.particle_mass,
-                        softening=self.softening,
-                        method=self.method,
-                        backend=self.backend,
-                    )
-                    cat_tags.append(halo_tag)
-                    cat_counts.append(len(members))
-                    cat_centers.append(res.centers[0])
-                    cat_mbp.append(int(res.mbp_tags[0]))
-                    cat_phi.append(float(res.potentials[0]))
-                    rank_pairs[rank] += int(res.stats.pair_evaluations)
+                rank_pairs[rank] = int(res.stats.pair_evaluations)
             rank_seconds[rank] = time.perf_counter() - t0
 
         catalog = HaloCatalog.from_columns(
@@ -304,15 +285,17 @@ class SubhaloFinderAlgorithm(_Scheduled):
     "smaller halos will not exhibit much substructure").  Stores per-halo
     subhalo results and per-rank times; the workflow uses the latter for
     the subhalo imbalance result (8172 s vs 1457 s on 32 nodes).
+
+    The whole parent batch is one :func:`repro.exec.parallel_subhalos`
+    run of width ``workers`` (``None``/``1`` = inline); per-rank seconds
+    are rebuilt from the engine's per-halo timings, so the imbalance
+    metric does not depend on where a halo ran.
     """
 
     name = "subhalo_finder"
     min_parent: int = 5000
     k_density: int = 32
     min_size: int = 20
-    #: with ``workers > 1`` the whole parent batch runs on the
-    #: :mod:`repro.exec` engine; per-rank seconds are rebuilt from the
-    #: engine's per-halo timings so the imbalance metric is preserved
     workers: int | None = None
 
     def execute(self, sim: Any, context: AnalysisContext) -> None:
@@ -329,55 +312,31 @@ class SubhaloFinderAlgorithm(_Scheduled):
         rho_mean = len(pos) * sim.particles.particle_mass / box**3
         g_code = 3.0 * cosmo.omega_m / (8.0 * np.pi * a * rho_mean)
 
+        # rank-major, FOF discovery order within a rank
+        parents = sorted(
+            (t for t, m in halos.items() if len(m) > self.min_parent),
+            key=owner_rank.__getitem__,
+        )
+        batch = parallel_subhalos(
+            pos,
+            vel,
+            {t: index_of[halos[t]] for t in parents},
+            mass=sim.particles.particle_mass,
+            g_constant=g_code,
+            k_density=self.k_density,
+            min_size=self.min_size,
+            box=box,
+            vel_scale=1.0 / a,  # proper peculiar velocity proxy
+            workers=self.workers or 1,
+        )
         rank_seconds = np.zeros(n_ranks)
-        results: dict[int, Any] = {}
-        by_rank: dict[int, list[int]] = {}
-        for t, m in halos.items():
-            if len(m) > self.min_parent:
-                by_rank.setdefault(owner_rank[t], []).append(t)
+        for t in parents:
+            rank_seconds[owner_rank[t]] += batch.halo_seconds[t]
 
-        if self.workers and int(self.workers) > 1 and by_rank:
-            from ..exec import parallel_subhalos
-
-            all_tags = [t for r in range(n_ranks) for t in by_rank.get(r, [])]
-            batch = parallel_subhalos(
-                pos,
-                vel,
-                {t: index_of[halos[t]] for t in all_tags},
-                mass=sim.particles.particle_mass,
-                g_constant=g_code,
-                k_density=self.k_density,
-                min_size=self.min_size,
-                box=box,
-                vel_scale=1.0 / a,  # proper peculiar velocity proxy
-                workers=int(self.workers),
-            )
-            results = {t: batch.by_tag[t] for t in all_tags}
-            for rank in range(n_ranks):
-                rank_seconds[rank] = sum(
-                    batch.halo_seconds.get(t, 0.0) for t in by_rank.get(rank, [])
-                )
-        else:
-            for rank in range(n_ranks):
-                t0 = time.perf_counter()
-                for halo_tag in by_rank.get(rank, []):
-                    idx = index_of[halos[halo_tag]]
-                    # halo-local frame: unwrap periodic coordinates about the
-                    # first member so distances are physical
-                    hpos = pos[idx].copy()
-                    hpos -= box * np.round((hpos - hpos[0]) / box)
-                    hvel = vel[idx] / a  # proper peculiar velocity proxy
-                    results[halo_tag] = find_subhalos(
-                        hpos,
-                        hvel,
-                        mass=sim.particles.particle_mass,
-                        g_constant=g_code,
-                        k_density=self.k_density,
-                        min_size=self.min_size,
-                    )
-                rank_seconds[rank] = time.perf_counter() - t0
-
-        context.store["subhalos"] = {"by_halo": results, "min_parent": self.min_parent}
+        context.store["subhalos"] = {
+            "by_halo": {t: batch.by_tag[t] for t in parents},
+            "min_parent": self.min_parent,
+        }
         context.timings["subhalo_rank_seconds"] = rank_seconds.tolist()
 
 
@@ -482,16 +441,21 @@ class Level2WriterAlgorithm(_Scheduled):
     name = "level2_writer"
     output_dir: str = "."
 
-    def execute(self, sim: Any, context: AnalysisContext) -> None:
+    def _level2_blocks(
+        self, sim: Any, context: AnalysisContext
+    ) -> tuple[list[dict[str, np.ndarray]], list[int]]:
+        """One block per owning rank holding the off-loaded halos' particles.
+
+        The reduction both sinks (file and staging area) share; returns
+        ``(blocks, off-loaded halo tags)``.
+        """
         fof = context.require("fof")
-        centers = context.require("centers")
-        offloaded = centers["offloaded_halo_tags"]
+        offloaded = context.require("centers")["offloaded_halo_tags"]
         pos = np.asarray(sim.particles.pos, dtype=np.float32)
         vel = np.asarray(sim.particles.vel, dtype=np.float32)
         tags = np.asarray(sim.particles.tag, dtype=np.int64)
         index_of = context.shared_spatial(sim).tag_index()
         owner_rank = fof["owner_rank"]
-        n_ranks = fof["n_ranks"]
 
         per_rank: dict[int, list[tuple[int, np.ndarray]]] = {}
         for halo_tag in offloaded:
@@ -499,7 +463,7 @@ class Level2WriterAlgorithm(_Scheduled):
                 (halo_tag, fof["halos"][halo_tag])
             )
         blocks = []
-        for rank in range(n_ranks):
+        for rank in range(fof["n_ranks"]):
             parts = per_rank.get(rank, [])
             if parts:
                 idx = np.concatenate([index_of[m] for _, m in parts])
@@ -517,6 +481,10 @@ class Level2WriterAlgorithm(_Scheduled):
                     "halo_tag": halo_ids,
                 }
             )
+        return blocks, list(offloaded)
+
+    def execute(self, sim: Any, context: AnalysisContext) -> None:
+        blocks, offloaded = self._level2_blocks(sim, context)
         os.makedirs(self.output_dir, exist_ok=True)
         path = os.path.join(self.output_dir, f"l2_step{context.step:04d}.gio")
         t0 = time.perf_counter()
@@ -525,7 +493,7 @@ class Level2WriterAlgorithm(_Scheduled):
             "path": path,
             "bytes": nbytes,
             "n_particles": sum(len(b["tag"]) for b in blocks),
-            "halo_tags": list(offloaded),
+            "halo_tags": offloaded,
         }
         context.timings["level2_write_seconds"] = time.perf_counter() - t0
 
@@ -545,40 +513,7 @@ class Level2StageAlgorithm(Level2WriterAlgorithm):
     def execute(self, sim: Any, context: AnalysisContext) -> None:
         if self.staging is None:
             raise RuntimeError("Level2StageAlgorithm.staging not configured")
-        fof = context.require("fof")
-        centers = context.require("centers")
-        offloaded = centers["offloaded_halo_tags"]
-        pos = np.asarray(sim.particles.pos, dtype=np.float32)
-        vel = np.asarray(sim.particles.vel, dtype=np.float32)
-        tags = np.asarray(sim.particles.tag, dtype=np.int64)
-        index_of = context.shared_spatial(sim).tag_index()
-        owner_rank = fof["owner_rank"]
-        n_ranks = fof["n_ranks"]
-
-        per_rank: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for halo_tag in offloaded:
-            per_rank.setdefault(owner_rank[halo_tag], []).append(
-                (halo_tag, fof["halos"][halo_tag])
-            )
-        blocks = []
-        for rank in range(n_ranks):
-            parts = per_rank.get(rank, [])
-            if parts:
-                idx = np.concatenate([index_of[m] for _, m in parts])
-                halo_ids = np.concatenate(
-                    [np.full(len(m), t, dtype=np.int64) for t, m in parts]
-                )
-            else:
-                idx = np.empty(0, dtype=np.intp)
-                halo_ids = np.empty(0, dtype=np.int64)
-            blocks.append(
-                {
-                    "pos": pos[idx],
-                    "vel": vel[idx],
-                    "tag": tags[idx].astype(np.uint64),
-                    "halo_tag": halo_ids,
-                }
-            )
+        blocks, offloaded = self._level2_blocks(sim, context)
         name = f"l2_step{context.step:04d}"
         t0 = time.perf_counter()
         nbytes = self.staging.put(name, blocks)
@@ -586,7 +521,7 @@ class Level2StageAlgorithm(Level2WriterAlgorithm):
             "staged": name,
             "bytes": nbytes,
             "n_particles": sum(len(b["tag"]) for b in blocks),
-            "halo_tags": list(offloaded),
+            "halo_tags": offloaded,
         }
         context.timings["level2_stage_seconds"] = time.perf_counter() - t0
 

@@ -22,7 +22,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from repro.analysis.fof import DEFAULT_MIN_COUNT, FOFResult, _finalize
-from repro.analysis.kdtree import KDTree, box_gap_sq, box_span_sq
+from repro.analysis.kdtree import KDTree
 from repro.analysis.union_find import DisjointSet
 
 __all__ = ["fof_kdtree", "_fof_brute_periodic", "catalog_sha256"]
@@ -34,6 +34,18 @@ def catalog_sha256(*arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
     return h.hexdigest()
+
+
+def box_gap_sq(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray) -> float:
+    """Squared minimum distance between two axis-aligned boxes."""
+    d = np.maximum(np.maximum(lo_a - hi_b, 0.0), lo_b - hi_a)
+    return float(np.dot(d, d))
+
+
+def box_span_sq(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray) -> float:
+    """Squared maximum distance between two axis-aligned boxes."""
+    d = np.maximum(np.abs(hi_a - lo_b), np.abs(hi_b - lo_a))
+    return float(np.dot(d, d))
 
 
 def fof_kdtree(

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 
 from repro.analysis import fof_grid, halo_groups, parallel_fof
 from repro.parallel import CartesianDecomposition, run_spmd
-from tests.oracles.fof_reference import _fof_brute_periodic, catalog_sha256, fof_kdtree
+from tests.oracles.fof_reference import (
+    _fof_brute_periodic,
+    box_gap_sq,
+    box_span_sq,
+    catalog_sha256,
+    fof_kdtree,
+)
 
 
 def _oracle(pos, ll, box, tags=None, min_count=1):
@@ -98,6 +104,16 @@ def test_labels_are_min_member_tag(blob_points):
     for halo_tag in r.halo_tags:
         members = tags[r.labels == halo_tag]
         assert halo_tag == members.min()
+
+
+def test_box_gap_and_span():
+    """The k-d tree oracle's subtree exclusion / wholesale-merge bounds."""
+    lo_a, hi_a = np.zeros(3), np.ones(3)
+    lo_b, hi_b = np.asarray([2.0, 0, 0]), np.asarray([3.0, 1, 1])
+    assert box_gap_sq(lo_a, hi_a, lo_b, hi_b) == pytest.approx(1.0)
+    assert box_span_sq(lo_a, hi_a, lo_b, hi_b) == pytest.approx(9.0 + 1 + 1)
+    # overlapping boxes: gap 0
+    assert box_gap_sq(lo_a, hi_a, lo_a, hi_a) == 0.0
 
 
 def test_kdtree_and_grid_agree(blob_points):

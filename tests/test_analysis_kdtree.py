@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import KDTree
-from repro.analysis.kdtree import box_gap_sq, box_span_sq
 
 
 def test_empty_tree():
@@ -90,15 +89,6 @@ def test_query_knn_invalid_k():
 def test_invalid_leaf_size():
     with pytest.raises(ValueError):
         KDTree(np.zeros((3, 3)), leaf_size=0)
-
-
-def test_box_gap_and_span():
-    lo_a, hi_a = np.zeros(3), np.ones(3)
-    lo_b, hi_b = np.asarray([2.0, 0, 0]), np.asarray([3.0, 1, 1])
-    assert box_gap_sq(lo_a, hi_a, lo_b, hi_b) == pytest.approx(1.0)
-    assert box_span_sq(lo_a, hi_a, lo_b, hi_b) == pytest.approx(9.0 + 1 + 1)
-    # overlapping boxes: gap 0
-    assert box_gap_sq(lo_a, hi_a, lo_a, hi_a) == 0.0
 
 
 @settings(max_examples=25, deadline=None)

@@ -11,8 +11,9 @@
   ``open`` appear in ``src/repro`` only inside ``obs/journal.py`` plus an
   explicit allowlist, so a fourth hand-rolled writer cannot reappear
   unnoticed.  The same walk over ``src/repro`` keeps the test oracles out
-  of production code (nothing imports ``tests.``) and the FOF pair search
-  in one place (``query_pairs`` has one call site).
+  of production code (nothing imports ``tests.``), the FOF pair search
+  in one place (``query_pairs`` has one call site) and the per-halo
+  kernels under one batch driver (only ``exec/engine.py`` calls them).
 
 Regenerate the fixtures (only ever from a commit whose format is the
 reference) with ``PYTHONPATH=src python tests/test_durable_files.py``.
@@ -167,33 +168,39 @@ ALLOWED = {
 }
 
 
-def _durable_calls(tree: ast.AST):
-    """Yield ``(enclosing function, what)`` for every durable-write call."""
+def _calls(tree: ast.AST):
+    """Yield ``(enclosing function, ast.Call)`` for every call in ``tree``."""
 
     def visit(node: ast.AST, func: str):
         for child in ast.iter_child_nodes(node):
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
             if isinstance(child, ast.Call):
-                f = child.func
-                if (
-                    isinstance(f, ast.Attribute)
-                    and isinstance(f.value, ast.Name)
-                    and f.value.id == "os"
-                    and f.attr in ("fsync", "fdatasync", "replace", "rename")
-                ):
-                    yield inner, f"os.{f.attr}"
-                if isinstance(f, ast.Name) and f.id == "open":
-                    mode = child.args[1] if len(child.args) > 1 else None
-                    for kw in child.keywords:
-                        if kw.arg == "mode":
-                            mode = kw.value
-                    if mode is not None and not isinstance(mode, ast.Constant):
-                        yield inner, "open-dynamic-mode"
-                    elif mode is not None and "a" in str(mode.value):
-                        yield inner, "open-append"
+                yield inner, child
             yield from visit(child, inner)
 
     yield from visit(tree, "<module>")
+
+
+def _durable_calls(tree: ast.AST):
+    """Yield ``(enclosing function, what)`` for every durable-write call."""
+    for inner, call in _calls(tree):
+        f = call.func
+        if (
+            isinstance(f, ast.Attribute)
+            and isinstance(f.value, ast.Name)
+            and f.value.id == "os"
+            and f.attr in ("fsync", "fdatasync", "replace", "rename")
+        ):
+            yield inner, f"os.{f.attr}"
+        if isinstance(f, ast.Name) and f.id == "open":
+            mode = call.args[1] if len(call.args) > 1 else None
+            for kw in call.keywords:
+                if kw.arg == "mode":
+                    mode = kw.value
+            if mode is not None and not isinstance(mode, ast.Constant):
+                yield inner, "open-dynamic-mode"
+            elif mode is not None and "a" in str(mode.value):
+                yield inner, "open-append"
 
 
 def _src_trees():
@@ -255,6 +262,32 @@ def test_one_pair_finder_under_every_fof():
         and node.func.attr == "query_pairs"
     ]
     assert sites == ["analysis/fof.py"]
+
+
+def _calls_of(names: set[str]):
+    """``(file, enclosing function, callee)`` for every ``src`` call of one of ``names``."""
+    for rel, tree in _src_trees():
+        for func, call in _calls(tree):
+            f = call.func
+            callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if callee in names:
+                yield rel, func, callee
+
+
+def test_one_batch_path_over_the_per_halo_kernels():
+    """A batch of per-halo kernels is driven in one place, the exec engine's
+    item runners; a second per-halo loop (an algorithm calling the kernel
+    itself, a width-one shortcut) would need its own cross-validation."""
+    kernels = {"mbp_center_bruteforce", "mbp_center_astar", "find_subhalos"}
+    defining = ("analysis/centers.py", "analysis/subhalos.py")
+    outside = {(rel, func) for rel, func, _ in _calls_of(kernels) if rel not in defining}
+    assert outside == {
+        ("exec/engine.py", "_run_centers_item"),
+        ("exec/engine.py", "_run_subhalos_item"),
+    }
+    # the unbounded (rows, n, 3) pair kernel is reached only through the
+    # row-capped helper, by the whole-halo kernel and the slab items alike
+    assert set(_calls_of({"_phi_rows"})) == {("analysis/centers.py", "_phi_blocked", "_phi_rows")}
 
 
 if __name__ == "__main__":  # regenerate the fixtures (see the module docstring)

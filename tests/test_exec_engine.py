@@ -2,39 +2,68 @@
 
 Covers the engine's contract end to end: zero-copy shared-memory
 arrays, cost-model-guided work decomposition (LPT + chunking + giant
-halo slab splitting), bit-identical parallel batch drivers for centers
-and subhalos, crash isolation, telemetry (per-worker Chrome-trace
+halo slab splitting), the one batch path for centers and subhalos —
+bit-identical to the per-halo loop oracle
+(:mod:`tests.oracles.centers_reference`) at every worker count, and
+fork-free at one — crash isolation, telemetry (per-worker Chrome-trace
 tracks + the Figure-4 imbalance gauge), and the scheduler's payload
 execution hook.
 """
 
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
-from repro.analysis import (
-    group_halo_members,
-    halo_centers,
-    potential_bruteforce,
-    potential_reference,
-)
+from repro.analysis import group_halo_members, halo_centers, potential_bruteforce
 from repro.analysis.centers import center_finding_cost
 from repro.analysis.subhalos import find_subhalos
-from repro.dataparallel import ProcessBackend, available_backends, get_backend
+from repro.dataparallel import available_backends
 from repro.exec import (
     ExecutionEngine,
     HaloWorkQueue,
     SharedParticleStore,
     WorkerError,
+    WorkItem,
     parallel_halo_centers,
     parallel_subhalos,
 )
+from repro.exec.pool import WorkerPool
 from repro.machines.machine import MOONLIGHT
 from repro.machines.scheduler import Job, Scheduler
 from repro.obs.report import RunTelemetry
+from tests.oracles.centers_reference import halo_centers_reference, potential_reference
+
+#: every width the engine is checked at: ``None``/1 run inline, 2/4 on the pool
+WIDTHS = (None, 1, 2, 4)
+
+
+def _clumps(rng, sizes, fluff=0):
+    """Gaussian clumps of the given sizes, labelled ``10 * i``, plus ``fluff``
+    unlabelled (-1) background particles, shuffled; tags are a permutation."""
+    pos = np.concatenate(
+        [rng.uniform(5, 95, 3) + rng.normal(0, 1.0, (s, 3)) for s in sizes]
+        + [rng.uniform(0, 100, (fluff, 3))]
+    )
+    labels = np.repeat([*(10 * np.arange(len(sizes))), -1], [*sizes, fluff]).astype(np.int64)
+    perm = rng.permutation(len(pos))
+    return pos[perm], rng.permutation(len(pos)).astype(np.int64), labels[perm]
+
+
+def _assert_same_centers(ref, got):
+    """Every field of a :class:`HaloCentersResult`, bit for bit."""
+    assert np.array_equal(ref.halo_tags, got.halo_tags)
+    assert np.array_equal(ref.centers, got.centers)
+    assert np.array_equal(ref.mbp_tags, got.mbp_tags)
+    assert ref.mbp_tags.dtype == got.mbp_tags.dtype
+    assert np.array_equal(ref.potentials, got.potentials)
+    assert np.array_equal(ref.per_halo_pairs, got.per_halo_pairs)
+    assert ref.stats == got.stats  # n_particles, pair_evaluations, exact_potentials
 
 
 # ---------------------------------------------------------------------------
@@ -46,20 +75,7 @@ from repro.obs.report import RunTelemetry
 def skewed_catalog():
     """One giant halo + many small ones + fluff, shuffled."""
     rng = np.random.default_rng(1234)
-    sizes = [700, *rng.integers(30, 90, size=24)]
-    pos_list, labels_list = [], []
-    for i, s in enumerate(sizes):
-        c = rng.uniform(5, 95, 3)
-        pos_list.append(c + rng.normal(0, 1.0, (s, 3)))
-        labels_list.append(np.full(s, i * 10, dtype=np.int64))
-    pos_list.append(rng.uniform(0, 100, (300, 3)))  # fluff
-    labels_list.append(np.full(300, -1, dtype=np.int64))
-    pos = np.concatenate(pos_list)
-    labels = np.concatenate(labels_list)
-    perm = rng.permutation(len(pos))
-    pos, labels = pos[perm], labels[perm]
-    tags = rng.permutation(len(pos)).astype(np.int64)
-    return pos, tags, labels
+    return _clumps(rng, [700, *rng.integers(30, 90, size=24)], fluff=300)
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +183,11 @@ def test_workqueue_splits_dominant_halo():
     assert all(it.row_end - it.row_start >= 1 for it in slabs)
     # splitting must break the one-giant-pins-one-worker ceiling
     assert q.modeled_imbalance() < 2.0
+    # the Figure 4 projection: per-halo placement alone leaves one worker
+    # pinned by the giant, row slabs project near-balance
+    sizes = np.asarray([20_000] + [100] * 200)
+    assert HaloWorkQueue.build(sizes, workers=4, splittable=False).modeled_imbalance() > 2.0
+    assert HaloWorkQueue.build(sizes, workers=4, splittable=True).modeled_imbalance() < 1.5
 
 
 def test_workqueue_not_splittable():
@@ -200,62 +221,158 @@ def test_workqueue_empty():
 
 
 # ---------------------------------------------------------------------------
-# determinism: parallel == serial, bit for bit
+# determinism: engine == per-halo loop oracle, bit for bit, at every width
 # ---------------------------------------------------------------------------
 
 
 def test_parallel_centers_bit_identical(skewed_catalog):
     pos, tags, labels = skewed_catalog
-    serial = halo_centers(pos, tags, labels)
-    for workers in (2, 4):
-        par = halo_centers(pos, tags, labels, workers=workers)
-        assert np.array_equal(serial.halo_tags, par.halo_tags)
-        assert np.array_equal(serial.centers, par.centers)
-        assert np.array_equal(serial.mbp_tags, par.mbp_tags)
-        assert np.array_equal(serial.potentials, par.potentials)
-        assert np.array_equal(serial.per_halo_pairs, par.per_halo_pairs)
-        assert serial.stats.n_particles == par.stats.n_particles
-        assert serial.stats.pair_evaluations == par.stats.pair_evaluations
-        assert serial.stats.exact_potentials == par.stats.exact_potentials
-        assert par.exec_report is not None
-        assert par.exec_report.workers == workers
+    ref = halo_centers_reference(pos, tags, labels)
+    for workers in WIDTHS:
+        got = halo_centers(pos, tags, labels, workers=workers)
+        _assert_same_centers(ref, got)
+        assert got.exec_report.workers == (workers or 1)
+        assert got.exec_report.n_halos == len(ref.halo_tags)
 
 
 def test_parallel_centers_giant_halo_is_split(skewed_catalog):
     pos, tags, labels = skewed_catalog
-    eng = ExecutionEngine(workers=2, min_split_rows=64)
-    par = parallel_halo_centers(pos, tags, labels, engine=eng)
-    assert par.exec_report.n_split_halos >= 1
-    serial = halo_centers(pos, tags, labels)
-    assert np.array_equal(serial.mbp_tags, par.mbp_tags)
-    assert np.array_equal(serial.potentials, par.potentials)
-    assert np.array_equal(serial.per_halo_pairs, par.per_halo_pairs)
+    ref = halo_centers_reference(pos, tags, labels)
+    for workers in (1, 2):
+        eng = ExecutionEngine(workers=workers, min_split_rows=64)
+        got = parallel_halo_centers(pos, tags, labels, engine=eng)
+        assert got.exec_report.n_split_halos >= 1
+        _assert_same_centers(ref, got)
 
 
 def test_parallel_centers_astar_identical(skewed_catalog):
     pos, tags, labels = skewed_catalog
-    serial = halo_centers(pos, tags, labels, method="astar")
-    par = halo_centers(pos, tags, labels, method="astar", workers=2)
-    assert np.array_equal(serial.mbp_tags, par.mbp_tags)
-    assert np.array_equal(serial.potentials, par.potentials)
-    assert np.array_equal(serial.per_halo_pairs, par.per_halo_pairs)
+    ref = halo_centers_reference(pos, tags, labels, method="astar")
+    for workers in WIDTHS:
+        got = halo_centers(pos, tags, labels, method="astar", workers=workers)
+        _assert_same_centers(ref, got)
+        assert got.exec_report.n_split_halos == 0  # the A* search is not row-separable
 
 
 def test_parallel_centers_select_tags(skewed_catalog):
     pos, tags, labels = skewed_catalog
     pick = np.asarray([0, 30, 70])
-    serial = halo_centers(pos, tags, labels, select_tags=pick)
-    par = halo_centers(pos, tags, labels, select_tags=pick, workers=2)
-    assert np.array_equal(serial.halo_tags, par.halo_tags)
-    assert np.array_equal(serial.mbp_tags, par.mbp_tags)
+    ref = halo_centers_reference(pos, tags, labels, select_tags=pick)
+    assert ref.halo_tags.tolist() == [0, 30, 70]
+    for workers in WIDTHS:
+        _assert_same_centers(
+            ref, halo_centers(pos, tags, labels, select_tags=pick, workers=workers)
+        )
 
 
 def test_parallel_centers_empty_catalog():
     pos = np.random.default_rng(0).uniform(0, 1, (50, 3))
     labels = np.full(50, -1, dtype=np.int64)
     tags = np.arange(50)
-    par = halo_centers(pos, tags, labels, workers=2)
-    assert len(par.halo_tags) == 0
+    ref = halo_centers_reference(pos, tags, labels)
+    for workers in WIDTHS:
+        got = halo_centers(pos, tags, labels, workers=workers)
+        assert len(got.halo_tags) == 0 and got.centers.shape == (0, 3)
+        _assert_same_centers(ref, got)
+        assert got.exec_report.n_items == 0  # the report is set even for no work
+
+
+def test_parallel_centers_one_particle_halo():
+    """A 1-particle halo is its own MBP at potential 0 with no pair work."""
+    rng = np.random.default_rng(8)
+    pos, tags, labels = _clumps(rng, [1, 40, 1, 90])
+    ref = halo_centers_reference(pos, tags, labels)
+    assert ref.potentials[0] == 0.0 and ref.per_halo_pairs[0] == 0
+    for workers in WIDTHS:
+        _assert_same_centers(ref, halo_centers(pos, tags, labels, workers=workers))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    small=st.lists(st.integers(1, 120), min_size=0, max_size=12),
+    dominant=st.sampled_from([0, 2 * 256, 2 * 256 + 37, 700]),
+    method=st.sampled_from(["bruteforce", "astar"]),
+    select=st.booleans(),
+)
+def test_prop_one_worker_engine_equals_oracle(seed, small, dominant, method, select):
+    """The inline width — what every in-situ batch runs at — against the
+    oracle, over catalogs with and without a halo the queue slab-splits
+    (``dominant >= 2 * min_split_rows`` and more than half the pair work)."""
+    rng = np.random.default_rng(seed)
+    sizes = small + ([dominant] if dominant else [])
+    if not sizes:
+        sizes = [1]
+    pos, tags, labels = _clumps(rng, sizes)
+    pick = np.unique(labels)[::2] if select else None
+    ref = halo_centers_reference(pos, tags, labels, method=method, select_tags=pick)
+    got = halo_centers(pos, tags, labels, method=method, select_tags=pick, workers=1)
+    _assert_same_centers(ref, got)
+
+
+def test_one_worker_batch_never_forks_or_touches_shm(skewed_catalog, monkeypatch):
+    """``workers=None``/``1`` runs on the calling (in-situ) thread beside the
+    listener: it must not fork, create a shared-memory segment, or take
+    the shared-pool lock (ROADMAP item 4's fork-under-lock hazard)."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a one-worker batch must stay in-process")
+
+    monkeypatch.setattr(SharedParticleStore, "create", forbidden)
+    monkeypatch.setattr(WorkerPool, "__init__", forbidden)
+    pos, tags, labels = skewed_catalog
+    ref = halo_centers_reference(pos, tags, labels)
+    for workers in (None, 1):
+        got = halo_centers(pos, tags, labels, workers=workers)
+        assert got.exec_report.workers == 1
+        assert got.exec_report.total_steals == 0
+        _assert_same_centers(ref, got)
+    got = parallel_halo_centers(pos, tags, labels, engine=ExecutionEngine(workers=1))
+    _assert_same_centers(ref, got)
+
+
+def test_worker_count_has_one_spelling():
+    """``workers=`` is the only way to ask for a width: no backend name
+    routes a batch onto the pool."""
+    assert available_backends() == ["serial", "vector"]
+
+
+def test_slab_kernel_memory_is_bounded_like_the_whole_halo_kernel():
+    """One 6000-particle halo cut into slabs wider than the 2048-row block of
+    ``potential_bruteforce``: a slab must still peak at one block's pair
+    temporary, not at ``(rows, n, 3)``."""
+    rng = np.random.default_rng(11)
+    n = 6000
+    pos = rng.normal(50.0, 1.0, (n, 3))
+    tags = np.arange(n, dtype=np.int64)
+    labels = np.zeros(n, dtype=np.int64)
+
+    def peak_of(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    phi, whole_peak = peak_of(lambda: potential_bruteforce(pos))
+    best = (int(np.argmin(phi)), float(phi.min()))
+
+    # the queue's own cut of a lone halo at one worker: 2 x 3000 rows
+    got, peak = peak_of(lambda: halo_centers(pos, tags, labels))
+    assert got.exec_report.n_items == 2 and got.exec_report.n_split_halos == 1
+    assert (int(got.mbp_tags[0]), float(got.potentials[0])) == best
+    assert peak <= 1.05 * whole_peak, (peak, whole_peak)
+
+    # a forced, lopsided cut: 4500 + 1500 rows
+    slabs = [WorkItem("slab", (0,), r * (n - 1), s, s + r) for s, r in ((0, 4500), (4500, 1500))]
+    work = HaloWorkQueue(items=slabs, seeds=[[0]], pool=[1])
+    arrays = {"pos": pos, "members": tags, "starts": np.asarray([0, n])}
+    task = {"task": "centers", "method": "bruteforce", "mass": 1.0, "softening": 1e-5}
+    (payloads, _), peak = peak_of(lambda: ExecutionEngine(workers=1).run(arrays, work, task))
+    partials = [(phi_min, row) for _, entries in payloads for _, _, row, phi_min, _, _ in entries]
+    assert min(partials) == best[::-1]
+    assert peak <= 1.05 * whole_peak, (peak, whole_peak)
 
 
 def test_parallel_subhalos_bit_identical():
@@ -273,47 +390,18 @@ def test_parallel_subhalos_bit_identical():
         off += s
     pos, vel = np.concatenate(pos_list), np.concatenate(vel_list)
 
-    serial = {t: find_subhalos(pos[i], vel[i], mass=1.0, g_constant=1.0) for t, i in halos.items()}
-    batch = parallel_subhalos(pos, vel, halos, mass=1.0, g_constant=1.0, workers=2)
-    assert set(batch.by_tag) == set(halos)
-    for t in halos:
-        a, b = serial[t], batch.by_tag[t]
-        assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.subhalo_sizes, b.subhalo_sizes)
-        assert a.n_candidates == b.n_candidates
-        assert a.unbound_removed == b.unbound_removed
-    assert set(batch.halo_seconds) == set(halos)
-    assert batch.report is not None and batch.report.workers == 2
-
-
-# ---------------------------------------------------------------------------
-# backend registration and dispatch
-# ---------------------------------------------------------------------------
-
-
-def test_process_backend_registered():
-    assert "process" in available_backends()
-    be = get_backend("process")
-    assert isinstance(be, ProcessBackend)
-    assert be.workers >= 1
-    assert be.kernel_backend == "vector"
-    # primitives still behave like the vector backend
-    assert np.array_equal(be.gather(np.asarray([2, 0]), np.asarray([10, 20, 30])), [30, 10])
-
-
-def test_halo_centers_process_backend_dispatch(skewed_catalog):
-    pos, tags, labels = skewed_catalog
-    serial = halo_centers(pos, tags, labels)
-    res = halo_centers(pos, tags, labels, backend=ProcessBackend(workers=2))
-    assert np.array_equal(serial.mbp_tags, res.mbp_tags)
-    assert np.array_equal(serial.potentials, res.potentials)
-    assert res.exec_report is not None and res.exec_report.workers == 2
-
-
-def test_halo_centers_workers_one_stays_serial(skewed_catalog):
-    pos, tags, labels = skewed_catalog
-    res = halo_centers(pos, tags, labels, workers=1)
-    assert res.exec_report is None
+    ref = {t: find_subhalos(pos[i], vel[i], mass=1.0, g_constant=1.0) for t, i in halos.items()}
+    for workers in (1, 2):
+        batch = parallel_subhalos(pos, vel, halos, mass=1.0, g_constant=1.0, workers=workers)
+        assert set(batch.by_tag) == set(halos)
+        for t in halos:
+            a, b = ref[t], batch.by_tag[t]
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.subhalo_sizes, b.subhalo_sizes)
+            assert a.n_candidates == b.n_candidates
+            assert a.unbound_removed == b.unbound_removed
+        assert set(batch.halo_seconds) == set(halos)
+        assert batch.report is not None and batch.report.workers == workers
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +428,12 @@ def test_worker_crash_surfaces_without_hang():
 
 
 def test_engine_inline_path_single_worker(skewed_catalog):
+    """One item on a wide engine still runs inline: width is capped by the work."""
     pos, tags, labels = skewed_catalog
-    eng = ExecutionEngine(workers=1)
-    res = parallel_halo_centers(pos, tags, labels, engine=eng)
-    serial = halo_centers(pos, tags, labels)
-    assert np.array_equal(serial.mbp_tags, res.mbp_tags)
+    eng = ExecutionEngine(workers=4)
+    res = parallel_halo_centers(pos, tags, labels, select_tags=np.asarray([30]), engine=eng)
+    assert res.exec_report.n_items == 1 and res.exec_report.workers == 1
+    _assert_same_centers(halo_centers_reference(pos, tags, labels, select_tags=[30]), res)
 
 
 # ---------------------------------------------------------------------------
@@ -379,6 +468,24 @@ def test_engine_telemetry_spans_and_gauge(skewed_catalog, tmp_path):
         if e.get("ph") == "M" and e.get("name") == "thread_name"
     }
     assert {"exec-worker-0", "exec-worker-1"} <= track_names
+
+
+def test_inline_batch_is_attributed_once_in_the_phase_table(skewed_catalog):
+    """A one-worker batch lands in the same "Parallel exec" row, with its item
+    spans on the calling thread's lane under ``exec.run`` — so the gauges
+    describe it and phase self-times still sum to the traced wall."""
+    pos, tags, labels = skewed_catalog
+    with obs.telemetry() as rec:
+        res = halo_centers(pos, tags, labels)
+        snap = RunTelemetry.from_recorder(rec)
+    (run,) = [s for s in snap.spans if s.name == "exec.run"]
+    items = [s for s in snap.spans if s.name == "exec.item"]
+    assert len(items) == res.exec_report.n_items > 1
+    assert all(s.parent_id == run.span_id and s.thread == run.thread for s in items)
+    assert snap.metrics["exec_workers"] == 1 and snap.metrics["exec_load_imbalance_ratio"] == 1.0
+    stats = snap.phase_stats()
+    assert set(stats) == {"Parallel exec"}
+    assert stats["Parallel exec"].self_seconds <= snap.wall_seconds + 1e-9
 
 
 def test_record_span_api():

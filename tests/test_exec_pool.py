@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.analysis.centers import halo_centers
 from repro.check import sanitize
 from repro.exec.engine import (
     ExecutionEngine,
@@ -16,6 +15,7 @@ from repro.exec.engine import (
     shutdown_pool,
 )
 from repro.exec.pool import WorkerPool
+from tests.oracles.centers_reference import halo_centers_reference
 
 
 @pytest.fixture(autouse=True)
@@ -50,12 +50,13 @@ def test_pool_reused_across_runs_with_counter():
 
 def test_pooled_results_bit_identical_to_serial():
     pos, tags, labels = _batch(seed=3)
-    ref = halo_centers(pos, tags, labels)
+    ref = halo_centers_reference(pos, tags, labels)
     parallel_halo_centers(pos, tags, labels, workers=2)  # warm the pool
     got = parallel_halo_centers(pos, tags, labels, workers=2)  # reused workers
     assert np.array_equal(ref.centers, got.centers)
     assert np.array_equal(ref.mbp_tags, got.mbp_tags)
     assert np.array_equal(ref.potentials, got.potentials)
+    assert np.array_equal(ref.per_halo_pairs, got.per_halo_pairs) and ref.stats == got.stats
 
 
 def test_pool_survives_worker_error():
@@ -71,7 +72,7 @@ def test_pool_survives_worker_error():
     with obs.telemetry() as rec:
         r = parallel_halo_centers(pos, tags, labels, workers=2)
         assert rec.metrics.as_dict().get("exec_pool_reuse_total", 0.0) == 1.0
-    ref = halo_centers(pos, tags, labels)
+    ref = halo_centers_reference(pos, tags, labels)
     assert np.array_equal(ref.centers, r.centers)
 
 

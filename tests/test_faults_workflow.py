@@ -20,6 +20,7 @@ from repro.core import run_combined_workflow
 from repro.exec import ExecutionEngine, WorkerError, parallel_halo_centers
 from repro.faults import (
     DeadLetterBox,
+    FaultInjected,
     FaultPlan,
     FaultSpec,
     RetryPolicy,
@@ -29,6 +30,7 @@ from repro.faults import (
 from repro.machines import QueuePolicy, Scheduler
 from repro.machines.scheduler import Job
 from repro.sim import SimulationConfig
+from tests.oracles.centers_reference import halo_centers_reference
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
@@ -243,34 +245,46 @@ def test_exec_default_contract_worker_crashes(tiny_catalog):
         parallel_halo_centers(pos, tags, labels, engine=eng)
 
 
-def test_exec_transient_item_fault_recovers(tiny_catalog):
-    pos, tags, labels = tiny_catalog
-    plan = FaultPlan(seed=0, sites={"exec.item": FaultSpec(fail_first=1)})
-    eng = ExecutionEngine(workers=2, item_retries=2)
-    with fault_plan(plan):
-        res = parallel_halo_centers(pos, tags, labels, engine=eng)
-    assert res.exec_report.item_failures >= 1
-    assert res.exec_report.recovered_items >= 1
-    assert res.exec_report.poisoned == []
-    assert eng.dead_letter.total == 0
+def test_exec_default_contract_inline_fault_propagates(tiny_catalog):
+    """``exec.item`` is every per-halo work item, in-situ batches included:
+    on an inline (one-worker) run with item_retries=0 the injected fault
+    itself propagates to the caller — no worker, so no WorkerError."""
     from repro.analysis import halo_centers
 
-    serial = halo_centers(pos, tags, labels)
-    assert np.array_equal(serial.mbp_tags, res.mbp_tags)
+    pos, tags, labels = tiny_catalog
+    plan = FaultPlan(seed=0, sites={"exec.item": FaultSpec(always=True)})
+    with fault_plan(plan), pytest.raises(FaultInjected):
+        halo_centers(pos, tags, labels)
+
+
+def test_exec_transient_item_fault_recovers(tiny_catalog):
+    pos, tags, labels = tiny_catalog
+    ref = halo_centers_reference(pos, tags, labels)
+    for workers in (1, 2):  # inline and pooled: the same item-level ladder
+        plan = FaultPlan(seed=0, sites={"exec.item": FaultSpec(fail_first=1)})
+        eng = ExecutionEngine(workers=workers, item_retries=2)
+        with fault_plan(plan):
+            res = parallel_halo_centers(pos, tags, labels, engine=eng)
+        assert res.exec_report.item_failures >= 1
+        assert res.exec_report.recovered_items >= 1
+        assert res.exec_report.poisoned == []
+        assert eng.dead_letter.total == 0
+        assert np.array_equal(ref.mbp_tags, res.mbp_tags)
+        assert np.array_equal(ref.potentials, res.potentials)
 
 
 def test_exec_poison_quarantine_excludes_only_the_poisoned_halos(tiny_catalog):
     pos, tags, labels = tiny_catalog
-    plan = FaultPlan(seed=0, sites={"exec.item": FaultSpec(always=True, keys=("0",))})
-    eng = ExecutionEngine(workers=2, item_retries=1)
-    with fault_plan(plan):
-        res = parallel_halo_centers(pos, tags, labels, engine=eng)
-    assert res.exec_report.poisoned  # the poisoned item is quarantined…
-    assert eng.dead_letter.total == len(res.exec_report.poisoned)
-    assert len(res.halo_tags) >= 1  # …while the other halos completed
-    assert len(res.halo_tags) < 4
-    from repro.analysis import halo_centers
-
-    serial = halo_centers(pos, tags, labels)
-    kept = np.isin(serial.halo_tags, res.halo_tags)
-    assert np.array_equal(serial.mbp_tags[kept], res.mbp_tags)
+    ref = halo_centers_reference(pos, tags, labels)
+    for workers in (1, 2):
+        plan = FaultPlan(seed=0, sites={"exec.item": FaultSpec(always=True, keys=("0",))})
+        eng = ExecutionEngine(workers=workers, item_retries=1)
+        with fault_plan(plan):
+            res = parallel_halo_centers(pos, tags, labels, engine=eng)
+        assert res.exec_report.poisoned  # the poisoned item is quarantined…
+        assert eng.dead_letter.total == len(res.exec_report.poisoned)
+        assert len(res.halo_tags) >= 1  # …while the other halos completed
+        assert len(res.halo_tags) < 4
+        kept = np.isin(ref.halo_tags, res.halo_tags)
+        assert np.array_equal(ref.mbp_tags[kept], res.mbp_tags)
+        assert np.array_equal(ref.potentials[kept], res.potentials)

@@ -8,13 +8,16 @@ from repro.insitu import (
     HaloFinderAlgorithm,
     InSituAnalysisManager,
     Level1WriterAlgorithm,
+    Level2StageAlgorithm,
     Level2WriterAlgorithm,
     PowerSpectrumAlgorithm,
     SOMassAlgorithm,
     SubhaloFinderAlgorithm,
     tag_index_map,
 )
+from repro.insitu.algorithm import AnalysisContext
 from repro.io import GenericIOFile
+from repro.machines.staging import StagingArea
 from repro.sim import BYTES_PER_PARTICLE
 
 
@@ -83,6 +86,44 @@ def test_centers_are_halo_members(analyzed):
         assert rec["mbp_tag"] in fof["halos"][int(rec["halo_tag"])]
 
 
+def _rerun(alg, sim, ctx, *upstream):
+    """Execute ``alg`` in a fresh context seeded with ``ctx``'s upstream products."""
+    fresh = AnalysisContext(step=ctx.step, a=ctx.a, store={k: ctx.store[k] for k in upstream})
+    alg.execute(sim, fresh)
+    return fresh
+
+
+def test_center_catalog_is_independent_of_worker_count(analyzed):
+    """``workers`` is a width: same rows, same order, same per-rank pair work."""
+    sim, ctx = analyzed
+    ref = ctx.store["centers"]["catalog"]  # the fixture ran at workers=None
+    assert len(ref) > 0
+    wide = _rerun(HaloCenterAlgorithm(threshold=200, workers=2), sim, ctx, "fof")
+    got = wide.store["centers"]["catalog"]
+    assert np.array_equal(ref.records, got.records)  # every column, in row order
+    offloaded = ctx.store["centers"]["offloaded_halo_tags"]
+    assert wide.store["centers"]["offloaded_halo_tags"] == offloaded
+    assert wide.timings["center_rank_pairs"] == ctx.timings["center_rank_pairs"]
+    assert sum(ctx.timings["center_rank_pairs"]) > 0
+    assert len(wide.timings["center_rank_seconds"]) == 4
+
+
+def test_subhalos_are_independent_of_worker_count(analyzed):
+    sim, ctx = analyzed
+    ref = ctx.store["subhalos"]["by_halo"]  # the fixture ran at workers=None
+    assert len(ref) > 0
+    wide = _rerun(
+        SubhaloFinderAlgorithm(min_parent=150, min_size=15, workers=2), sim, ctx, "fof"
+    )
+    got = wide.store["subhalos"]["by_halo"]
+    assert list(got) == list(ref)  # same parents, same order
+    for tag in ref:
+        assert np.array_equal(ref[tag].labels, got[tag].labels)
+        assert np.array_equal(ref[tag].subhalo_sizes, got[tag].subhalo_sizes)
+    assert len(wide.timings["subhalo_rank_seconds"]) == 4
+    assert sum(wide.timings["subhalo_rank_seconds"]) > 0
+
+
 def test_power_spectrum_stored(analyzed):
     _, ctx = analyzed
     ps = ctx.store["power_spectrum"]
@@ -127,6 +168,30 @@ def test_level2_contains_only_offloaded(analyzed):
     fof = ctx.store["fof"]
     expected_particles = sum(len(fof["halos"][t]) for t in offloaded)
     assert l2["n_particles"] == expected_particles
+
+
+def test_level2_writer_and_stager_emit_the_same_blocks(analyzed, tmp_path):
+    """One reduction, two sinks: the file and the staging area hold
+    array-equal per-rank blocks for the same context."""
+    sim, ctx = analyzed
+    written = _rerun(Level2WriterAlgorithm(output_dir=str(tmp_path)), sim, ctx, "fof", "centers")
+    area = StagingArea()
+    stager = Level2StageAlgorithm()
+    stager.staging = area
+    staged = _rerun(stager, sim, ctx, "fof", "centers")
+
+    l2w, l2s = written.store["level2"], staged.store["level2"]
+    assert l2w["halo_tags"] == l2s["halo_tags"] == ctx.store["centers"]["offloaded_halo_tags"]
+    assert l2w["n_particles"] == l2s["n_particles"] > 0
+    gio = GenericIOFile(l2w["path"])
+    blocks = area.get(l2s["staged"]).blocks
+    assert gio.num_blocks == len(blocks) == 4
+    for rank, block in enumerate(blocks):
+        on_disk = gio.read_block(rank)
+        assert set(on_disk) == set(block) == {"pos", "vel", "tag", "halo_tag"}
+        for name, column in block.items():
+            assert np.array_equal(on_disk[name], column), (rank, name)
+            assert on_disk[name].dtype == column.dtype
 
 
 def test_level2_reduction_factor(analyzed):

@@ -95,9 +95,18 @@ def test_exec_worker_spans_causally_parented_in_journal(two_runs):
     run_spans = [s for s in spans if s.name == "exec.run"]
     items = [s for s in spans if s.name == "exec.item"]
     assert run_spans and items
-    run_ids = {s.span_id for s in run_spans}
-    assert all(s.parent_id in run_ids for s in items)
-    assert all(s.thread.startswith("exec-worker-") for s in items)
+    runs = {s.span_id: s for s in run_spans}
+    assert all(s.parent_id in runs for s in items)
+    # pooled batches (the off-line jobs, 2 workers) render on worker lanes,
+    # inline ones (the in-situ batches) on the lane of the thread that ran them
+    pooled = [s for s in items if s.thread.startswith("exec-worker-")]
+    inline = [s for s in items if s not in pooled]
+    assert pooled and inline
+    assert all(runs[s.parent_id].fields["workers"] >= 2 for s in pooled)
+    assert all(
+        s.thread == runs[s.parent_id].thread and runs[s.parent_id].fields["workers"] == 1
+        for s in inline
+    )
     # ... and the whole chain carries one run id
     assert {s.run for s in spans} == {"caseA"}
 
