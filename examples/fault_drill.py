@@ -11,8 +11,11 @@ Three acts (see docs/failures.md for the failure model):
    RetryPolicy absorbs it.  Same catalog, a few retries in the books.
 3. **Permanent outage** — every off-line job fails every attempt
    (``always=True`` at ``offline.job``).  The run *completes anyway*:
-   ``degraded=True``, one FailureRecord per missing snapshot, and the
-   Level 3 catalog gracefully falls back to the in-situ-only leg.
+   ``degraded=True``, one FailureRecord per missing snapshot — straight
+   from the listener's dead-letter box, so its ``reason`` is the error
+   the last attempt really raised (``FaultInjected: injected fault at
+   offline.job (key='12', attempt=2)``) — and the Level 3 catalog
+   gracefully falls back to the in-situ-only leg.
 
 Determinism: the whole drill is reproducible bit-for-bit from the two
 seeds below (simulation seed + FaultPlan seed).
@@ -99,6 +102,7 @@ def main() -> None:
         for f in degraded.failures:
             print(f"  FailureRecord: {f.as_dict()}")
         assert degraded.degraded
+        assert all("FaultInjected" in f.reason for f in degraded.failures)
         assert len(degraded.offline_catalog) == 0
         assert np.array_equal(
             degraded.catalog["halo_tag"],

@@ -32,7 +32,6 @@ so a degraded Level 3 product always states exactly what is absent.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -262,13 +261,10 @@ def run_combined_workflow(
     exec_manager = AsyncInSituManager(manager) if pipeline_insitu else manager
 
     offline_catalogs: list[tuple[int, HaloCatalog]] = []
-    listener_stats = None
-    completed_steps: set[int] = set()
 
     def submit(path: str, step: int, script: str) -> None:
         maybe_inject("offline.job", key=step)
         offline_catalogs.append((step, offline_center_job(path, workers=analysis_workers)))
-        completed_steps.add(step)
 
     sim = HACCSimulation(config, analysis_manager=exec_manager)
 
@@ -288,7 +284,6 @@ def run_combined_workflow(
                         exec_manager.close()
                 finally:
                     listener.stop(final_poll=True)
-        listener_stats = listener.stats
         level2_paths = sorted(listener.seen)
     else:
         with rec.span("workflow.sim", coschedule=False):
@@ -298,7 +293,6 @@ def run_combined_workflow(
         listener = Listener(spool_dir, "l2_step*.gio", submit, retry=retry)
         with rec.span("workflow.offline"):
             fresh = listener.poll_once()  # one shot after the run ("queued after sim")
-        listener_stats = listener.stats
         level2_paths = fresh
 
     ctx = manager.history[last_step]
@@ -316,29 +310,25 @@ def run_combined_workflow(
 
     # graceful degradation: snapshots whose off-line job exhausted its
     # retries are recorded, not raised — the campaign's other legs stand
-    attempts = listener.retry.max_attempts
+    # (the listener dead-lettered each one, keyed by step, with its error)
     failures = [
-        FailureRecord(
-            stage="offline",
-            key=str(step),
-            reason="off-line center job failed every retry attempt",
-            attempts=attempts,
-        )
-        for step in sorted(_steps_of(level2_paths) - completed_steps)
+        FailureRecord(stage="offline", key=e.key, reason=e.reason, attempts=e.attempts)
+        for e in listener.dead_letter.entries()
     ]
-    if failures:
+    degraded = listener.dead_letter.total > 0
+    if degraded:
         rec.event(
             "workflow.degraded",
             level="warning",
             missing_steps=[f.key for f in failures],
-            jobs_failed=getattr(listener_stats, "jobs_failed", 0),
+            jobs_failed=listener.stats.jobs_failed,
         )
     rec.event(
         "workflow.done",
         halos=len(merged),
         offloaded=len(offloaded),
-        jobs_failed=getattr(listener_stats, "jobs_failed", 0),
-        degraded=bool(failures),
+        jobs_failed=listener.stats.jobs_failed,
+        degraded=degraded,
     )
     return CombinedRunResult(
         catalog=merged,
@@ -346,9 +336,9 @@ def run_combined_workflow(
         offline_catalog=offline_catalog,
         offloaded_halo_tags=offloaded,
         level2_paths=list(level2_paths),
-        listener_stats=listener_stats,
+        listener_stats=listener.stats,
         telemetry=RunTelemetry.from_recorder(rec),
-        degraded=bool(failures),
+        degraded=degraded,
         failures=failures,
     )
 
@@ -416,19 +406,6 @@ def _run_combined_journaled(call: dict[str, Any]) -> CombinedRunResult:
         if previous_rec is not None:
             set_recorder(previous_rec)
     return result
-
-
-_STEP_RE = re.compile(r"step(\d+)")
-
-
-def _steps_of(paths: list[str]) -> set[int]:
-    """Timesteps encoded in a list of Level 2 file names."""
-    out: set[int] = set()
-    for p in paths:
-        m = _STEP_RE.search(os.path.basename(p))
-        if m:
-            out.add(int(m.group(1)))
-    return out
 
 
 def run_intransit_workflow(

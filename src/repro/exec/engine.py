@@ -30,10 +30,12 @@ Design (see :mod:`repro.exec.workqueue` for the scheduling policy):
 * with ``item_retries > 0`` the failure unit shrinks from worker to
   *item*: a failing item (including an injected ``"exec.item"`` fault
   from the active :class:`~repro.faults.FaultPlan`) is shipped back as
-  an item error, retried inline by the parent, and — after exhausting
-  its retries — *poisoned*: quarantined in the engine's bounded
-  :class:`~repro.faults.DeadLetterBox` and excluded from the output,
-  while every other item completes normally (see ``docs/failures.md``);
+  an item error, retried inline by the parent under the shared failure
+  ladder (:meth:`~repro.faults.RetryPolicy.attempt`, no requeue rung)
+  and — after exhausting its retries — *poisoned*: quarantined in the
+  engine's bounded :class:`~repro.faults.DeadLetterBox` and excluded
+  from the output, while every other item completes normally (see
+  ``docs/failures.md``);
 * everything is instrumented through :mod:`repro.obs`: per-worker item
   spans land in the Chrome trace on ``exec-worker-N`` tracks (on the
   calling thread's own track for an inline run), the
@@ -49,7 +51,6 @@ import os
 import queue as queue_module
 import threading
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Protocol
 
@@ -65,7 +66,7 @@ from ..analysis.centers import (
     mbp_center_bruteforce,
 )
 from ..dataparallel import get_backend
-from ..faults import DeadLetterBox, get_fault_plan, maybe_inject
+from ..faults import DeadLetterBox, RetryPolicy, get_fault_plan, maybe_inject
 from ..obs import NullRecorder, TelemetryRecorder, get_recorder
 from ..obs.context import merge_snapshot
 from .pool import WorkerPool
@@ -477,7 +478,7 @@ class ExecutionEngine:
         cache: dict[int, np.ndarray] = {}
         payloads: list[tuple[int, list[tuple[Any, ...]]]] = []
         log: list[ItemRecord] = []
-        failed_items: list[tuple[int, str]] = []
+        failed_items: list[int] = []
         busy = 0.0
         order = [i for ids in work.seeds for i in ids] + list(work.pool)
         t_prev = time.perf_counter()
@@ -490,7 +491,7 @@ class ExecutionEngine:
             except Exception:
                 if self.item_retries == 0:
                     raise  # historical contract: inline failures propagate
-                failed_items.append((item_id, traceback.format_exc()))
+                failed_items.append(item_id)
             t1 = time.perf_counter()
             log.append(
                 ItemRecord(0, item.kind, item.n_halos, item.cost, t0, t1, t0 - t_prev, False)
@@ -532,7 +533,7 @@ class ExecutionEngine:
         log: list[ItemRecord] = []
         busy = [0.0] * n_workers
         steals = [0] * n_workers
-        failed_items: list[tuple[int, str]] = []  # (item_id, traceback)
+        failed_items: list[int] = []
         active_plan = get_fault_plan()
         plan_dict = active_plan.to_dict() if active_plan is not None else None
         # trace context for the workers: run id + the open exec.run span
@@ -618,8 +619,7 @@ class ExecutionEngine:
                     snaps[w] = snap
                     finished.add(w)
                 elif msg[0] == "item_error":
-                    _, _, w, item_id, tb = msg
-                    failed_items.append((item_id, tb))
+                    failed_items.append(msg[3])  # item id; retried by the parent below
                 elif msg[0] == "error":
                     # the worker shipped the traceback and survives for
                     # the next job; the batch still fails loudly
@@ -650,7 +650,6 @@ class ExecutionEngine:
                     thread=f"exec-worker-{w}",
                 )
 
-        item_failures = len(failed_items)
         recovered, poisoned = self._retry_failed_items(
             failed_items, arrays, work, task, payloads
         )
@@ -669,14 +668,14 @@ class ExecutionEngine:
             imbalance=imbalance,
             total_cost=work.total_cost,
             item_log=log,
-            item_failures=item_failures,
+            item_failures=len(failed_items),
             recovered_items=recovered,
             poisoned=poisoned,
         )
 
     def _retry_failed_items(
         self,
-        failed_items: list[tuple[int, str]],
+        failed_items: list[int],
         arrays: Mapping[str, np.ndarray],
         work: HaloWorkQueue,
         task: dict[str, Any],
@@ -684,53 +683,39 @@ class ExecutionEngine:
     ) -> tuple[int, list[int]]:
         """Retry worker-failed items inline; poison the unrecoverable.
 
-        Returns ``(recovered_count, poisoned_item_ids)``.  Each retry
-        attempt re-runs the ``"exec.item"`` injection site against the
-        *parent's* fault plan, so a ``fail_first`` schedule that killed
-        the worker attempt is absorbed here deterministically.
+        Returns ``(recovered_count, poisoned_item_ids)``.  The shared
+        failure ladder without backoff or a requeue rung: each
+        ``retry.attempt`` re-runs the ``"exec.item"`` injection site
+        against the *parent's* fault plan, so a ``fail_first`` schedule
+        that killed the worker attempt is absorbed here
+        deterministically; an item that exhausts them is dead-lettered.
         """
         if not failed_items:
             return 0, []
-        rec = get_recorder()
         runner = _TASK_RUNNERS[task["task"]]
         store = _InlineStore(arrays)
+        retry = RetryPolicy(max_attempts=self.item_retries, base_delay=0.0, max_delay=0.0)
+        attempts = 1 + self.item_retries
         recovered = 0
         poisoned: list[int] = []
-        for item_id, tb in sorted(failed_items):
+
+        def attempt(item_id: int) -> list[tuple[Any, ...]]:
+            maybe_inject("exec.item", item_id)
+            return runner(work.items[item_id], store, task, {})
+
+        for item_id in sorted(failed_items):
             item = work.items[item_id]
-            rec.counter("exec_item_failures_total").inc()
-            last_tb = tb
-            ok = False
-            for _attempt in range(self.item_retries):
-                rec.counter("exec_item_retries_total").inc()
-                try:
-                    with rec.span("exec.item_retry", item=item_id):
-                        maybe_inject("exec.item", item_id)
-                        payload = runner(item, store, task, {})
-                except Exception as exc:
-                    last_tb = traceback.format_exc()
-                    rec.event(
-                        "exec.item_retry_failed",
-                        level="warning",
-                        item=item_id,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                else:
-                    payloads.append((item_id, payload))
-                    recovered += 1
-                    ok = True
-                    break
-            if not ok:
-                poisoned.append(item_id)
-                last = last_tb.strip().splitlines()[-1] if last_tb.strip() else "unknown"
-                self.dead_letter.add(
-                    item_id,
-                    last,
-                    attempts=1 + self.item_retries,
-                    kind=item.kind,
-                    n_halos=item.n_halos,
-                )
-                rec.counter("exec_poisoned_items_total").inc()
+            outcome, error = retry.attempt(attempt, item_id, site="exec.item", key=item_id)
+            if outcome is not None:
+                payloads.append((item_id, outcome.value))
+                recovered += 1
+                continue
+            assert error is not None  # attempt() hands back exactly one of the pair
+            self.dead_letter.failed(item_id, attempts, 0, error)
+            poisoned.append(item_id)
+            self.dead_letter.add(
+                item_id, error, attempts=attempts, kind=item.kind, n_halos=item.n_halos
+            )
         return recovered, poisoned
 
     # -- telemetry ------------------------------------------------------------

@@ -9,16 +9,19 @@ The failure model for the whole combined workflow (see
   scheduler payload, exec work item) fails or stalls.  Off by default;
   enable per-run with :func:`fault_plan` / :func:`set_fault_plan`, or
   process-wide with ``REPRO_FAULTS=<plan.json>``.
-* **Resilience** — one shared :class:`RetryPolicy` (capped exponential
-  backoff, deterministic seeded jitter, per-attempt timeout) applied at
-  every retryable hop; scheduler job deadlines with requeue-or-fail;
-  exec-engine item retry with poison quarantine; graceful degradation
-  in :func:`repro.core.run_combined_workflow` (``degraded=True`` +
+* **Resilience** — one failure ladder, each rung written once: retry
+  in place (:meth:`RetryPolicy.attempt`: capped exponential backoff,
+  deterministic seeded jitter, per-attempt timeout), requeue while a
+  budget lasts (:meth:`DeadLetterBox.failed` — scheduler jobs, service
+  jobs; listener submits and exec items pass a budget of 0), dead-letter
+  and carry on (:meth:`DeadLetterBox.add`); graceful degradation in
+  :func:`repro.core.run_combined_workflow` (``degraded=True`` +
   in-situ-only catalog instead of raising).
 * **Accounting** — bounded :class:`DeadLetterBox` lists for terminal
   failures, plus ``faults_injected_total`` / ``retries_total`` /
-  ``dead_letter_total`` counters, ``retry.attempt`` spans, and the
-  failure section of :class:`repro.obs.RunTelemetry`.
+  ``dead_letter_total`` counters and their per-source mirrors,
+  ``retry.attempt`` spans, and the failure section of
+  :class:`repro.obs.RunTelemetry`.
 
 Quick use::
 

@@ -1,9 +1,13 @@
 """Bounded dead-letter lists for work that exhausted its retries.
 
-The workflow's terminal-failure sink: jobs the scheduler gave up on,
-poison work items the exec engine quarantined, off-line steps the
-combined driver completed without.  Every producer uses the same
-bounded :class:`DeadLetterBox`, so queue growth is capped the same way
+The failure ladder's upper rungs (rung 1 is
+:meth:`repro.faults.RetryPolicy.attempt`): :meth:`DeadLetterBox.failed`
+accounts a failure and decides requeue-or-not, :meth:`DeadLetterBox.add`
+is the terminal sink — jobs the scheduler or the campaign service gave
+up on, poison work items the exec engine quarantined, off-line steps the
+listener abandoned (which the combined driver reports as a degraded
+run).  Every producer uses the same bounded :class:`DeadLetterBox`, so
+queue growth is capped the same way
 :data:`repro.machines.listener.BACKLOG_HISTORY_LIMIT` already caps the
 listener's backlog history: the *entries* window is a deque of the most
 recent :data:`DEAD_LETTER_LIMIT` records, while the running ``total``
@@ -29,7 +33,7 @@ DEAD_LETTER_LIMIT = 256
 class DeadLetterEntry:
     """One terminally-failed unit of work."""
 
-    source: str  # "scheduler" | "exec" | "workflow" | ...
+    source: str  # "scheduler" | "service" | "listener" | "exec"
     key: str  # job name / item id / step
     reason: str
     attempts: int = 1
@@ -67,6 +71,32 @@ class DeadLetterBox:
         self.limit = int(limit)
         self._entries: deque[DeadLetterEntry] = deque(maxlen=self.limit)
         self.total = 0
+
+    def failed(self, key: Any, attempts: int, budget: int, reason: str, **fields: Any) -> bool:
+        """Rung 2 of the failure ladder: account one failure, decide requeue.
+
+        ``attempts`` is how often the unit has failed, ``budget`` how
+        many requeues it may spend (``0``: the site has no requeue rung);
+        this is the only place the two are compared.  ``True``: requeue,
+        in the caller's own medium (a sim-clock resubmission, a journaled
+        ``FAILED -> CREATED``); ``False``: climb to rung 3, :meth:`add`.
+        Emits ``<source>_jobs_failed_total`` / ``<source>.job_failed``
+        either way, ``<source>_requeues_total`` / ``<source>.job_requeued``
+        on ``True``; the box itself is not touched.
+        """
+        from ..obs import get_recorder
+
+        rec = get_recorder()
+        fields["job"] = str(key)
+        rec.counter(f"{self.source}_jobs_failed_total").inc()
+        rec.event(
+            f"{self.source}.job_failed", level="error", attempts=attempts, error=reason, **fields
+        )
+        requeue = attempts <= budget
+        if requeue:
+            rec.counter(f"{self.source}_requeues_total").inc()
+            rec.event(f"{self.source}.job_requeued", level="warning", attempt=attempts, **fields)
+        return requeue
 
     def add(
         self,

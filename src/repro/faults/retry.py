@@ -206,6 +206,22 @@ class RetryPolicy:
             fn, *args, site=site, key=key, retryable=retryable, sleep=sleep, **kwargs
         ).value
 
+    def attempt(
+        self, fn: Callable[..., Any], *args: Any, site: str, key: Any
+    ) -> tuple[RetryOutcome | None, str | None]:
+        """Rung 1 of the failure ladder: :meth:`run` that reports, not raises.
+
+        ``(outcome, None)`` on success; ``(None, "Type: message")`` once
+        every attempt failed — the ``reason`` the next rungs
+        (:meth:`DeadLetterBox.failed`, then ``add``) take.  Every
+        exception is retryable here, so one that comes back has been
+        through :meth:`run`'s exhaustion path.
+        """
+        try:
+            return self.run(fn, *args, site=site, key=key), None
+        except Exception as exc:  # repro: noqa[RPR006] - run() emitted retry.exhausted
+            return None, f"{type(exc).__name__}: {exc}"
+
 
 #: The tree-wide default: 3 attempts, 5 ms → 20 ms backoff, 250 ms cap.
 _DEFAULT = RetryPolicy()

@@ -17,12 +17,13 @@ under a :class:`~repro.faults.RetryPolicy` at the
 ``"scheduler.payload"`` injection site, and jobs may carry a
 ``deadline`` — a wall-limit on the *simulated* duration; a job whose
 ``duration`` exceeds it is cut off at the deadline and counted as
-failed (the batch-system wall-clock kill).  A failed job is requeued up
-to ``max_requeues`` times (fresh ``submit_time`` = current sim clock,
+failed (the batch-system wall-clock kill).  A failed job climbs the
+shared failure ladder when its allocation ends:
+:meth:`~repro.faults.DeadLetterBox.failed` accounts it and requeues it
+up to ``max_requeues`` times (fresh ``submit_time`` = current sim clock,
 FIFO order preserved); after that it lands in the scheduler's bounded
-:class:`~repro.faults.DeadLetterBox` (capped at
-:data:`~repro.faults.DEAD_LETTER_LIMIT` retained entries, exact
-``total`` regardless) and the run continues without it.
+:class:`~repro.faults.DeadLetterBox` (:data:`~repro.faults.DEAD_LETTER_LIMIT`
+retained entries, exact ``total``) and the run continues without it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from ..faults import DEAD_LETTER_LIMIT, DeadLetterBox, RetryPolicy, maybe_inject, resolve_retry
+from ..faults import DeadLetterBox, RetryPolicy, maybe_inject, resolve_retry
 from ..obs import get_recorder
 from .machine import MachineSpec
 
@@ -100,21 +101,13 @@ class Scheduler:
         :class:`~repro.faults.RetryPolicy` for each job's real payload
         (``None`` → the tree-wide default of 3 attempts).  Pass
         ``RetryPolicy(max_attempts=1)`` to disable retrying.
-    dead_letter_limit:
-        Cap on *retained* dead-letter entries; the box's ``total``
-        stays exact beyond it.
     """
 
-    def __init__(
-        self,
-        machine: MachineSpec,
-        payload_retry: RetryPolicy | None = None,
-        dead_letter_limit: int = DEAD_LETTER_LIMIT,
-    ):
+    def __init__(self, machine: MachineSpec, payload_retry: RetryPolicy | None = None):
         self.machine = machine
         self.jobs: list[Job] = []
         self.payload_retry = resolve_retry(payload_retry)
-        self.dead_letter = DeadLetterBox("scheduler", limit=dead_letter_limit)
+        self.dead_letter = DeadLetterBox("scheduler")
         self._counter = itertools.count()
 
     def _run_payload(self, job: Job) -> Any:
@@ -154,9 +147,8 @@ class Scheduler:
             n_nodes=self.machine.n_nodes,
             jobs=len(self.jobs),
         )
-        pending = sorted(
-            self.jobs, key=lambda j: (j.submit_time, self.jobs.index(j))
-        )
+        # sorted() is stable: equal submit times keep submission order
+        pending = sorted(self.jobs, key=lambda j: j.submit_time)
         running: list[tuple[float, int, Job]] = []  # (end_time, tiebreak, job)
         free = self.machine.n_nodes
         clock = 0.0
@@ -227,27 +219,16 @@ class Scheduler:
                         with rec.span(
                             "scheduler.job_exec", job=job.name, n_nodes=job.n_nodes
                         ):
-                            try:
-                                outcome = self.payload_retry.run(
-                                    self._run_payload,
-                                    job,
-                                    site="scheduler.payload",
-                                    key=job.name,
-                                )
-                            except Exception as exc:
-                                job.failed = True
-                                job.error = f"{type(exc).__name__}: {exc}"
-                                rec.event(
-                                    "scheduler.payload_failed",
-                                    level="warning",
-                                    job=job.name,
-                                    error=job.error,
-                                )
-                            else:
-                                job.result = outcome.value
-                                rec.counter(
-                                    "scheduler_payloads_executed_total"
-                                ).inc()
+                            outcome, job.error = self.payload_retry.attempt(
+                                self._run_payload, job, site="scheduler.payload", key=job.name
+                            )
+                        if outcome is None:
+                            # reported as scheduler.job_failed when the
+                            # job's simulated allocation ends
+                            job.failed = True
+                        else:
+                            job.result = outcome.value
+                            rec.counter("scheduler_payloads_executed_total").inc()
             if running:
                 end, _, job = heapq.heappop(running)
                 clock = max(clock, end)
@@ -296,35 +277,13 @@ class Scheduler:
 
     def _resolve_failure(self, job: Job, pending: list[Job], clock: float) -> None:
         """Requeue a failed job, or dead-letter it when requeues run out."""
-        rec = get_recorder()
-        rec.counter("scheduler_jobs_failed_total").inc()
-        rec.event(
-            "scheduler.job_failed",
-            level="error",
-            job=job.name,
-            attempts=job.attempts,
-            error=job.error,
-            sim_time=clock,
-        )
-        if job.attempts <= job.max_requeues:
+        error = job.error or "failed"
+        if self.dead_letter.failed(job.name, job.attempts, job.max_requeues, error, sim_time=clock):
             # fresh submission at the current sim clock; appending keeps
             # FIFO order (everything already pending was submitted earlier)
             job.submit_time = clock
             job.start_time = None
             job.end_time = None
             pending.append(job)
-            rec.counter("scheduler_requeues_total").inc()
-            rec.event(
-                "scheduler.job_requeued",
-                level="warning",
-                job=job.name,
-                attempt=job.attempts,
-                sim_time=clock,
-            )
         else:
-            self.dead_letter.add(
-                job.name,
-                job.error or "failed",
-                attempts=job.attempts,
-                sim_time=clock,
-            )
+            self.dead_letter.add(job.name, error, attempts=job.attempts, sim_time=clock)

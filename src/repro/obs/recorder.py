@@ -8,7 +8,7 @@ Instrumented code throughout the repo does::
     with rec.span("insitu.fof", step=step):
         ...
     rec.counter("io_write_bytes_total").inc(nbytes)
-    rec.event("listener.submit_error", level="error", path=path)
+    rec.event("workflow.degraded", level="warning", missing_steps=steps)
 
 By default the process-wide recorder is a :class:`NullRecorder` whose
 every operation is a cached no-op — instrumentation costs one global

@@ -46,38 +46,47 @@ PHASE_RULES: tuple[tuple[str, str], ...] = (
     ("workflow.", "Workflow"),
 )
 
-#: Counters summarized by :meth:`RunTelemetry.failure_stats` (metric
-#: name -> short label used in the failure section of the report).
+#: Source-independent failure counters: metric name -> report label.
 FAILURE_COUNTERS: tuple[tuple[str, str], ...] = (
     ("faults_injected_total", "faults injected"),
     ("retries_total", "retries"),
     ("retry_exhausted_total", "retries exhausted"),
     ("dead_letter_total", "dead-lettered"),
-    ("listener_jobs_failed_total", "listener jobs failed"),
-    ("scheduler_jobs_failed_total", "scheduler jobs failed"),
-    ("scheduler_requeues_total", "scheduler requeues"),
-    ("exec_item_failures_total", "exec item failures"),
-    ("exec_poisoned_items_total", "exec items poisoned"),
-    ("service_jobs_failed_total", "service jobs failed"),
-    ("service_requeues_total", "service requeues"),
-    ("service_dead_letter_total", "service dead-lettered"),
 )
 
-#: Event name -> failure label, for the per-run failure grouping.
-#: (Counters are process-global scalars; events carry the ``run`` axis,
-#: so run-grouped failure accounting is reconstructed from them.)
+#: Their events, for the per-run failure grouping.  (Counters are
+#: process-global scalars; events carry the ``run`` axis, so run-grouped
+#: failure accounting is reconstructed from them.)
 FAILURE_EVENTS: tuple[tuple[str, str], ...] = (
     ("fault.injected", "faults injected"),
     ("retry.backoff", "retries"),
     ("retry.exhausted", "retries exhausted"),
     ("dead_letter", "dead-lettered"),
-    ("listener.submit_error", "listener jobs failed"),
-    ("scheduler.job_failed", "scheduler jobs failed"),
-    ("scheduler.job_requeued", "scheduler requeues"),
-    ("exec.item_error", "exec item failures"),
-    ("service.job_failed", "service jobs failed"),
-    ("service.job_requeued", "service requeues"),
 )
+
+#: The failure ladder's per-source scheme (:meth:`repro.faults.DeadLetterBox.failed`
+#: / ``add``): any source's counter or event ``<source><suffix>`` is the
+#: row ``"<source> <what>"`` — no source is listed here.
+LADDER_SUFFIXES: tuple[tuple[str, str], ...] = (
+    ("_jobs_failed_total", "jobs failed"),
+    (".job_failed", "jobs failed"),
+    ("_requeues_total", "requeues"),
+    (".job_requeued", "requeues"),
+    ("_dead_letter_total", "dead-lettered"),
+)
+
+_FIXED_LABELS = dict(FAILURE_COUNTERS + FAILURE_EVENTS)
+
+
+def failure_label(name: str) -> str | None:
+    """Report label for a failure counter or event name (``None``: not one)."""
+    if name in _FIXED_LABELS:
+        return _FIXED_LABELS[name]
+    for suffix, what in LADDER_SUFFIXES:
+        if name.endswith(suffix) and name != suffix:
+            return f"{name.removesuffix(suffix)} {what}"
+    return None
+
 
 OTHER_PHASE = "Other"
 
@@ -258,11 +267,9 @@ class RunTelemetry:
         Empty for a clean run, so reports only grow a failure section
         when there is something to say.
         """
-        return {
-            name: self.metrics[name]
-            for name, _ in FAILURE_COUNTERS
-            if self.metrics.get(name)
-        }
+        fixed = [name for name, _ in FAILURE_COUNTERS]
+        names = fixed + sorted(n for n in self.metrics if n not in fixed and failure_label(n))
+        return {name: self.metrics[name] for name in names if self.metrics.get(name)}
 
     def runs(self) -> list[str]:
         """Distinct run ids seen across events and spans (sorted)."""
@@ -275,17 +282,20 @@ class RunTelemetry:
         Counters are process-global, so when two workflows share one
         recorder their failure counts blur together; events carry the
         ``run`` axis, so this view keeps each run's failures separate.
-        Event names map to labels via :data:`FAILURE_EVENTS`.
+        Event names map to labels via :func:`failure_label`; a
+        ``dead_letter`` event also counts under its ``source``, the way
+        ``<source>_dead_letter_total`` mirrors ``dead_letter_total``.
         """
-        labels = dict(FAILURE_EVENTS)
         out: dict[str, dict[str, float]] = {}
         for e in self.events:
-            label = labels.get(e.name)
+            label = failure_label(e.name)
             if label is None:
                 continue
-            run = e.run or "?"
-            per_run = out.setdefault(run, {})
+            per_run = out.setdefault(e.run or "?", {})
             per_run[label] = per_run.get(label, 0.0) + 1.0
+            if e.name == "dead_letter":
+                by_source = f"{e.fields.get('source', '?')} {label}"
+                per_run[by_source] = per_run.get(by_source, 0.0) + 1.0
         return out
 
     def failure_table(
@@ -312,8 +322,7 @@ class RunTelemetry:
         stats = self.failure_stats()
         if not stats:
             return ""
-        labels = dict(FAILURE_COUNTERS)
-        rows2 = [[labels[name], f"{value:g}"] for name, value in stats.items()]
+        rows2 = [[failure_label(name), f"{value:g}"] for name, value in stats.items()]
         return _render_table(["What", "Count"], rows2, title=title)
 
     def span_table(self, top: int = 20) -> str:

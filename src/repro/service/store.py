@@ -74,7 +74,7 @@ try:  # advisory single-writer locking (POSIX; absent e.g. on Windows)
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 
-from ..faults import DEAD_LETTER_LIMIT, DeadLetterBox
+from ..faults import DeadLetterBox
 from ..obs import get_recorder
 from ..obs.journal import (
     AppendLog,
@@ -149,6 +149,12 @@ class JobSpec:
     max_requeues: int = 1
 
     def __post_init__(self) -> None:
+        # canonical numerics: replay reads these back through int()/float(),
+        # so the live record must hold the same types or fingerprint()
+        # would tell wall_estimate=10 from 10.0 across a reopen
+        object.__setattr__(self, "n_nodes", int(self.n_nodes))
+        object.__setattr__(self, "wall_estimate", float(self.wall_estimate))
+        object.__setattr__(self, "max_requeues", int(self.max_requeues))
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
         if self.wall_estimate <= 0:
@@ -289,7 +295,7 @@ class CampaignStore:
         self._lock = threading.RLock()
         self.jobs: dict[str, JobRecord] = {}
         self.campaigns: dict[str, CampaignInfo] = {}
-        self.dead_letter = DeadLetterBox("service", limit=DEAD_LETTER_LIMIT)
+        self.dead_letter = DeadLetterBox("service")
         #: torn-tail bytes dropped when this store was opened
         self.recovered_bytes = 0
         self._closed = False
@@ -686,7 +692,9 @@ class CampaignStore:
                 self.transition(job.id, JobState.CREATED, recovery=True)
                 rolled.append(job.id)
             elif job.state is JobState.FAILED and not job.dead_lettered:
-                if job.attempts <= job.max_requeues:
+                if self.dead_letter.failed(
+                    job.id, job.attempts, job.max_requeues, job.error or "failed", recovery=True
+                ):
                     self.transition(
                         job.id, JobState.CREATED, error=job.error, recovery=True
                     )

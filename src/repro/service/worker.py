@@ -265,13 +265,9 @@ class ServiceWorker:
                     self._write_product(job, result)
                     self._step(job, JobState.POSTPROCESSED)
                 self._step(job, JobState.JOB_FINISHED)
-            except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                rec.counter("service_jobs_failed_total").inc()
-                rec.event(
-                    "service.job_failed", level="error", job=job.id, error=error
-                )
-                self._resolve_failure(job, error)
+            except Exception as exc:  # repro: noqa[RPR006] - the ladder's
+                # failed() emits service.job_failed once FAILED is journaled
+                self._resolve_failure(job, f"{type(exc).__name__}: {exc}")
                 return False
         rec.counter("service_jobs_finished_total").inc()
         return True
@@ -297,14 +293,9 @@ class ServiceWorker:
 
     def _resolve_failure(self, job: JobRecord, error: str) -> None:
         """FAILED, then requeue-or-dead-letter; the worker survives."""
-        rec = get_recorder()
         self._step(job, JobState.FAILED, error=error)
-        if job.attempts <= job.max_requeues:
+        if self.store.dead_letter.failed(job.id, job.attempts, job.max_requeues, error):
             self._step(job, JobState.CREATED, error=error)
-            rec.counter("service_requeues_total").inc()
-            rec.event(
-                "service.job_requeued", level="warning", job=job.id, attempt=job.attempts
-            )
         else:
             self.store.mark_dead_letter(
                 job.id, f"requeue budget exhausted after {job.attempts} attempts: {error}"

@@ -12,8 +12,10 @@
   explicit allowlist, so a fourth hand-rolled writer cannot reappear
   unnoticed.  The same walk over ``src/repro`` keeps the test oracles out
   of production code (nothing imports ``tests.``), the FOF pair search
-  in one place (``query_pairs`` has one call site) and the per-halo
-  kernels under one batch driver (only ``exec/engine.py`` calls them).
+  in one place (``query_pairs`` has one call site), the per-halo
+  kernels under one batch driver (only ``exec/engine.py`` calls them)
+  and the retry -> requeue -> dead-letter ladder in ``repro.faults`` (one
+  budget comparison, one retry loop, one exception-to-reason format).
 
 Regenerate the fixtures (only ever from a commit whose format is the
 reference) with ``PYTHONPATH=src python tests/test_durable_files.py``.
@@ -288,6 +290,107 @@ def test_one_batch_path_over_the_per_halo_kernels():
     # the unbounded (rows, n, 3) pair kernel is reached only through the
     # row-capped helper, by the whole-halo kernel and the slab items alike
     assert set(_calls_of({"_phi_rows"})) == {("analysis/centers.py", "_phi_blocked", "_phi_rows")}
+
+
+# -- one failure ladder ---------------------------------------------------------------
+
+
+def _ids(node: ast.AST) -> set[str]:
+    """Every bare name and attribute name under ``node``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _is_error_format(node: ast.AST) -> bool:
+    """``f"{type(exc).__name__}: {exc}"`` — the ladder's reason string."""
+    return isinstance(node, ast.JoinedStr) and any(
+        isinstance(v, ast.FormattedValue)
+        and isinstance(v.value, ast.Attribute)
+        and v.value.attr == "__name__"
+        for v in node.values
+    )
+
+
+def _is_box_call(node: ast.AST) -> bool:
+    """``<...>.dead_letter.failed(...)`` / ``.add(...)``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("failed", "add")
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "dead_letter"
+    )
+
+
+def _ladder_forks(tree: ast.AST):
+    """Yield a tag for every hand-written rung in ``tree``.
+
+    * ``budget-compare``: a comparison of an attempt count with a requeue
+      or retry budget (rung 2's decision);
+    * ``retry-loop``: ``for ... in range(<retries | max_attempts>)`` with a
+      ``try`` in its body (rung 1, with or without a sleep — RPR009 only
+      sees the sleeping kind);
+    * ``format-then-box``: one function both formats an exception as the
+      ladder's reason string and calls a dead-letter box (rung 1's
+      except/format idiom wired straight to rungs 2–3).
+    """
+    budgets = {"max_requeues", "item_retries", "budget"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and "attempts" in _ids(node) and budgets & _ids(node):
+            yield "budget-compare"
+        if (
+            isinstance(node, ast.For)
+            and isinstance(node.iter, ast.Call)
+            and getattr(node.iter.func, "id", None) == "range"
+            and any(i.endswith("retries") or i == "max_attempts" for i in _ids(node.iter))
+            and any(isinstance(n, ast.Try) for n in ast.walk(node))
+        ):
+            yield "retry-loop"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = list(ast.walk(node))
+            if any(map(_is_error_format, inside)) and any(map(_is_box_call, inside)):
+                yield "format-then-box"
+
+
+def test_the_ladder_is_written_once():
+    """retry -> requeue -> dead-letter lives in ``repro.faults``: the budget
+    decision in ``DeadLetterBox.failed``, the retry loop in
+    ``RetryPolicy.run``, the error-to-reason formatting in
+    ``RetryPolicy.attempt`` (docs/failures.md, "The ladder")."""
+    found = {(rel, what) for rel, tree in _src_trees() for what in _ladder_forks(tree)}
+    assert found == {
+        ("faults/deadletter.py", "budget-compare"),
+        ("faults/retry.py", "retry-loop"),
+    }
+
+
+def test_the_ladder_guard_sees_each_fork():
+    sample = (
+        "def resolve(self, job):\n"
+        "    if job.attempts <= job.max_requeues: requeue(job)\n"
+        "    if 1 + self.item_retries > item.attempts: pass\n"
+        "def retry_items(self):\n"
+        "    for _ in range(self.item_retries):\n"
+        "        try: run()\n"
+        "        except Exception: pass\n"
+        "    for _ in range(self.item_retries): run()\n"
+        "def submit(self, step):\n"
+        "    try: self.retry.run(go)\n"
+        "    except Exception as exc:\n"
+        "        self.dead_letter.add(step, f'{type(exc).__name__}: {exc}')\n"
+        # a lifecycle-wide handler that hands the reason on is not a fork
+        "def run_job(self, job):\n"
+        "    try: lifecycle(job)\n"
+        "    except Exception as exc: self.resolve(job, f'{type(exc).__name__}: {exc}')\n"
+        "def resolve(self, job, error):\n"
+        "    if not self.dead_letter.failed(job, 1, 0, error): self.dead_letter.add(job, error)\n"
+    )
+    assert sorted(_ladder_forks(ast.parse(sample))) == [
+        "budget-compare", "budget-compare", "format-then-box", "retry-loop",
+    ]  # fmt: skip
 
 
 if __name__ == "__main__":  # regenerate the fixtures (see the module docstring)

@@ -201,3 +201,18 @@ def test_retry_telemetry_counters_and_events():
     assert "retry.exhausted" in names
     assert "fault.injected" in names
     assert "retry.attempt" in span_names
+
+
+def test_attempt_reports_exhaustion_instead_of_raising():
+    """Rung 1 of the failure ladder: ``run()`` with the last error handed
+    back as the ``"Type: message"`` reason the next rungs take."""
+    policy = RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0)
+    outcome, error = policy.attempt(_flaky(2), site="s", key="k")
+    assert (outcome.value, outcome.attempts, error) == ("ok", 3, None)
+    with obs.telemetry(run_id="attempt") as rec:
+        outcome, error = policy.attempt(_flaky(5, exc=ValueError), site="s", key="k")
+    assert (outcome, error) == (None, "ValueError: boom 3")
+    # run() did the telling: the caller's handler has nothing left to emit
+    assert [e.name for e in rec.events.snapshot()] == ["retry.backoff"] * 2 + ["retry.exhausted"]
+    with pytest.raises(KeyboardInterrupt):  # not an error to account: it propagates
+        policy.attempt(_flaky(1, exc=KeyboardInterrupt), site="s", key="k")

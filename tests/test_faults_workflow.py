@@ -99,6 +99,13 @@ def test_permanent_offline_outage_degrades_instead_of_raising(
     for failure in result.failures:
         assert failure.stage == "offline"
         assert failure.as_dict()["attempts"] >= 1
+        # straight from the listener's dead-letter box: the real error the
+        # last attempt raised, and every attempt the (default) policy allowed
+        assert "FaultInjected" in failure.reason and "offline.job" in failure.reason
+        assert failure.attempts == RetryPolicy().max_attempts
+    steps = [int(p.rsplit("step", 1)[1].split(".")[0]) for p in result.level2_paths]
+    assert [failure.key for failure in result.failures] == [str(s) for s in steps]
+    assert result.listener_stats.jobs_failed == len(result.failures)
     assert np.array_equal(
         result.catalog.records, result.insitu_catalog.sorted_by_tag().records
     )

@@ -167,6 +167,21 @@ def test_scheduler_submit_times_respected():
     assert j.start_time == pytest.approx(42.0)
 
 
+def test_scheduler_ties_start_in_submission_order():
+    """FIFO by (submit time, submission order) on a tie-heavy queue: the
+    stable sort gives what an explicit ``(submit_time, index)`` key would."""
+    rng = np.random.default_rng(5)
+    s = Scheduler(_machine(nodes=1))
+    times = rng.integers(0, 4, 200)  # ~50 jobs per distinct submit time
+    jobs = [
+        s.submit(Job(f"j{i}", n_nodes=1, duration=1.0, submit_time=float(t)))
+        for i, t in enumerate(times)
+    ]
+    assert s.run() == pytest.approx(200.0)  # one node: strictly serial
+    started = [j.name for j in sorted(jobs, key=lambda j: j.start_time)]
+    assert started == [f"j{i}" for i in sorted(range(200), key=lambda i: (times[i], i))]
+
+
 def test_titan_small_job_rule_limits_concurrency():
     """Only two sub-threshold jobs may run simultaneously."""
     s = Scheduler(_machine(nodes=100, small=10, cap=2))
@@ -353,13 +368,18 @@ def test_listener_failed_submit_records_error_event(tmp_path):
         listener = Listener(tmp_path, "l2_step*.gio", submit)
         (tmp_path / "l2_step0005.gio").write_bytes(b"x")
         listener.poll_once()
-    errors = rec.events.by_level("error")
-    assert len(errors) == 1
-    assert errors[0].name == "listener.submit_error"
-    assert errors[0].step == 5
-    assert "bad template" in errors[0].fields["error"]
+    # the ladder's rung 2 (accounting) then rung 3 (the listener's box)
+    failed, dead = rec.events.by_level("error")
+    assert failed.name == "listener.job_failed"
+    assert failed.step == 5
+    assert failed.fields["path"].endswith("l2_step0005.gio")
+    assert "bad template" in failed.fields["error"]
+    assert dead.name == "dead_letter"
+    assert (dead.fields["source"], dead.fields["key"]) == ("listener", "5")
     assert rec.metrics.counter("listener_jobs_failed_total").value == 1
     assert listener.stats.jobs_failed == 1
+    [entry] = listener.dead_letter.entries()
+    assert (entry.key, entry.reason, entry.attempts) == ("5", "ValueError: bad template", 3)
 
 
 def test_listener_final_poll_flags_failures_without_raising(tmp_path):

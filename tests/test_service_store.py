@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.service.states import IllegalTransition, JobState
@@ -353,6 +354,34 @@ def test_fingerprint_ignores_clock(tmp_path):
     assert a.fingerprint() != b.fingerprint()
     a.close()
     b.close()
+
+
+@pytest.mark.parametrize(
+    "n_nodes,wall_estimate,max_requeues",
+    [(2, 10, 1), (2, 10.0, 1), (np.int64(2), np.float32(10), np.int32(1))],
+    ids=["int", "float", "numpy"],
+)
+def test_fingerprint_survives_a_reopen_whatever_numeric_type_was_submitted(
+    tmp_path, n_nodes, wall_estimate, max_requeues
+):
+    """The live record must hold what replay reads back (int/float), or the
+    fingerprint tells ``wall_estimate=10`` from ``10.0`` across a reopen."""
+    spec = JobSpec(
+        name="a", n_nodes=n_nodes, wall_estimate=wall_estimate, max_requeues=max_requeues
+    )
+    assert spec == JobSpec(name="a", n_nodes=2, wall_estimate=10.0, max_requeues=1)
+    assert (type(spec.n_nodes), type(spec.wall_estimate), type(spec.max_requeues)) == (
+        int, float, int
+    )  # fmt: skip
+    fingerprints = []
+    for root, job in [("s", spec), ("plain", JobSpec(name="a", n_nodes=2, wall_estimate=10.0))]:
+        with CampaignStore.create(tmp_path / root, seed=1) as store:
+            store.submit_campaign("demo", [job])
+            fingerprints.append(store.fingerprint())
+        with CampaignStore.open(tmp_path / root, readonly=True) as replayed:
+            fingerprints.append(replayed.fingerprint())
+    # one job, one fingerprint: live or replayed, however its numbers were spelled
+    assert len(set(fingerprints)) == 1
 
 
 def test_closed_store_refuses_writes(tmp_path):

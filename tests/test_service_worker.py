@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from repro import obs
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy, fault_plan
 from repro.service.states import JobState
 from repro.service.store import CampaignStore, JobSpec
@@ -267,6 +268,14 @@ def test_hard_kill_on_failed_edge_resumes_bit_identical(tmp_path, crash_after):
     bad = stranded.jobs["demo.00000"]
     assert bad.state is JobState.FAILED and not bad.dead_lettered
     assert not stranded.done  # exactly the state recover() must resolve
+    # the dead worker never got to account this failure: recovery climbs
+    # the ladder for it, once, and says so
+    with obs.telemetry(run_id="recover") as rec:
+        stranded.recover()
+    [failed] = [e for e in rec.events.snapshot() if e.name == "service.job_failed"]
+    assert failed.fields["job"] == "demo.00000" and failed.fields["recovery"] is True
+    assert failed.fields["attempts"] == bad.attempts
+    assert stranded.done or bad.state is JobState.CREATED
     stranded.close()
 
     proc = _run_cli(["resume", str(killed)], env)
