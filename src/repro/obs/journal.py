@@ -34,15 +34,17 @@ the format is forward-compatible.
 from __future__ import annotations
 
 import atexit
+import errno
 import hashlib
 import json
 import os
 import subprocess
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .events import Event, _json_default
 from .spans import Span
@@ -239,9 +241,9 @@ class AppendLog:
     Each record gets the next ``seq`` and is serialized to one
     newline-terminated line handed to the OS in a single buffered
     ``write`` under a lock, so concurrent writers never interleave within
-    a line.  ``fsync_each`` picks the flush policy: flush *and fsync*
-    every record (survives power loss; the campaign store), or flush
-    every :data:`DEFAULT_FLUSH_EVERY` records and fsync on ``close``
+    a line.  ``fsync_each`` picks the flush policy: flush every record and
+    fsync per :meth:`batch` (survives power loss; the campaign store), or
+    flush every :data:`DEFAULT_FLUSH_EVERY` records and fsync on ``close``
     (survives a process crash; run journals, which are far busier).
     """
 
@@ -253,6 +255,8 @@ class AppendLog:
         self._lock = threading.Lock()
         self._seq = seq0
         self._fh = open(self.path, "a", encoding="utf-8")
+        self._scope = threading.local()  # .depth: this thread's open commit scopes
+        self._unsynced = False  # records handed to the OS since the last fsync
 
     @classmethod
     def reopen(
@@ -283,10 +287,28 @@ class AppendLog:
             self._fh.write(json.dumps({"seq": seq, **record}, default=_json_default) + "\n")
             self._seq += 1
             if self.fsync_each:
-                self._sync()
+                self._fh.flush()  # in the OS before the caller applies the record
+                self._unsynced = True
+                if not getattr(self._scope, "depth", 0):  # else the scope's exit pays
+                    self._sync()
             elif self._seq % DEFAULT_FLUSH_EVERY == 0:
                 self._fh.flush()
             return seq
+
+    @contextmanager
+    def batch(self) -> Iterator[None]:
+        """Commit scope (per thread, re-entrant): appends inside still reach
+        the OS one by one, the ``fsync`` is paid once, when the outermost
+        scope exits — by an exception too (ARCHITECTURE.md, "Durable files")."""
+        depth = getattr(self._scope, "depth", 0)
+        self._scope.depth = depth + 1
+        try:
+            yield
+        finally:
+            self._scope.depth = depth
+            with self._lock:
+                if depth == 0 and self._unsynced and not self._fh.closed:
+                    self._sync()
 
     def _sync(self) -> None:
         self._fh.flush()
@@ -294,8 +316,10 @@ class AppendLog:
             # looked up on the module at call time: benchmarks and tests
             # substitute the device there
             os.fsync(self._fh.fileno())
-        except OSError:  # pragma: no cover - fs without fsync
-            pass
+        except OSError as exc:
+            if exc.errno not in (errno.EINVAL, errno.ENOTSUP):  # fd cannot sync
+                raise
+        self._unsynced = False
 
     def flush(self) -> None:
         with self._lock:
@@ -306,8 +330,10 @@ class AppendLog:
         """Flush, fsync and close (idempotent)."""
         with self._lock:
             if not self._fh.closed:
-                self._sync()
-                self._fh.close()
+                try:
+                    self._sync()
+                finally:
+                    self._fh.close()
 
     @property
     def closed(self) -> bool:

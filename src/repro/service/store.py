@@ -10,15 +10,12 @@ ARCHITECTURE.md "Durable files"); what is specific to the store:
   ``repro-service/1``, creation wall time, seed, code version.
 * **Job journal** (``jobs.jsonl``): every campaign submission, job
   creation, and state transition is one record of an
-  :class:`~repro.obs.journal.AppendLog` under the *fsync-per-record*
-  policy (campaign stores see orders of magnitude fewer records than
-  run journals, so surviving OS/power crashes, not just process kills,
-  wins over batching).  The current job table is *derived state*:
-  opening a store replays the journal from the top.  A crash can
-  therefore lose exactly one record — the one being written at the
-  instant of death — and it is always the *latest* transition, so
-  replay re-derives a consistent earlier lifecycle position for that
-  job.  Interior damage is not tolerated (:class:`StoreCorruptError`).
+  :class:`~repro.obs.journal.AppendLog`, fsynced at commit-scope exit
+  (:meth:`CampaignStore.batch`; ARCHITECTURE.md "Durable files" states
+  what a process kill and what power loss can cost).  The current job
+  table is *derived state*: opening a store replays the journal from
+  the top, and a crash only ever loses a *suffix* of it.  Interior
+  damage is not tolerated (:class:`StoreCorruptError`).
 * **Single-writer exclusion** (``lock``): a writable store holds an
   advisory ``flock`` on a lockfile for its whole lifetime, so a second
   writer (two ``python -m repro.service work`` invocations, say) fails
@@ -65,9 +62,10 @@ import json
 import os
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, Callable, ContextManager, Iterator, TextIO
 
 try:  # advisory single-writer locking (POSIX; absent e.g. on Windows)
     import fcntl
@@ -274,7 +272,7 @@ class CampaignStore:
     Mutations are thread-safe: validate + journal append + in-memory
     apply happen under one reentrant lock, so two threads can never
     both depart the same replayed state.  Each record gets the next
-    ``seq``.
+    ``seq``; when it is fsynced is :meth:`batch`'s business.
     """
 
     def __init__(
@@ -398,8 +396,12 @@ class CampaignStore:
 
     # -- journal ---------------------------------------------------------------
 
+    def batch(self) -> ContextManager[None]:
+        """Commit scope — one ``fsync`` for all it journals (ARCHITECTURE.md "Durable files")."""
+        return nullcontext() if self._log is None else self._log.batch()
+
     def _append(self, record: dict[str, Any]) -> int:
-        """Journal one record (adds ``seq`` + ``wall``, fsynced); returns its seq."""
+        """Journal one record (adds ``seq`` + ``wall``; fsync: :meth:`batch`); returns its seq."""
         with self._lock:  # wall stamps are taken in seq order
             if self._log is None:
                 raise RuntimeError("store is read-only")
@@ -539,7 +541,7 @@ class CampaignStore:
         if not specs:
             raise ValueError("a campaign needs at least one job")
         rec = get_recorder()
-        with self._lock:
+        with self._lock, self.batch():
             if name in self.campaigns:
                 raise ValueError(f"campaign {name!r} already submitted")
             self._append(
@@ -682,33 +684,41 @@ class CampaignStore:
         ``max_requeues`` budget, dead-letter otherwise — so the store
         can always reach :attr:`done`.
 
+        Also unlinks the product temp files a killed worker stranded.
         Returns the job ids re-queued to ``CREATED`` (rollbacks and
         requeues both; dead-lettered jobs are terminal, not pending).
         """
         rolled: list[str] = []
         dead: list[str] = []
-        for job in list(self.jobs.values()):
-            if job.state in IN_FLIGHT_STATES:
-                self.transition(job.id, JobState.CREATED, recovery=True)
-                rolled.append(job.id)
-            elif job.state is JobState.FAILED and not job.dead_lettered:
-                if self.dead_letter.failed(
-                    job.id, job.attempts, job.max_requeues, job.error or "failed", recovery=True
-                ):
-                    self.transition(
-                        job.id, JobState.CREATED, error=job.error, recovery=True
-                    )
+        with self.batch():  # idempotent rollbacks: one flush for all of them
+            for job in list(self.jobs.values()):
+                if job.state in IN_FLIGHT_STATES:
+                    self.transition(job.id, JobState.CREATED, recovery=True)
                     rolled.append(job.id)
-                else:
-                    reason = (
-                        f"requeue budget exhausted after {job.attempts} attempts"
-                        " (resolved during recovery)"
-                    )
-                    if job.error:
-                        reason += f": {job.error}"
-                    self.mark_dead_letter(job.id, reason)
-                    dead.append(job.id)
-        if rolled or dead:
+                elif job.state is JobState.FAILED and not job.dead_lettered:
+                    if self.dead_letter.failed(
+                        job.id, job.attempts, job.max_requeues, job.error or "failed", recovery=True
+                    ):
+                        self.transition(
+                            job.id, JobState.CREATED, error=job.error, recovery=True
+                        )
+                        rolled.append(job.id)
+                    else:
+                        reason = (
+                            f"requeue budget exhausted after {job.attempts} attempts"
+                            " (resolved during recovery)"
+                        )
+                        if job.error:
+                            reason += f": {job.error}"
+                        self.mark_dead_letter(job.id, reason)
+                        dead.append(job.id)
+        temps: list[str] = []
+        if not self.readonly and os.path.isdir(self.products_dir):
+            # <id>.json.tmp.<pid>: a worker killed between the temp write and os.replace
+            temps = [n for n in os.listdir(self.products_dir) if n.rpartition(".tmp.")[2].isdigit()]
+        for name in temps:
+            os.unlink(os.path.join(self.products_dir, name))
+        if rolled or dead or temps:
             rec = get_recorder()
             rec.counter("service_recovered_total").inc(len(rolled) + len(dead))
             rec.event(
@@ -717,6 +727,7 @@ class CampaignStore:
                 jobs=len(rolled),
                 ids=rolled,
                 dead_lettered=dead,
+                product_temps=len(temps),
             )
         return rolled
 
@@ -782,13 +793,15 @@ class CampaignStore:
     def close(self) -> None:
         """Flush + close the journal and release the single-writer lock."""
         with self._lock:
-            if self._log is not None:
-                self._log.close()
-            if self._lock_fh is not None and not self._lock_fh.closed:
-                # closing the fd drops the flock; no unlink (another
-                # writer may be racing to take the lock on the same path)
-                self._lock_fh.close()
-            self._closed = True
+            try:
+                if self._log is not None:
+                    self._log.close()
+            finally:  # a failed last fsync must not keep the writer lock
+                if self._lock_fh is not None and not self._lock_fh.closed:
+                    # closing the fd drops the flock; no unlink (another
+                    # writer may be racing to take the lock on the same path)
+                    self._lock_fh.close()
+                self._closed = True
 
     @property
     def closed(self) -> bool:

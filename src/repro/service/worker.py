@@ -211,6 +211,7 @@ class ServiceWorker:
         self.retry = resolve_retry(retry)
         self.crash_after_transitions = crash_after_transitions
         self._transitions = 0
+        self._products_ready = False
 
     # -- lifecycle plumbing ----------------------------------------------------
 
@@ -247,7 +248,10 @@ class ServiceWorker:
         the worker survives — one bad job never stops the campaign.
         """
         rec = get_recorder()
-        with rec.span("service.job", job=job.id, kind=job.kind, campaign=job.campaign):
+        # the commit scope sits outside the try: a failed fsync is not a job failure
+        with rec.span(
+            "service.job", job=job.id, kind=job.kind, campaign=job.campaign
+        ), self.store.batch():
             try:
                 with rec.span("service.stage_in", job=job.id):
                     self._stage_in(job)
@@ -282,7 +286,9 @@ class ServiceWorker:
 
     def _write_product(self, job: JobRecord, result: dict[str, Any]) -> str:
         """Atomic product drop: ``products/<job id>.json``."""
-        os.makedirs(self.store.products_dir, exist_ok=True)
+        if not self._products_ready:  # once per worker, not per job
+            os.makedirs(self.store.products_dir, exist_ok=True)
+            self._products_ready = True
         path = os.path.join(self.store.products_dir, f"{job.id}.json")
         tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w", encoding="utf-8") as fh:

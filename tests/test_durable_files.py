@@ -10,7 +10,8 @@
 * **Architecture guard**: ``os.fsync``, ``os.replace`` and append-mode
   ``open`` appear in ``src/repro`` only inside ``obs/journal.py`` plus an
   explicit allowlist, so a fourth hand-rolled writer cannot reappear
-  unnoticed.  The same walk over ``src/repro`` keeps the test oracles out
+  unnoticed; only ``CampaignStore`` builds an ``fsync_each`` log.  The
+  same walk over ``src/repro`` keeps the test oracles out
   of production code (nothing imports ``tests.``), the FOF pair search
   in one place (``query_pairs`` has one call site), the per-halo
   kernels under one batch driver (only ``exec/engine.py`` calls them)
@@ -222,6 +223,23 @@ def test_durable_writes_live_in_one_module():
         f"unexpected {sorted(found - ALLOWED)}, stale allowlist {sorted(ALLOWED - found)} "
         "— use AppendLog / atomic_write_json (ARCHITECTURE.md, Durable files)"
     )
+
+
+def test_only_the_campaign_store_asks_for_the_fsync_policy():
+    """``os.fsync`` is journal.py's alone (``ALLOWED`` holds none), and the
+    one log that pays for it is the store's: every other ``AppendLog`` is
+    built without ``fsync_each``, so commit scopes cannot change it."""
+    sites = set()
+    for rel, tree in _src_trees():
+        for func, call in _calls(tree):
+            # AppendLog(...) or AppendLog.reopen(...)
+            f = call.func
+            head = f if isinstance(f, ast.Name) else getattr(f, "value", None)
+            if getattr(head, "id", None) == "AppendLog" and (
+                len(call.args) > 1 or any(kw.arg == "fsync_each" for kw in call.keywords)
+            ):
+                sites.add((rel, func))
+    assert sites == {("service/store.py", "__init__")}
 
 
 def test_the_guard_sees_each_primitive():

@@ -281,6 +281,94 @@ def test_atexit_flush_preserves_tail_of_crashed_run(tmp_path):
     assert [e.name for e in view.events()] == [f"e{i}" for i in range(5)]
 
 
+# -- commit scopes (AppendLog.batch) --------------------------------------------
+
+
+@pytest.fixture
+def fsyncs(tmp_path, monkeypatch):
+    """How many records ``log.jsonl`` held at each ``os.fsync`` of it."""
+    seen: list[int] = []
+
+    def spy(fd: int) -> None:
+        assert os.fstat(fd).st_ino == os.stat(tmp_path / "log.jsonl").st_ino
+        seen.append((tmp_path / "log.jsonl").read_bytes().count(b"\n"))
+
+    monkeypatch.setattr(journal_module.os, "fsync", spy)
+    return seen
+
+
+def test_batch_defers_the_fsync_not_the_write(tmp_path, fsyncs):
+    path = tmp_path / "log.jsonl"
+    log = AppendLog(path, fsync_each=True)
+    log.append({"n": 0})
+    assert fsyncs == [1]  # outside a scope: fsynced before append returns
+    with log.batch():
+        log.append({"n": 1})
+        with log.batch():  # re-entrant: only the outermost exit commits
+            log.append({"n": 2})
+        log.append({"n": 3})
+        # each record is in the OS before its append returns (journal-before-apply)
+        assert [r["n"] for r in read_records(path)[0]] == [0, 1, 2, 3]
+        assert fsyncs == [1]
+    assert fsyncs == [1, 4]
+    with log.batch():
+        pass  # nothing appended, nothing to pay for
+    assert fsyncs == [1, 4]
+    log.append({"n": 4})
+    log.close()
+    assert fsyncs == [1, 4, 5, 5]
+
+
+def test_batch_that_raises_still_commits_what_it_appended(tmp_path, fsyncs):
+    log = AppendLog(tmp_path / "log.jsonl", fsync_each=True)
+    with pytest.raises(RuntimeError, match="mid-batch"):
+        with log.batch():
+            log.append({"n": 0})
+            log.append({"n": 1})
+            raise RuntimeError("mid-batch")
+    assert fsyncs == [2]
+    log.close()
+
+
+def test_batch_is_per_thread(tmp_path, fsyncs):
+    """A thread appending beside another thread's open scope keeps the
+    unbatched guarantee: fsynced before its append returns."""
+    log = AppendLog(tmp_path / "log.jsonl", fsync_each=True)
+    inside, appended = threading.Event(), threading.Event()
+
+    def batched() -> None:
+        with log.batch():
+            log.append({"who": "batched"})
+            inside.set()
+            assert appended.wait(timeout=10)
+            log.append({"who": "batched"})
+
+    th = threading.Thread(target=batched)
+    th.start()
+    assert inside.wait(timeout=10)
+    log.append({"who": "bare"})
+    assert fsyncs == [2]  # ... which also carried the open scope's first record
+    appended.set()
+    th.join(timeout=10)
+    assert not th.is_alive()
+    assert fsyncs == [2, 3]
+    log.close()
+
+
+def test_batch_leaves_the_batched_flush_policy_alone(tmp_path, fsyncs):
+    """``fsync_each=False`` (run journals, the recorder's sink): a scope
+    neither fsyncs nor changes when the buffer is handed to the OS."""
+    path = tmp_path / "log.jsonl"
+    log = AppendLog(path)
+    with log.batch():
+        for n in range(journal_module.DEFAULT_FLUSH_EVERY + 3):
+            log.append({"n": n})
+    assert fsyncs == []
+    assert len(read_records(path)[0]) == journal_module.DEFAULT_FLUSH_EVERY
+    log.close()
+    assert fsyncs == [journal_module.DEFAULT_FLUSH_EVERY + 3]
+
+
 # -- recorder integration (satellite: bounded buffers) -------------------------
 
 

@@ -307,3 +307,36 @@ def test_in_process_crash_recover_resume(tmp_path):
     assert worker.drain() == 3
     assert reopened.done
     reopened.close()
+
+
+def test_recover_sweeps_product_temp_files_a_killed_worker_left(tmp_path):
+    """A kill between ``_write_product``'s temp write and its ``os.replace``
+    strands ``<id>.json.tmp.<pid>``; the next writer's recovery removes it,
+    so ``products/`` holds exactly one file per job."""
+    rec = obs.TelemetryRecorder(run_id="sweep")
+    obs.set_recorder(rec)
+    store = make_store(tmp_path / "s", [JobSpec(name=f"j{i}") for i in range(3)])
+    store.submit_campaign("odd.tmp.1", [JobSpec(name="k")])  # a product that only looks like one
+    assert ServiceWorker(store, retry=FAST_RETRY).drain(campaign="odd.tmp.1") == 1
+    assert ServiceWorker(store, retry=FAST_RETRY).drain(max_jobs=1) == 1
+    for state in HAPPY_PATH[1:5]:  # ... killed right after RUN_DONE
+        store.transition("demo.00001", JobState(state), result={} if state == "RUN_DONE" else None)
+    store.close()
+    orphan = tmp_path / "s" / "products" / "demo.00001.json.tmp.4242"
+    orphan.write_text('{"job": "demo.00001", "resu')
+
+    reopened = CampaignStore.open(tmp_path / "s")
+    assert reopened.recover() == ["demo.00001"]
+    assert not orphan.exists()
+    (event,) = [e for e in rec.events if e.name == "service.recovered"]
+    assert event.fields["product_temps"] == 1 and event.fields["jobs"] == 1
+    assert ServiceWorker(reopened, retry=FAST_RETRY).drain() == 2
+    assert reopened.done
+    assert sorted(os.listdir(reopened.products_dir)) == [f"{j}.json" for j in reopened.jobs]
+    reopened.close()
+
+    orphan.write_text("{")  # a readonly open never writes, so it never unlinks
+    with CampaignStore.open(tmp_path / "s", readonly=True) as view:
+        assert view.recover() == []
+    assert orphan.exists()
+
