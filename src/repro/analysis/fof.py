@@ -145,9 +145,10 @@ def link_components(
     if n == 0:
         return np.empty(0, dtype=np.intp)
     pairs = cKDTree(pos, boxsize=box).query_pairs(linking_length, output_type="ndarray")
-    graph = coo_matrix(
-        (np.ones(len(pairs), dtype=np.int8), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-    )
+    # int32 edges (what the graph stores), the int64 pairs freed first
+    edges = pairs.T.astype(np.int32 if n < 2**31 else np.intp)
+    del pairs
+    graph = coo_matrix((np.ones(edges.shape[1], dtype=np.int8), tuple(edges)), shape=(n, n))
     _, roots = connected_components(graph, directed=False)
     return np.asarray(roots, dtype=np.intp)
 

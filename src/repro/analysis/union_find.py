@@ -167,7 +167,7 @@ class GrowableDisjointSet(DisjointSet):
 
     def roots(self) -> np.ndarray:
         """Sorted array of all current component roots."""
-        return np.unique(self.labels())
+        return np.flatnonzero(self.parent == np.arange(self._n))
 
     def compact(self, keep_roots: np.ndarray) -> np.ndarray:
         """Shrink the universe to ``keep_roots``, renumbered ``0..k-1``.

@@ -541,7 +541,7 @@ class StreamingPreviewAlgorithm(_Scheduled):
     ``min_count`` as for the halo finder; ``chunk_rows`` bounds resident
     state; ``mass_function_bins`` is the fixed ``(lo, hi, n_bins)``
     triple one-pass binning requires; ``heavy_hitter_k`` the sketch
-    budget; ``prefetch_depth`` the read-ahead window (0 = synchronous).
+    budget.
     """
 
     name = "streaming_preview"
@@ -551,7 +551,6 @@ class StreamingPreviewAlgorithm(_Scheduled):
     chunk_rows: int = 16384
     mass_function_bins: tuple[float, float, int] | None = None
     heavy_hitter_k: int = 16
-    prefetch_depth: int = 1
 
     def execute(self, sim: Any, context: AnalysisContext) -> None:
         # local import: repro.streaming pulls repro.io, which this
@@ -577,7 +576,6 @@ class StreamingPreviewAlgorithm(_Scheduled):
             min_count=self.min_count,
             mass_function_bins=bins,
             heavy_hitter_k=self.heavy_hitter_k,
-            prefetch_depth=self.prefetch_depth,
         )
         result = engine.run(stream)
         context.store["streaming_preview"] = {

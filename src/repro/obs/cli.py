@@ -75,13 +75,14 @@ RACY_NAMES = frozenset(
 #: are whatever the host handed out).
 PATH_FIELD_KEYS = frozenset({"path", "dir", "directory", "spool", "file"})
 
-_WORKER_LANE = re.compile(r"^exec-worker-\d+$")
+_WORKER_LANE = re.compile(r"^(exec-worker|stream-link)-\d+$")
 
 
 def _canonical_lane(thread: str) -> str:
     """Collapse per-worker lanes: worker→item assignment is a race."""
-    if _WORKER_LANE.match(thread or ""):
-        return "exec-worker"
+    pooled = _WORKER_LANE.match(thread or "")
+    if pooled:
+        return pooled.group(1)
     return thread or "main"
 
 

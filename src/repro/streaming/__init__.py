@@ -4,8 +4,8 @@ The analysis chain for snapshots that cannot be memory-resident (the
 paper's Q Continuum Level 1 outputs): chunked slab-ordered streams, an
 incremental FOF with a boundary-halo ring, fixed-size one-pass
 accumulators (mass function, Misra–Gries heavy hitters, CIC power
-spectrum), and a double-buffered prefetch stage — with an exactness
-contract against the in-memory pipeline (``docs/streaming.md``).
+spectrum), and link-ahead pair searches on the host's cores — with an
+exactness contract against the in-memory pipeline (``docs/streaming.md``).
 
 Typical use::
 
@@ -25,7 +25,6 @@ Typical use::
 from .accumulators import MisraGries, StreamingMassFunction, StreamingPowerSpectrum
 from .engine import StreamingAnalysis, StreamingResult
 from .fof import GroupForest, StreamedCatalog, StreamingFOF, StreamOrderError
-from .prefetch import PrefetchStream
 from .stream import (
     ArrayStream,
     GenericIOStream,
@@ -40,7 +39,6 @@ __all__ = [
     "GroupForest",
     "MisraGries",
     "ParticleStream",
-    "PrefetchStream",
     "slab_order",
     "StreamOrderError",
     "StreamedCatalog",

@@ -3,18 +3,20 @@ incremental FOF and the fixed-size accumulators.
 
 One pass over any :class:`~repro.streaming.stream.ParticleStream`:
 
-* chunks are (optionally) prefetched on a worker thread so chunk
-  *i+1*'s IO and CRC overlap chunk *i*'s linking;
-* :class:`~repro.streaming.fof.StreamingFOF` links each chunk and
-  retires finished groups;
+* :class:`~repro.streaming.fof.StreamingFOF` plans each chunk into slab
+  pieces whose pair searches run on its link pool while the caller
+  merges earlier pieces and reads the next chunk, then retires
+  finished groups;
 * retirement batches fold into the mass-function and heavy-hitter
   accumulators; chunks deposit into the power-spectrum mesh;
 * ``stream_*`` counters/histograms and a peak-RSS gauge flow through
   :mod:`repro.obs` (one :func:`~repro.obs.sample_memory` call per
   chunk).
 
-Resident state is O(chunk + ring + active groups + accumulators) — the
-engine never holds two full chunks beyond the prefetch window.
+Resident state is O(chunk + ring + active groups + accumulators): the
+pieces in flight hold at most ``chunk_rows + W * ring`` particles, and
+:meth:`StreamingAnalysis.run` stops the link pool before it returns or
+raises.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from ..analysis.power_spectrum import PowerSpectrumResult
 from ..obs import get_recorder, sample_memory, timed
 from .accumulators import MisraGries, StreamingMassFunction, StreamingPowerSpectrum
 from .fof import StreamedCatalog, StreamingFOF
-from .prefetch import PrefetchStream
 from .stream import ParticleStream
 
 __all__ = ["StreamingAnalysis", "StreamingResult"]
@@ -67,9 +68,6 @@ class StreamingAnalysis:
     heavy_hitter_k:
         Counter budget for the Misra–Gries halo-mass sketch, or ``None``
         to skip.
-    prefetch_depth:
-        Read-ahead window (chunks) for the background prefetcher;
-        ``0`` disables prefetching (pure synchronous pass).
     """
 
     def __init__(
@@ -79,16 +77,12 @@ class StreamingAnalysis:
         mass_function_bins: tuple[float, float, int] | None = None,
         power_spectrum_ng: int | None = None,
         heavy_hitter_k: int | None = None,
-        prefetch_depth: int = 1,
     ):
-        if prefetch_depth < 0:
-            raise ValueError("prefetch_depth must be >= 0")
         self.linking_length = float(linking_length)
         self.min_count = int(min_count)
         self.mass_function_bins = mass_function_bins
         self.power_spectrum_ng = power_spectrum_ng
         self.heavy_hitter_k = heavy_hitter_k
-        self.prefetch_depth = int(prefetch_depth)
 
     def run(self, stream: ParticleStream) -> StreamingResult:
         """One pass over ``stream``; returns the full result bundle."""
@@ -113,44 +107,30 @@ class StreamingAnalysis:
             if mg is not None:
                 mg.update(tags, counts)
 
-        fof = StreamingFOF(
-            box,
-            self.linking_length,
-            min_count=self.min_count,
-            on_retire=on_retire,
-        )
-        source: ParticleStream = (
-            PrefetchStream(stream, depth=self.prefetch_depth)
-            if self.prefetch_depth
-            else stream
-        )
         peak_rss = 0
-        with rec.span(
-            "stream.run",
-            box=box,
-            chunk_rows=stream.chunk_rows,
-            prefetch=self.prefetch_depth,
-        ):
-            for chunk in source:
-                pos, tags = chunk["pos"], chunk["tag"]
-                with rec.span("stream.chunk", index=fof.n_chunks, rows=len(tags)):
-                    with timed(
-                        "stream_link_seconds", help="per-chunk incremental FOF"
-                    ):
+        with rec.span("stream.run", box=box, chunk_rows=stream.chunk_rows):
+            # built inside stream.run: the link spans parent under it
+            fof = StreamingFOF(box, self.linking_length, self.min_count, on_retire)
+            try:
+                for chunk in stream:
+                    pos, tags = chunk["pos"], chunk["tag"]
+                    with rec.span("stream.chunk", index=fof.n_chunks, rows=len(tags)):
                         fof.ingest(pos, tags)
-                    if ps is not None:
-                        with timed(
-                            "stream_deposit_seconds", help="per-chunk CIC deposit"
-                        ):
-                            ps.update(pos)
-                rec.counter("stream_chunks_total").inc()
-                rec.counter("stream_particles_total").inc(len(tags))
-                rec.gauge("stream_ring_particles").set(fof.ring_size)
-                rec.gauge("stream_active_groups").set(fof.active_groups)
-                peak_rss = sample_memory()
-            with rec.span("stream.finalize"):
-                catalog = fof.finalize()
-                peak_rss = sample_memory()
+                        if ps is not None:
+                            with timed(
+                                "stream_deposit_seconds", help="per-chunk CIC deposit"
+                            ):
+                                ps.update(pos)
+                    rec.counter("stream_chunks_total").inc()
+                    rec.counter("stream_particles_total").inc(len(tags))
+                    rec.gauge("stream_ring_particles").set(fof.ring_size)
+                    rec.gauge("stream_active_groups").set(fof.active_groups)
+                    peak_rss = sample_memory()
+                with rec.span("stream.finalize"):
+                    catalog = fof.finalize()
+                    peak_rss = sample_memory()
+            finally:
+                fof.close()
         return StreamingResult(
             catalog=catalog,
             mass_function=mf.finalize() if mf is not None else None,

@@ -1,4 +1,8 @@
-"""StreamingAnalysis end-to-end: accumulator exactness, determinism, preview."""
+"""StreamingAnalysis end-to-end: accumulator exactness, determinism,
+link-width invariance, the link pool's lifetime, preview."""
+
+import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -15,11 +19,14 @@ from repro.streaming import (
     GenericIOStream,
     MisraGries,
     StreamingAnalysis,
+    StreamingFOF,
     StreamingMassFunction,
     StreamingPowerSpectrum,
     slab_order,
     write_slab_snapshot,
 )
+from repro.streaming import fof as streaming_fof
+from tests.oracles.fof_reference import catalog_sha256
 
 BOX, LL, MIN_COUNT = 20.0, 0.4, 10
 MF_BINS = (10.0, 1000.0, 16)
@@ -72,24 +79,156 @@ def test_memory_telemetry_flows_through_obs(blob_points):
     assert m.counter("stream_particles_total").value == len(blob_points)
     assert m.counter("stream_halos_retired_total").value == result.catalog.n_halos
     assert m.gauge("process_peak_rss_bytes").value == result.peak_rss_bytes
-    assert m.counter("stream_prefetch_chunks_total").value == result.n_chunks
+    # one pair search per slab piece, at least one piece per chunk
+    assert m.histogram("stream_link_seconds").count >= result.n_chunks
 
 
-def test_prefetch_does_not_change_any_result(blob_points):
+def _at_width(mp, width):
+    mp.setattr(streaming_fof, "link_width", lambda: width)
+
+
+def test_link_width_does_not_change_any_result(monkeypatch, blob_points):
     tags = np.arange(len(blob_points), dtype=np.int64)
-    runs = {
-        depth: _engine(prefetch_depth=depth).run(
-            ArrayStream(blob_points, BOX, tags=tags, chunk_rows=256)
-        )
-        for depth in (0, 1, 3)
-    }
-    base = runs[0]
-    for result in (runs[1], runs[3]):
+    runs = {}
+    for width in (1, 2, 3):
+        _at_width(monkeypatch, width)
+        runs[width] = _engine().run(ArrayStream(blob_points, BOX, tags=tags, chunk_rows=256))
+    base = runs[1]
+    for result in (runs[2], runs[3]):
         assert np.array_equal(result.catalog.halo_tags, base.catalog.halo_tags)
         assert np.array_equal(result.catalog.halo_counts, base.catalog.halo_counts)
         assert np.array_equal(result.mass_function.counts, base.mass_function.counts)
         assert np.array_equal(result.power_spectrum.power, base.power_spectrum.power)
         assert result.heavy_hitters == base.heavy_hitters
+        assert result.n_chunks == base.n_chunks  # chunks, not pieces
+
+
+def _one_pass(width, pos, tags, chunk_rows, min_count):
+    """The engine's products and a bare finder's retirement batches."""
+    bins = (float(min_count), float(len(pos)), 8)
+    batches = []
+    with pytest.MonkeyPatch.context() as mp:
+        _at_width(mp, width)
+        fof = StreamingFOF(
+            BOX, LL, min_count=min_count, on_retire=lambda t, c: batches.append((t, c))
+        )
+        for chunk in ArrayStream(pos, BOX, tags=tags, chunk_rows=chunk_rows):
+            fof.ingest(chunk["pos"], chunk["tag"])
+        cat = fof.finalize()
+        result = _engine(
+            min_count=min_count, mass_function_bins=bins, power_spectrum_ng=8
+        ).run(ArrayStream(pos, BOX, tags=tags, chunk_rows=chunk_rows))
+    assert catalog_sha256(cat.halo_tags, cat.halo_counts) == catalog_sha256(
+        result.catalog.halo_tags, result.catalog.halo_counts
+    )
+    return cat, batches, result
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(40, 300),
+    chunk_rows=st.sampled_from([1, 7, 100, None]),  # None: the whole box in one chunk
+)
+def test_prop_output_is_link_width_invariant(seed, n, chunk_rows):
+    """Catalog ≡ ``fof_grid(box=)`` at widths 1/2/3; every other product
+    and the ``on_retire`` sequence equal width 1's bit for bit."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0, BOX, (int(rng.integers(1, 5)), 3))
+    clustered = centers[rng.integers(0, len(centers), n // 2)] + rng.normal(
+        0, 0.5, (n // 2, 3)
+    )
+    pos = np.mod(np.concatenate([clustered, rng.uniform(0, BOX, (n - n // 2, 3))]), BOX)
+    tags = rng.permutation(np.arange(5, 5 + n)).astype(np.int64)
+    min_count = 3
+    ref = fof_grid(pos, LL, tags=tags, min_count=min_count, box=BOX)
+    want = catalog_sha256(ref.halo_tags, ref.halo_counts)
+    runs = {w: _one_pass(w, pos, tags, chunk_rows or n, min_count) for w in (1, 2, 3)}
+    base_batches, base = runs[1][1], runs[1][2]
+    for cat, batches, result in runs.values():
+        assert catalog_sha256(cat.halo_tags, cat.halo_counts) == want
+        assert np.array_equal(result.mass_function.counts, base.mass_function.counts)
+        assert np.array_equal(result.power_spectrum.power, base.power_spectrum.power)
+        assert result.heavy_hitters == base.heavy_hitters
+        assert len(batches) == len(base_batches)
+        for (t, c), (bt, bc) in zip(batches, base_batches):
+            assert np.array_equal(t, bt) and np.array_equal(c, bc)
+
+
+# -- the link pool -------------------------------------------------------------
+
+
+class LinkFailed(RuntimeError):
+    pass
+
+
+def _fail_on_call(mp, n):
+    """``link_components`` raising on its ``n``-th call (any thread)."""
+    calls = itertools.count(1)
+    real = streaming_fof.link_components
+
+    def link(*args, **kwargs):
+        if next(calls) == n:
+            raise LinkFailed(f"link call {n}")
+        return real(*args, **kwargs)
+
+    mp.setattr(streaming_fof, "link_components", link)
+
+
+def test_failing_link_surfaces_from_run_and_stops_the_pool(monkeypatch, blob_points):
+    baseline = threading.active_count()
+    _at_width(monkeypatch, 2)
+    _fail_on_call(monkeypatch, 3)
+    with pytest.raises(LinkFailed, match="link call 3"):
+        _engine().run(ArrayStream(blob_points, BOX, chunk_rows=300))
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize(("chunk_rows", "surfaces_in"), [(300, "ingest"), (1375, "finalize")])
+def test_failing_link_surfaces_from_the_finder(monkeypatch, blob_points, chunk_rows, surfaces_in):
+    """Ten chunks: the 3rd piece merges inside a later ``ingest``; two
+    chunks: it is still in flight when ``finalize`` drains."""
+    baseline = threading.active_count()
+    _at_width(monkeypatch, 2)
+    _fail_on_call(monkeypatch, 3)
+    fof = StreamingFOF(BOX, LL, min_count=MIN_COUNT)
+    where = "ingest"
+    with pytest.raises(LinkFailed, match="link call 3"):
+        for chunk in ArrayStream(blob_points, BOX, chunk_rows=chunk_rows):
+            fof.ingest(chunk["pos"], chunk["tag"])
+        where = "finalize"
+        fof.finalize()
+    assert where == surfaces_in
+    assert threading.active_count() == baseline
+    with pytest.raises(RuntimeError):  # the failed pass stays failed
+        fof.finalize()
+
+
+def test_traced_run_links_on_pool_lanes_under_stream_run(monkeypatch, blob_points):
+    _at_width(monkeypatch, 2)
+    both_running = threading.Barrier(2, timeout=30)
+    calls = itertools.count()
+    real = streaming_fof.link_components
+
+    def link(*args, **kwargs):
+        if next(calls) < 2:  # the first chunk's two pieces meet: two lanes
+            both_running.wait()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(streaming_fof, "link_components", link)
+    with obs.telemetry() as rec:
+        _engine().run(ArrayStream(blob_points, BOX, chunk_rows=1000))
+    spans = rec.tracer.snapshot()
+    (run,) = [s for s in spans if s.name == "stream.run"]
+    links = [s for s in spans if s.name == "stream.link"]
+    merges = [s for s in spans if s.name == "stream.merge"]
+    lanes = {s.thread for s in links}
+    assert len(lanes) >= 2
+    assert all(lane.startswith("stream-link-") for lane in lanes)
+    assert all(s.parent_id == run.span_id for s in links)
+    assert len(merges) == len(links)
+    assert {s.thread for s in merges} == {run.thread}
+    assert rec.metrics.histogram("stream_link_seconds").count == len(links)
 
 
 def test_streamed_campaign_is_deterministic(tmp_path, blob_points):
@@ -196,11 +335,6 @@ def test_streaming_mass_function_additivity(rng):
 def test_streaming_pk_rejects_empty_stream():
     with pytest.raises(ValueError):
         StreamingPowerSpectrum(BOX, 16).finalize()
-
-
-def test_engine_validates_prefetch_depth():
-    with pytest.raises(ValueError):
-        StreamingAnalysis(linking_length=0.4, prefetch_depth=-1)
 
 
 # -- in-situ preview tier ------------------------------------------------------

@@ -1,11 +1,13 @@
 """StreamingFOF exactness: streamed catalogs bit-identical to in-memory FOF."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.fof import fof_grid
+from repro.analysis.fof import fof_grid, wrap_periodic
 from repro.streaming import (
     ArrayStream,
     GroupForest,
@@ -14,6 +16,7 @@ from repro.streaming import (
     StreamOrderError,
     slab_order,
 )
+from repro.streaming import fof as streaming_fof
 from tests.oracles.fof_reference import _fof_brute_periodic, catalog_sha256
 
 
@@ -148,11 +151,65 @@ def test_resident_state_is_bounded(blob_points):
     assert fof.peak_resident < len(blob_points) / 2
 
 
+def _max_ring(pos, box, ll):
+    """Largest ring any slab cut of ``pos`` can leave: with frontier
+    ``xs[i]``, the particles seen so far with ``x >= xs[i] - ll`` or
+    ``x <= ll``."""
+    xs = np.sort(wrap_periodic(np.array(pos, dtype=float), box)[:, 0])
+    seen = np.arange(1, len(xs) + 1)
+    tail_lo = np.searchsorted(xs, xs - ll, side="left")
+    head = np.minimum(np.searchsorted(xs, ll, side="right"), seen)
+    both = np.clip(head - tail_lo, 0, None)
+    return int((seen - tail_lo + head - both).max())
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("chunk_rows", [7, 100, 1000])
+def test_in_flight_particles_stay_below_chunk_plus_w_rings(
+    monkeypatch, blob_points, width, chunk_rows
+):
+    box, ll = 20.0, 0.4
+    monkeypatch.setattr(streaming_fof, "link_width", lambda: width)
+    fof = StreamingFOF(box, ll, min_count=10)
+    for chunk in ArrayStream(blob_points, box, chunk_rows=chunk_rows):
+        fof.ingest(chunk["pos"], chunk["tag"])
+    fof.finalize()
+    assert fof.peak_resident <= chunk_rows + width * _max_ring(blob_points, box, ll)
+
+
+def test_unsorted_chunk_is_cut_into_sorted_slabs(monkeypatch, blob_points):
+    """One chunk in arbitrary order: the pieces are still x slabs."""
+    box, ll = 20.0, 0.4
+    monkeypatch.setattr(streaming_fof, "link_width", lambda: 3)
+    tags = np.arange(len(blob_points), dtype=np.int64)
+    fof = StreamingFOF(box, ll, min_count=10)
+    fof.ingest(blob_points, tags)
+    _assert_bit_identical(fof.finalize(), *_reference_catalog(blob_points, tags, box, ll, 10))
+
+
 def test_out_of_order_chunk_rejected():
     fof = StreamingFOF(10.0, 0.2, min_count=1)
     fof.ingest(np.array([[5.0, 1.0, 1.0]]), np.array([0]))
     with pytest.raises(StreamOrderError):
         fof.ingest(np.array([[1.0, 1.0, 1.0]]), np.array([1]))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_out_of_order_chunk_is_named_at_every_width(monkeypatch, width):
+    baseline = threading.active_count()
+    monkeypatch.setattr(streaming_fof, "link_width", lambda: width)
+    rng = np.random.default_rng(5)
+
+    def chunk(lo, hi):
+        pos = np.column_stack([np.sort(rng.uniform(lo, hi, 50)), rng.uniform(0, 10, (50, 2))])
+        return pos, rng.integers(0, 1 << 40, 50)
+
+    fof = StreamingFOF(10.0, 0.2, min_count=1)
+    fof.ingest(*chunk(1.0, 2.0))
+    fof.ingest(*chunk(3.0, 4.0))
+    with pytest.raises(StreamOrderError, match="^chunk 2 "):
+        fof.ingest(*chunk(2.5, 5.0))
+    assert threading.active_count() == baseline
 
 
 def test_ingest_after_finalize_rejected():

@@ -1,6 +1,7 @@
 """Chunked streaming IO: re-chunking, CRC modes, torn files, fault recovery."""
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from repro.streaming import (
     ArrayStream,
     GenericIOStream,
     ParticleStream,
-    PrefetchStream,
+    StreamingAnalysis,
     write_slab_snapshot,
 )
+from repro.streaming import fof as streaming_fof
 
 FAST_RETRY = RetryPolicy(max_attempts=4, base_delay=1e-4, max_delay=1e-3, jitter=0.0)
 
@@ -139,6 +141,17 @@ def test_torn_file_surfaces_mid_stream_after_good_chunks(snapshot):
     assert 0 < seen < n_total  # progress up to (not past) the torn block
 
 
+def test_torn_file_stops_the_link_pool(monkeypatch, snapshot):
+    """The read error ends the pass with every link thread joined."""
+    baseline = threading.active_count()
+    monkeypatch.setattr(streaming_fof, "link_width", lambda: 2)
+    _corrupt_tail(snapshot)
+    engine = StreamingAnalysis(linking_length=0.4, min_count=10)
+    with pytest.raises(GenericIOError):
+        engine.run(GenericIOStream(snapshot, chunk_rows=150, retry=FAST_RETRY))
+    assert threading.active_count() == baseline
+
+
 def test_bitflip_detected_lazily(snapshot):
     gio = GenericIOFile(snapshot)
     with open(snapshot, "r+b") as fh:  # flip a byte in the last block's payload
@@ -172,6 +185,20 @@ def test_transient_stream_fault_is_retried_without_data_loss(snapshot):
     assert rec.metrics.counter("faults_injected_total").value == 2
 
 
+def test_transient_stream_fault_keeps_the_catalog(monkeypatch, snapshot):
+    """Retried reads between pipelined links: the same catalog bits."""
+    monkeypatch.setattr(streaming_fof, "link_width", lambda: 2)
+    engine = StreamingAnalysis(linking_length=0.4, min_count=10)
+    clean = engine.run(GenericIOStream(snapshot, chunk_rows=150)).catalog
+    key = f"{os.path.basename(snapshot)}:2"
+    plan = FaultPlan(seed=1, sites={"stream.read": FaultSpec(fail_first=2, keys=(key,))})
+    with fault_plan(plan):
+        faulted = engine.run(GenericIOStream(snapshot, chunk_rows=150, retry=FAST_RETRY))
+    assert plan.injected["stream.read"] == 2
+    assert np.array_equal(faulted.catalog.halo_tags, clean.halo_tags)
+    assert np.array_equal(faulted.catalog.halo_counts, clean.halo_counts)
+
+
 def test_persistent_stream_fault_exhausts_retries(snapshot):
     # exhaustion re-raises the last attempt's exception (RetryError is
     # reserved for deadline violations)
@@ -193,39 +220,3 @@ def test_array_stream_fault_site_fires_too(blob_points):
         )
     assert plan.injected["stream.read"] == 1
     assert len(tag) == len(blob_points)
-
-
-# -- prefetch ------------------------------------------------------------------
-
-
-def test_prefetch_preserves_the_chunk_sequence(snapshot):
-    plain = GenericIOStream(snapshot, chunk_rows=97)
-    pre = PrefetchStream(GenericIOStream(snapshot, chunk_rows=97), depth=2)
-    assert pre.box == plain.box
-    assert pre.chunk_rows == plain.chunk_rows
-    assert pre.n_total == plain.n_total
-    ppos, ptag = _collect(pre)
-    spos, stag = _collect(plain)
-    assert np.array_equal(ppos, spos)
-    assert np.array_equal(ptag, stag)
-
-
-def test_prefetch_is_reiterable(blob_points):
-    tags = np.arange(len(blob_points), dtype=np.int64)
-    pre = PrefetchStream(ArrayStream(blob_points, 20.0, tags=tags, chunk_rows=300))
-    first = [c["tag"].copy() for c in pre]
-    second = [c["tag"].copy() for c in pre]
-    assert all(np.array_equal(a, b) for a, b in zip(first, second))
-
-
-def test_prefetch_worker_shuts_down_on_early_exit(blob_points):
-    tags = np.arange(len(blob_points), dtype=np.int64)
-    pre = PrefetchStream(ArrayStream(blob_points, 20.0, tags=tags, chunk_rows=100), depth=3)
-    it = iter(pre)
-    next(it)
-    it.close()  # breaking out of the loop must not leak the worker
-
-
-def test_prefetch_depth_validation(blob_points):
-    with pytest.raises(ValueError):
-        PrefetchStream(ArrayStream(blob_points, 20.0, chunk_rows=100), depth=0)
