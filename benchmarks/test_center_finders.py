@@ -1,10 +1,12 @@
-"""§3.3.2 micro-results: center-finder backends and algorithms.
+"""§3.3.2 micro-results: center-finder algorithms and the pair kernel.
 
 Paper claims exercised here:
 
 * the PISTON/GPU brute-force center finder is ~50x faster than the
-  serial CPU path (our ``vector`` vs ``serial`` backend ratio plays
-  that role — the measured ratio calibrates the cost model);
+  serial CPU path — not measured: the cost model's ``gpu_cpu_factor``
+  is the paper's constant.  What is timed is the per-element Python
+  oracle against the compiled pair kernel that stands in for the GPU
+  kernel;
 * the serial A* search does a problem-dependent factor (~8x) less work
   than brute force (we report exact-evaluation reduction and wall
   time);
@@ -39,50 +41,45 @@ def halo(bench_rng):
     return _plummer(bench_rng, 2000)
 
 
-def test_bruteforce_vector(benchmark, halo):
-    idx, phi, _ = benchmark(mbp_center_bruteforce, halo, backend="vector")
+def test_bruteforce(benchmark, halo):
+    idx, phi, _ = benchmark(mbp_center_bruteforce, halo)
     assert phi < 0
 
 
-def test_bruteforce_serial(benchmark, halo):
-    """The CPU-reference path (expect orders of magnitude slower).
-
-    The ``serial`` backend now shares the blocked vectorized kernel, so
-    the per-element reference (``tests.oracles.centers_reference``)
-    carries the historical pure-Python timing role.
-    """
+def test_per_element_oracle(benchmark, halo):
+    """The per-element Python loop (``tests.oracles.centers_reference``):
+    orders of magnitude slower than the pair kernel."""
     small = halo[:300]
     benchmark.pedantic(potential_reference, args=(small,), rounds=2, iterations=1)
 
 
 def test_astar(benchmark, halo):
     i_a, phi_a, stats = benchmark(mbp_center_astar, halo)
-    i_b, phi_b, _ = mbp_center_bruteforce(halo, backend="vector")
+    i_b, phi_b, _ = mbp_center_bruteforce(halo)
     assert i_a == i_b
     assert phi_a == pytest.approx(phi_b)
 
 
-def test_backend_speed_ratio(benchmark, halo, bench_rng):
-    """Measure the serial/vector ratio — the stand-in for the paper's
-    'approximately a factor of fifty speed-up' on Titan's GPUs."""
+def test_oracle_vs_pair_kernel_ratio(benchmark, halo, cost):
+    """Per-element Python oracle vs compiled pair kernel.  Not the paper's
+    'approximately a factor of fifty speed-up' on Titan's GPUs: that
+    factor is a constant of the cost model, reported beside the ratio."""
     import time
 
     small = halo[:400]
     t0 = time.perf_counter()
-    potential_reference(small)  # per-element Python loop: the CPU stand-in
-    t_serial = time.perf_counter() - t0
-    benchmark.pedantic(
-        mbp_center_bruteforce, args=(small,), kwargs={"backend": "vector"},
-        rounds=1, iterations=1,
-    )
+    potential_reference(small)
+    t_oracle = time.perf_counter() - t0
+    benchmark.pedantic(mbp_center_bruteforce, args=(small,), rounds=1, iterations=1)
     t0 = time.perf_counter()
-    potential_bruteforce(small, backend="vector")
-    t_vector = time.perf_counter() - t0
-    ratio = t_serial / t_vector
+    potential_bruteforce(small)
+    t_kernel = time.perf_counter() - t0
+    ratio = t_oracle / t_kernel
     save_result(
-        "center_backend_ratio",
-        f"reference(Python)/vector center-finder time ratio at n=400: {ratio:.0f}x "
-        f"(the paper's GPU speed-up analogue: ~50x)",
+        "center_oracle_ratio",
+        f"per-element Python oracle / compiled pair kernel time ratio at n=400: "
+        f"{ratio:.0f}x (measured); the cost model's GPU/CPU factor "
+        f"{cost.gpu_cpu_factor:.0f}x is the paper's constant, not a measured ratio",
     )
     assert ratio > 5.0
 
@@ -92,7 +89,7 @@ def test_astar_work_reduction(benchmark, halo):
     n = len(halo)
     _, _, stats = benchmark.pedantic(mbp_center_astar, args=(halo,), rounds=1, iterations=1)
     eval_reduction = n / max(stats.exact_potentials, 1)
-    _, _, brute = mbp_center_bruteforce(halo, backend="vector")
+    _, _, brute = mbp_center_bruteforce(halo)
     work_reduction = brute.pair_evaluations / stats.pair_evaluations
     save_result(
         "center_astar",

@@ -23,7 +23,6 @@ Quick start::
 Subpackages
 -----------
 ``repro.sim``          mini-HACC N-body simulation (Level 1 producer)
-``repro.dataparallel`` PISTON-style portable primitives (serial/vector)
 ``repro.parallel``     in-process SPMD substrate (MPI stand-in)
 ``repro.analysis``     halo analysis algorithms
 ``repro.insitu``       CosmoTools framework (InSituAlgorithm/Manager)
@@ -38,7 +37,6 @@ __version__ = "1.0.0"
 __all__ = [
     "analysis",
     "core",
-    "dataparallel",
     "insitu",
     "io",
     "machines",

@@ -1,9 +1,10 @@
 """Halo analysis algorithms (the CosmoTools algorithm library).
 
 FOF halo finding (serial and distributed, over one compiled pair search),
-MBP center finding (brute force on any backend, A*-style search, and
-approximations), SPH density + subhalo finding with unbinding, spherical
-overdensity masses, the power spectrum, and the halo mass function.
+MBP center finding (brute force over one compiled pair kernel, A*-style
+search, and approximations), SPH density + subhalo finding with
+unbinding, spherical overdensity masses, the power spectrum, and the halo
+mass function.
 """
 
 from .centers import (

@@ -11,9 +11,10 @@ particles" — the load imbalance that motivates the combined workflow.
 Implementations:
 
 ``mbp_center_bruteforce``
-    Computes all n² pair terms.  Runs on any data-parallel backend: the
-    ``vector`` backend is the paper's PISTON/GPU path (~50x faster than
-    serial on Titan), ``serial`` the CPU path.
+    Computes all n² pair terms with one compiled pair kernel
+    (``scipy.spatial.distance.cdist``), which stands in for the paper's
+    PISTON/GPU kernel.  PISTON's CPU/GPU portability is not reproduced;
+    the cost model's GPU-over-CPU factor is the paper's constant.
 
 ``mbp_center_astar``
     The serial A*-style search of Ref. [10]: an optimistic (lower-bound)
@@ -42,9 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from ..check.sanitize import guard_kernel
-from ..dataparallel import get_backend
 
 __all__ = [
     "DEFAULT_SOFTENING",
@@ -62,8 +63,10 @@ __all__ = [
 #: Constant offset added to pair distances (paper §3.3.2).
 DEFAULT_SOFTENING = 1.0e-5
 
-#: Row cap of one pair-sum temporary: 2048 rows x n x 3 doubles.
-_BLOCK_ROWS = 2048
+#: Row cap of one pair-sum temporary (rows x n doubles).  Timed on one
+#: 6 000-particle halo on a 2-core x86-64 host: 0.20 s at 256 rows,
+#: 0.25-0.33 s at 512, 1024 and 2048.
+_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -81,28 +84,30 @@ class CenterStats:
 
 
 def _phi_rows(
-    pos: np.ndarray,
-    start: int,
-    end: int,
+    targets: np.ndarray,
+    sources: np.ndarray,
     mass: float,
     softening: float,
+    self_pairs: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Potentials of rows ``start:end`` against *all* particles.
+    """Potential ``Σ_j -mass/(d_ij + ε)`` at every target row from every source.
 
-    Each row's potential is a single vectorized sum in a fixed order, so
-    results are bit-identical no matter how the rows were grouped.  The
-    temporary is ``(end - start, n, 3)``: call it through
-    :func:`_phi_blocked`, which caps the row count.
+    The one pair-distance computation in the package: ``cdist`` sums the
+    three squared differences left to right and takes the square root,
+    so it matches the broadcast ``(rows, n, 3)`` form bit for bit with a
+    ``(rows, n)`` temporary.  ``self_pairs`` indexes the ``(row, column)``
+    entries where a target *is* a source; those terms are zeroed (which
+    also discards the d=0 divide when softening=0).  Each row is one
+    vectorized sum in a fixed order, so results do not depend on how the
+    rows were grouped.  The temporary is ``rows x sources``: whole-halo
+    callers go through :func:`_phi_blocked`, which caps the row count.
     """
-    d = np.sqrt(
-        np.maximum(np.sum((pos[start:end, None, :] - pos[None, :, :]) ** 2, axis=-1), 0.0)
-    )
+    phi = cdist(targets, sources)
+    phi += softening
     with np.errstate(divide="ignore"):
-        contrib = -mass / (d + softening)
-    # remove self terms (also discards the d=0 divide when softening=0)
-    rows = np.arange(start, end)
-    contrib[rows - start, rows] = 0.0
-    return contrib.sum(axis=1)
+        np.divide(-mass, phi, out=phi)
+    phi[self_pairs] = 0.0
+    return phi.sum(axis=1)
 
 
 def _phi_blocked(
@@ -113,17 +118,18 @@ def _phi_blocked(
     softening: float,
     block: int = _BLOCK_ROWS,
 ) -> np.ndarray:
-    """Potentials of rows ``start:end``, at most ``block`` rows at a time.
+    """Potentials of rows ``start:end`` against all of ``pos``, ``block`` rows at a time.
 
-    The one memory-bounded kernel under :func:`potential_bruteforce`
-    (all rows) and the :mod:`repro.exec` slab items that split a giant
-    halo (a row range): rows are independent sums, so blocking changes
-    the peak temporary and nothing else.
+    The one memory-bounded entry point, under :func:`potential_bruteforce`
+    (all rows), the :mod:`repro.exec` slab items that split a giant halo
+    (a row range) and subhalo unbinding: rows are independent sums, so
+    blocking changes the peak temporary and nothing else.
     """
     phi = np.empty(end - start)
     for s in range(start, end, block):
         e = min(s + block, end)
-        phi[s - start : e - start] = _phi_rows(pos, s, e, mass, softening)
+        rows = np.arange(e - s)
+        phi[s - start : e - start] = _phi_rows(pos[s:e], pos, mass, softening, (rows, rows + s))
     return phi
 
 
@@ -132,20 +138,17 @@ def potential_bruteforce(
     pos: np.ndarray,
     mass: float = 1.0,
     softening: float = DEFAULT_SOFTENING,
-    backend: str | None = None,
     block: int = _BLOCK_ROWS,
 ) -> np.ndarray:
     """All-pairs potential ``Φ_i = Σ_{j≠i} -m/(d_ij + ε)`` for every particle.
 
-    The pair sums are evaluated in row blocks (memory-bounded) through
-    the same vectorized kernel on every backend; ``serial`` and
-    ``vector`` are numerically identical (the per-element Python double
-    loop they are cross-validated against is a test oracle,
+    The pair sums are evaluated in row blocks (memory-bounded) by the
+    one pair kernel (the per-element Python double loop it is
+    cross-validated against is a test oracle,
     ``tests/oracles/centers_reference.py``).
     """
     pos = np.atleast_2d(np.asarray(pos, dtype=float))
     n = len(pos)
-    get_backend(backend)  # validate the backend name
     if n < 2:
         return np.zeros(n)
     return _phi_blocked(pos, 0, n, mass, softening, block)
@@ -156,7 +159,6 @@ def mbp_center_bruteforce(
     pos: np.ndarray,
     mass: float = 1.0,
     softening: float = DEFAULT_SOFTENING,
-    backend: str | None = None,
 ) -> tuple[int, float, CenterStats]:
     """MBP by computing all potentials and taking the minimum.
 
@@ -169,7 +171,7 @@ def mbp_center_bruteforce(
         raise ValueError("empty halo")
     if n == 1:
         return 0, 0.0, stats
-    phi = potential_bruteforce(pos, mass=mass, softening=softening, backend=backend)
+    phi = potential_bruteforce(pos, mass=mass, softening=softening)
     idx = int(np.argmin(phi))
     return idx, float(phi[idx]), stats
 
@@ -289,13 +291,9 @@ def mbp_center_astar(
             leaf = nodes[en[s]]
             m = tree.index[leaf.start : leaf.end]
             who = ep[s:e]
-            dd = np.sqrt(
-                np.sum((pos[who][:, None, :] - pos[m][None, :, :]) ** 2, axis=-1)
-            )
-            contrib = np.sum(-mass / (dd + softening), axis=1)
-            # rows whose particle belongs to this leaf include a self pair
-            own = np.isin(who, m)
-            contrib[own] += mass / softening
+            # rows whose particle belongs to this leaf hold a self pair
+            own = np.nonzero(who[:, None] == m[None, :])
+            contrib = _phi_rows(pos[who], pos[m], mass, softening, own)
             np.add.at(lower, who, contrib)
             np.add.at(upper, who, contrib)
             stats.pair_evaluations += len(who) * len(m)
@@ -313,10 +311,8 @@ def mbp_center_astar(
         chunk = order_c[s : s + block]
         if lower[chunk[0]] >= best_phi:
             break
-        dd = np.sqrt(
-            np.sum((pos[chunk][:, None, :] - pos[None, :, :]) ** 2, axis=-1)
-        )
-        phi_chunk = np.sum(-mass / (dd + softening), axis=1) + mass / softening
+        own = (np.arange(len(chunk)), chunk)
+        phi_chunk = _phi_rows(pos[chunk], pos, mass, softening, own)
         stats.exact_potentials += len(chunk)
         stats.pair_evaluations += len(chunk) * (n - 1)
         b = int(np.argmin(phi_chunk))
@@ -400,9 +396,9 @@ def halo_centers(
     mass: float = 1.0,
     softening: float = DEFAULT_SOFTENING,
     method: str = "bruteforce",
-    backend: str | None = None,
     select_tags: np.ndarray | None = None,
     workers: int | None = None,
+    backend: str | None = None,
 ) -> HaloCentersResult:
     """Find the MBP center of every halo in a labeled particle set.
 
@@ -412,7 +408,7 @@ def halo_centers(
         Particle positions, unique tags, and FOF halo labels (label -1 =
         not in a halo).  Typically from :class:`~repro.analysis.fof.FOFResult`.
     method:
-        ``"bruteforce"`` (backend-dispatched) or ``"astar"`` (serial).
+        ``"bruteforce"`` (every pair) or ``"astar"`` (bounded search).
     select_tags:
         Restrict to these halo tags (the workflow's in-situ/off-line
         split passes the below- or above-threshold subset).
@@ -426,8 +422,16 @@ def halo_centers(
         every value.  This is
         :func:`repro.exec.parallel_halo_centers` with ``workers``
         defaulting to one.
+    backend:
+        Selects nothing.  Kept only for the benchmark harness's center
+        replay (``bench/workloads.py``), which passes ``"vector"``:
+        ``None``, ``"serial"`` and ``"vector"`` are accepted, anything
+        else raises ``ValueError``.  It leaves together with that call.
     """
     from ..exec import parallel_halo_centers
+
+    if backend not in (None, "serial", "vector"):
+        raise ValueError(f"unknown backend {backend!r}")
 
     return parallel_halo_centers(
         pos,
@@ -436,7 +440,6 @@ def halo_centers(
         mass=mass,
         softening=softening,
         method=method,
-        backend=backend,
         select_tags=select_tags,
         workers=workers or 1,
     )

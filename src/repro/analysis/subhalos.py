@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..check.sanitize import guard_kernel
+from .centers import _phi_blocked
 from .kdtree import KDTree
 from .sph import knn_neighbors, sph_density
 
@@ -101,17 +102,7 @@ def unbind_particles(
         # would otherwise drag the mean and mark bound members unbound
         v_bulk = np.median(v, axis=0)
         ke = 0.5 * np.sum((v - v_bulk) ** 2, axis=1)
-        # pairwise potential (blocked to bound memory)
-        m = len(members)
-        phi = np.zeros(m)
-        block = 4096
-        for s in range(0, m, block):
-            e = min(s + block, m)
-            d = np.sqrt(np.sum((p[s:e, None, :] - p[None, :, :]) ** 2, axis=-1))
-            contrib = -g_constant * mass / (d + softening)
-            rows = np.arange(s, e)
-            contrib[rows - s, rows] = 0.0
-            phi[s:e] = contrib.sum(axis=1)
+        phi = _phi_blocked(p, 0, len(members), g_constant * mass, softening)
         energy = ke + phi
         positive = energy > 0
         n_pos = int(positive.sum())

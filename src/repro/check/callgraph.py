@@ -44,8 +44,7 @@ _ALWAYS_COLLECTIVE = frozenset(
 )
 
 #: Method names that are collectives only on a communicator-looking
-#: receiver (``comm.gather`` yes, ``backend.gather`` — a dataparallel
-#: array op — no).
+#: receiver (``comm.gather`` yes, ``arr.gather`` — an array op — no).
 _COMM_ONLY_COLLECTIVE = frozenset({"gather", "scatter", "reduce"})
 
 #: Receiver-name fragments that mark a communicator handle.
@@ -84,7 +83,7 @@ def _receiver_is_comm(chain: tuple[str, ...]) -> bool:
 def collective_of(call: ast.Call) -> str | None:
     """The collective-op name of ``call``, or ``None``.
 
-    ``comm.gather(x)`` -> ``"gather"``; ``backend.gather(x)`` -> ``None``
+    ``comm.gather(x)`` -> ``"gather"``; ``arr.gather(x)`` -> ``None``
     (array op, not a rendezvous); ``anything.barrier()`` -> ``"barrier"``.
     """
     chain = dotted_chain(call.func)

@@ -246,7 +246,7 @@ class UnorderedAccumulation(Rule):
     code = "RPR002"
     name = "unordered-accumulation"
     summary = "set/dict iteration feeding numerical accumulation"
-    default_scopes = ("analysis", "exec", "dataparallel")
+    default_scopes = ("analysis", "exec")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
@@ -314,7 +314,6 @@ class WallClockInKernel(Rule):
     #: reference), so kill/resume drills replay bit-identically.
     default_scopes = (
         "analysis",
-        "dataparallel",
         "parallel",
         "io",
         "streaming",

@@ -89,7 +89,6 @@ def centers_from_level2_arrays(
     particle_mass: float = 1.0,
     softening: float = 1.0e-5,
     method: str = "bruteforce",
-    backend: str = "vector",
     workers: int | None = None,
 ) -> HaloCatalog:
     """Find MBP centers for a Level 2 bundle (pos/tag/halo_tag arrays).
@@ -112,7 +111,6 @@ def centers_from_level2_arrays(
         mass=particle_mass,
         softening=softening,
         method=method,
-        backend=backend,
         workers=workers,
     )
     # One O(n log n) pass instead of the former O(halos × particles)
@@ -134,7 +132,6 @@ def offline_center_job(
     particle_mass: float = 1.0,
     softening: float = 1.0e-5,
     method: str = "bruteforce",
-    backend: str = "vector",
     block: int | None = None,
     workers: int | None = None,
 ) -> HaloCatalog:
@@ -159,7 +156,6 @@ def offline_center_job(
             particle_mass=particle_mass,
             softening=softening,
             method=method,
-            backend=backend,
             workers=workers,
         )
     rec.counter("offline_jobs_total").inc()

@@ -65,7 +65,6 @@ from ..analysis.centers import (
     mbp_center_astar,
     mbp_center_bruteforce,
 )
-from ..dataparallel import get_backend
 from ..faults import DeadLetterBox, RetryPolicy, get_fault_plan, maybe_inject
 from ..obs import NullRecorder, TelemetryRecorder, get_recorder
 from ..obs.context import merge_snapshot
@@ -219,9 +218,7 @@ def _run_centers_item(
         if method == "astar":
             idx, phi, stats = mbp_center_astar(hpos, mass=mass, softening=softening)
         else:
-            idx, phi, stats = mbp_center_bruteforce(
-                hpos, mass=mass, softening=softening, backend=task.get("backend")
-            )
+            idx, phi, stats = mbp_center_bruteforce(hpos, mass=mass, softening=softening)
         out.append(
             (
                 "halo",
@@ -809,7 +806,6 @@ def parallel_halo_centers(
     mass: float = 1.0,
     softening: float = DEFAULT_SOFTENING,
     method: str = "bruteforce",
-    backend: str | None = None,
     select_tags: np.ndarray | None = None,
     workers: int | None = None,
     engine: ExecutionEngine | None = None,
@@ -846,7 +842,6 @@ def parallel_halo_centers(
         "method": method,
         "mass": mass,
         "softening": softening,
-        "backend": get_backend(backend).name,
     }
     payloads, report = engine.run(
         {"pos": pos, "members": members, "starts": starts}, work, task

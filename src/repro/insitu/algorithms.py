@@ -200,7 +200,6 @@ class HaloCenterAlgorithm(_Scheduled):
     name = "halo_centers"
     threshold: int | None = 300_000
     method: str = "bruteforce"
-    backend: str = "vector"
     softening: float = 1.0e-5
     workers: int | None = None
 
@@ -247,7 +246,6 @@ class HaloCenterAlgorithm(_Scheduled):
                     mass=sim.particles.particle_mass,
                     softening=self.softening,
                     method=self.method,
-                    backend=self.backend,
                     workers=self.workers,
                 )
                 row_of = {int(t): i for i, t in enumerate(res.halo_tags)}

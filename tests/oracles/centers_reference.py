@@ -9,10 +9,17 @@ at every worker count.  It shares the per-halo kernels
 (``mbp_center_bruteforce`` / ``mbp_center_astar``) with production and
 none of the batching.
 
-``potential_reference`` is the per-element Python double loop the blocked
-vectorized potential kernel is cross-validated against; it is also the
-CPU stand-in of the backend-ratio benchmark (the paper's ~50x GPU
-speed-up analogue).  Never use it on more than a few hundred particles.
+``potential_reference`` is the per-element Python double loop the
+compiled pair kernel is cross-validated against (``allclose``); the
+center-finder micro-benchmark times it against that kernel.  Never use
+it on more than a few hundred particles.
+
+``potential_broadcast`` and ``unbind_reference`` are the NumPy
+broadcast ``(rows, n, 3)`` pair blocks the production code used before
+it had one pair kernel: the whole-halo potential and the subhalo
+unbinding loop.  ``scipy.spatial.distance.cdist`` sums the same three
+squares in the same order, so on this platform's build (x86-64 wheels,
+no FMA contraction) the kernel must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +34,12 @@ from repro.analysis.centers import (
     mbp_center_bruteforce,
 )
 
-__all__ = ["halo_centers_reference", "potential_reference"]
+__all__ = [
+    "halo_centers_reference",
+    "potential_broadcast",
+    "potential_reference",
+    "unbind_reference",
+]
 
 
 def potential_reference(
@@ -55,6 +67,70 @@ def potential_reference(
     return phi
 
 
+def potential_broadcast(
+    pos: np.ndarray,
+    mass: float = 1.0,
+    softening: float = DEFAULT_SOFTENING,
+    block: int = 2048,
+) -> np.ndarray:
+    """All-pairs potential from ``block``-row ``(rows, n, 3)`` difference temporaries."""
+    pos = np.atleast_2d(np.asarray(pos, dtype=float))
+    n = len(pos)
+    phi = np.zeros(n)
+    for s in range(0, n, block):
+        e = min(s + block, n)
+        d = np.sqrt(np.maximum(np.sum((pos[s:e, None, :] - pos[None, :, :]) ** 2, axis=-1), 0.0))
+        with np.errstate(divide="ignore"):
+            contrib = -mass / (d + softening)
+        rows = np.arange(s, e)
+        contrib[rows - s, rows] = 0.0
+        phi[s:e] = contrib.sum(axis=1)
+    return phi
+
+
+def unbind_reference(
+    pos: np.ndarray,
+    vel: np.ndarray,
+    mass: float,
+    g_constant: float,
+    softening: float = 1e-5,
+    max_remove_fraction: float = 0.25,
+    min_size: int = 20,
+    max_passes: int = 50,
+) -> np.ndarray:
+    """``repro.analysis.subhalos.unbind_particles`` with its own 4096-row pair loop."""
+    pos = np.atleast_2d(np.asarray(pos, dtype=float))
+    vel = np.atleast_2d(np.asarray(vel, dtype=float))
+    alive = np.ones(len(pos), dtype=bool)
+    for _ in range(max_passes):
+        members = np.flatnonzero(alive)
+        if len(members) < min_size:
+            alive[:] = False
+            break
+        p = pos[members]
+        v = vel[members]
+        ke = 0.5 * np.sum((v - np.median(v, axis=0)) ** 2, axis=1)
+        m = len(members)
+        phi = np.zeros(m)
+        block = 4096
+        for s in range(0, m, block):
+            e = min(s + block, m)
+            d = np.sqrt(np.sum((p[s:e, None, :] - p[None, :, :]) ** 2, axis=-1))
+            with np.errstate(divide="ignore"):
+                contrib = -g_constant * mass / (d + softening)
+            rows = np.arange(s, e)
+            contrib[rows - s, rows] = 0.0
+            phi[s:e] = contrib.sum(axis=1)
+        energy = ke + phi
+        positive = energy > 0
+        n_pos = int(positive.sum())
+        if n_pos == 0:
+            break
+        n_remove = max(int(np.ceil(max_remove_fraction * n_pos)), 1)
+        alive[members[np.argsort(energy)[-n_remove:]]] = False
+    return alive
+
+
 def halo_centers_reference(
     pos: np.ndarray,
     tags: np.ndarray,
@@ -62,7 +138,6 @@ def halo_centers_reference(
     mass: float = 1.0,
     softening: float = DEFAULT_SOFTENING,
     method: str = "bruteforce",
-    backend: str | None = None,
     select_tags: np.ndarray | None = None,
 ) -> HaloCentersResult:
     """MBP center of every halo, one whole-halo kernel call at a time."""
@@ -84,9 +159,7 @@ def halo_centers_reference(
         if method == "astar":
             idx, phi, stats = mbp_center_astar(hpos, mass=mass, softening=softening)
         else:
-            idx, phi, stats = mbp_center_bruteforce(
-                hpos, mass=mass, softening=softening, backend=backend
-            )
+            idx, phi, stats = mbp_center_bruteforce(hpos, mass=mass, softening=softening)
         centers[h] = hpos[idx]
         mbp_tags[h] = tags[members[idx]]
         potentials[h] = phi

@@ -1,7 +1,9 @@
-"""MBP center finding: correctness across methods and backends."""
+"""MBP center finding: the one pair kernel, and correctness across methods."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     approximate_center_densest_cell,
@@ -12,38 +14,71 @@ from repro.analysis import (
     mbp_center_bruteforce,
     potential_bruteforce,
 )
+from repro.analysis.subhalos import unbind_particles
+from tests.oracles.centers_reference import (
+    potential_broadcast,
+    potential_reference,
+    unbind_reference,
+)
 
 
-def test_potential_serial_vector_agree(plummer_halo):
-    pos = plummer_halo[:200]
-    a = potential_bruteforce(pos, backend="serial")
-    b = potential_bruteforce(pos, backend="vector")
-    assert np.allclose(a, b, rtol=1e-10)
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 600),
+    clustered=st.booleans(),
+    softening=st.sampled_from([0.0, 1e-5, 1e-3]),
+    block=st.sampled_from([1, 7, 2048]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pair_kernel_matches_broadcast_form_and_oracle(n, clustered, softening, block, seed):
+    """The ``cdist`` kernel is the old broadcast form bit for bit (at any
+    row block), close to the per-element loop, and leaves subhalo
+    unbinding's mask unchanged."""
+    rng = np.random.default_rng(seed)
+    if clustered:
+        pos = rng.normal(10.0, 0.5, (n, 3))
+    else:
+        pos = rng.uniform(0.0, 20.0, (n, 3))
+    phi = potential_bruteforce(pos, softening=softening, block=block)
+    assert np.array_equal(phi, potential_broadcast(pos, softening=softening))
+    k = min(n, 60)  # the per-element loop is pure Python
+    assert np.allclose(
+        potential_bruteforce(pos[:k], softening=softening),
+        potential_reference(pos[:k], softening=softening),
+        rtol=1e-12,
+        atol=1e-12,
+    )
+    vel = rng.normal(0.0, 0.3, (n, 3))
+    g = 2.0 / n  # binds part of a clustered field, none of a uniform one
+    assert np.array_equal(
+        unbind_particles(pos, vel, 1.0, g, softening=softening),
+        unbind_reference(pos, vel, 1.0, g, softening=softening),
+    )
 
 
 def test_potential_two_particles_symmetric():
     pos = np.asarray([[0.0, 0, 0], [1.0, 0, 0]])
-    phi = potential_bruteforce(pos, mass=2.0, softening=0.0, backend="vector")
+    phi = potential_bruteforce(pos, mass=2.0, softening=0.0)
     assert phi[0] == pytest.approx(phi[1]) == pytest.approx(-2.0)
 
 
 def test_potential_excludes_self_term():
     pos = np.asarray([[0.0, 0, 0], [10.0, 0, 0]])
-    phi = potential_bruteforce(pos, softening=1e-5, backend="vector")
+    phi = potential_bruteforce(pos, softening=1e-5)
     # without self-exclusion phi would be ~ -1e5
     assert phi[0] == pytest.approx(-1.0 / 10.0, rel=1e-3)
 
 
 def test_potential_blocked_matches_unblocked(plummer_halo):
     pos = plummer_halo[:500]
-    a = potential_bruteforce(pos, backend="vector", block=64)
-    b = potential_bruteforce(pos, backend="vector", block=100000)
+    a = potential_bruteforce(pos, block=64)
+    b = potential_bruteforce(pos, block=100000)
     assert np.allclose(a, b)
 
 
 def test_mbp_bruteforce_finds_deepest(plummer_halo):
-    idx, phi, stats = mbp_center_bruteforce(plummer_halo, backend="vector")
-    full = potential_bruteforce(plummer_halo, backend="vector")
+    idx, phi, stats = mbp_center_bruteforce(plummer_halo)
+    full = potential_bruteforce(plummer_halo)
     assert idx == int(np.argmin(full))
     assert phi == pytest.approx(full.min())
     assert stats.pair_evaluations == len(plummer_halo) * (len(plummer_halo) - 1)
@@ -51,12 +86,12 @@ def test_mbp_bruteforce_finds_deepest(plummer_halo):
 
 def test_mbp_center_near_density_peak(plummer_halo):
     """The MBP of a Plummer sphere lies near the profile center (10,10,10)."""
-    idx, _, _ = mbp_center_bruteforce(plummer_halo, backend="vector")
+    idx, _, _ = mbp_center_bruteforce(plummer_halo)
     assert np.linalg.norm(plummer_halo[idx] - 10.0) < 0.5
 
 
 def test_mbp_astar_matches_bruteforce(plummer_halo):
-    i_b, phi_b, _ = mbp_center_bruteforce(plummer_halo, backend="vector")
+    i_b, phi_b, _ = mbp_center_bruteforce(plummer_halo)
     i_a, phi_a, stats = mbp_center_astar(plummer_halo)
     assert i_a == i_b
     assert phi_a == pytest.approx(phi_b, rel=1e-10)
@@ -141,6 +176,6 @@ def test_center_finding_cost_quadratic():
 
 def test_softening_prevents_singularity():
     pos = np.zeros((2, 3))  # coincident particles
-    phi = potential_bruteforce(pos, softening=1e-3, backend="vector")
+    phi = potential_bruteforce(pos, softening=1e-3)
     assert np.all(np.isfinite(phi))
     assert phi[0] == pytest.approx(-1000.0)

@@ -13,10 +13,12 @@
   unnoticed; only ``CampaignStore`` builds an ``fsync_each`` log.  The
   same walk over ``src/repro`` keeps the test oracles out
   of production code (nothing imports ``tests.``), the FOF pair search
-  in one place (``query_pairs`` has one call site), the per-halo
-  kernels under one batch driver (only ``exec/engine.py`` calls them)
-  and the retry -> requeue -> dead-letter ladder in ``repro.faults`` (one
-  budget comparison, one retry loop, one exception-to-reason format).
+  in one place (``query_pairs`` has one call site), the MBP pair
+  potential in one place (``cdist`` has one call site, no hand-built
+  ``(rows, n, 3)`` block), the per-halo kernels under one batch driver
+  (only ``exec/engine.py`` calls them) and the retry -> requeue ->
+  dead-letter ladder in ``repro.faults`` (one budget comparison, one
+  retry loop, one exception-to-reason format).
 
 Regenerate the fixtures (only ever from a commit whose format is the
 reference) with ``PYTHONPATH=src python tests/test_durable_files.py``.
@@ -305,9 +307,75 @@ def test_one_batch_path_over_the_per_halo_kernels():
         ("exec/engine.py", "_run_centers_item"),
         ("exec/engine.py", "_run_subhalos_item"),
     }
-    # the unbounded (rows, n, 3) pair kernel is reached only through the
-    # row-capped helper, by the whole-halo kernel and the slab items alike
-    assert set(_calls_of({"_phi_rows"})) == {("analysis/centers.py", "_phi_blocked", "_phi_rows")}
+
+
+def _is_outer_difference(node: ast.AST) -> bool:
+    """``a[..., None, :] - b[None, :, :]``: a hand-built pair-difference block."""
+
+    def index(side: ast.AST) -> list[ast.AST]:
+        if isinstance(side, ast.Subscript) and isinstance(side.slice, ast.Tuple):
+            return side.slice.elts
+        return []
+
+    def is_none(n: ast.AST) -> bool:
+        return isinstance(n, ast.Constant) and n.value is None
+
+    left, right = index(getattr(node, "left", None)), index(getattr(node, "right", None))
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Sub)
+        and len(left) == len(right) == 3
+        and is_none(left[1])
+        and is_none(right[0])
+    )
+
+
+def _imports_dataparallel(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        modules = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""] + [alias.name for alias in node.names]
+    else:
+        return False
+    return any("dataparallel" in m.split(".") for m in modules)
+
+
+def test_one_pair_kernel_under_every_potential():
+    """The MBP potential has one spelling: ``cdist`` is called only in
+    ``_phi_rows``, which only the row-capped ``_phi_blocked`` (whole halos,
+    slab items, subhalo unbinding) and A*'s bounded blocks reach; no
+    module builds its own ``(rows, n, 3)`` difference block, and the
+    retired portability layer is imported nowhere."""
+    assert set(_calls_of({"cdist"})) == {("analysis/centers.py", "_phi_rows", "cdist")}
+    assert set(_calls_of({"_phi_rows"})) == {
+        ("analysis/centers.py", "_phi_blocked", "_phi_rows"),
+        ("analysis/centers.py", "mbp_center_astar", "_phi_rows"),
+    }
+    broadcasts, imports = [], []
+    for rel, tree in _src_trees():
+        for node in ast.walk(tree):
+            if rel.startswith(("analysis/", "exec/")) and _is_outer_difference(node):
+                broadcasts.append((rel, node.lineno))
+            if _imports_dataparallel(node):
+                imports.append((rel, node.lineno))
+    assert broadcasts == []
+    assert imports == []
+
+
+def test_pair_kernel_guard_recognises_what_it_forbids():
+    sample = ast.parse(
+        "d = pos[s:e, None, :] - pos[None, :, :]\n"
+        "d = pos[who][:, None, :] - pos[m][None, :, :]\n"
+        "d = pos[i] - coms[j]\n"
+        "from ..dataparallel import get_backend\n"
+        "import repro.dataparallel.backends\n"
+        "from repro import dataparallel\n"
+        "from ..analysis import centers\n"
+    )
+    assert [_is_outer_difference(n) for n in ast.walk(sample) if isinstance(n, ast.BinOp)] == [
+        True, True, False,
+    ]
+    assert [_imports_dataparallel(n) for n in sample.body[3:]] == [True, True, True, False]
 
 
 # -- one failure ladder ---------------------------------------------------------------

@@ -10,6 +10,7 @@ tracks + the Figure-4 imbalance gauge), and the scheduler's payload
 execution hook.
 """
 
+import inspect
 import json
 import time
 import tracemalloc
@@ -20,10 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.analysis import group_halo_members, halo_centers, potential_bruteforce
-from repro.analysis.centers import center_finding_cost
+from repro.analysis import (
+    group_halo_members,
+    halo_centers,
+    mbp_center_bruteforce,
+    potential_bruteforce,
+)
+from repro.analysis.centers import _BLOCK_ROWS, center_finding_cost
 from repro.analysis.subhalos import find_subhalos
-from repro.dataparallel import available_backends
+from repro.core import centers_from_level2_arrays, offline_center_job
 from repro.exec import (
     ExecutionEngine,
     HaloWorkQueue,
@@ -34,6 +40,7 @@ from repro.exec import (
     parallel_subhalos,
 )
 from repro.exec.pool import WorkerPool
+from repro.insitu.algorithms import HaloCenterAlgorithm
 from repro.machines.machine import MOONLIGHT
 from repro.machines.scheduler import Job, Scheduler
 from repro.obs.report import RunTelemetry
@@ -332,15 +339,34 @@ def test_one_worker_batch_never_forks_or_touches_shm(skewed_catalog, monkeypatch
 
 
 def test_worker_count_has_one_spelling():
-    """``workers=`` is the only way to ask for a width: no backend name
-    routes a batch onto the pool."""
-    assert available_backends() == ["serial", "vector"]
+    """``workers=`` is the only way to ask for a width: no batch driver,
+    kernel or algorithm takes a backend name that could route a batch."""
+    for fn in (
+        parallel_halo_centers,
+        potential_bruteforce,
+        mbp_center_bruteforce,
+        centers_from_level2_arrays,
+        offline_center_job,
+    ):
+        assert "backend" not in inspect.signature(fn).parameters, fn.__name__
+    assert not hasattr(HaloCenterAlgorithm, "backend")
+
+
+def test_halo_centers_backend_keyword_selects_nothing(skewed_catalog):
+    """The one surviving ``backend=`` (the benchmark harness passes
+    ``"vector"``) changes no bit; an unknown name is still rejected."""
+    pos, tags, labels = skewed_catalog
+    ref = halo_centers(pos, tags, labels)
+    for name in ("vector", "serial"):
+        _assert_same_centers(ref, halo_centers(pos, tags, labels, backend=name))
+    with pytest.raises(ValueError, match="unknown backend"):
+        halo_centers(pos, tags, labels, backend="gpu")
 
 
 def test_slab_kernel_memory_is_bounded_like_the_whole_halo_kernel():
-    """One 6000-particle halo cut into slabs wider than the 2048-row block of
-    ``potential_bruteforce``: a slab must still peak at one block's pair
-    temporary, not at ``(rows, n, 3)``."""
+    """One 6000-particle halo cut into slabs wider than the row block of
+    ``potential_bruteforce``: the whole-halo kernel peaks at one
+    ``(block, n)`` pair temporary (not ``(rows, n, 3)``), and so does a slab."""
     rng = np.random.default_rng(11)
     n = 6000
     pos = rng.normal(50.0, 1.0, (n, 3))
@@ -357,6 +383,8 @@ def test_slab_kernel_memory_is_bounded_like_the_whole_halo_kernel():
 
     phi, whole_peak = peak_of(lambda: potential_bruteforce(pos))
     best = (int(np.argmin(phi)), float(phi.min()))
+    one_block = _BLOCK_ROWS * n * 8
+    assert one_block <= whole_peak <= 1.05 * one_block, (whole_peak, one_block)
 
     # the queue's own cut of a lone halo at one worker: 2 x 3000 rows
     got, peak = peak_of(lambda: halo_centers(pos, tags, labels))
