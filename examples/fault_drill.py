@@ -15,7 +15,10 @@ Three acts (see docs/failures.md for the failure model):
    from the listener's dead-letter box, so its ``reason`` is the error
    the last attempt really raised (``FaultInjected: injected fault at
    offline.job (key='12', attempt=2)``) — and the Level 3 catalog
-   gracefully falls back to the in-situ-only leg.
+   gracefully falls back to the in-situ-only leg.  The act runs on both
+   Level 2 hand-offs — the spool directory and the in-transit
+   ``StagingArea`` — and asserts equal failures and degraded catalogs:
+   one ladder owns both.
 
 Determinism: the whole drill is reproducible bit-for-bit from the two
 seeds below (simulation seed + FaultPlan seed).
@@ -36,6 +39,7 @@ import numpy as np
 from repro import obs
 from repro.core import run_combined_workflow
 from repro.faults import FaultPlan, FaultSpec, RetryPolicy, fault_plan
+from repro.machines import StagingArea
 from repro.sim import SimulationConfig
 
 CONFIG = SimulationConfig(
@@ -44,7 +48,9 @@ CONFIG = SimulationConfig(
 THRESHOLD = 150  # paper: 300,000 at production scale
 
 
-def run(spool: Path, plan: FaultPlan | None, retry: RetryPolicy | None = None):
+def run(
+    spool: Path | StagingArea, plan: FaultPlan | None, retry: RetryPolicy | None = None
+):
     with fault_plan(plan):
         return run_combined_workflow(
             CONFIG,
@@ -93,24 +99,33 @@ def main() -> None:
 
         # -- act 3: permanent outage, graceful degradation -------------------
         print("\n=== act 3: the off-line leg dies permanently ===")
-        outage_plan = FaultPlan(seed=7, sites={"offline.job": FaultSpec(always=True)})
-        degraded = run(Path(tmp) / "outage", plan=outage_plan)
-        print(
-            f"degraded={degraded.degraded}, "
-            f"missing snapshots: {[f.key for f in degraded.failures]}"
-        )
-        for f in degraded.failures:
-            print(f"  FailureRecord: {f.as_dict()}")
-        assert degraded.degraded
-        assert all("FaultInjected" in f.reason for f in degraded.failures)
-        assert len(degraded.offline_catalog) == 0
-        assert np.array_equal(
-            degraded.catalog["halo_tag"],
-            degraded.insitu_catalog.sorted_by_tag()["halo_tag"],
-        ), "degraded catalog must equal the in-situ-only leg"
+        outcomes = {}
+        for handoff, spool in (("spool", Path(tmp) / "outage"), ("staging", StagingArea())):
+            outage_plan = FaultPlan(seed=7, sites={"offline.job": FaultSpec(always=True)})
+            degraded = run(spool, plan=outage_plan)
+            print(
+                f"[{handoff}] degraded={degraded.degraded}, "
+                f"missing snapshots: {[f.key for f in degraded.failures]}"
+            )
+            for f in degraded.failures:
+                print(f"  FailureRecord: {f.as_dict()}")
+            assert degraded.degraded
+            assert all("FaultInjected" in f.reason for f in degraded.failures)
+            assert len(degraded.offline_catalog) == 0
+            assert np.array_equal(
+                degraded.catalog["halo_tag"],
+                degraded.insitu_catalog.sorted_by_tag()["halo_tag"],
+            ), "degraded catalog must equal the in-situ-only leg"
+            outcomes[handoff] = degraded
+        on_disk, staged = outcomes["spool"], outcomes["staging"]
+        assert [f.as_dict() for f in on_disk.failures] == [
+            f.as_dict() for f in staged.failures
+        ], "both hand-offs must fail the same way"
+        assert np.array_equal(on_disk.catalog.records, staged.catalog.records)
         print(
             f"Level 3 (degraded): {len(degraded.catalog)} halos == "
-            f"in-situ-only leg; off-loaded giants absent but accounted for"
+            f"in-situ-only leg on both hand-offs; off-loaded giants absent "
+            f"but accounted for"
         )
         print(
             f"\ncomplete vs degraded catalog: {len(clean.catalog)} vs "

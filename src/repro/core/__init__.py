@@ -11,7 +11,6 @@ from .driver import (
     centers_from_level2_arrays,
     offline_center_job,
     run_combined_workflow,
-    run_intransit_workflow,
 )
 from .planner import SplitPlan, lpt_assign, plan_split
 from .report import figure_histogram, format_bytes, render_table, table3, table4
@@ -33,7 +32,6 @@ from .workload import (
 __all__ = [
     "CombinedRunResult",
     "centers_from_level2_arrays",
-    "run_intransit_workflow",
     "offline_center_job",
     "run_combined_workflow",
     "FailureRecord",

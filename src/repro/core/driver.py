@@ -5,8 +5,8 @@ scale through the cost model), this module actually runs everything at
 mini-HACC scale on the local machine:
 
 1. run the simulation with CosmoTools in-situ analysis (halos, centers
-   below the threshold, Level 2 files into a spool directory);
-2. a :class:`~repro.machines.listener.Listener` watches the spool and
+   below the threshold, Level 2 products handed off);
+2. a :class:`~repro.machines.listener.Listener` watches the hand-off and
    fires the off-line analysis job per snapshot (the co-scheduling
    path), or the off-line pass runs after the simulation (the simple
    path);
@@ -15,10 +15,18 @@ mini-HACC scale on the local machine:
 4. the in-situ and off-line catalogs are merged into the final Level 3
    product.
 
+*When* the off-line leg runs (simple / co-scheduled) and *where* Level 2
+goes are independent choices.  The hand-off is a spool directory of
+GenericIO files, or — the paper's in-transit variant — a
+:class:`~repro.machines.staging.StagingArea` passed in its place: the
+same writer, listener, off-line job, failure ladder and merge serve
+both, and only the transport differs.
+
 This is the code path the integration tests and examples exercise; its
 outputs are bit-identical between the simple and co-scheduled variants
-(only scheduling differs), and match a full in-situ run with threshold
-infinity — the workflow correctness property the paper relies on.
+and between the two hand-offs, and match a full in-situ run with
+threshold infinity — the workflow correctness property the paper relies
+on.
 
 Failure model (see ``docs/failures.md``): every off-line center job
 runs under the listener's :class:`~repro.faults.RetryPolicy` (with
@@ -42,15 +50,14 @@ from ..faults import RetryPolicy, maybe_inject
 from ..insitu.algorithms import (
     HaloCenterAlgorithm,
     HaloFinderAlgorithm,
-    Level2StageAlgorithm,
     Level2WriterAlgorithm,
 )
 from ..insitu.manager import InSituAnalysisManager
 from ..insitu.pipeline import AsyncInSituManager
 from ..io.catalog import HaloCatalog, merge_catalogs
 from ..io.genericio import GenericIOFile
-from ..machines.listener import Listener
-from ..machines.staging import StagingArea
+from ..machines.listener import Listener, ListenerStats
+from ..machines.staging import StagedItem, StagingArea
 from ..obs import RunTelemetry, get_recorder
 from ..sim.hacc import HACCSimulation, SimulationConfig
 from .accounting import FailureRecord
@@ -59,7 +66,6 @@ __all__ = [
     "CombinedRunResult",
     "offline_center_job",
     "run_combined_workflow",
-    "run_intransit_workflow",
     "centers_from_level2_arrays",
 ]
 
@@ -72,8 +78,10 @@ class CombinedRunResult:
     insitu_catalog: HaloCatalog
     offline_catalog: HaloCatalog
     offloaded_halo_tags: list[int]
+    #: the Level 2 products the listener picked up (file paths, or
+    #: staged item names for an in-transit run)
     level2_paths: list[str] = field(default_factory=list)
-    listener_stats: object | None = None
+    listener_stats: ListenerStats | None = None
     #: :class:`~repro.obs.report.RunTelemetry` snapshot of the run
     #: (``None`` when telemetry is disabled — the default).
     telemetry: RunTelemetry | None = None
@@ -128,7 +136,7 @@ def centers_from_level2_arrays(
 
 
 def offline_center_job(
-    level2_path: str | os.PathLike,
+    level2: str | os.PathLike | StagedItem,
     particle_mass: float = 1.0,
     softening: float = 1.0e-5,
     method: str = "bruteforce",
@@ -137,20 +145,20 @@ def offline_center_job(
 ) -> HaloCatalog:
     """The stand-alone analysis driver the listener launches.
 
-    Reads one Level 2 file (or a single block of it, the Moonlight
-    single-node-job pattern), groups particles by halo tag, and finds
-    each halo's MBP center.  ``workers`` is the width of that
-    :mod:`repro.exec` batch: ``> 1`` fills the analysis node's cores.
+    Reads one Level 2 product — a GenericIO file, or the
+    :class:`~repro.machines.staging.StagedItem` of an in-transit run,
+    which has the same ``read_block`` / ``read_all`` contract — whole or
+    a single block of it (the Moonlight single-node-job pattern), groups
+    particles by halo tag, and finds each halo's MBP center.
+    ``workers`` is the width of that :mod:`repro.exec` batch: ``> 1``
+    fills the analysis node's cores.
     """
     rec = get_recorder()
-    with rec.span(
-        "offline.center_job", path=os.fspath(level2_path), block=block, workers=workers
-    ):
-        gio = GenericIOFile(level2_path)
-        if block is not None:
-            data = gio.read_block(block)
-        else:
-            data = gio.read_all()
+    staged = isinstance(level2, StagedItem)
+    path = level2.name if staged else os.fspath(level2)
+    with rec.span("offline.center_job", path=path, block=block, workers=workers):
+        source = level2 if staged else GenericIOFile(path)
+        data = source.read_all() if block is None else source.read_block(block)
         catalog = centers_from_level2_arrays(
             data,
             particle_mass=particle_mass,
@@ -164,7 +172,7 @@ def offline_center_job(
 
 def run_combined_workflow(
     config: SimulationConfig,
-    spool_dir: str | os.PathLike,
+    spool_dir: str | os.PathLike | StagingArea,
     threshold: int,
     linking_length_factor: float = 0.2,
     min_count: int = 40,
@@ -185,6 +193,14 @@ def run_combined_workflow(
     the simulation runs and analyzes each Level 2 file as it appears;
     otherwise the off-line pass runs after the simulation completes
     (the "simple" variant).  Results are identical either way.
+
+    ``spool_dir`` is where Level 2 goes: a directory, or a
+    :class:`~repro.machines.staging.StagingArea` for the in-transit
+    hand-off (no Level 2 file touches disk; size the device with
+    ``StagingArea(capacity_bytes=)``).  A staged item leaves the device
+    once its off-line job succeeds; a dead-lettered one stays staged,
+    as its file would stay in the spool.  Results are identical either
+    way.
 
     ``analysis_workers`` is the width of every off-line center job's
     :mod:`repro.exec` batch (``> 1``: the node's cores actually used;
@@ -225,8 +241,7 @@ def run_combined_workflow(
         # nothing but the parameters is bound yet: locals() *is* the call
         return _run_combined_journaled(dict(locals()))
     rec = get_recorder()
-    spool_dir = os.fspath(spool_dir)
-    os.makedirs(spool_dir, exist_ok=True)
+    staged = isinstance(spool_dir, StagingArea)
     last_step = config.n_steps
     steps = sorted(set(analysis_steps)) if analysis_steps is not None else [last_step]
     if last_step not in steps:
@@ -237,6 +252,7 @@ def run_combined_workflow(
     rec.event(
         "workflow.start",
         mode="coscheduled" if coschedule else "simple",
+        handoff="staging" if staged else "spool",
         threshold=threshold,
         n_steps=config.n_steps,
         pipeline_insitu=pipeline_insitu,
@@ -258,38 +274,40 @@ def run_combined_workflow(
 
     offline_catalogs: list[tuple[int, HaloCatalog]] = []
 
-    def submit(path: str, step: int, script: str) -> None:
+    def submit(name: str, step: int, script: str) -> None:
         maybe_inject("offline.job", key=step)
-        offline_catalogs.append((step, offline_center_job(path, workers=analysis_workers)))
+        # a staged item is read, not drained, per attempt: a retry sees it
+        # again, and a dead-lettered one stays staged like its spool file
+        level2 = spool_dir.get(name, drain=False) if staged else name
+        offline_catalogs.append((step, offline_center_job(level2, workers=analysis_workers)))
+        if staged:
+            spool_dir.discard(name)
 
     sim = HACCSimulation(config, analysis_manager=exec_manager)
-
+    listener = Listener(
+        spool_dir, "l2_step*.gio", submit, poll_interval=listener_poll, retry=retry
+    )
     if coschedule:
-        listener = Listener(
-            spool_dir, "l2_step*.gio", submit, poll_interval=listener_poll, retry=retry
-        )
         with rec.span("workflow.sim", coschedule=True):
             listener.start()
             try:
                 sim.run()
             finally:
-                # pipelined analyses must land (Level 2 files written) before
-                # the listener's final poll; close() re-raises their failures
+                # pipelined analyses must land (Level 2 products written)
+                # before the listener's final poll; close() re-raises their
+                # failures
                 try:
                     if pipeline_insitu:
                         exec_manager.close()
                 finally:
                     listener.stop(final_poll=True)
-        level2_paths = sorted(listener.seen)
     else:
         with rec.span("workflow.sim", coschedule=False):
             sim.run()
         if pipeline_insitu:
             exec_manager.close()
-        listener = Listener(spool_dir, "l2_step*.gio", submit, retry=retry)
         with rec.span("workflow.offline"):
-            fresh = listener.poll_once()  # one shot after the run ("queued after sim")
-        level2_paths = fresh
+            listener.poll_once()  # one shot after the run ("queued after sim")
 
     ctx = manager.history[last_step]
     insitu_catalog: HaloCatalog = ctx.store["centers"]["catalog"]
@@ -331,7 +349,7 @@ def run_combined_workflow(
         insitu_catalog=insitu_catalog,
         offline_catalog=offline_catalog,
         offloaded_halo_tags=offloaded,
-        level2_paths=list(level2_paths),
+        level2_paths=sorted(listener.seen),
         listener_stats=listener.stats,
         telemetry=RunTelemetry.from_recorder(rec),
         degraded=degraded,
@@ -401,100 +419,4 @@ def _run_combined_journaled(call: dict[str, Any]) -> CombinedRunResult:
     finally:
         if previous_rec is not None:
             set_recorder(previous_rec)
-    return result
-
-
-def run_intransit_workflow(
-    config: SimulationConfig,
-    threshold: int,
-    linking_length_factor: float = 0.2,
-    min_count: int = 40,
-    n_ranks: int = 8,
-    staging_capacity: int | None = None,
-    analysis_workers: int | None = None,
-) -> CombinedRunResult:
-    """The paper's hypothetical *in-transit* variant, implemented live.
-
-    Level 2 data never touches disk: the in-situ reduction stages it in
-    a shared-memory :class:`~repro.machines.staging.StagingArea` (the
-    NVRAM/burst-buffer stand-in) and a consumer thread — standing in for
-    the analysis cluster reading the shared device — runs the off-line
-    center finding as soon as the item appears, draining the device.
-
-    Results are identical to :func:`run_combined_workflow` with the same
-    parameters (only the transport differs).
-    """
-    import threading
-
-    rec = get_recorder()
-    last_step = config.n_steps
-    staging = StagingArea(capacity_bytes=staging_capacity)
-    rec.event(
-        "workflow.start", mode="intransit", threshold=threshold, n_steps=config.n_steps
-    )
-
-    manager = InSituAnalysisManager()
-    manager.register(
-        HaloFinderAlgorithm(
-            at_steps=last_step,
-            linking_length_factor=linking_length_factor,
-            min_count=min_count,
-            n_ranks=n_ranks,
-        )
-    )
-    manager.register(HaloCenterAlgorithm(at_steps=last_step, threshold=threshold))
-    stager = Level2StageAlgorithm(at_steps=last_step)
-    stager.staging = staging
-    manager.register(stager)
-
-    offline_catalogs: list[HaloCatalog] = []
-    errors: list[BaseException] = []
-    # trace context captured on the driver thread: the consumer binds to
-    # it so its offline.* spans parent under this workflow's trace
-    consumer_trace = rec.trace_context()
-
-    def consumer() -> None:
-        rec.bind_thread(consumer_trace)
-        try:
-            item = staging.wait_for(f"l2_step{last_step:04d}", timeout=600.0)
-            with rec.span("offline.center_job", step=last_step, transport="staging"):
-                offline_catalogs.append(
-                    centers_from_level2_arrays(item.read_all(), workers=analysis_workers)
-                )
-            rec.counter("offline_jobs_total").inc()
-        except BaseException as exc:  # noqa: BLE001 - surfaced to caller
-            rec.event(
-                "workflow.intransit_error",
-                level="error",
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            errors.append(exc)
-
-    analysis_thread = threading.Thread(target=consumer, name="intransit", daemon=True)
-    analysis_thread.start()
-    sim = HACCSimulation(config, analysis_manager=manager)
-    with rec.span("workflow.sim", coschedule=True, transport="staging"):
-        sim.run()
-        analysis_thread.join(timeout=600.0)
-    if errors:
-        raise errors[0]
-
-    ctx = manager.history[last_step]
-    insitu_catalog: HaloCatalog = ctx.store["centers"]["catalog"]
-    offloaded = ctx.store["centers"]["offloaded_halo_tags"]
-    with rec.span("workflow.merge"):
-        offline_catalog = (
-            merge_catalogs(*offline_catalogs) if offline_catalogs else HaloCatalog()
-        )
-        merged = merge_catalogs(insitu_catalog, offline_catalog)
-    rec.event("workflow.done", halos=len(merged), offloaded=len(offloaded))
-    result = CombinedRunResult(
-        catalog=merged,
-        insitu_catalog=insitu_catalog,
-        offline_catalog=offline_catalog,
-        offloaded_halo_tags=offloaded,
-        level2_paths=[],  # nothing on disk: that is the point
-        telemetry=RunTelemetry.from_recorder(rec),
-    )
-    result.listener_stats = staging  # the device carries the run's stats
     return result

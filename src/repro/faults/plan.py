@@ -33,7 +33,7 @@ Site                   Hop
 ``offline.job``        the off-line analysis job body (workflow driver)
 ``scheduler.payload``  :class:`repro.machines.scheduler.Job` payload execution
 ``staging.put``        :meth:`repro.machines.staging.StagingArea.put`
-``staging.get``        ``StagingArea.get`` / ``wait_for``
+``staging.get``        :meth:`repro.machines.staging.StagingArea.get`
 ``storage.write``      :meth:`repro.machines.storage.StorageDevice.write_seconds`
 ``storage.read``       ``StorageDevice.read_seconds``
 ``io.write``           :func:`repro.io.genericio.write_genericio`
@@ -142,7 +142,7 @@ class FaultSpec:
     mode:
         ``"error"`` raises :class:`FaultInjected`; ``"stall"`` sleeps
         ``stall_seconds`` and then lets the attempt proceed (a slow hop,
-        which per-attempt timeouts / staging waits turn into failures).
+        which per-attempt timeouts turn into failures).
     stall_seconds:
         Stall duration for ``mode="stall"``.
     max_total:

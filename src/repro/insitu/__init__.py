@@ -12,7 +12,6 @@ from .algorithms import (
     HaloCenterAlgorithm,
     HaloFinderAlgorithm,
     Level1WriterAlgorithm,
-    Level2StageAlgorithm,
     Level2WriterAlgorithm,
     PowerSpectrumAlgorithm,
     SOMassAlgorithm,
@@ -36,7 +35,6 @@ __all__ = [
     "HaloCenterAlgorithm",
     "HaloFinderAlgorithm",
     "Level1WriterAlgorithm",
-    "Level2StageAlgorithm",
     "Level2WriterAlgorithm",
     "PowerSpectrumAlgorithm",
     "SOMassAlgorithm",

@@ -11,7 +11,8 @@ The five analysis tasks of the paper's §4.1 plus the data writers:
 
 Writers: :class:`Level1WriterAlgorithm` (full raw snapshot, off-line
 workflow) and :class:`Level2WriterAlgorithm` (particles of off-loaded
-halos only, combined workflow).
+halos only, combined workflow — into a spool directory or, in-transit,
+a :class:`~repro.machines.staging.StagingArea`).
 
 Each algorithm records per-rank wall-clock times in the step's
 :class:`~repro.insitu.algorithm.AnalysisContext`, which is how the
@@ -34,6 +35,7 @@ from ..analysis.so import so_masses_indexed
 from ..exec import parallel_subhalos
 from ..io.catalog import HaloCatalog
 from ..io.genericio import write_genericio
+from ..machines.staging import StagingArea
 from ..parallel.communicator import Communicator, run_spmd
 from ..parallel.decomposition import CartesianDecomposition
 from .algorithm import AnalysisContext, InSituAlgorithm
@@ -43,7 +45,6 @@ __all__ = [
     "HaloCenterAlgorithm",
     "HaloFinderAlgorithm",
     "Level1WriterAlgorithm",
-    "Level2StageAlgorithm",
     "Level2WriterAlgorithm",
     "PowerSpectrumAlgorithm",
     "SOMassAlgorithm",
@@ -434,19 +435,18 @@ class Level2WriterAlgorithm(_Scheduled):
     raw data").  Each owning rank contributes one block; the per-block
     layout is what lets the co-scheduled analysis jobs each read a
     single block (the Moonlight 128x128 scheme).
+
+    ``output_dir`` is a spool directory or, for the paper's in-transit
+    variant, a :class:`~repro.machines.staging.StagingArea`: the same
+    blocks then land on the shared device instead of the file system.
+    Either way the product is named ``l2_step{step:04d}.gio`` and its
+    ``path`` (the staged item's name) is recorded under ``"level2"``.
     """
 
     name = "level2_writer"
-    output_dir: str = "."
+    output_dir: str | StagingArea = "."
 
-    def _level2_blocks(
-        self, sim: Any, context: AnalysisContext
-    ) -> tuple[list[dict[str, np.ndarray]], list[int]]:
-        """One block per owning rank holding the off-loaded halos' particles.
-
-        The reduction both sinks (file and staging area) share; returns
-        ``(blocks, off-loaded halo tags)``.
-        """
+    def execute(self, sim: Any, context: AnalysisContext) -> None:
         fof = context.require("fof")
         offloaded = context.require("centers")["offloaded_halo_tags"]
         pos = np.asarray(sim.particles.pos, dtype=np.float32)
@@ -479,49 +479,21 @@ class Level2WriterAlgorithm(_Scheduled):
                     "halo_tag": halo_ids,
                 }
             )
-        return blocks, list(offloaded)
-
-    def execute(self, sim: Any, context: AnalysisContext) -> None:
-        blocks, offloaded = self._level2_blocks(sim, context)
-        os.makedirs(self.output_dir, exist_ok=True)
-        path = os.path.join(self.output_dir, f"l2_step{context.step:04d}.gio")
+        name = f"l2_step{context.step:04d}.gio"
+        if isinstance(self.output_dir, StagingArea):
+            path, write = name, self.output_dir.put
+        else:
+            os.makedirs(self.output_dir, exist_ok=True)
+            path, write = os.path.join(self.output_dir, name), write_genericio
         t0 = time.perf_counter()
-        nbytes = write_genericio(path, blocks)
+        nbytes = write(path, blocks)
         context.store["level2"] = {
             "path": path,
             "bytes": nbytes,
             "n_particles": sum(len(b["tag"]) for b in blocks),
-            "halo_tags": offloaded,
+            "halo_tags": list(offloaded),
         }
         context.timings["level2_write_seconds"] = time.perf_counter() - t0
-
-
-class Level2StageAlgorithm(Level2WriterAlgorithm):
-    """In-transit variant of the Level 2 writer: stage to shared memory.
-
-    Identical block structure to :class:`Level2WriterAlgorithm`, but the
-    product lands in a :class:`~repro.machines.staging.StagingArea`
-    instead of the file system — the paper's hypothetical NVRAM path,
-    implemented live.  Set ``staging`` (the shared area) before running.
-    """
-
-    name = "level2_stager"
-    staging = None  # StagingArea, injected by the workflow driver
-
-    def execute(self, sim: Any, context: AnalysisContext) -> None:
-        if self.staging is None:
-            raise RuntimeError("Level2StageAlgorithm.staging not configured")
-        blocks, offloaded = self._level2_blocks(sim, context)
-        name = f"l2_step{context.step:04d}"
-        t0 = time.perf_counter()
-        nbytes = self.staging.put(name, blocks)
-        context.store["level2"] = {
-            "staged": name,
-            "bytes": nbytes,
-            "n_particles": sum(len(b["tag"]) for b in blocks),
-            "halo_tags": offloaded,
-        }
-        context.timings["level2_stage_seconds"] = time.perf_counter() - t0
 
 
 class StreamingPreviewAlgorithm(_Scheduled):
@@ -599,6 +571,5 @@ ALGORITHM_REGISTRY: dict[str, type[InSituAlgorithm]] = {
     "so_mass": SOMassAlgorithm,
     "level1_writer": Level1WriterAlgorithm,
     "level2_writer": Level2WriterAlgorithm,
-    "level2_stager": Level2StageAlgorithm,
     "streaming_preview": StreamingPreviewAlgorithm,
 }

@@ -10,23 +10,26 @@ analysis cluster."
 :class:`StagingArea` implements that device as an in-process object
 store shared between the producing simulation and the consuming
 analysis: named items (one per snapshot) with block structure, put/get
-semantics, byte accounting, and optional consume-once draining.  The
-live workflow driver uses it to run the in-transit variant for real —
-no files touch disk for the Level 2 product.
+semantics, byte accounting, and optional consume-once draining.  Only
+the transport changes, so it is not a second workflow: passed to
+:func:`~repro.core.driver.run_combined_workflow` where the spool
+directory goes, the Level 2 writer stages into it, the
+:class:`~repro.machines.listener.Listener` scans its item names, and
+the off-line job reads the :class:`StagedItem` through the same
+``read_block`` / ``read_all`` contract as a GenericIO file — no Level 2
+file touches disk.
 
 Failure model (see ``docs/failures.md``): each put/get transfer runs
 under a :class:`~repro.faults.RetryPolicy` at the ``"staging.put"`` /
 ``"staging.get"`` injection sites — the flaky-interconnect model for
 the hypothetical NVRAM device.  Only injected faults are retried;
 real back-pressure (``MemoryError`` when the device is full) and
-consumer errors (``KeyError``, ``TimeoutError``) propagate immediately,
-exactly as before.
+consumer errors (``KeyError``) propagate immediately.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -53,6 +56,10 @@ class StagedItem:
     def n_rows(self) -> int:
         return sum(len(next(iter(blk.values()))) if blk else 0 for blk in self.blocks)
 
+    def read_block(self, block: int) -> dict[str, np.ndarray]:
+        """One block (same contract as GenericIOFile.read_block)."""
+        return dict(self.blocks[block])
+
     def read_all(self) -> dict[str, np.ndarray]:
         """Concatenate all blocks (same contract as GenericIOFile.read_all)."""
         if not self.blocks:
@@ -67,8 +74,8 @@ class StagingArea:
     """Shared-memory staging device for in-transit workflows.
 
     Thread-safe: the simulation side ``put``s items while a co-scheduled
-    analysis thread ``wait_for``s and ``get``s them.  Capacity is
-    enforced in bytes (NVRAM devices are finite); producers get a
+    listener lists their ``names`` and its jobs ``get`` them.  Capacity
+    is enforced in bytes (NVRAM devices are finite); producers get a
     ``MemoryError`` when the device is full — the back-pressure a real
     burst buffer exhibits.
 
@@ -87,7 +94,6 @@ class StagingArea:
         self.retry = resolve_retry(retry)
         self._items: dict[str, StagedItem] = {}
         self._lock = threading.Lock()
-        self._event = threading.Condition(self._lock)
         self.bytes_staged_total = 0
         self.puts = 0
         self.gets = 0
@@ -109,7 +115,7 @@ class StagingArea:
         )
         self._transfer("staging.put", name)
         with rec.span("staging.put", item=name, nbytes=item.nbytes):
-            with self._event:
+            with self._lock:
                 if name in self._items:
                     raise KeyError(f"item {name!r} already staged")
                 if (
@@ -133,7 +139,6 @@ class StagingArea:
                 self.puts += 1
                 rec.counter("staging_bytes_staged_total").inc(item.nbytes)
                 rec.gauge("staging_used_bytes").set(self.used_bytes_unlocked())
-                self._event.notify_all()
         return item.nbytes
 
     # -- consumer side ---------------------------------------------------------
@@ -163,27 +168,11 @@ class StagingArea:
             rec.gauge("staging_used_bytes").set(self.used_bytes_unlocked())
             return item
 
-    def wait_for(self, name: str, timeout: float = 30.0, drain: bool = True) -> StagedItem:
-        """Block until ``name`` is staged (the in-transit consumer path)."""
-        rec = get_recorder()
-        self._transfer("staging.get", name)
-        t0 = time.perf_counter()
-        with rec.span("staging.wait", item=name):
-            with self._event:
-                ok = self._event.wait_for(lambda: name in self._items, timeout=timeout)
-                if not ok:
-                    rec.event(
-                        "staging.wait_timeout", level="error", item=name, timeout=timeout
-                    )
-                    raise TimeoutError(
-                        f"staged item {name!r} did not appear in {timeout}s"
-                    )
-                item = self._items.pop(name) if drain else self._items[name]
-                self.gets += 1
-                rec.counter("staging_gets_total").inc()
-                rec.gauge("staging_used_bytes").set(self.used_bytes_unlocked())
-        rec.histogram("staging_wait_seconds").observe(time.perf_counter() - t0)
-        return item
+    def discard(self, name: str) -> None:
+        """Free an item's device space once its consumer is done with it."""
+        with self._lock:
+            del self._items[name]
+            get_recorder().gauge("staging_used_bytes").set(self.used_bytes_unlocked())
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())

@@ -65,9 +65,7 @@ RACY_COUNTERS = frozenset(
 RACY_TIMING_PREFIXES = ("exec_dispatch_overhead_seconds", "process_peak_rss_bytes")
 
 #: Span/event names whose *count* depends on thread timing (poll loops).
-RACY_NAMES = frozenset(
-    {"listener.poll", "listener.started", "listener.stopped", "staging.wait"}
-)
+RACY_NAMES = frozenset({"listener.poll", "listener.started", "listener.stopped"})
 
 #: Field keys holding filesystem paths — environment, not science.  The
 #: canonical projection keeps only the basename (file names like

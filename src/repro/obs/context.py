@@ -1,7 +1,7 @@
 """Trace-context propagation across threads and processes.
 
 One workflow run spans many execution contexts: the driver thread, the
-co-scheduled listener thread, the in-transit consumer thread, and the
+co-scheduled listener thread (on either Level 2 hand-off), and the
 ``repro.exec`` worker *processes*.  For the journal and Chrome trace to
 show a single causally-linked tree, every hop must carry two facts:
 

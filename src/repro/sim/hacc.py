@@ -37,13 +37,10 @@ from .pmsolver import get_solver
 
 __all__ = ["SimulationConfig", "StepRecord", "HACCSimulation"]
 
-#: Analysis-context timing keys counted as in-situ I/O time (the writers
-#: and the in-transit stager) — the source of ``StepRecord.io_seconds``.
-_IO_TIMING_KEYS = (
-    "level1_write_seconds",
-    "level2_write_seconds",
-    "level2_stage_seconds",
-)
+#: Analysis-context timing keys counted as in-situ I/O time (the Level 1
+#: and Level 2 writers, to disk or to a staging area) — the source of
+#: ``StepRecord.io_seconds``.
+_IO_TIMING_KEYS = ("level1_write_seconds", "level2_write_seconds")
 
 
 def _io_seconds_from_context(context) -> float:
@@ -98,8 +95,8 @@ class StepRecord:
     """Timing/accounting for one simulation step.
 
     ``io_seconds`` is the in-situ I/O share of ``analysis_seconds``:
-    the sum of the Level 1 / Level 2 writer (or in-transit stager)
-    timings recorded in the step's analysis context.
+    the sum of the Level 1 / Level 2 writer timings recorded in the
+    step's analysis context.
     """
 
     step: int

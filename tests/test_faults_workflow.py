@@ -3,7 +3,9 @@
 Acceptance contracts from docs/failures.md:
 
 * a permanently failing off-line leg degrades the combined run instead
-  of killing it (``degraded=True``, catalog == the in-situ-only leg);
+  of killing it (``degraded=True``, catalog == the in-situ-only leg) —
+  on either Level 2 hand-off, spool directory or staging area, with the
+  same ladder accounting;
 * the same FaultPlan seed reproduces the same faults, retry counts,
   dead-letter contents and final catalog hashes (``check_determinism``);
 * scheduler deadlines requeue and then dead-letter; exec poison items
@@ -12,9 +14,12 @@ Acceptance contracts from docs/failures.md:
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.check import check_determinism, output_hash
 from repro.core import run_combined_workflow
 from repro.exec import ExecutionEngine, WorkerError, parallel_halo_centers
@@ -27,7 +32,7 @@ from repro.faults import (
     fault_plan,
     set_fault_plan,
 )
-from repro.machines import QueuePolicy, Scheduler
+from repro.machines import QueuePolicy, Scheduler, StagingArea
 from repro.machines.scheduler import Job
 from repro.sim import SimulationConfig
 from tests.oracles.centers_reference import halo_centers_reference
@@ -62,6 +67,11 @@ def _run(config, spool, plan, retry=None, coschedule=True):
         )
 
 
+def _handoffs(tmp_path, name):
+    """The two Level 2 hand-offs the driver takes as its spool argument."""
+    return {"spool": tmp_path / name, "staging": StagingArea()}
+
+
 @pytest.fixture(scope="module")
 def clean_run(small_config, tmp_path_factory):
     spool = tmp_path_factory.mktemp("spool_clean")
@@ -77,12 +87,13 @@ def clean_run(small_config, tmp_path_factory):
 def test_transient_faults_do_not_change_the_science(small_config, tmp_path, clean_run):
     """fail_first=1 on every submit: the shared retry policy absorbs it
     and the merged catalog is bit-identical to the clean run."""
-    plan = FaultPlan(seed=7, sites={"listener.submit": FaultSpec(fail_first=1)})
-    result = _run(small_config, tmp_path / "transient", plan)
-    assert not result.degraded
-    assert result.listener_stats.submit_retries >= 1
-    assert result.listener_stats.jobs_failed == 0
-    assert np.array_equal(result.catalog.records, clean_run.catalog.records)
+    for handoff in _handoffs(tmp_path, "transient").values():
+        plan = FaultPlan(seed=7, sites={"listener.submit": FaultSpec(fail_first=1)})
+        result = _run(small_config, handoff, plan)
+        assert not result.degraded
+        assert result.listener_stats.submit_retries >= 1
+        assert result.listener_stats.jobs_failed == 0
+        assert np.array_equal(result.catalog.records, clean_run.catalog.records)
 
 
 def test_permanent_offline_outage_degrades_instead_of_raising(
@@ -90,9 +101,26 @@ def test_permanent_offline_outage_degrades_instead_of_raising(
 ):
     """FaultSpec(always=True) at offline.job: the run completes, flags
     degraded=True, records one FailureRecord per missing snapshot, and
-    the Level 3 catalog equals the in-situ-only leg."""
-    plan = FaultPlan(seed=7, sites={"offline.job": FaultSpec(always=True)})
-    result = _run(small_config, tmp_path / "outage", plan)
+    the Level 3 catalog equals the in-situ-only leg — on both hand-offs,
+    whose failures the listener's ladder accounts identically."""
+    outcomes = {}
+    for kind, handoff in _handoffs(tmp_path, "outage").items():
+        plan = FaultPlan(seed=7, sites={"offline.job": FaultSpec(always=True)})
+        with obs.telemetry(run_id=f"outage-{kind}") as rec:
+            result = _run(small_config, handoff, plan)
+        _check_degraded(result, clean_run)
+        # the dead-lettered product stays where the writer left it
+        left = handoff.names() if kind == "staging" else sorted(os.listdir(handoff))
+        assert left == [os.path.basename(p) for p in result.level2_paths]
+        triple = tuple(
+            rec.metrics.counter(f"listener_{what}_total").value
+            for what in ("jobs_failed", "requeues", "dead_letter")
+        )
+        outcomes[kind] = (triple, [f.key for f in result.failures])
+    assert outcomes["spool"] == outcomes["staging"] == ((1, 0, 1), ["12"])
+
+
+def _check_degraded(result, clean_run):
     assert result.degraded
     assert len(result.offline_catalog) == 0
     assert len(result.failures) == len(result.level2_paths) >= 1

@@ -1,5 +1,7 @@
 """Concrete CosmoTools algorithms against a live mini-simulation."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from repro.insitu import (
     HaloFinderAlgorithm,
     InSituAnalysisManager,
     Level1WriterAlgorithm,
-    Level2StageAlgorithm,
     Level2WriterAlgorithm,
     PowerSpectrumAlgorithm,
     SOMassAlgorithm,
@@ -171,20 +172,21 @@ def test_level2_contains_only_offloaded(analyzed):
 
 
 def test_level2_writer_and_stager_emit_the_same_blocks(analyzed, tmp_path):
-    """One reduction, two sinks: the file and the staging area hold
-    array-equal per-rank blocks for the same context."""
+    """One writer, two sinks: a spool directory and a staging area given
+    as ``output_dir`` hold the same product name and array-equal
+    per-rank blocks for the same context."""
     sim, ctx = analyzed
     written = _rerun(Level2WriterAlgorithm(output_dir=str(tmp_path)), sim, ctx, "fof", "centers")
     area = StagingArea()
-    stager = Level2StageAlgorithm()
-    stager.staging = area
-    staged = _rerun(stager, sim, ctx, "fof", "centers")
+    staged = _rerun(Level2WriterAlgorithm(output_dir=area), sim, ctx, "fof", "centers")
 
     l2w, l2s = written.store["level2"], staged.store["level2"]
+    assert os.path.basename(l2w["path"]) == l2s["path"] == f"l2_step{ctx.step:04d}.gio"
     assert l2w["halo_tags"] == l2s["halo_tags"] == ctx.store["centers"]["offloaded_halo_tags"]
     assert l2w["n_particles"] == l2s["n_particles"] > 0
+    assert "level2_write_seconds" in staged.timings
     gio = GenericIOFile(l2w["path"])
-    blocks = area.get(l2s["staged"]).blocks
+    blocks = area.get(l2s["path"]).blocks
     assert gio.num_blocks == len(blocks) == 4
     for rank, block in enumerate(blocks):
         on_disk = gio.read_block(rank)

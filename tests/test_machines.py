@@ -1,6 +1,7 @@
 """Facility layer: machines, cost model, scheduler, listener, storage."""
 
 import os
+import threading
 import time
 
 import numpy as np
@@ -303,6 +304,35 @@ def test_listener_final_poll_catches_last_file(tmp_path):
     (tmp_path / "l2_step0099.gio").write_bytes(b"x")  # lands after stop
     listener.stop(final_poll=True)
     assert hits == [99]
+
+
+def test_overlapping_polls_submit_each_file_once(tmp_path):
+    """stop()'s final poll can run while the loop thread is still inside a
+    slow submit: it must not pick up files that poll already listed."""
+    entered, release = threading.Event(), threading.Event()
+    calls = []
+
+    def submit(path, step, script):
+        calls.append(step)
+        if len(calls) == 1:  # the first job blocks until released
+            entered.set()
+            release.wait(5.0)
+
+    listener = Listener(tmp_path, "l2_step*.gio", submit)
+    for s in (1, 2):
+        (tmp_path / f"l2_step{s:04d}.gio").write_bytes(b"x")
+    first = threading.Thread(target=listener.poll_once)
+    first.start()
+    assert entered.wait(5.0)
+    second = threading.Thread(target=listener.poll_once)
+    second.start()
+    second.join(timeout=0.2)  # unserialised, it would submit step 2 meanwhile
+    release.set()
+    first.join(timeout=5.0)
+    second.join(timeout=5.0)
+    assert not first.is_alive() and not second.is_alive()
+    assert sorted(calls) == [1, 2]
+    assert listener.stats.jobs_submitted == listener.stats.files_seen == 2
 
 
 # --- storage ---------------------------------------------------------------------

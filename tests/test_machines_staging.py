@@ -1,11 +1,15 @@
-"""In-transit staging area: put/get, blocking, capacity back-pressure."""
+"""In-transit staging area: put/get, capacity back-pressure, and the
+hand-off it provides to the one workflow driver."""
 
-import threading
+import itertools
+import os
 
 import numpy as np
 import pytest
 
+from repro.core import run_combined_workflow
 from repro.machines import StagingArea
+from repro.sim import SimulationConfig
 
 
 def _blocks(n=10):
@@ -20,6 +24,9 @@ def test_put_get_roundtrip():
     assert item.n_rows == 10
     data = item.read_all()
     assert np.array_equal(data["tag"], np.arange(10))
+    assert item.read_block(0).keys() == data.keys()
+    with pytest.raises(IndexError):
+        item.read_block(1)
 
 
 def test_get_drains_by_default():
@@ -66,36 +73,44 @@ def test_accounting():
     assert area.used_bytes == 5 * 12 + 5 * 8
 
 
-def test_wait_for_blocks_until_producer():
+def test_discard_frees_the_item():
     area = StagingArea()
-    got = []
-
-    def consumer():
-        got.append(area.wait_for("late", timeout=5.0))
-
-    t = threading.Thread(target=consumer)
-    t.start()
-    area.put("late", _blocks(3))
-    t.join(timeout=5.0)
-    assert not t.is_alive()
-    assert got[0].n_rows == 3
+    area.put("a", _blocks())
+    area.discard("a")
+    assert len(area) == 0 and area.used_bytes == 0
+    assert area.gets == 0  # freeing is not a fetch
 
 
-def test_wait_for_timeout():
-    area = StagingArea()
-    with pytest.raises(TimeoutError):
-        area.wait_for("never", timeout=0.1)
-
-
-def test_intransit_workflow_matches_file_transport(tmp_path):
-    """The live in-transit variant produces the identical catalog with
-    zero Level 2 files on disk."""
-    from repro.core import run_combined_workflow, run_intransit_workflow
-    from repro.sim import SimulationConfig
-
-    cfg = SimulationConfig(np_per_dim=16, box=30.0, z_initial=30.0, n_steps=12)
-    a = run_combined_workflow(cfg, tmp_path, threshold=100, min_count=30, n_ranks=4)
-    b = run_intransit_workflow(cfg, threshold=100, min_count=30, n_ranks=4)
-    assert np.array_equal(a.catalog.records, b.catalog.records)
-    assert b.level2_paths == []
-    assert len(b.listener_stats) == 0  # device fully drained
+def test_handoff_invariance(tmp_path, monkeypatch):
+    """One driver, two Level 2 hand-offs: the L3 catalog is the same from
+    a spool directory and from a StagingArea in its place, simple or
+    co-scheduled, pipelined or not — and staging touches no disk."""
+    cfg = SimulationConfig(
+        np_per_dim=20, box=36.0, z_initial=24.0, z_final=0.0, n_steps=12, ng=40
+    )
+    steps = [4, 8, 12]
+    monkeypatch.chdir(tmp_path)
+    catalogs = []
+    for staged, coschedule, pipeline in itertools.product((False, True), repeat=3):
+        spool = StagingArea() if staged else tmp_path / f"spool_{coschedule}_{pipeline}"
+        result = run_combined_workflow(
+            cfg,
+            spool,
+            threshold=150,
+            min_count=30,
+            n_ranks=4,
+            coschedule=coschedule,
+            pipeline_insitu=pipeline,
+            analysis_steps=steps,
+        )
+        assert not result.degraded and len(result.offline_catalog) >= 1
+        names = [f"l2_step{s:04d}.gio" for s in steps]
+        assert [os.path.basename(p) for p in result.level2_paths] == names
+        if staged:
+            assert spool.puts == 3 and len(spool) == 0  # every item drained by its job
+        catalogs.append(result.catalog.records)
+    for records in catalogs[1:]:
+        assert np.array_equal(records, catalogs[0])
+    # only the four spool runs wrote Level 2 files, three each
+    assert len(list(tmp_path.rglob("*.gio"))) == 4 * len(steps)
+    assert not list(tmp_path.glob("*.gio"))

@@ -16,8 +16,8 @@ import pytest
 
 from repro import obs
 from repro.core import run_combined_workflow
-from repro.core.driver import run_intransit_workflow
 from repro.io.genericio import write_genericio
+from repro.machines import StagingArea
 from repro.sim import SimulationConfig
 
 #: Halo tag guaranteed not to collide with any real mini-sim halo
@@ -25,26 +25,28 @@ from repro.sim import SimulationConfig
 FAKE_HALO_TAG = 987_654_321
 
 
-def seed_spool_file(spool, n_particles: int = 1200) -> str:
-    """Write a synthetic Level 2 file (one big fake halo) into ``spool``.
+def fake_level2_blocks(n_particles: int = 1200) -> list[dict[str, np.ndarray]]:
+    """A synthetic Level 2 product: one block holding one big fake halo."""
+    rng = np.random.default_rng(7)
+    pos = rng.normal(10.0, 0.5, (n_particles, 3)).astype(np.float32)
+    return [
+        {
+            "pos": pos,
+            "tag": (np.arange(n_particles) + 10**6).astype(np.uint64),
+            "halo_tag": np.full(n_particles, FAKE_HALO_TAG, dtype=np.int64),
+        }
+    ]
+
+
+def seed_spool_file(spool) -> str:
+    """Write the synthetic Level 2 product into ``spool`` as a file.
 
     The paper's catch-up scenario: a file from an earlier job segment is
     already sitting in the spool when the listener starts, so its
     analysis job runs while the simulation is still stepping.
     """
-    rng = np.random.default_rng(7)
-    pos = rng.normal(10.0, 0.5, (n_particles, 3)).astype(np.float32)
     path = str(spool / "l2_step0000.gio")
-    write_genericio(
-        path,
-        [
-            {
-                "pos": pos,
-                "tag": (np.arange(n_particles) + 10**6).astype(np.uint64),
-                "halo_tag": np.full(n_particles, FAKE_HALO_TAG, dtype=np.int64),
-            }
-        ],
-    )
+    write_genericio(path, fake_level2_blocks())
     return path
 
 
@@ -209,12 +211,35 @@ def test_disabled_telemetry_records_nothing(small_config, tmp_path):
 
 
 def test_intransit_run_carries_telemetry(small_config):
+    """The in-transit hand-off through the one driver: a StagingArea in
+    the spool's place (pre-seeded, like the catch-up file above), the
+    listener thread picking items up, and its off-line jobs parenting
+    under ``workflow.sim`` through the listener's thread hop."""
+    area = StagingArea()
+    area.put("l2_step0000.gio", fake_level2_blocks())
     with obs.telemetry(run_id="intransit-test"):
-        result = run_intransit_workflow(small_config, threshold=100, n_ranks=4)
+        result = run_combined_workflow(
+            small_config,
+            area,
+            threshold=100,
+            n_ranks=4,
+            coschedule=True,
+            listener_poll=0.02,
+        )
     rt = result.telemetry
     assert rt is not None
-    assert rt.spans_named("staging.put")
-    assert rt.spans_named("staging.wait")
-    assert rt.spans_named("offline.center_job")
+    assert rt.spans_named("staging.put") and rt.spans_named("listener.submit")
+    jobs = rt.spans_named("offline.center_job")
+    assert {s.fields["path"] for s in jobs} == {"l2_step0000.gio", "l2_step0016.gio"}
+    by_id = {s.span_id: s for s in rt.spans}
+    for job in jobs:
+        names, s = [], job
+        while s.parent_id is not None:
+            s = by_id[s.parent_id]
+            names.append(s.name)
+        assert "listener.submit" in names and names[-1] == "workflow.sim"
+    sim_threads = {s.thread for s in rt.spans_named("sim.step")}
+    assert any(job.thread not in sim_threads for job in jobs)
+    assert len(area) == 0  # every item left the device with its job
     tags = result.catalog["halo_tag"]
     assert len(tags) == len(np.unique(tags))
