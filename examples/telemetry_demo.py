@@ -63,7 +63,7 @@ def main() -> None:
     print()
     print("metrics exposition (excerpt):")
     for line in rec.metrics.render_text().splitlines():
-        if line.startswith(("io_", "listener_", "sim_steps")) and "bucket" not in line:
+        if line.startswith(("io_", "listener_", "sim_steps")):
             print(f"  {line}")
     print()
 

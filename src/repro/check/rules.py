@@ -304,8 +304,8 @@ class WallClockInKernel(Rule):
     summary = "wall-clock call inside a pure analysis kernel"
     #: the PM hot path (``sim/pmsolver.py``) and the shared per-step
     #: spatial cache (``insitu/spatial.py``) are pure kernels too — their
-    #: timing goes through :func:`repro.obs.timed`, so clock reads inside
-    #: them are a determinism bug, not instrumentation.  The ``parallel``
+    #: timing is spans, so clock reads inside them are a determinism bug,
+    #: not instrumentation.  The ``parallel``
     #: scope covers the whole SPMD substrate including the process
     #: transport (``parallel/transport.py``): rank code must be replayable,
     #: so its polling loops budget in fixed poll *steps*, never wall time.

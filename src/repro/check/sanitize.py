@@ -140,7 +140,6 @@ def guard_kernel(
                 _assert_finite(kernel, values)
             if check_dtype and in_dtypes:
                 _assert_no_drift(kernel, in_dtypes, values)
-            _emit("sanitize.kernel_ok", kernel=kernel)
             return result
 
         return wrapper  # type: ignore[return-value]
@@ -153,13 +152,13 @@ def _assert_finite(kernel: str, values: list[Any]) -> None:
         if isinstance(v, np.ndarray) and np.issubdtype(v.dtype, np.floating):
             bad = int(np.count_nonzero(~np.isfinite(v)))
             if bad:
-                _emit("sanitize.nonfinite", level="error", kernel=kernel, bad=bad)
+                _emit("sanitize.nonfinite", kernel=kernel, bad=bad)
                 raise SanitizerError(
                     f"guard_kernel[{kernel}]: {bad} non-finite value(s) in a "
                     f"{v.dtype} output array of shape {v.shape}"
                 )
         elif isinstance(v, (float, np.floating)) and not np.isfinite(v):
-            _emit("sanitize.nonfinite", level="error", kernel=kernel, bad=1)
+            _emit("sanitize.nonfinite", kernel=kernel, bad=1)
             raise SanitizerError(
                 f"guard_kernel[{kernel}]: non-finite scalar output {v!r}"
             )
@@ -174,7 +173,6 @@ def _assert_no_drift(kernel: str, in_dtypes: set[str], values: list[Any]) -> Non
         if narrow:
             _emit(
                 "sanitize.dtype_drift",
-                level="error",
                 kernel=kernel,
                 inputs=sorted(in_dtypes),
                 outputs=sorted(out_dtypes),
@@ -186,14 +184,11 @@ def _assert_no_drift(kernel: str, in_dtypes: set[str], values: list[Any]) -> Non
             )
 
 
-def _emit(event: str, level: str = "debug", **fields: Any) -> None:
-    """Best-effort telemetry emission (no-op when obs is disabled)."""
+def _emit(event: str, **fields: Any) -> None:
+    """Journal a violation as an error event (no-op when obs is disabled)."""
     from ..obs import get_recorder
 
-    rec = get_recorder()
-    rec.counter(f"{event.replace('.', '_')}_total").inc()
-    if level != "debug":
-        rec.event(event, level=level, **fields)
+    get_recorder().event(event, level="error", **fields)
 
 
 # -- shared-memory leak tracker ------------------------------------------------
@@ -251,7 +246,7 @@ def _atexit_report() -> None:
         print(  # repro: noqa[RPR010]
             f"  fields={leak['fields']} segments={leak['segments']}", file=sys.stderr
         )
-    _emit("sanitize.shm_leak", level="error", leaks=len(leaks), nbytes=total)
+    _emit("sanitize.shm_leak", leaks=len(leaks), nbytes=total)
 
 
 # -- determinism harness -------------------------------------------------------
@@ -338,7 +333,7 @@ def check_determinism(
     ok = len(set(hashes)) == 1
     report = DeterminismReport(ok=ok, runs=runs, hashes=hashes, kernel=kernel)
     if not ok:
-        _emit("sanitize.nondeterministic", level="error", kernel=kernel, runs=runs)
+        _emit("sanitize.nondeterministic", kernel=kernel, runs=runs)
         if raise_on_mismatch:
             raise DeterminismError(
                 f"check_determinism[{kernel}]: {report.distinct} distinct output "

@@ -153,21 +153,18 @@ def offline_center_job(
     ``workers`` is the width of that :mod:`repro.exec` batch: ``> 1``
     fills the analysis node's cores.
     """
-    rec = get_recorder()
     staged = isinstance(level2, StagedItem)
     path = level2.name if staged else os.fspath(level2)
-    with rec.span("offline.center_job", path=path, block=block, workers=workers):
+    with get_recorder().span("offline.center_job", path=path, block=block, workers=workers):
         source = level2 if staged else GenericIOFile(path)
         data = source.read_all() if block is None else source.read_block(block)
-        catalog = centers_from_level2_arrays(
+        return centers_from_level2_arrays(
             data,
             particle_mass=particle_mass,
             softening=softening,
             method=method,
             workers=workers,
         )
-    rec.counter("offline_jobs_total").inc()
-    return catalog
 
 
 def run_combined_workflow(

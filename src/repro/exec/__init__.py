@@ -11,7 +11,7 @@ and off-line:
 - :class:`ExecutionEngine` — runs a queue inline on the calling thread
   (one worker) or over a pool of worker processes, with full
   :mod:`repro.obs` instrumentation (per-worker spans, load-imbalance
-  gauge, steal counters, dispatch-overhead histogram)
+  gauge, steal counter, per-item dispatch overhead on each span)
 - :class:`SharedParticleStore` — zero-copy shared-memory particle arrays
   for the pooled runs
 - :func:`parallel_halo_centers` / :func:`parallel_subhalos` — the batch

@@ -41,8 +41,8 @@ Design (see :mod:`repro.exec.workqueue` for the scheduling policy):
   calling thread's own track for an inline run), the
   ``exec_load_imbalance_ratio`` gauge reports max/mean worker busy time
   (the paper's Figure 4 metric), ``exec_steals_total`` counts tail
-  steals, and ``exec_dispatch_overhead_seconds`` histograms the
-  per-item scheduling cost.
+  steals, and each ``exec.item`` span carries its dispatch ``overhead``
+  (the gap since its worker's previous item ended).
 """
 
 from __future__ import annotations
@@ -729,14 +729,7 @@ class ExecutionEngine:
         ).set(report.imbalance)
         rec.gauge("exec_workers").set(report.workers)
         rec.counter("exec_runs_total").inc()
-        rec.counter("exec_items_total").inc(report.n_items)
-        rec.counter("exec_halos_total").inc(report.n_halos)
         rec.counter("exec_steals_total").inc(report.total_steals)
-        hist = rec.histogram(
-            "exec_dispatch_overhead_seconds",
-            help="gap between a worker finishing one item and starting the next",
-        )
-        record_span = getattr(rec, "record_span", None)
         # parent the per-item spans under the still-open exec.run span so
         # worker tracks link causally back to the driver in the trace
         ctx = rec.trace_context()
@@ -745,21 +738,20 @@ class ExecutionEngine:
         # its lane, so exec.run's self time excludes them and the phase
         # table does not count an inline batch twice
         inline = report.workers == 1
-        for it in report.item_log:
-            hist.observe(max(it.overhead, 0.0))
-            if record_span is not None and getattr(rec, "enabled", False):
-                record_span(
-                    "exec.item",
-                    it.t0,
-                    it.t1,
-                    thread=None if inline else f"exec-worker-{it.worker}",
-                    parent_id=parent_id,
-                    task=task.get("task"),
-                    kind=it.kind,
-                    halos=it.n_halos,
-                    cost=it.cost,
-                    stolen=it.stolen,
-                )
+        for it in report.item_log if rec.enabled else ():
+            rec.record_span(
+                "exec.item",
+                it.t0,
+                it.t1,
+                thread=None if inline else f"exec-worker-{it.worker}",
+                parent_id=parent_id,
+                task=task.get("task"),
+                kind=it.kind,
+                halos=it.n_halos,
+                cost=it.cost,
+                stolen=it.stolen,
+                overhead=max(it.overhead, 0.0),
+            )
         if report.poisoned:
             rec.event(
                 "exec.items_poisoned",

@@ -79,11 +79,9 @@ class InSituAnalysisManager:
                 with rec.span(f"insitu.{alg.name}", step=step):
                     alg.execute(sim, context)
                 elapsed = time.perf_counter() - t0
-                # keep the historical per-algorithm timings API: consumers
-                # (workflow accounting, tests) read wall_seconds[alg.name]
+                # the span holds the same interval; this copy stays because
+                # the benchmark's per-algorithm rows read wall_seconds[alg.name]
                 context.timings.setdefault("wall_seconds", {})[alg.name] = elapsed
-                rec.counter("insitu_executions_total").inc()
-                rec.histogram("insitu_algorithm_seconds").observe(elapsed)
         rec.event("insitu.step_archived", step=step, algorithms=[a.name for a in due])
         self.history[step] = context
         return context

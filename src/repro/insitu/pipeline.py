@@ -152,16 +152,14 @@ class AsyncInSituManager:
         due = any(alg.should_execute(step, a) for alg in self.manager.algorithms)
         if not due:
             return AnalysisContext(step=step, a=a)
-        rec = get_recorder()
         # backpressure: bound pending work (and therefore live buffers)
         while len(self._pending) >= self.max_in_flight:
-            rec.counter("insitu_pipeline_backpressure_waits_total").inc()
             self._collect_oldest()
         snapshot = sim.snapshot(into=self._buffers.pop() if self._buffers else None)
         proxy = SimSnapshot(sim, snapshot, step, a)
         # the analysis spans parent under the sim.step span that produced
         # the snapshot, on the worker's own timeline lane
-        trace = rec.trace_context()
+        trace = get_recorder().trace_context()
 
         def task() -> AnalysisContext:
             worker_rec = get_recorder()
@@ -174,8 +172,6 @@ class AsyncInSituManager:
 
         pending = PendingAnalysis(step, self._ensure_executor().submit(task))
         self._pending.append((pending, snapshot))
-        rec.counter("insitu_pipeline_submits_total").inc()
-        rec.gauge("insitu_pipeline_in_flight").set(len(self._pending))
         return pending
 
     def _ensure_executor(self) -> ThreadPoolExecutor:
@@ -193,7 +189,6 @@ class AsyncInSituManager:
             return pending.future.result()
         finally:
             self._buffers.append(buffer)
-            get_recorder().gauge("insitu_pipeline_in_flight").set(len(self._pending))
 
     # -- completion -----------------------------------------------------------
 

@@ -157,7 +157,6 @@ def write_genericio(
             retryable=(FaultInjected, OSError),
         )
     rec.counter("io_write_bytes_total").inc(payload_bytes)
-    rec.counter("io_files_written_total").inc()
     return payload_bytes
 
 
@@ -263,7 +262,6 @@ class GenericIOFile:
                 retryable=(FaultInjected, OSError),
             )
         rec.counter("io_read_bytes_total").inc(nbytes)
-        rec.counter("io_blocks_read_total").inc()
         return out
 
     def _select(self, variables: list[str] | None) -> list[tuple[str, str]]:

@@ -41,7 +41,6 @@ import glob
 import os
 import re
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from string import Template
@@ -196,7 +195,6 @@ class Listener:
         rec = get_recorder()
         with self._poll_lock, rec.span("listener.poll"):
             self.stats.polls += 1
-            rec.counter("listener_polls_total").inc()
             if isinstance(self.watch_dir, StagingArea):
                 found = fnmatch.filter(self.watch_dir.names(), self.pattern)
             else:
@@ -209,7 +207,6 @@ class Listener:
                 self.stats.files_seen += 1
                 step = self._extract_step(path)
                 script = self.template.render(step=step, data_path=path)
-                t0 = time.perf_counter()
                 with rec.span("listener.submit", step=step, path=path):
                     outcome, error = self.retry.attempt(
                         self._submit_attempt, path, step, script, site="listener.submit", key=step
@@ -226,9 +223,6 @@ class Listener:
                         # no requeue rung (budget 0): a file is picked up once
                         self.dead_letter.failed(step, attempts, 0, error, step=step, path=path)
                         self.dead_letter.add(step, error, attempts=attempts, path=path)
-                rec.histogram("listener_submit_seconds").observe(
-                    time.perf_counter() - t0
-                )
         return fresh
 
     def _submit_attempt(self, path: str, step: int, script: str) -> None:

@@ -199,10 +199,6 @@ class Scheduler:
                     progressed = True
                     # sim-clock telemetry: queue waits are the co-scheduling
                     # quantity the paper's policy discussion turns on
-                    rec.histogram("scheduler_queue_wait_seconds").observe(
-                        job.queue_wait
-                    )
-                    rec.counter("scheduler_jobs_started_total").inc()
                     rec.event(
                         "scheduler.job_start",
                         job=job.name,

@@ -138,7 +138,6 @@ class StagingArea:
                 self.bytes_staged_total += item.nbytes
                 self.puts += 1
                 rec.counter("staging_bytes_staged_total").inc(item.nbytes)
-                rec.gauge("staging_used_bytes").set(self.used_bytes_unlocked())
         return item.nbytes
 
     # -- consumer side ---------------------------------------------------------
@@ -157,22 +156,18 @@ class StagingArea:
 
     def get(self, name: str, drain: bool = True) -> StagedItem:
         """Fetch a staged item; ``drain`` frees the device space."""
-        rec = get_recorder()
         self._transfer("staging.get", name)
         with self._lock:
             if name not in self._items:
                 raise KeyError(f"no staged item {name!r}")
             item = self._items.pop(name) if drain else self._items[name]
             self.gets += 1
-            rec.counter("staging_gets_total").inc()
-            rec.gauge("staging_used_bytes").set(self.used_bytes_unlocked())
             return item
 
     def discard(self, name: str) -> None:
         """Free an item's device space once its consumer is done with it."""
         with self._lock:
             del self._items[name]
-            get_recorder().gauge("staging_used_bytes").set(self.used_bytes_unlocked())
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names())

@@ -77,9 +77,7 @@ class StorageDevice:
         self.bytes_written += int(nbytes)
         self.write_events.append((int(nbytes), n_nodes))
         seconds = attempts * nbytes / self._bandwidth(self.write_per_node, n_nodes)
-        rec = get_recorder()
-        rec.counter("storage_bytes_written_total").inc(int(nbytes))
-        rec.event(
+        get_recorder().event(
             "storage.write",
             device=self.name,
             nbytes=int(nbytes),
@@ -99,9 +97,7 @@ class StorageDevice:
         self.bytes_read += int(nbytes)
         self.read_events.append((int(nbytes), n_nodes))
         seconds = attempts * nbytes / self._bandwidth(self.read_per_node, n_nodes)
-        rec = get_recorder()
-        rec.counter("storage_bytes_read_total").inc(int(nbytes))
-        rec.event(
+        get_recorder().event(
             "storage.read",
             device=self.name,
             nbytes=int(nbytes),

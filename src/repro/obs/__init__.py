@@ -7,8 +7,9 @@ single timeline (run / step / rank):
   (:mod:`repro.obs.events`);
 * **spans** — nested, thread-aware tracing exportable to Chrome
   ``chrome://tracing`` JSON (:mod:`repro.obs.spans`);
-* **metrics** — counters, gauges and fixed-bucket histograms with
-  Prometheus-style text exposition (:mod:`repro.obs.metrics`);
+* **metrics** — counters and gauges with Prometheus-style text
+  exposition (:mod:`repro.obs.metrics`); counts and levels only, since
+  every duration is a span;
 * **reports** — :class:`~repro.obs.report.RunTelemetry`, the per-run
   phase-breakdown table comparable to the paper's Table 4
   (:mod:`repro.obs.report`).
@@ -30,15 +31,7 @@ from .context import TraceContext, current_trace_context, export_snapshot, merge
 from .events import Event, EventLog
 from .journal import JournalView, RunJournal, RunManifest, read_journal
 from .live import follow_journal
-from .metrics import (
-    DEFAULT_BUCKETS,
-    PEAK_RSS_GAUGE,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    sample_memory,
-)
+from .metrics import PEAK_RSS_GAUGE, Counter, Gauge, MetricsRegistry, sample_memory
 from .recorder import (
     SPILL_CAPACITY,
     NullRecorder,
@@ -48,7 +41,6 @@ from .recorder import (
     get_recorder,
     set_recorder,
     telemetry,
-    timed,
 )
 from .report import PhaseStat, RunTelemetry, phase_of
 from .spans import Span, Tracer, load_chrome_trace, to_chrome_trace, write_chrome_trace
@@ -57,11 +49,9 @@ from .timeline import Allocation, MachineTimeline, WorkflowTimeline
 __all__ = [
     "Allocation",
     "Counter",
-    "DEFAULT_BUCKETS",
     "Event",
     "EventLog",
     "Gauge",
-    "Histogram",
     "JournalView",
     "MachineTimeline",
     "MetricsRegistry",
@@ -90,7 +80,6 @@ __all__ = [
     "sample_memory",
     "set_recorder",
     "telemetry",
-    "timed",
     "to_chrome_trace",
     "write_chrome_trace",
 ]

@@ -12,8 +12,8 @@ during, or long after — the producing process:
   live run until its ``run.end``
 * ``trace``    — export one causally-linked Chrome trace
   (``chrome://tracing`` / Perfetto)
-* ``diff``     — compare two runs' metrics; flag count drift and
-  timing regressions (optionally against a ``BENCH_*.json`` baseline)
+* ``diff``     — compare two runs: counter drift, and per-phase span
+  time regressions (optionally against a ``BENCH_*.json`` baseline)
 
 ``--canonical`` (on ``report``/``timeline``/``trace``) projects away
 everything timing- and scheduling-dependent (wall clocks, span ids,
@@ -34,7 +34,7 @@ import re
 import sys
 from typing import Any
 
-from .events import Event, _json_default
+from .events import _json_default
 from .journal import JournalView, read_journal
 from .live import follow_journal, format_record
 from .report import RunTelemetry
@@ -53,19 +53,17 @@ RACY_FIELD_KEYS = frozenset(
 #: canonical projection (steals vary with worker timing; pool reuse
 #: depends on whether an earlier run in the same process left a warm
 #: worker pool behind).
-RACY_COUNTERS = frozenset(
-    {"exec_steals_total", "listener_polls_total", "exec_pool_reuse_total"}
-)
+RACY_COUNTERS = frozenset({"exec_steals_total", "exec_pool_reuse_total"})
 
-#: Metrics measuring the host rather than the science — scheduler
-#: dispatch latency (microseconds-scale, swings orders of magnitude
-#: between a freshly forked pool and a warm-idle one) and process RSS
-#: (allocator/environment dependent) — excluded from ``diff`` drift
-#: comparison; science timings (kernel seconds) stay compared.
-RACY_TIMING_PREFIXES = ("exec_dispatch_overhead_seconds", "process_peak_rss_bytes")
+#: Metrics measuring the host rather than the science — process RSS
+#: (allocator/environment dependent) — excluded from ``diff``.
+HOST_METRICS = frozenset({"process_peak_rss_bytes"})
 
 #: Span/event names whose *count* depends on thread timing (poll loops).
 RACY_NAMES = frozenset({"listener.poll", "listener.started", "listener.stopped"})
+
+#: Phases made of poll-loop spans: their calls and time are thread-timing races.
+RACY_PHASES = frozenset({"Listener"})
 
 #: Field keys holding filesystem paths — environment, not science.  The
 #: canonical projection keeps only the basename (file names like
@@ -123,32 +121,16 @@ def canonical_spans(spans: list[Span]) -> list[dict[str, Any]]:
     return out
 
 
-def canonical_events(events: list[Event]) -> list[dict[str, Any]]:
-    """Timing-free event projection (sorted multiset of records)."""
-    out = []
-    for e in events:
-        if e.name in RACY_NAMES:
-            continue
-        out.append(
-            {
-                "name": e.name,
-                "level": e.level,
-                "step": e.step,
-                "rank": e.rank,
-                "fields": _canonical_fields(e.fields),
-            }
-        )
-    out.sort(key=lambda d: json.dumps(d, sort_keys=True, default=_json_default))
-    return out
+def _is_count(name: str) -> bool:
+    return name.endswith("_total")
 
 
 def canonical_counters(metrics: dict[str, float]) -> dict[str, float]:
-    """Count-valued metrics only (``*_total``/``*_count``), races dropped."""
+    """Counters only (``*_total``), races dropped."""
     return {
         name: value
         for name, value in sorted(metrics.items())
-        if (name.endswith("_total") or name.endswith("_count"))
-        and name not in RACY_COUNTERS
+        if _is_count(name) and name not in RACY_COUNTERS
     }
 
 
@@ -169,9 +151,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             "config_hash": view.manifest.config_hash if view.manifest else None,
             "complete": view.complete,
             "phases": {
-                p: ps.calls
-                for p, ps in sorted(rt.phase_stats().items())
-                if p != "Listener"  # poll-loop counts are thread-timing races
+                p: ps.calls for p, ps in sorted(rt.phase_stats().items()) if p not in RACY_PHASES
             },
             "counters": canonical_counters(rt.metrics),
             "failures": [
@@ -349,8 +329,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 # -- diff ----------------------------------------------------------------------
 
 
-def _is_count(name: str) -> bool:
-    return name.endswith("_total") or name.endswith("_count")
+def _phase_seconds(view: JournalView) -> dict[str, float]:
+    """Self seconds per workflow phase — the run's timings, from its spans."""
+    stats = RunTelemetry(spans=view.spans()).phase_stats()
+    return {p: ps.self_seconds for p, ps in stats.items() if p not in RACY_PHASES}
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -364,23 +346,25 @@ def _cmd_diff(args: argparse.Namespace) -> int:
             f"config drift: {a.manifest.config_hash[:12]} vs {b.manifest.config_hash[:12]}"
         )
     for name in sorted(set(ma) | set(mb)):
-        if name in RACY_COUNTERS:  # presence itself is timing-dependent
-            continue
-        if name.startswith(RACY_TIMING_PREFIXES):
+        if name in RACY_COUNTERS or name in HOST_METRICS:
             continue
         va, vb = ma.get(name), mb.get(name)
         if va is None or vb is None:
             findings.append(f"metric {name}: only in {'B' if va is None else 'A'}")
             continue
         if _is_count(name):
-            if name not in RACY_COUNTERS and va != vb:
+            if va != vb:
                 findings.append(f"count drift {name}: {va:g} -> {vb:g}")
-        elif va > 0:
-            rel = (vb - va) / va
-            if rel > args.tolerance:
-                findings.append(
-                    f"timing regression {name}: {va:g} -> {vb:g} (+{rel * 100.0:.1f}%)"
-                )
+        elif va > 0 and (vb - va) / va > args.tolerance:
+            findings.append(f"gauge rise {name}: {va:g} -> {vb:g}")
+    pa, pb = _phase_seconds(a), _phase_seconds(b)
+    for phase in sorted(set(pa) & set(pb)):
+        va, vb = pa[phase], pb[phase]
+        if va > 0 and (vb - va) / va > args.tolerance:
+            findings.append(
+                f"timing regression {phase}: {va:.3f} s -> {vb:.3f} s "
+                f"(+{(vb - va) / va * 100.0:.1f}%)"
+            )
     if args.bench:
         with open(args.bench, "r", encoding="utf-8") as fh:
             baseline = json.load(fh)

@@ -33,9 +33,10 @@ timeline with no clock translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
+from .events import Event
 from .spans import Span, next_span_id
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
@@ -125,22 +126,9 @@ def merge_snapshot(
         rec.tracer.ingest(span)
         n_spans += 1
 
-    from .events import Event  # local import keeps module load order simple
-
     n_events = 0
     for d in snapshot.get("events", ()):
-        ev = Event.from_dict(d)
-        ev = Event(
-            name=ev.name,
-            t=ev.t,
-            wall=ev.wall,
-            level=ev.level,
-            run=rec.run_id,
-            step=ev.step,
-            rank=ev.rank,
-            fields=ev.fields,
-        )
-        rec.ingest_event(ev)
+        rec.ingest_event(replace(Event.from_dict(d), run=rec.run_id))
         n_events += 1
 
     rec.metrics.absorb_state(snapshot.get("metrics", {}))

@@ -1,10 +1,10 @@
-"""Zero-dependency metrics registry: counters, gauges, histograms.
+"""Zero-dependency metrics registry: counters and gauges.
 
 The numeric side of the telemetry layer: monotonically-increasing
-counters (bytes written, jobs submitted/failed), point-in-time gauges
-(listener backlog, staging occupancy) and fixed-bucket histograms
-(submit latency, queue waits — the distributions behind the paper's
-per-node analysis-time figures).
+counters (bytes written, jobs submitted/failed) and point-in-time gauges
+(listener backlog, peak RSS).  Durations are not metrics: every timed
+block is a span (:mod:`repro.obs.spans`), so a phase's time is read in
+one place — the span tree — and never also from a second series.
 
 Everything is thread-safe and renders to a Prometheus-style text
 exposition (:meth:`MetricsRegistry.render_text`) with no external
@@ -14,19 +14,16 @@ or dumped with plain ``print``.
 
 from __future__ import annotations
 
-import bisect
 import math
 import resource
 import sys
 import threading
-from typing import Any, Iterable
+from typing import Any
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "DEFAULT_BUCKETS",
     "PEAK_RSS_GAUGE",
     "sample_memory",
 ]
@@ -34,21 +31,6 @@ __all__ = [
 #: Gauge name :func:`sample_memory` updates (bytes; the ``max`` watermark
 #: is the process-lifetime peak).
 PEAK_RSS_GAUGE = "process_peak_rss_bytes"
-
-#: Default histogram upper bounds (seconds-oriented, log-ish spacing).
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    0.001,
-    0.005,
-    0.01,
-    0.05,
-    0.1,
-    0.5,
-    1.0,
-    5.0,
-    10.0,
-    50.0,
-    100.0,
-)
 
 
 class Counter:
@@ -151,124 +133,6 @@ class Gauge:
             self._min = min(self._min, float(state.get("min", math.inf)))
 
 
-class Histogram:
-    """Fixed-bucket histogram (cumulative, Prometheus semantics).
-
-    ``buckets`` are inclusive upper bounds; an implicit ``+Inf`` bucket
-    catches the tail.  ``observe`` is O(log n_buckets).
-    """
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        buckets: Iterable[float] = DEFAULT_BUCKETS,
-    ):
-        self.name = name
-        self.help = help
-        bounds = sorted(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError("need at least one bucket bound")
-        self.bounds: tuple[float, ...] = tuple(bounds)
-        self._counts = [0] * (len(bounds) + 1)  # +Inf tail
-        self._sum = 0.0
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        idx = bisect.bisect_left(self.bounds, value)
-        with self._lock:
-            self._counts[idx] += 1
-            self._sum += value
-            self._count += 1
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
-    @property
-    def mean(self) -> float:
-        with self._lock:
-            return self._sum / self._count if self._count else 0.0
-
-    def bucket_counts(self) -> dict[float, int]:
-        """Cumulative counts per upper bound (``inf`` is the tail)."""
-        with self._lock:
-            out: dict[float, int] = {}
-            running = 0
-            for bound, c in zip(self.bounds, self._counts):
-                running += c
-                out[bound] = running
-            out[math.inf] = running + self._counts[-1]
-            return out
-
-    def quantile(self, q: float) -> float:
-        """Approximate quantile from the cumulative buckets."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        cum = self.bucket_counts()
-        total = cum[math.inf]
-        if total == 0:
-            return 0.0
-        target = q * total
-        for bound, c in cum.items():
-            if c >= target:
-                return bound
-        return math.inf  # pragma: no cover - unreachable
-
-    def render(self) -> list[str]:
-        cum = self.bucket_counts()
-        lines = []
-        for bound, c in cum.items():
-            le = "+Inf" if math.isinf(bound) else _fmt(bound)
-            lines.append(f'{self.name}_bucket{{le="{le}"}} {c}')
-        lines.append(f"{self.name}_sum {_fmt(self.sum)}")
-        lines.append(f"{self.name}_count {self.count}")
-        return lines
-
-    def state(self) -> dict[str, Any]:
-        """Picklable snapshot for shipping across a process boundary."""
-        with self._lock:
-            return {
-                "kind": self.kind,
-                "bounds": list(self.bounds),
-                "counts": list(self._counts),
-                "sum": self._sum,
-                "count": self._count,
-                "help": self.help,
-            }
-
-    def absorb(self, state: dict[str, Any]) -> None:
-        """Merge another process's histogram (bucket-wise addition).
-
-        Requires matching bounds — mismatched layouts collapse to
-        observing the shipped mean ``count`` times (lossy but safe).
-        """
-        bounds = tuple(float(b) for b in state.get("bounds", ()))
-        counts = list(state.get("counts", ()))
-        if bounds == self.bounds and len(counts) == len(self._counts):
-            with self._lock:
-                for i, c in enumerate(counts):
-                    self._counts[i] += int(c)
-                self._sum += float(state.get("sum", 0.0))
-                self._count += int(state.get("count", 0))
-            return
-        n = int(state.get("count", 0))
-        if n:  # pragma: no cover - defensive: layouts always match in-repo
-            mean = float(state.get("sum", 0.0)) / n
-            for _ in range(n):
-                self.observe(mean)
-
-
 def sample_memory(registry: "MetricsRegistry | None" = None) -> int:
     """Record the process peak RSS into ``process_peak_rss_bytes``.
 
@@ -318,18 +182,6 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get_or_create(name, Gauge, help)
 
-    def histogram(
-        self, name: str, help: str = "", buckets: Iterable[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        with self._lock:
-            m = self._metrics.get(name)
-            if m is None:
-                m = Histogram(name, help, buckets)
-                self._metrics[name] = m
-            elif not isinstance(m, Histogram):
-                raise TypeError(f"metric {name!r} is a {m.kind}, not a histogram")
-            return m
-
     def _get_or_create(self, name: str, cls: type, help: str) -> Any:
         with self._lock:
             m = self._metrics.get(name)
@@ -353,17 +205,8 @@ class MetricsRegistry:
             return len(self._metrics)
 
     def as_dict(self) -> dict[str, float]:
-        """Flat scalar view (histograms contribute sum/count/mean)."""
-        out: dict[str, float] = {}
-        for name in self.names():
-            m = self.get(name)
-            if isinstance(m, Histogram):
-                out[f"{name}_sum"] = m.sum
-                out[f"{name}_count"] = float(m.count)
-                out[f"{name}_mean"] = m.mean
-            else:
-                out[name] = m.value
-        return out
+        """Flat name → value view (what a journal metrics snapshot holds)."""
+        return {name: self.get(name).value for name in self.names()}
 
     def export_state(self) -> dict[str, dict[str, Any]]:
         """Picklable name → state map (ship a registry between processes)."""
@@ -377,19 +220,13 @@ class MetricsRegistry:
         """Merge an :meth:`export_state` payload into this registry.
 
         Metrics are created on demand with the shipped kind; counters
-        add, gauges widen watermarks, histograms add bucket-wise — so
-        one registry covers the whole multi-process workflow.
+        add and gauges widen watermarks — so one registry covers the
+        whole multi-process workflow.
         """
         for name in sorted(states):
             state = states[name]
-            kind = state.get("kind", "counter")
-            if kind == "counter":
-                self.counter(name, state.get("help", "")).absorb(state)
-            elif kind == "gauge":
-                self.gauge(name, state.get("help", "")).absorb(state)
-            elif kind == "histogram":
-                bounds = state.get("bounds") or DEFAULT_BUCKETS
-                self.histogram(name, state.get("help", ""), bounds).absorb(state)
+            cls = Gauge if state.get("kind") == "gauge" else Counter
+            self._get_or_create(name, cls, state.get("help", "")).absorb(state)
 
     def render_text(self) -> str:
         """Prometheus-style text exposition of every metric."""

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import contextlib
 import threading
-import time
 import uuid
 from typing import Any, Iterator
 
 from .context import TraceContext
 from .events import DEFAULT_CAPACITY, Event, EventLog
 from .journal import AppendLog
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, MetricsRegistry
 from .spans import Span, Tracer, write_chrome_trace
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "enable",
     "disable",
     "telemetry",
-    "timed",
 ]
 
 #: In-memory ring bound once a journal holds the durable record.
@@ -68,9 +66,6 @@ class _NullMetric:
 
     __slots__ = ()
     value = 0.0
-    count = 0
-    sum = 0.0
-    mean = 0.0
     max = 0.0
     min = 0.0
 
@@ -81,9 +76,6 @@ class _NullMetric:
         return None
 
     def set(self, value: float) -> None:
-        return None
-
-    def observe(self, value: float) -> None:
         return None
 
 
@@ -125,9 +117,6 @@ class NullRecorder:
         return _NULL_METRIC
 
     def gauge(self, name: str, help: str = "") -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(self, name: str, help: str = "", buckets: Any = None) -> _NullMetric:
         return _NULL_METRIC
 
     def close(self) -> None:
@@ -181,9 +170,6 @@ class TelemetryRecorder:
         **fields: Any,
     ):
         return self.tracer.span(name, step=step, rank=rank, **fields)
-
-    def traced(self, name: str | None = None, **fields: Any):
-        return self.tracer.traced(name, **fields)
 
     def record_span(
         self,
@@ -291,11 +277,6 @@ class TelemetryRecorder:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self.metrics.gauge(name, help)
 
-    def histogram(self, name: str, help: str = "", buckets: Any = None) -> Histogram:
-        if buckets is None:
-            return self.metrics.histogram(name, help)
-        return self.metrics.histogram(name, help, buckets)
-
     # -- export ---------------------------------------------------------------
 
     def write_chrome_trace(self, path: str) -> str:
@@ -351,24 +332,6 @@ def disable() -> NullRecorder | TelemetryRecorder:
     previous = set_recorder(_NULL)
     previous.close()
     return previous
-
-
-@contextlib.contextmanager
-def timed(histogram: str, help: str = "") -> Iterator[None]:
-    """Observe a block's wall time into a named histogram.
-
-    The one sanctioned way for *pure kernels* to report timing: clock
-    reads live here (inside ``repro.obs``, where rule RPR003 allows
-    them), so instrumented kernels stay clock-free functions of their
-    inputs.  With the :class:`NullRecorder` installed the overhead is
-    two ``perf_counter`` reads and a no-op ``observe``.
-    """
-    rec = get_recorder()
-    t0 = time.perf_counter()
-    try:
-        yield
-    finally:
-        rec.histogram(histogram, help).observe(time.perf_counter() - t0)
 
 
 @contextlib.contextmanager

@@ -16,7 +16,7 @@ double-counting ``sim.step`` around ``insitu.*``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .events import Event
@@ -108,7 +108,6 @@ class PhaseStat:
     total_seconds: float = 0.0  # inclusive (span durations)
     self_seconds: float = 0.0  # exclusive (minus traced children)
     max_seconds: float = 0.0
-    names: dict[str, float] = field(default_factory=dict)  # span name -> total
 
     @property
     def mean_seconds(self) -> float:
@@ -140,25 +139,6 @@ class RunTelemetry:
             events=recorder.events.snapshot(),
             metrics=recorder.metrics.as_dict(),
             run_id=recorder.run_id,
-        )
-
-    @classmethod
-    def from_journal(cls, path: str) -> "RunTelemetry":
-        """Rebuild a run's telemetry from its durable journal.
-
-        The offline twin of :meth:`from_recorder`: reads the journal
-        (tolerating a torn tail on live/crashed runs) and reconstructs
-        the same spans/events/metrics view, so ``report``/``trace`` work
-        long after — or while — the producing process runs.
-        """
-        from .journal import read_journal  # local import: journal imports events/spans
-
-        view = read_journal(path)
-        return cls(
-            spans=view.spans(),
-            events=view.events(),
-            metrics=view.last_metrics(),
-            run_id=view.run_id,
         )
 
     # -- aggregation ----------------------------------------------------------
@@ -193,7 +173,6 @@ class RunTelemetry:
             ps.total_seconds += s.duration
             ps.self_seconds += self_secs[s.span_id]
             ps.max_seconds = max(ps.max_seconds, s.duration)
-            ps.names[s.name] = ps.names.get(s.name, 0.0) + s.duration
         return stats
 
     @property

@@ -26,6 +26,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
 
+from .events import _json_default
+
 __all__ = [
     "Span",
     "Tracer",
@@ -160,7 +162,6 @@ class Tracer:
         self._local = threading.local()
         self._lock = threading.Lock()
         self._finished: deque[Span] = deque(maxlen=capacity)
-        self.started_total = 0
         self.finished_total = 0
         #: optional callback invoked with each finished span (JSONL sink hook)
         self.on_finish: Callable[[Span], None] | None = None
@@ -240,7 +241,6 @@ class Tracer:
             thread=thread or threading.current_thread().name,
         )
         with self._lock:
-            self.started_total += 1
             self._finished.append(s)
             self.finished_total += 1
         if self.on_finish is not None:
@@ -256,7 +256,6 @@ class Tracer:
         ``on_finish`` hook — journal/sink — like any local span).
         """
         with self._lock:
-            self.started_total += 1
             self._finished.append(span)
             self.finished_total += 1
         if self.on_finish is not None:
@@ -310,8 +309,6 @@ class Tracer:
                 span.depth = 1
         stack.append(span)
         self._local.stack = stack
-        with self._lock:
-            self.started_total += 1
 
     def _pop(self, span: Span) -> None:
         stack: list[Span] = getattr(self._local, "stack", None) or []
@@ -411,17 +408,8 @@ def write_chrome_trace(
     """Write a Chrome trace JSON file; returns the path."""
     trace = to_chrome_trace(spans, events, process_name=process_name)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace, fh, default=_chrome_default)
+        json.dump(trace, fh, default=_json_default)
     return path
-
-
-def _chrome_default(obj: Any) -> Any:
-    if hasattr(obj, "item"):
-        try:
-            return obj.item()
-        except (TypeError, ValueError):  # pragma: no cover - non-scalar .item()
-            pass
-    return repr(obj)
 
 
 def load_chrome_trace(path: str) -> list[dict[str, Any]]:

@@ -523,7 +523,7 @@ def run_process_spmd(
         # belong to messages nobody will ever read (crashed receivers)
         reaped = _reap_segments(cleanup_q)
         if reaped:
-            rec.counter("spmd_segments_reaped_total").inc(reaped)
+            rec.event("spmd.segments_reaped", level="warning", segments=reaped)
         for q in (*inboxes, result_q, cleanup_q):
             q.close()
 

@@ -109,14 +109,7 @@ class JobPacker:
         shelves = self._build_shelves(ordered)
         allocations = self._stack_shelves(shelves)
         self.utilization(allocations, jobs)
-        rec = get_recorder()
-        rec.counter("service_pack_runs_total").inc()
-        rec.gauge("service_pack_allocations").set(len(allocations))
-        if allocations:
-            rec.gauge("service_pack_utilization_min").set(
-                min(a.utilization for a in allocations)
-            )
-        rec.event(
+        get_recorder().event(
             "service.packed",
             jobs=len(jobs),
             allocations=len(allocations),

@@ -573,8 +573,6 @@ class CampaignStore:
                 self.jobs[job.id] = job
                 self.campaigns[name].job_ids.append(job.id)
                 created.append(job)
-        rec.counter("service_campaigns_total").inc()
-        rec.counter("service_jobs_submitted_total").inc(len(created))
         rec.event(
             "service.campaign_submitted", campaign=name, jobs=len(created), seed=seed
         )
@@ -628,9 +626,7 @@ class CampaignStore:
             if result is not None:
                 job.result = dict(result)
             job.history.append((dst.value, self._clock()))
-        rec = get_recorder()
-        rec.counter("service_transitions_total").inc()
-        rec.event(
+        get_recorder().event(
             "service.transition",
             job=job_id,
             src=src.value,
@@ -719,9 +715,7 @@ class CampaignStore:
         for name in temps:
             os.unlink(os.path.join(self.products_dir, name))
         if rolled or dead or temps:
-            rec = get_recorder()
-            rec.counter("service_recovered_total").inc(len(rolled) + len(dead))
-            rec.event(
+            get_recorder().event(
                 "service.recovered",
                 level="warning",
                 jobs=len(rolled),

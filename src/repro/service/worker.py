@@ -273,7 +273,6 @@ class ServiceWorker:
                 # failed() emits service.job_failed once FAILED is journaled
                 self._resolve_failure(job, f"{type(exc).__name__}: {exc}")
                 return False
-        rec.counter("service_jobs_finished_total").inc()
         return True
 
     def _stage_in(self, job: JobRecord) -> None:

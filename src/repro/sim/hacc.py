@@ -17,9 +17,9 @@ The Poisson solve runs on the force mesh in grid-cell units; mesh
 accelerations are converted to box units by one factor of the cell size,
 so particle state is independent of the mesh resolution ``ng``.
 
-The driver also keeps per-step wall-clock and operation-count
-instrumentation; the workflow cost model consumes these to extrapolate
-paper-scale timings.
+Timing is spans (``sim.run`` → ``sim.step`` → ``sim.force`` /
+``sim.integrate``, with the in-situ hook's ``insitu.*`` spans nested in
+the step); :class:`StepRecord` keeps one wall-clock number per step.
 """
 
 from __future__ import annotations
@@ -36,24 +36,6 @@ from .particles import Particles
 from .pmsolver import get_solver
 
 __all__ = ["SimulationConfig", "StepRecord", "HACCSimulation"]
-
-#: Analysis-context timing keys counted as in-situ I/O time (the Level 1
-#: and Level 2 writers, to disk or to a staging area) — the source of
-#: ``StepRecord.io_seconds``.
-_IO_TIMING_KEYS = ("level1_write_seconds", "level2_write_seconds")
-
-
-def _io_seconds_from_context(context) -> float:
-    """Total in-situ I/O seconds recorded by a step's analysis context.
-
-    Tolerates bare analysis managers (test spies) whose ``execute``
-    returns ``None`` or a context without timings.
-    """
-    timings = getattr(context, "timings", None)
-    if not isinstance(timings, dict):
-        return 0.0
-    return float(sum(timings.get(key, 0.0) for key in _IO_TIMING_KEYS))
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -92,19 +74,17 @@ class SimulationConfig:
 
 @dataclass
 class StepRecord:
-    """Timing/accounting for one simulation step.
+    """One simulation step: its scale factor and its solver wall time.
 
-    ``io_seconds`` is the in-situ I/O share of ``analysis_seconds``:
-    the sum of the Level 1 / Level 2 writer timings recorded in the
-    step's analysis context.
+    ``force_seconds`` covers the step's kicks, drift and force
+    evaluation — everything but the in-situ hook.  Where the hook's
+    time went is in the ``insitu.*`` spans.
     """
 
     step: int
     a: float
     z: float
     force_seconds: float = 0.0
-    analysis_seconds: float = 0.0
-    io_seconds: float = 0.0
 
 
 class HACCSimulation:
@@ -230,13 +210,9 @@ class HACCSimulation:
             )
             self.records.append(record)
             rec.counter("sim_steps_total").inc()
-            rec.histogram("sim_force_seconds").observe(force_seconds)
 
             if self.analysis_manager is not None:
-                t1 = time.perf_counter()
-                context = self._invoke_analysis()
-                record.analysis_seconds = time.perf_counter() - t1
-                record.io_seconds = _io_seconds_from_context(context)
+                self._invoke_analysis()
         return record
 
     def _invoke_analysis(self):

@@ -30,10 +30,13 @@ The function-at-a-time 6-FFT chain this engine replaced lives on as the
 test oracle ``tests/oracles/pm_reference.py``.
 
 Purity contract: no wall-clock reads in this module (rule RPR003 covers
-it); timing goes through :func:`repro.obs.timed`, whose clock lives in
-``repro.obs`` where it belongs.  Every stage of :meth:`PMSolver.accelerations`
-sits under one of ``pm_deposit_seconds`` (operator build + scatter),
-``pm_fft_seconds`` or ``pm_gather_seconds``.
+it); timing is spans, whose clock lives in ``repro.obs`` where it
+belongs.  Every stage of :meth:`PMSolver.accelerations` sits under one
+of the spans ``sim.pm.deposit`` (operator build + scatter),
+``sim.pm.fft`` or ``sim.pm.gather``.  The standalone :meth:`deposit` /
+:meth:`inverse_gradient` / :meth:`potential` open no span: their time
+belongs to the caller's (an in-situ power spectrum, a streamed chunk,
+the initial conditions).
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from scipy import fft as sp_fft
 from scipy import sparse
 
 from ..check.sanitize import guard_kernel
-from ..obs import get_recorder, timed
+from ..obs import get_recorder
 
 __all__ = ["PMSolver", "get_solver", "clear_solver_cache", "resolve_fft_workers"]
 
@@ -240,7 +243,7 @@ class PMSolver:
         pos = np.atleast_2d(np.asarray(pos_grid, dtype=np.float64))
         if len(pos) == 0:
             return np.zeros((self.ng, self.ng, self.ng), dtype=np.float64)
-        with self._op_lock, timed("pm_deposit_seconds"):
+        with self._op_lock:
             return self._scatter(self._operator(pos), weights, normalize)
 
     def potential(self, delta: np.ndarray, factor: float = 1.0) -> np.ndarray:
@@ -249,10 +252,9 @@ class PMSolver:
         The fused force path never materializes φ; this method exists so
         tests can compare against the oracle ``solve_poisson``.
         """
-        with timed("pm_fft_seconds"):
-            dk = sp_fft.rfftn(np.asarray(delta, dtype=np.float64), workers=self.workers)
-            phik = -factor * self._inv_k2 * dk
-            out = sp_fft.irfftn(phik, s=delta.shape, workers=self.workers)
+        dk = sp_fft.rfftn(np.asarray(delta, dtype=np.float64), workers=self.workers)
+        phik = -factor * self._inv_k2 * dk
+        out = sp_fft.irfftn(phik, s=delta.shape, workers=self.workers)
         self._count_ffts(2)
         return out
 
@@ -266,13 +268,10 @@ class PMSolver:
         """
         delta = np.asarray(delta, dtype=np.float64)
         ng = self.ng
-        with timed("pm_fft_seconds"):
-            dk = sp_fft.rfftn(delta, workers=self.workers)
-            out = np.empty((3, ng, ng, ng), dtype=np.float64)
-            for axis, kern in enumerate(self._grad_kernels):
-                out[axis] = sp_fft.irfftn(
-                    factor * kern * dk, s=delta.shape, workers=self.workers
-                )
+        dk = sp_fft.rfftn(delta, workers=self.workers)
+        out = np.empty((3, ng, ng, ng), dtype=np.float64)
+        for axis, kern in enumerate(self._grad_kernels):
+            out[axis] = sp_fft.irfftn(factor * kern * dk, s=delta.shape, workers=self.workers)
         self._count_ffts(4)
         return out
 
@@ -295,13 +294,14 @@ class PMSolver:
         if len(pos) == 0:
             return np.zeros((0, 3), dtype=np.float64)
         ng = self.ng
+        rec = get_recorder()
 
         with self._op_lock:
-            with timed("pm_deposit_seconds"):
+            with rec.span("sim.pm.deposit"):
                 op = self._operator(pos)
                 delta = self._scatter(op, weights, normalize=True)
 
-            with timed("pm_fft_seconds"):
+            with rec.span("sim.pm.fft"):
                 dk = sp_fft.rfftn(delta, workers=self.workers)
                 # the three force components of a cell side by side, so
                 # the gather reads each corner from one cache line
@@ -311,10 +311,10 @@ class PMSolver:
                         factor * kern * dk, s=delta.shape, workers=self.workers
                     ).reshape(ng**3)
 
-            with timed("pm_gather_seconds"):
+            with rec.span("sim.pm.gather"):
                 acc = op @ mesh
         self._count_ffts(4)
-        get_recorder().counter("pm_force_evals_total").inc()
+        rec.counter("pm_force_evals_total").inc()
         return acc
 
     # -- accounting ------------------------------------------------------------

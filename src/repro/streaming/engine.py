@@ -9,9 +9,9 @@ One pass over any :class:`~repro.streaming.stream.ParticleStream`:
   finished groups;
 * retirement batches fold into the mass-function and heavy-hitter
   accumulators; chunks deposit into the power-spectrum mesh;
-* ``stream_*`` counters/histograms and a peak-RSS gauge flow through
-  :mod:`repro.obs` (one :func:`~repro.obs.sample_memory` call per
-  chunk).
+* ``stream.*`` spans, ``stream_*`` counters and a peak-RSS gauge flow
+  through :mod:`repro.obs` (one :func:`~repro.obs.sample_memory` call
+  per chunk).
 
 Resident state is O(chunk + ring + active groups + accumulators): the
 pieces in flight hold at most ``chunk_rows + W * ring`` particles, and
@@ -28,7 +28,7 @@ import numpy as np
 from ..analysis.fof import DEFAULT_MIN_COUNT
 from ..analysis.mass_function import MassFunction
 from ..analysis.power_spectrum import PowerSpectrumResult
-from ..obs import get_recorder, sample_memory, timed
+from ..obs import get_recorder, sample_memory
 from .accumulators import MisraGries, StreamingMassFunction, StreamingPowerSpectrum
 from .fof import StreamedCatalog, StreamingFOF
 from .stream import ParticleStream
@@ -117,14 +117,9 @@ class StreamingAnalysis:
                     with rec.span("stream.chunk", index=fof.n_chunks, rows=len(tags)):
                         fof.ingest(pos, tags)
                         if ps is not None:
-                            with timed(
-                                "stream_deposit_seconds", help="per-chunk CIC deposit"
-                            ):
-                                ps.update(pos)
+                            ps.update(pos)
                     rec.counter("stream_chunks_total").inc()
                     rec.counter("stream_particles_total").inc(len(tags))
-                    rec.gauge("stream_ring_particles").set(fof.ring_size)
-                    rec.gauge("stream_active_groups").set(fof.active_groups)
                     peak_rss = sample_memory()
                 with rec.span("stream.finalize"):
                     catalog = fof.finalize()

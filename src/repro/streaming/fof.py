@@ -59,7 +59,7 @@ import numpy as np
 
 from ..analysis.fof import DEFAULT_MIN_COUNT, link_components, wrap_periodic
 from ..analysis.union_find import GrowableDisjointSet
-from ..obs import get_recorder, timed
+from ..obs import get_recorder
 
 __all__ = ["StreamOrderError", "StreamedCatalog", "StreamingFOF", "GroupForest", "link_width"]
 
@@ -225,16 +225,6 @@ class StreamingFOF:
         self.n_chunks = 0
         self.peak_resident = 0
 
-    # -- introspection (what the engine exports as gauges) ------------------
-
-    @property
-    def ring_size(self) -> int:
-        return len(self._ring_group)
-
-    @property
-    def active_groups(self) -> int:
-        return self._forest.dsu.n_components
-
     # -- the per-chunk step -------------------------------------------------
 
     def ingest(self, pos: np.ndarray, tags: np.ndarray) -> None:
@@ -306,9 +296,7 @@ class StreamingFOF:
         including head-slab links through the x wrap."""
         rec = get_recorder()
         rec.bind_thread(self._trace)
-        with rec.span("stream.link", rows=len(resident)), timed(
-            "stream_link_seconds", help="per-piece pair search on a link worker"
-        ):
+        with rec.span("stream.link", rows=len(resident)):
             return link_components(resident, self.linking_length, self.box)
 
     def _merge(self, piece: _Piece) -> None:

@@ -36,7 +36,6 @@ import numpy as np
 from ..analysis.fof import wrap_periodic
 from ..faults import FaultInjected, RetryPolicy, maybe_inject, resolve_retry
 from ..io.genericio import GenericIOFile, write_genericio
-from ..obs import get_recorder
 
 if TYPE_CHECKING:
     from ..sim.particles import Particles
@@ -145,12 +144,10 @@ class ArrayStream:
         return len(self._tag)
 
     def __iter__(self) -> Iterator[Chunk]:
-        rec = get_recorder()
         n = len(self._tag)
         for i, start in enumerate(range(0, n, self.chunk_rows)):
             _guard_chunk(self._retry, f"array:{i}")
             stop = min(start + self.chunk_rows, n)
-            rec.counter("stream_chunks_read_total").inc()
             yield {"pos": self._pos[start:stop], "tag": self._tag[start:stop]}
 
 
@@ -197,14 +194,12 @@ class GenericIOStream:
         return self._file.num_blocks
 
     def __iter__(self) -> Iterator[Chunk]:
-        rec = get_recorder()
         fname = os.path.basename(self.path)
         chunks = self._file.iter_chunks(
             self.chunk_rows, variables=["pos", "tag"], verify=self.verify
         )
         for i, data in enumerate(chunks):
             _guard_chunk(self._retry, f"{fname}:{i}")
-            rec.counter("stream_chunks_read_total").inc()
             yield {
                 "pos": np.asarray(data["pos"], dtype=np.float64),
                 "tag": np.asarray(data["tag"], dtype=np.int64),

@@ -478,12 +478,12 @@ def test_engine_telemetry_spans_and_gauge(skewed_catalog, tmp_path):
     assert "exec.run" in names and "exec.item" in names
     worker_tracks = {s.thread for s in snap.spans if s.name == "exec.item"}
     assert {"exec-worker-0", "exec-worker-1"} <= worker_tracks
-    # the Figure-4 gauge + steal counter + dispatch histogram
+    # the Figure-4 gauge + steal counter; dispatch overhead rides each item span
     metrics = snap.metrics
     assert metrics["exec_load_imbalance_ratio"] >= 1.0
     assert metrics["exec_runs_total"] == 1
     assert metrics["exec_steals_total"] >= 0
-    assert any(k.startswith("exec_dispatch_overhead_seconds") for k in metrics)
+    assert all(s.fields["overhead"] >= 0.0 for s in snap.spans if s.name == "exec.item")
     # phase report buckets exec time under its own phase
     assert "Parallel exec" in snap.phase_table()
     # Chrome trace export renders per-worker tracks

@@ -167,7 +167,7 @@ def test_failure_labels_follow_the_scheme_not_a_list():
     assert failure_label("anything_requeues_total") == "anything requeues"
     assert failure_label("service.job_requeued") == "service requeues"
     assert failure_label("exec_dead_letter_total") == "exec dead-lettered"
-    for name in ("exec_items_total", "service.transition", "_jobs_failed_total", ".job_failed"):
+    for name in ("exec_runs_total", "service.transition", "_jobs_failed_total", ".job_failed"):
         assert failure_label(name) is None
 
 

@@ -155,7 +155,8 @@ def test_metrics_cover_io_listener_and_sim(traced_run, small_config):
     assert m.counter("io_read_bytes_total").value > 0
     assert m.counter("listener_jobs_submitted_total").value >= 2
     assert m.counter("listener_jobs_failed_total").value == 0
-    assert m.histogram("listener_submit_seconds").count >= 2
+    submits = [s for s in rec.tracer.snapshot() if s.name == "listener.submit"]
+    assert len(submits) >= 2
     assert m.gauge("listener_backlog").max >= 1
     text = m.render_text()
     assert "io_write_bytes_total" in text and "listener_backlog" in text

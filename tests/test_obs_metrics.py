@@ -1,13 +1,12 @@
-"""repro.obs.metrics: counters, gauges, histogram bucketing, exposition."""
+"""repro.obs.metrics: counters, gauges, exposition."""
 
 from __future__ import annotations
 
-import math
 import threading
 
 import pytest
 
-from repro.obs import Histogram, MetricsRegistry
+from repro.obs import MetricsRegistry
 
 
 def test_counter_monotonic():
@@ -33,8 +32,9 @@ def test_kind_conflict_raises():
     reg.counter("x")
     with pytest.raises(TypeError):
         reg.gauge("x")
+    reg.gauge("y")
     with pytest.raises(TypeError):
-        reg.histogram("x")
+        reg.counter("y")
 
 
 def test_gauge_watermarks():
@@ -49,73 +49,40 @@ def test_gauge_watermarks():
     assert g.min == 0
 
 
-def test_histogram_bucketing_is_cumulative_inclusive():
-    h = Histogram("lat", buckets=[0.01, 0.1, 1.0])
-    for v in (0.005, 0.01, 0.05, 0.5, 2.0):
-        h.observe(v)
-    cum = h.bucket_counts()
-    assert cum[0.01] == 2  # 0.005 and the boundary value 0.01 (le semantics)
-    assert cum[0.1] == 3
-    assert cum[1.0] == 4
-    assert cum[math.inf] == 5  # the 2.0 tail lands in +Inf
-    assert h.count == 5
-    assert h.sum == pytest.approx(2.565)
-    assert h.mean == pytest.approx(2.565 / 5)
-
-
-def test_histogram_quantile_upper_bound():
-    h = Histogram("lat", buckets=[1, 2, 4, 8])
-    for v in [*([0.5] * 50), *([3.0] * 49), 100.0]:
-        h.observe(v)
-    assert h.quantile(0.5) == 1
-    assert h.quantile(0.99) == 4
-    assert h.quantile(1.0) == math.inf
-
-
-def test_histogram_concurrent_observe():
-    h = Histogram("lat", buckets=[0.5])
+def test_counter_concurrent_inc():
+    c = MetricsRegistry().counter("jobs_total")
     n, threads = 5000, 4
 
     def worker():
-        for i in range(n):
-            h.observe(i % 2)  # alternate 0 (<=0.5) and 1 (+Inf)
+        for _ in range(n):
+            c.inc()
 
     ts = [threading.Thread(target=worker) for _ in range(threads)]
     for t in ts:
         t.start()
     for t in ts:
         t.join()
-    assert h.count == n * threads
-    cum = h.bucket_counts()
-    assert cum[0.5] == n * threads // 2
+    assert c.value == n * threads
 
 
 def test_text_exposition_format():
     reg = MetricsRegistry()
     reg.counter("io_write_bytes_total", help="payload bytes written").inc(1024)
     reg.gauge("listener_backlog").set(3)
-    reg.histogram("submit_seconds", buckets=[0.1, 1.0]).observe(0.05)
     text = reg.render_text()
     assert "# HELP io_write_bytes_total payload bytes written" in text
     assert "# TYPE io_write_bytes_total counter" in text
     assert "io_write_bytes_total 1024" in text
+    assert "# TYPE listener_backlog gauge" in text
     assert "listener_backlog 3" in text
-    assert 'submit_seconds_bucket{le="0.1"} 1' in text
-    assert 'submit_seconds_bucket{le="+Inf"} 1' in text
-    assert "submit_seconds_count 1" in text
 
 
-def test_as_dict_flattens_histograms():
+def test_as_dict_is_one_value_per_name():
     reg = MetricsRegistry()
     reg.counter("c").inc(2)
-    h = reg.histogram("h", buckets=[1.0])
-    h.observe(0.5)
-    h.observe(1.5)
-    d = reg.as_dict()
-    assert d["c"] == 2
-    assert d["h_count"] == 2
-    assert d["h_sum"] == pytest.approx(2.0)
-    assert d["h_mean"] == pytest.approx(1.0)
+    reg.gauge("g").set(7)
+    reg.gauge("g").set(4)
+    assert reg.as_dict() == {"c": 2, "g": 4}
 
 
 def test_sample_memory_sets_the_peak_rss_gauge():

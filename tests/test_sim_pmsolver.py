@@ -375,27 +375,26 @@ def test_fft_accounting_and_counters(rng):
         assert solver.fft_count == 8
         assert rec.counter("pm_force_evals_total").value == 2
         assert rec.counter("pm_fft_total").value == 8
-        hist = rec.histogram("pm_fft_seconds")
-        assert hist.count >= 2
-        assert rec.histogram("pm_deposit_seconds").count == 2
-        assert rec.histogram("pm_gather_seconds").count == 2
+        stages = [s.name for s in rec.tracer.snapshot()]
+        for stage in ("sim.pm.deposit", "sim.pm.fft", "sim.pm.gather"):
+            assert stages.count(stage) == 2
 
 
 def test_pm_timers_cover_the_force_evaluation():
-    """No unattributed time: the three ``pm_*_seconds`` histograms account
-    for ≥ 90 % of the wall of ``accelerations()`` (the operator build used
+    """No unattributed time: the three ``sim.pm.*`` stage spans cover
+    ≥ 90 % of the wall of ``accelerations()`` (the operator build used
     to run before the first timer and was ~40 % of it)."""
     ng = 32
     pos = np.random.default_rng(5).uniform(0, ng, (ng**3, 3))
     solver = PMSolver(ng)
     body = PMSolver.accelerations.__wrapped__  # without the sanitizer's output walk
     body(solver, pos, 1.0)  # warm-up: buffers, FFT plans
-    names = ("pm_deposit_seconds", "pm_fft_seconds", "pm_gather_seconds")
     best = 0.0
     for _ in range(5):
         with obs.telemetry() as rec:
             t0 = time.perf_counter()
             body(solver, pos, 1.0)
             wall = time.perf_counter() - t0
-            best = max(best, sum(rec.histogram(name).sum for name in names) / wall)
+            stages = [s for s in rec.tracer.snapshot() if s.name.startswith("sim.pm.")]
+            best = max(best, sum(s.duration for s in stages) / wall)
     assert best >= 0.9

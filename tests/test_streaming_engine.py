@@ -80,7 +80,8 @@ def test_memory_telemetry_flows_through_obs(blob_points):
     assert m.counter("stream_halos_retired_total").value == result.catalog.n_halos
     assert m.gauge("process_peak_rss_bytes").value == result.peak_rss_bytes
     # one pair search per slab piece, at least one piece per chunk
-    assert m.histogram("stream_link_seconds").count >= result.n_chunks
+    links = [s for s in rec.tracer.snapshot() if s.name == "stream.link"]
+    assert len(links) >= result.n_chunks
 
 
 def _at_width(mp, width):
@@ -228,7 +229,6 @@ def test_traced_run_links_on_pool_lanes_under_stream_run(monkeypatch, blob_point
     assert all(s.parent_id == run.span_id for s in links)
     assert len(merges) == len(links)
     assert {s.thread for s in merges} == {run.thread}
-    assert rec.metrics.histogram("stream_link_seconds").count == len(links)
 
 
 def test_streamed_campaign_is_deterministic(tmp_path, blob_points):
@@ -350,7 +350,6 @@ def test_streaming_preview_algorithm(mini_sim):
     ctx = AnalysisContext(step=10, a=1.0)
     alg.execute(mini_sim, ctx)
     preview = ctx.store["streaming_preview"]
-    assert "streaming_preview_seconds" in ctx.timings
 
     box = float(mini_sim.config.box)
     ll = 0.2 * box / mini_sim.config.np_per_dim
