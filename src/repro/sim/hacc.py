@@ -32,7 +32,7 @@ import numpy as np
 from ..obs import get_recorder
 from .cosmology import Cosmology, QCONTINUUM_COSMOLOGY, a_of_z, z_of_a
 from .initial_conditions import ICConfig, make_initial_conditions
-from .particles import Particles
+from .particles import Particles, wrap_periodic
 from .pmsolver import get_solver
 
 __all__ = ["SimulationConfig", "StepRecord", "HACCSimulation"]
@@ -53,8 +53,8 @@ class SimulationConfig:
     n_steps: int = 60
     ng: int | None = None
     seed: int = 12345
-    #: FFT threads for the PM solver (None = auto; bit-identical
-    #: results for any value).
+    #: PM threads: the FFTs and the particle passes (None = auto;
+    #: bit-identical results for any value).
     fft_workers: int | None = None
 
     def __post_init__(self) -> None:
@@ -155,6 +155,26 @@ class HACCSimulation:
             accel *= self._cell
         return accel
 
+    def _integrate(self, accel: np.ndarray, kick: float, drift: float | None = None) -> None:
+        """``p += accel·kick``; with ``drift`` also ``x += p·drift`` and wrap.
+
+        Runs block by block on the PM threads: every operation is
+        per-element, so each row gets the same arithmetic at any worker
+        count.  The products go to the range's scratch block, so no
+        thread allocates.
+        """
+        p, x, box = self.particles.vel, self.particles.pos, self.particles.box
+
+        def rows(block: slice, tmp: np.ndarray) -> None:
+            pb = p[block]
+            pb += np.multiply(accel[block], kick, out=tmp)
+            if drift is not None:
+                xb = x[block]
+                xb += np.multiply(pb, drift, out=tmp)
+                wrap_periodic(xb, box, scratch=tmp)
+
+        self.pm.for_blocks(len(p), rows)
+
     # -- main loop -----------------------------------------------------------
 
     @property
@@ -186,20 +206,17 @@ class HACCSimulation:
             if self._accel_cache is None:
                 self._accel_cache = self._compute_accelerations(a0)
 
-            p = self.particles.vel
             with rec.span("sim.integrate", step=self.step + 1):
-                # kick (half) at a0
-                p += self._accel_cache * (self.cosmo.f_drift(a0) * 0.5 * da)
-
-                # drift (full) with midpoint factor
+                # kick (half) at a0, then drift (full) with midpoint factor
                 drift = float(self.cosmo.f_drift(a_half) / a_half**2) * da
-                self.particles.pos += p * drift
-                self.particles.wrap()
+                self._integrate(
+                    self._accel_cache, self.cosmo.f_drift(a0) * 0.5 * da, drift
+                )
 
             # new force at a1, kick (half)
             accel = self._compute_accelerations(a1)
             with rec.span("sim.integrate", step=self.step + 1):
-                p += accel * (self.cosmo.f_drift(a1) * 0.5 * da)
+                self._integrate(accel, self.cosmo.f_drift(a1) * 0.5 * da)
             self._accel_cache = accel
             force_seconds = time.perf_counter() - t0
 

@@ -42,7 +42,7 @@ LEVEL1_SCHEMA: dict[str, np.dtype] = {
 }
 
 
-def wrap_periodic(x: np.ndarray, box: float) -> None:
+def wrap_periodic(x: np.ndarray, box: float, scratch: np.ndarray | None = None) -> None:
     """Wrap a float array into ``[0, box]`` in place: ``x -= floor(x/box)·box``.
 
     Bit-identical to ``np.mod(x, box, out=x)`` for ``x`` within one box
@@ -50,9 +50,10 @@ def wrap_periodic(x: np.ndarray, box: float) -> None:
     ever produces — at a fifth of the cost of the libm ``fmod`` behind
     it; farther out the two agree to the rounding of ``k·box``.  As with
     ``np.mod``, a tiny negative ``x`` rounds to ``box`` itself, hence the
-    closed interval.
+    closed interval.  ``scratch``, shaped like ``x``, spares the one
+    temporary.
     """
-    shift = np.divide(x, box)
+    shift = np.divide(x, box, out=scratch)
     np.floor(shift, out=shift)
     shift *= box
     x -= shift

@@ -9,22 +9,27 @@ runs all three stages off a single sparse cloud-in-cell operator:
   {0,1}³`` loop-nest order).  The scatter is ``Wᵀ @ masses`` and the
   gather is ``W @ mesh``, so the two are adjoint by construction — the
   matched scatter/gather pair that makes the PM force conserve momentum.
-* **cache-blocked build** — ``W`` is filled :data:`_BLOCK_ROWS` particles
-  at a time into reusable ``(n, 8)`` index/weight buffers: per block,
-  transpose to structure-of-arrays, ``floor``, integer ``%= ng``, 8 corner
-  writes.  Every temporary stays cache-resident and each particle is
-  touched once.  Indices are ``int32`` whenever ``8n`` and ``ng³`` fit
-  (``int64`` otherwise); positions too large for the index type raise
-  instead of wrapping.
+* **blocked build** — ``W`` is filled :data:`_BLOCK_ROWS` particles at
+  a time into reusable ``(n, 8)`` index/weight buffers: per block,
+  ``floor``, integer ``%= ng``, and all 8 corners in one broadcast write
+  each for indices and weights.  Indices are ``int32`` whenever ``8n``
+  and ``ng³`` fit (``int64`` otherwise); positions too large for the
+  index type raise instead of wrapping.
 * **a single gather** — the three inverse transforms are laid out as one
   ``(ng³, 3)`` mesh, so ``W @ mesh`` reads each corner's three force
   components from one cache line and sums the 8 corners in operator
   order: accelerations are bit-identical for any block size.
 * **4 FFTs, never materializing φ** — Poisson (``-1/k²``) and gradient
   (``i·k``) are applied together in k-space to the single forward
-  transform of δ:  ``a_k = i k · factor · δ_k / k²``.  Transforms run on
-  ``scipy.fft`` with ``workers=``; pocketfft threads over independent
-  1-D lines, so results are bit-identical for any worker count.
+  transform of δ:  ``a_k = i k · factor · δ_k / k²``.
+* **PM threads: the FFTs and the particle passes** — ``workers`` threads
+  run the transforms (``scipy.fft``; pocketfft threads over independent
+  1-D lines) and every row-independent particle pass: the operator fill,
+  the gather, and the integrator's kick/drift/wrap
+  (:meth:`PMSolver.for_blocks`, which splits the blocks into ``workers``
+  contiguous ranges).  The scatter ``Wᵀ @ m`` sums over particles and
+  stays on the caller.  Each row is computed by the same operations in
+  the same order, so every result is bit-identical for any worker count.
 
 The function-at-a-time 6-FFT chain this engine replaced lives on as the
 test oracle ``tests/oracles/pm_reference.py``.
@@ -33,7 +38,8 @@ Purity contract: no wall-clock reads in this module (rule RPR003 covers
 it); timing is spans, whose clock lives in ``repro.obs`` where it
 belongs.  Every stage of :meth:`PMSolver.accelerations` sits under one
 of the spans ``sim.pm.deposit`` (operator build + scatter),
-``sim.pm.fft`` or ``sim.pm.gather``.  The standalone :meth:`deposit` /
+``sim.pm.fft`` or ``sim.pm.gather``, opened on the calling thread, which
+waits for the pool's ranges inside it.  The standalone :meth:`deposit` /
 :meth:`inverse_gradient` / :meth:`potential` open no span: their time
 belongs to the caller's (an in-situ power spectrum, a streamed chunk,
 the initial conditions).
@@ -43,6 +49,9 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import Callable
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -53,23 +62,24 @@ from ..obs import get_recorder
 
 __all__ = ["PMSolver", "get_solver", "clear_solver_cache", "resolve_fft_workers"]
 
-#: Cap on auto-detected FFT threads: beyond this the per-transform lines
+#: Cap on auto-detected PM threads: beyond this the per-transform lines
 #: are too short for threading to pay at mini-HACC mesh sizes.
 _MAX_AUTO_WORKERS = 8
 
-#: Particle rows per operator-build block.  A block's SoA temporaries plus
-#: its slices of the index/weight buffers come to ~200 B/row, so 4096 rows
-#: stay L2-resident (measured at 64³: 12 ms blocked vs 27 ms whole-array).
+#: Particle rows per block of every particle pass (operator fill, gather,
+#: kick/drift/wrap).  Short blocks keep a block's temporaries cache-resident
+#: but hand the GIL over on every ufunc call, which stalls a second thread
+#: (measured at 1 and 2 workers: EXPERIMENTS.md, "PM force engine").
 #: Results do not depend on it.
-_BLOCK_ROWS = 4096
+_BLOCK_ROWS = 16384
 
 
 def resolve_fft_workers(workers: int | None = None) -> int:
-    """Resolve the FFT thread count.
+    """Resolve the PM thread count: the FFTs and the particle passes.
 
     Explicit ``workers`` wins; else the ``REPRO_PM_WORKERS`` environment
-    variable; else the CPU count capped at ``8``.  Always ≥ 1.  The
-    transforms are bit-identical for any value, so this is purely a
+    variable; else the CPU count capped at ``8``.  Always ≥ 1.  Every
+    result is bit-identical for any value, so this is purely a
     throughput knob.
     """
     if workers is None:
@@ -79,6 +89,33 @@ def resolve_fft_workers(workers: int | None = None) -> int:
         else:
             workers = min(os.cpu_count() or 1, _MAX_AUTO_WORKERS)
     return max(int(workers), 1)
+
+
+def _row_ranges(n: int, parts: int) -> list[tuple[int, int]]:
+    """``n`` rows as at most ``parts`` contiguous ranges of whole blocks."""
+    blocks = -(-n // _BLOCK_ROWS)
+    parts = max(min(parts, blocks), 1)
+    edges = [min(blocks * k // parts * _BLOCK_ROWS, n) for k in range(parts + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _row_view(op: sparse.csr_matrix, lo: int, hi: int) -> sparse.csr_matrix:
+    """Rows ``lo:hi`` of the 8-per-row operator, sharing its buffers.
+
+    Not ``csr_matrix((data[a:b], indices[a:b], indptr))``: that
+    constructor's format check prunes, i.e. silently *copies*, any view
+    much smaller than its base, and the gather would then read a stale
+    copy after the next in-place refill.  The arrays are assigned to an
+    empty matrix instead, which checks nothing.
+    """
+    view = sparse.csr_matrix((hi - lo, op.shape[1]), dtype=op.dtype)
+    view.data = op.data[8 * lo : 8 * hi]
+    view.indices = op.indices[8 * lo : 8 * hi]
+    view.indptr = op.indptr[: hi - lo + 1]  # arange(0, 8n + 1, 8)
+    for name in ("data", "indices", "indptr"):
+        if not np.shares_memory(getattr(view, name), getattr(op, name)):
+            raise RuntimeError(f"operator row view copied its {name}")
+    return view
 
 
 def _index_dtype(n: int, ng: int) -> type[np.signedinteger]:
@@ -104,7 +141,8 @@ class PMSolver:
     ng:
         Mesh size per dimension.
     workers:
-        FFT threads (see :func:`resolve_fft_workers`).
+        PM threads: the FFTs and the particle passes (see
+        :func:`resolve_fft_workers`).
 
     Notes
     -----
@@ -138,10 +176,16 @@ class PMSolver:
         #: the CIC operator over its reusable buffers (rebuilt only when
         #: the particle count changes; refilled in place otherwise)
         self._op: sparse.csr_matrix | None = None
+        #: the operator's blocks as CSR matrices over its buffers, keyed
+        #: by ``(first, last + 1)`` row (see :meth:`_gather`)
+        self._row_views: dict[tuple[int, int], sparse.csr_matrix] = {}
         #: held while the operator is filled and used: a cached solver is
         #: shared by the simulation loop and by power-spectrum deposits,
         #: which the pipelined in-situ manager runs on a worker thread
         self._op_lock = threading.Lock()
+        #: the threads that walk the particle-pass ranges after the first
+        #: (created on the first pass that splits; see :meth:`for_blocks`)
+        self._threads: ThreadPoolExecutor | None = None
 
     # -- the CIC operator (scatter is Wᵀ, gather is W) -------------------------
 
@@ -151,7 +195,8 @@ class PMSolver:
         Row ``i`` holds particle ``i``'s 8 corner cells (flattened mesh
         index) and trilinear weights, corners in ``(a, b, c) ∈ {0,1}³``
         loop-nest order with weight ``(wx·wy)·wz``.  Any finite position
-        is folded into the periodic mesh by the integer ``%= ng``.
+        is folded into the periodic mesh by the integer ``%= ng``.  The
+        rows are filled block by block on the PM threads.
         """
         ng = self.ng
         n = len(pos)
@@ -166,38 +211,116 @@ class PMSolver:
                 shape=(n, ng**3),
                 copy=False,
             )
+            self._row_views = {}
         op = self._op
         itype = op.indices.dtype
-        idx = op.indices.reshape(n, 8)
-        wts = op.data.reshape(n, 8)
-        mesh_strides = np.array([[ng * ng], [ng], [1]], dtype=itype)
-        # a float → int cast that does not fit sets the FP invalid flag:
-        # raise on it rather than deposit into a wrapped-around cell
-        with np.errstate(invalid="raise"):
-            for start in range(0, n, _BLOCK_ROWS):
-                block = slice(start, start + _BLOCK_ROWS)
-                frac = pos[block].T.copy()  # (3, rows) SoA; always a copy
-                lo = np.floor(frac)
-                i0 = lo.astype(itype)
-                frac -= lo
-                np.subtract(1.0, frac, out=lo)  # lo: weight of the lower corner
-                i0 %= ng
-                i1 = i0 + 1
-                i1[i1 == ng] = 0
-                i0 *= mesh_strides
-                i1 *= mesh_strides
-                wx, wy, wz = zip(lo, frac)
-                ix, iy, iz = zip(i0, i1)
-                corner = 0
-                for a in (0, 1):
-                    for b in (0, 1):
-                        ixy = ix[a] + iy[b]
-                        wxy = wx[a] * wy[b]
-                        for c in (0, 1):
-                            np.add(ixy, iz[c], out=idx[block, corner])
-                            np.multiply(wxy, wz[c], out=wts[block, corner])
-                            corner += 1
+        # corner (a, b, c) ∈ {0,1}³ of row i is column 4a + 2b + c: a
+        # (4, 2, n) view puts the 8 corners of a block on its leading axes
+        idx = op.indices.reshape(n, 4, 2).transpose(1, 2, 0)
+        wts = op.data.reshape(n, 4, 2).transpose(1, 2, 0)
+        mesh_strides = np.array([ng * ng, ng, 1], dtype=itype).reshape(3, 1, 1)
+
+        def fill(block: slice, _scratch: np.ndarray) -> None:
+            x = pos[block].T  # (3, rows)
+            rows = x.shape[1]
+            # [axis, upper?, row]: the lower and upper corner of each axis
+            w = np.empty((3, 2, rows), dtype=np.float64)
+            i = np.empty((3, 2, rows), dtype=itype)
+            # a float → int cast that does not fit sets the FP invalid flag:
+            # raise on it rather than deposit into a wrapped-around cell
+            # (the FP mode is per thread, so every block enters it)
+            with np.errstate(invalid="raise"):
+                np.floor(x, out=w[:, 0])
+                np.copyto(i[:, 0], w[:, 0], casting="unsafe")
+            np.subtract(x, w[:, 0], out=w[:, 1])  # weight of the upper corner
+            np.subtract(1.0, w[:, 1], out=w[:, 0])  # ... and of the lower
+            i[:, 0] %= ng
+            np.add(i[:, 0], 1, out=i[:, 1])
+            i[:, 1][i[:, 1] == ng] = 0
+            i *= mesh_strides
+            # (ix[a] + iy[b]) + iz[c] and (wx[a]·wy[b])·wz[c], all 8 corners
+            ixy = (i[0][:, None] + i[1][None]).reshape(4, 1, rows)
+            wxy = (w[0][:, None] * w[1][None]).reshape(4, 1, rows)
+            np.add(ixy, i[2][None], out=idx[:, :, block])
+            np.multiply(wxy, w[2][None], out=wts[:, :, block])
+
+        self.for_blocks(n, fill)
         return op
+
+    def _gather(self, mesh: np.ndarray) -> np.ndarray:
+        """``W @ mesh`` → ``(n, 3)`` for the operator last filled.
+
+        Runs block by block on the PM threads, each block's product
+        written into its rows of one caller-allocated array.  A block is
+        a CSR matrix over its rows of the operator's own buffers
+        (:func:`_row_view`, made once per buffer allocation and block),
+        so it sums each row's 8 corners in operator order: the result is
+        bit-identical to ``W @ mesh``.
+        """
+        op = self._op
+        n = op.shape[0]
+        views = self._row_views
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = (start, min(start + _BLOCK_ROWS, n))
+            if rows not in views:
+                views[rows] = _row_view(op, *rows)
+        acc = np.empty((n, 3), dtype=np.float64)
+
+        def gather(block: slice, _scratch: np.ndarray) -> None:
+            acc[block] = views[block.start, block.stop] @ mesh
+
+        self.for_blocks(n, gather)
+        return acc
+
+    # -- the row-parallel particle passes --------------------------------------
+
+    def for_blocks(self, n: int, fn: Callable[[slice, np.ndarray], None]) -> None:
+        """Call ``fn(rows, scratch)`` once for every :data:`_BLOCK_ROWS` block of ``n`` rows.
+
+        The blocks are split into at most :attr:`workers` contiguous
+        ranges; the caller walks the first, the solver's kept thread pool
+        the others.  ``fn`` must touch only its own rows, so each row is
+        computed by the same operations in the same order at any worker
+        count.  ``scratch`` is a ``(block rows, 3)`` float64 buffer that
+        belongs to the block's range; it is allocated here, on the
+        caller, so a pool thread need not allocate (its glibc arena
+        would keep the high-water mark).  Returns once every block is
+        done; an error raised in any range is re-raised here.
+        """
+        ranges = _row_ranges(n, self.workers)
+        scratch = np.empty((len(ranges), min(n, _BLOCK_ROWS), 3), dtype=np.float64)
+
+        def walk(k: int) -> None:
+            lo, hi = ranges[k]
+            for start in range(lo, hi, _BLOCK_ROWS):
+                stop = min(start + _BLOCK_ROWS, hi)
+                fn(slice(start, stop), scratch[k, : stop - start])
+
+        if len(ranges) > 1:
+            pool = self._pool()
+            pending = [pool.submit(walk, k) for k in range(1, len(ranges))]
+        else:
+            pending = []
+        try:
+            walk(0)
+        finally:
+            wait(pending)  # no range outlives the call, even on an error
+        for future in pending:
+            future.result()
+
+    def _pool(self) -> ThreadPoolExecutor:
+        with _LOCK:
+            if self._threads is None:
+                self._threads = ThreadPoolExecutor(
+                    self.workers - 1, thread_name_prefix="pm-rows"
+                )
+                _POOLED.add(self)
+            return self._threads
+
+    def _drop_pool(self) -> None:
+        threads, self._threads = self._threads, None
+        if threads is not None:
+            threads.shutdown(wait=True)
 
     def _scatter(
         self, op: sparse.csr_matrix, weights: np.ndarray | None, normalize: bool
@@ -312,7 +435,7 @@ class PMSolver:
                     ).reshape(ng**3)
 
             with rec.span("sim.pm.gather"):
-                acc = op @ mesh
+                acc = self._gather(mesh)
         self._count_ffts(4)
         rec.counter("pm_force_evals_total").inc()
         return acc
@@ -330,6 +453,10 @@ class PMSolver:
 # -- per-process solver cache (one engine per (ng, workers)) -------------------
 
 _SOLVER_CACHE: dict[tuple[int, int], PMSolver] = {}
+#: guards the cache and every solver's pool creation
+_LOCK = threading.Lock()
+#: solvers that own a pool, so a forked child can forget the parent's threads
+_POOLED: weakref.WeakSet[PMSolver] = weakref.WeakSet()
 
 
 def get_solver(ng: int, workers: int | None = None) -> PMSolver:
@@ -340,13 +467,29 @@ def get_solver(ng: int, workers: int | None = None) -> PMSolver:
     across callers (simulation loop, Zel'dovich setup, power spectra).
     """
     key = (int(ng), resolve_fft_workers(workers))
-    solver = _SOLVER_CACHE.get(key)
-    if solver is None:
-        solver = PMSolver(key[0], workers=key[1])
-        _SOLVER_CACHE[key] = solver
+    with _LOCK:
+        solver = _SOLVER_CACHE.get(key)
+        if solver is None:
+            solver = _SOLVER_CACHE[key] = PMSolver(key[0], workers=key[1])
     return solver
 
 
 def clear_solver_cache() -> None:
-    """Drop all cached solvers (test isolation / memory reclaim)."""
-    _SOLVER_CACHE.clear()
+    """Drop all cached solvers and stop their threads (test isolation / memory reclaim)."""
+    with _LOCK:
+        solvers = list(_SOLVER_CACHE.values())
+        _SOLVER_CACHE.clear()
+    for solver in solvers:
+        solver._drop_pool()
+
+
+def _forget_pools_in_child() -> None:
+    """A forked child has none of its parent's pool threads: start afresh."""
+    global _LOCK
+    _LOCK = threading.Lock()
+    for solver in list(_POOLED):
+        solver._threads = None
+    _POOLED.clear()
+
+
+os.register_at_fork(after_in_child=_forget_pools_in_child)

@@ -13,6 +13,10 @@ from repro.sim import (
     QCONTINUUM_COSMOLOGY,
     SimulationConfig,
 )
+from repro import obs
+from repro.insitu.algorithms import PowerSpectrumAlgorithm
+from repro.insitu.manager import InSituAnalysisManager
+from repro.sim import pmsolver
 from repro.sim.particles import wrap_periodic
 from tests.oracles.pm_reference import cic_deposit
 
@@ -120,6 +124,51 @@ def test_mesh_independence_of_state():
     # coarse (8^3) density fields agree well (the finer mesh adds genuine
     # small-scale force resolution, so correlation is high but not 1)
     assert np.corrcoef(da.ravel(), db.ravel())[0, 1] > 0.9
+
+
+@pytest.mark.parametrize("block_rows", [1000, 5000])
+def test_trajectory_bit_identical_at_any_worker_count(monkeypatch, block_rows):
+    """Kick, drift and wrap run block by block on the PM threads: the
+    particle state is byte-identical for any worker count.  The blocks
+    are shrunk so that 24³ particles split three ways, unevenly."""
+
+    def run(workers):
+        cfg = SimulationConfig(
+            np_per_dim=24, box=40.0, z_initial=30.0, n_steps=4, fft_workers=workers
+        )
+        sim = HACCSimulation(cfg)
+        sim.run()
+        return sim.particles.pos.tobytes(), sim.particles.vel.tobytes()
+
+    serial = run(1)
+    monkeypatch.setattr(pmsolver, "_BLOCK_ROWS", block_rows)
+    assert len(pmsolver._row_ranges(24**3, 3)) == 3
+    for workers in (1, 2, 3):
+        assert run(workers) == serial
+
+
+def test_step_timers_cover_the_step():
+    """No unattributed step time: the force, the integrator passes (whose
+    worker threads open no span) and the in-situ hook are ≥ 90 % of
+    ``sim.step``."""
+    manager = InSituAnalysisManager()
+    manager.register(PowerSpectrumAlgorithm())
+    cfg = SimulationConfig(np_per_dim=32, box=64.0, z_initial=30.0, n_steps=3)
+    best = 0.0
+    for _ in range(3):
+        sim = HACCSimulation(cfg, analysis_manager=manager)
+        with obs.telemetry() as rec:
+            sim.run()
+            spans = rec.tracer.snapshot()
+        steps = {s.span_id: s for s in spans if s.name == "sim.step"}
+        covered = sum(
+            s.duration
+            for s in spans
+            if s.parent_id in steps
+            and (s.name in ("sim.force", "sim.integrate") or s.name.startswith("insitu."))
+        )
+        best = max(best, covered / sum(s.duration for s in steps.values()))
+    assert best >= 0.9
 
 
 # --- Particles container -----------------------------------------------------

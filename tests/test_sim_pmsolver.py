@@ -7,6 +7,7 @@ the solver's physical and reproducibility contracts: determinism,
 momentum conservation, buffer non-aliasing, and telemetry accounting.
 """
 
+import multiprocessing
 import sys
 import threading
 import time
@@ -112,7 +113,9 @@ def edge_positions(seed, n, ng):
 
 operator_cases = given(
     seed=st.integers(0, 2**31 - 1),
-    n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 17]),
+    # fixed sizes around 4096-row block edges; the particle-pass blocks
+    # and their split across threads are covered by SPLIT_SIZES below
+    n=st.sampled_from([1, 4095, 4096, 4097, 8209]),
     ng=st.sampled_from([2, 6, 32, 48]),
     weighted=st.booleans(),
 )
@@ -342,6 +345,57 @@ def test_get_solver_caches_per_ng_and_workers():
         clear_solver_cache()
 
 
+def _race_a_cold_get_solver(n_threads):
+    clear_solver_cache()
+    got = [None] * n_threads
+    start = threading.Barrier(n_threads, timeout=30)
+
+    def race(i):
+        start.wait()
+        got[i] = get_solver(24, workers=2)
+
+    threads = [threading.Thread(target=race, args=(i,)) for i in range(n_threads)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    return got
+
+
+def test_get_solver_is_atomic_under_concurrency():
+    """Threads racing a cold cache all get the one solver (and so share
+    one set of operator buffers, one fft_count and one pool)."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            got = _race_a_cold_get_solver(8)
+            assert len({id(s) for s in got}) == 1
+            assert got[0] is get_solver(24, workers=2)
+    finally:
+        sys.setswitchinterval(interval)
+        clear_solver_cache()
+
+
+def _pool_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("pm-rows")]
+
+
+def test_clear_solver_cache_stops_the_pool_threads():
+    clear_solver_cache()
+    baseline = len(_pool_threads())
+    solver = get_solver(8, workers=3)
+    pos = edge_positions(3, 3 * BLOCK + 7, 8)
+    expected = solver.deposit(pos)
+    assert len(_pool_threads()) > baseline
+    clear_solver_cache()
+    assert len(_pool_threads()) == baseline
+    # a solver still held elsewhere starts a new pool on its next split pass
+    np.testing.assert_array_equal(solver.deposit(pos), expected)
+    solver._drop_pool()
+    assert len(_pool_threads()) == baseline
+
+
 def test_resolve_fft_workers(monkeypatch):
     assert resolve_fft_workers(3) == 3
     assert resolve_fft_workers(0) == 1  # clamped
@@ -351,14 +405,85 @@ def test_resolve_fft_workers(monkeypatch):
     assert resolve_fft_workers() >= 1
 
 
-def test_worker_count_bit_identical(rng):
-    ng = 16
-    pos = rng.uniform(0, ng, (1000, 3))
-    a1 = PMSolver(ng, workers=1).accelerations(pos, 1.0)
-    for workers in (2, 4):
-        np.testing.assert_array_equal(
-            PMSolver(ng, workers=workers).accelerations(pos, 1.0), a1
-        )
+SPLIT_SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 17, 3 * BLOCK + 7]
+
+
+def test_worker_count_bit_identical():
+    """The FFTs and the row ranges of the particle passes change nothing:
+    every row is computed by the same operations at any worker count."""
+    ng = 8
+    solvers = [PMSolver(ng, workers=workers) for workers in (1, 2, 3, 4, 8)]
+    for n in SPLIT_SIZES:
+        pos = edge_positions(n, n, ng)  # spans [-ng, 2ng): folded periodically
+        w = np.random.default_rng(n).uniform(0.5, 2.0, n)
+        serial = solvers[0]
+        a1 = serial.accelerations(pos, 1.3, weights=w)
+        d1 = serial.deposit(pos, weights=w, normalize=False)
+        for solver in solvers[1:]:
+            np.testing.assert_array_equal(solver.accelerations(pos, 1.3, weights=w), a1)
+            np.testing.assert_array_equal(
+                solver.deposit(pos, weights=w, normalize=False), d1
+            )
+        # and the blocked gather is scipy's own W @ mesh, row for row, also
+        # after an in-place refill (a block view that copied would be stale)
+        mesh = np.random.default_rng(n).standard_normal((ng**3, 3))
+        for solver in solvers:
+            for refill in (pos, pos[::-1]):
+                op = solver._operator(refill)
+                np.testing.assert_array_equal(solver._gather(mesh), op @ mesh)
+
+
+def test_row_ranges_partition_whole_blocks():
+    for n in SPLIT_SIZES:
+        for workers in (1, 2, 3, 8):
+            ranges = pmsolver._row_ranges(n, workers)
+            assert len(ranges) == min(workers, -(-n // BLOCK))
+            assert ranges[0][0] == 0 and ranges[-1][1] == n
+            for (_, hi), (lo, _) in zip(ranges, ranges[1:]):
+                assert hi == lo and lo % BLOCK == 0
+            assert all(hi > lo for lo, hi in ranges)
+
+
+def test_error_in_the_last_range_is_raised_on_the_caller():
+    """The FP mode is per thread: a NaN that only the last thread's range
+    sees must still raise, and the solver must work afterwards."""
+    ng, n = 8, 3 * BLOCK + 7
+    pos = edge_positions(1, n, ng)
+    solver = PMSolver(ng, workers=4)
+    assert pmsolver._row_ranges(n, solver.workers)[-1][0] <= n - 1
+    expected = PMSolver(ng, workers=1).accelerations(pos, 1.0)
+    bad = pos.copy()
+    bad[-1, 2] = np.nan
+    for _ in range(2):
+        with pytest.raises(FloatingPointError):
+            solver.accelerations(bad, 1.0)
+        with pytest.raises(FloatingPointError):
+            solver.deposit(bad)
+    np.testing.assert_array_equal(solver.accelerations(pos, 1.0), expected)
+
+
+def test_forked_child_runs_the_passes_without_the_parent_threads(tmp_path):
+    """A forked child has none of the parent's pool threads; its first
+    force evaluation must not wait on them, and must agree bit for bit."""
+    ng, n = 8, 2 * BLOCK + 17
+    pos = edge_positions(2, n, ng)
+    solver = PMSolver(ng, workers=2)
+    parent = solver.accelerations(pos, 1.0)
+    assert solver._threads is not None  # the split ran on the pool
+    out = tmp_path / "child.npy"
+
+    def child():
+        np.save(out, solver.accelerations(pos, 1.0))
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        pytest.fail("the forked child hung on its parent's pool threads")
+    assert proc.exitcode == 0
+    np.testing.assert_array_equal(np.load(out), parent)
 
 
 # -- telemetry accounting ------------------------------------------------------
