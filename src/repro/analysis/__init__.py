@@ -29,9 +29,8 @@ from .fof import (
 from .kdtree import KDTree
 from .mass_function import MassFunction, mass_function, scale_counts, split_by_threshold
 from .power_spectrum import PowerSpectrumResult, measure_power_spectrum
-from .so import SOResult, so_mass, so_masses, so_masses_indexed
-from .spatial_index import PeriodicCellIndex
-from .sph import cubic_spline_kernel, knn_neighbors, sph_density, tophat_density
+from .so import SOResult, so_mass, so_masses_indexed
+from .sph import cubic_spline_kernel, knn_neighbors, sph_density
 from .subhalos import DEFAULT_MIN_SUBHALO, SubhaloResult, find_subhalos, unbind_particles
 from .union_find import DisjointSet, GrowableDisjointSet
 
@@ -60,13 +59,10 @@ __all__ = [
     "measure_power_spectrum",
     "SOResult",
     "so_mass",
-    "so_masses",
     "so_masses_indexed",
-    "PeriodicCellIndex",
     "cubic_spline_kernel",
     "knn_neighbors",
     "sph_density",
-    "tophat_density",
     "DEFAULT_MIN_SUBHALO",
     "SubhaloResult",
     "find_subhalos",

@@ -98,7 +98,7 @@ class KDTree:
         self.nodes[node_id] = KDNode(start, end, lo, hi, left, right)
         return node_id
 
-    # -- queries --------------------------------------------------------------
+    # -- structure -------------------------------------------------------------
 
     @property
     def n_nodes(self) -> int:
@@ -116,89 +116,3 @@ class KDTree:
             return 1 + max(rec(node.left), rec(node.right))
 
         return rec(0)
-
-    def leaf_points(self, node_id: int) -> np.ndarray:
-        """Original point indices covered by ``node_id``."""
-        node = self.nodes[node_id]
-        return self.index[node.start : node.end]
-
-    def query_radius(self, center: np.ndarray, radius: float) -> np.ndarray:
-        """Indices of all points within ``radius`` of ``center``."""
-        if not self.nodes:
-            return np.empty(0, dtype=np.intp)
-        center = np.asarray(center, dtype=float)
-        out: list[np.ndarray] = []
-        stack = [0]
-        r2 = radius * radius
-        while stack:
-            node = self.nodes[stack.pop()]
-            if _box_min_dist_sq(center, node.lo, node.hi) > r2:
-                continue
-            if _box_max_dist_sq(center, node.lo, node.hi) <= r2:
-                out.append(self.index[node.start : node.end])
-                continue
-            if node.is_leaf:
-                idx = self.index[node.start : node.end]
-                d2 = np.sum((self.points[idx] - center) ** 2, axis=1)
-                out.append(idx[d2 <= r2])
-            else:
-                stack.append(node.left)
-                stack.append(node.right)
-        if not out:
-            return np.empty(0, dtype=np.intp)
-        return np.concatenate(out)
-
-
-    def query_knn(self, center: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``k`` nearest points to ``center``: ``(indices, distances)``.
-
-        Best-first branch-and-bound traversal; distances ascending.
-        """
-        import heapq
-
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if not self.nodes:
-            return np.empty(0, dtype=np.intp), np.empty(0)
-        center = np.asarray(center, dtype=float)
-        k = min(k, len(self.points))
-
-        # max-heap of the current k best (negated distance)
-        best: list[tuple[float, int]] = []
-        # min-heap of nodes by optimistic distance
-        frontier: list[tuple[float, int]] = [(0.0, 0)]
-        while frontier:
-            gap, node_id = heapq.heappop(frontier)
-            if len(best) == k and gap > -best[0][0]:
-                break
-            node = self.nodes[node_id]
-            if node.is_leaf:
-                idx = self.index[node.start : node.end]
-                d2 = np.sum((self.points[idx] - center) ** 2, axis=1)
-                for d, i in zip(np.sqrt(d2), idx):
-                    if len(best) < k:
-                        heapq.heappush(best, (-d, int(i)))
-                    elif d < -best[0][0]:
-                        heapq.heapreplace(best, (-d, int(i)))
-            else:
-                for child in (node.left, node.right):
-                    cn = self.nodes[child]
-                    cgap = np.sqrt(_box_min_dist_sq(center, cn.lo, cn.hi))
-                    if len(best) < k or cgap < -best[0][0]:
-                        heapq.heappush(frontier, (cgap, child))
-        best.sort(key=lambda t: -t[0])
-        dists = np.asarray([-d for d, _ in best])
-        idxs = np.asarray([i for _, i in best], dtype=np.intp)
-        return idxs, dists
-
-
-def _box_min_dist_sq(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Squared distance from point ``p`` to the nearest point of a box."""
-    d = np.maximum(np.maximum(lo - p, 0.0), p - hi)
-    return float(np.dot(d, d))
-
-
-def _box_max_dist_sq(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Squared distance from point ``p`` to the farthest point of a box."""
-    d = np.maximum(np.abs(p - lo), np.abs(p - hi))
-    return float(np.dot(d, d))

@@ -14,16 +14,14 @@ which the mean enclosed density equals ``Δ`` times the reference density
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ..check.sanitize import guard_kernel
+from .fof import wrap_periodic
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .spatial_index import PeriodicCellIndex
-
-__all__ = ["SOResult", "so_mass", "so_masses", "so_masses_indexed"]
+__all__ = ["SOResult", "so_mass", "so_masses_indexed"]
 
 
 @dataclass(frozen=True)
@@ -105,89 +103,65 @@ def so_mass(
     )
 
 
-def so_masses(
-    pos: np.ndarray,
-    centers: np.ndarray,
-    particle_mass: float,
-    reference_density: float,
-    delta: float = 200.0,
-    box: float | None = None,
-    search_radius: float | None = None,
-) -> list[SOResult]:
-    """SO masses for many centers against a common particle set."""
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    return [
-        so_mass(
-            pos,
-            c,
-            particle_mass=particle_mass,
-            reference_density=reference_density,
-            delta=delta,
-            box=box,
-            search_radius=search_radius,
-        )
-        for c in centers
-    ]
-
-
 def so_masses_indexed(
-    index: "PeriodicCellIndex",
+    pos: np.ndarray,
+    box: float,
     centers: np.ndarray,
     particle_mass: float,
     reference_density: float,
     delta: float = 200.0,
     initial_radii: np.ndarray | float | None = None,
+    *,
+    min_radius: float,
 ) -> list[SOResult]:
-    """SO masses for many centers via a shared spatial index.
+    """SO masses for many centers from periodic neighborhood spheres.
 
-    Instead of scanning the full particle set per center (the
-    :func:`so_masses` path), each center queries the
-    :class:`~repro.analysis.spatial_index.PeriodicCellIndex` for a
-    candidate neighborhood sphere and grows it geometrically until the
-    SO profile converges inside the sampled set.
+    Instead of scanning the full particle set per center, each center
+    asks a periodic ``cKDTree`` over ``pos`` for a candidate sphere and
+    doubles it until the SO profile converges inside the sampled set.
 
     Parameters
     ----------
-    index:
-        Cell index over the full particle set (periodic box).
+    pos, box:
+        The full particle set and its periodic box side.
     centers:
         ``(m, 3)`` seed centers.
     initial_radii:
         Per-center (or scalar) starting search radius; defaults to four
-        cell edges.  Radii are clamped to at least one cell edge, and
-        the doubling retry is capped at half the box (at which point the
-        candidate set is the whole box and the result is exact).
+        ``min_radius``.  Radii are clamped to ``[min_radius, box / 2]``;
+        at half the box the candidate set is the whole box and the
+        result is exact.
 
     Notes
     -----
-    The retry loop is deterministic: the schedule depends only on the
-    inputs, and each :meth:`~repro.analysis.spatial_index.PeriodicCellIndex.query_radius`
-    returns ascending indices, so the per-center reduction order is
-    stable.  Results match :func:`so_masses` on the full particle set
-    whenever the profile converges (and exactly once the cap is hit).
+    The schedule depends only on the inputs and each sphere's indices
+    come back ascending, so the per-center reduction order is stable.
+    Results match a full scan whenever the profile converges (and
+    exactly once the cap is hit).
     """
+    if min_radius <= 0:
+        raise ValueError("min_radius must be positive")
+    pos = np.mod(np.atleast_2d(np.asarray(pos, dtype=float)), box)
+    tree = cKDTree(wrap_periodic(pos, box), boxsize=box)
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    n_centers = len(centers)
-    box = index.box
     r_max = 0.5 * box
     if initial_radii is None:
-        radii = np.full(n_centers, 4.0 * index.cell_edge)
-    else:
-        radii = np.broadcast_to(
-            np.asarray(initial_radii, dtype=float), (n_centers,)
-        ).copy()
-    np.clip(radii, index.cell_edge, r_max, out=radii)
+        initial_radii = 4.0 * min_radius
+    radii = np.broadcast_to(
+        np.asarray(initial_radii, dtype=float), (len(centers),)
+    ).copy()
+    np.clip(radii, min_radius, r_max, out=radii)
 
     results: list[SOResult] = []
     for c, r0 in zip(centers, radii):
         r = float(r0)
         while True:
-            candidates = index.query_radius(c, r)
+            candidates = tree.query_ball_point(c, r, return_sorted=True)
             if len(candidates) == 0:
                 result = SOResult(radius=0.0, mass=0.0, count=0, converged=False)
             else:
                 result = so_mass(
-                    index.pos[candidates],
+                    pos[candidates],
                     c,
                     particle_mass=particle_mass,
                     reference_density=reference_density,

@@ -4,27 +4,18 @@ Paper §3.3.1: "The local density for each particle in the parent FOF
 halo is estimated by finding a specified number of nearest neighbor
 particles, and computing a density based on the total mass of these
 particles and the distance to the furthest of these", evaluated with an
-SPH (smoothed particle hydrodynamics) kernel over a Barnes–Hut tree.
-
-Two estimators are provided and cross-validated in the tests:
-
-``sph_density``
-    The full cubic-spline-kernel estimate over the k nearest neighbors.
-
-``tophat_density``
-    The simpler mass / sphere-volume estimate the paper's prose
-    describes; monotonically consistent with the SPH estimate for
-    ranking purposes.
+SPH (smoothed particle hydrodynamics) kernel over a tree.  The tree is
+the compiled ``scipy.spatial.cKDTree``, queried once for every particle.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ..check.sanitize import guard_kernel
-from .kdtree import KDTree
 
-__all__ = ["cubic_spline_kernel", "knn_neighbors", "sph_density", "tophat_density"]
+__all__ = ["cubic_spline_kernel", "knn_neighbors", "sph_density"]
 
 
 def cubic_spline_kernel(r: np.ndarray, h: float | np.ndarray) -> np.ndarray:
@@ -43,72 +34,46 @@ def cubic_spline_kernel(r: np.ndarray, h: float | np.ndarray) -> np.ndarray:
     return sigma * out
 
 
-def knn_neighbors(
-    pos: np.ndarray, k: int, tree: KDTree | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def knn_neighbors(pos: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k nearest neighbors of every particle (excluding itself).
 
-    Returns ``(indices, distances)`` of shape ``(n, k)``, distances
-    ascending per row.
+    Returns ``(indices, distances)`` of shape ``(n, k)``, each row
+    ordered by (distance, index) so ties do not depend on the tree.
+    Self is dropped by index; when more than ``k`` other points coincide
+    with a particle the query may not return it, and the row's last
+    column is dropped instead.
     """
     pos = np.atleast_2d(np.asarray(pos, dtype=float))
     n = len(pos)
-    if k >= n:
-        raise ValueError(f"k={k} must be < n={n}")
-    if tree is None:
-        tree = KDTree(pos, leaf_size=32)
-    idx = np.empty((n, k), dtype=np.intp)
-    dist = np.empty((n, k))
-    for i in range(n):
-        ii, dd = tree.query_knn(pos[i], k + 1)  # includes self at distance 0
-        keep = ii != i
-        # guard against coincident particles: self may not be first
-        if keep.sum() == k + 1:
-            keep[np.argmin(dd)] = False
-        idx[i] = ii[keep][:k]
-        dist[i] = dd[keep][:k]
-    return idx, dist
+    if not 1 <= k < n:
+        raise ValueError(f"k={k} must be in [1, n={n})")
+    dist, idx = cKDTree(pos).query(pos, k + 1)
+    order = np.lexsort((idx, dist), axis=-1)
+    idx = np.take_along_axis(idx, order, axis=1)
+    dist = np.take_along_axis(dist, order, axis=1)
+    drop = idx == np.arange(n)[:, None]
+    drop[~drop.any(axis=1), -1] = True
+    return idx[~drop].reshape(n, k), dist[~drop].reshape(n, k)
+
+
+def _kernel_density(dist: np.ndarray, mass: float) -> np.ndarray:
+    """SPH density from each row of sorted neighbor distances.
+
+    The smoothing length is the row's last (farthest) distance; the
+    density sums the cubic-spline kernel over the neighbors plus the
+    self term, as is standard.
+    """
+    h = dist[:, -1:]
+    w = cubic_spline_kernel(dist, h).sum(axis=1)
+    return mass * (w + cubic_spline_kernel(0.0, h)[:, 0])
 
 
 @guard_kernel
-def sph_density(
-    pos: np.ndarray,
-    mass: float = 1.0,
-    k: int = 32,
-    tree: KDTree | None = None,
-) -> np.ndarray:
-    """SPH density at every particle from its k nearest neighbors.
-
-    The smoothing length is each particle's distance to its k-th
-    neighbor; the density sums the cubic-spline kernel over the
-    neighbors (self term included, as is standard).
-    """
+def sph_density(pos: np.ndarray, mass: float = 1.0, k: int = 32) -> np.ndarray:
+    """SPH density at every particle from its k nearest neighbors."""
     pos = np.atleast_2d(np.asarray(pos, dtype=float))
     n = len(pos)
     if n <= k:
         # degenerate tiny groups: uniform density estimate
         return np.full(n, float(mass) * n)
-    idx, dist = knn_neighbors(pos, k, tree=tree)
-    h = dist[:, -1]
-    rho = np.empty(n)
-    for i in range(n):
-        w = cubic_spline_kernel(dist[i], h[i])
-        rho[i] = mass * (w.sum() + cubic_spline_kernel(np.zeros(1), h[i])[0])
-    return rho
-
-
-def tophat_density(
-    pos: np.ndarray,
-    mass: float = 1.0,
-    k: int = 32,
-    tree: KDTree | None = None,
-) -> np.ndarray:
-    """Top-hat density: k-neighbor mass over the enclosing sphere volume."""
-    pos = np.atleast_2d(np.asarray(pos, dtype=float))
-    n = len(pos)
-    if n <= k:
-        return np.full(n, float(mass) * n)
-    _, dist = knn_neighbors(pos, k, tree=tree)
-    r = dist[:, -1]
-    volume = 4.0 / 3.0 * np.pi * np.maximum(r, 1e-12) ** 3
-    return (k + 1) * mass / volume
+    return _kernel_density(knn_neighbors(pos, k)[1], mass)

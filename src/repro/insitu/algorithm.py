@@ -34,8 +34,8 @@ class AnalysisContext:
     per-algorithm (and per-rank, where applicable) wall-clock records
     that the workflow accounting consumes.  :meth:`shared_spatial`
     exposes the step's :class:`~repro.insitu.spatial.SharedStepIndex` —
-    the memoized spatial structures (cell index, tag→row map, owner
-    map) every stage shares instead of rebuilding.
+    the memoized structures (tag→row map, owner map) every stage shares
+    instead of rebuilding.
     """
 
     step: int = 0
@@ -51,8 +51,7 @@ class AnalysisContext:
         Keyed to this context's lifetime: a new analysis step gets a new
         context and therefore fresh structures over the current particle
         positions.  All algorithms of one step share the same instance,
-        which is what bounds the per-step spatial-index builds to one
-        (``spatial_index_misses`` telemetry).
+        which is what bounds each structure to one build per step.
         """
         if self._spatial is None:
             from .spatial import SharedStepIndex

@@ -342,14 +342,14 @@ class SubhaloFinderAlgorithm(_Scheduled):
 class SOMassAlgorithm(_Scheduled):
     """Spherical-overdensity masses seeded at the MBP centers (task 5).
 
-    Candidate particles come from the step's shared
-    :class:`~repro.analysis.spatial_index.PeriodicCellIndex`: each
-    center queries a neighborhood sphere sized from the halo's FOF mass
-    (the radius where the enclosed FOF mass would sit exactly at the
-    ``Δ·ρ_mean`` threshold, doubled for margin) instead of scanning the
-    whole box — and, unlike the old members-only scan, the sphere also
-    includes non-member ambient particles, which is the correct SO
-    candidate set.
+    Candidate particles come from a periodic neighborhood sphere around
+    each center (:func:`~repro.analysis.so.so_masses_indexed`), sized
+    from the halo's FOF mass (the radius where the enclosed FOF mass
+    would sit exactly at the ``Δ·ρ_mean`` threshold, doubled for margin)
+    instead of scanning the whole box — and, unlike a members-only scan,
+    the sphere also includes non-member ambient particles, which is the
+    correct SO candidate set.  No sphere is smaller than two mean
+    interparticle separations (rounded to tile the box).
     """
 
     name = "so_mass"
@@ -369,7 +369,8 @@ class SOMassAlgorithm(_Scheduled):
             context.store["so_mass"] = {}
             return
 
-        index = context.shared_spatial(sim).cell_index()
+        mean_sep = box / max(round(len(pos) ** (1.0 / 3.0)), 1)
+        min_radius = box / max(int(np.floor(box / (2.0 * mean_sep))), 1)
         halo_tags = [int(rec["halo_tag"]) for rec in recs]
         ctrs = np.asarray(
             [[rec["center_x"], rec["center_y"], rec["center_z"]] for rec in recs]
@@ -380,15 +381,17 @@ class SOMassAlgorithm(_Scheduled):
         r_est = (
             3.0 * counts * m / (4.0 * np.pi * self.delta * rho_mean)
         ) ** (1.0 / 3.0)
-        initial = np.maximum(2.0 * r_est, 2.0 * index.cell_edge)
+        initial = np.maximum(2.0 * r_est, 2.0 * min_radius)
 
         results = so_masses_indexed(
-            index,
+            pos,
+            box,
             ctrs,
             particle_mass=m,
             reference_density=rho_mean,
             delta=self.delta,
             initial_radii=initial,
+            min_radius=min_radius,
         )
         context.store["so_mass"] = dict(zip(halo_tags, results))
 

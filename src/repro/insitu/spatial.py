@@ -1,13 +1,11 @@
-"""Shared per-step spatial structures for the in-situ analysis chain.
+"""Shared per-step structures for the in-situ analysis chain.
 
 Several CosmoTools algorithms need the same derived structures over the
 live particle arrays every analysis step: the tag→row inverse
-permutation (halo member tags back to particle rows), the
+permutation (halo member tags back to particle rows) and the
 domain-decomposition owner map (which simulated rank owns each
-particle), and a neighborhood query index (particles near a point, for
-the spherical-overdensity estimator).  Before this module each consumer
-rebuilt its own copy — five ``tag_index_map`` calls and ``n_ranks``
-owner scans per step.
+particle).  Before this module each consumer rebuilt its own copy —
+five ``tag_index_map`` calls and ``n_ranks`` owner scans per step.
 
 :class:`SharedStepIndex` memoizes each structure on the step's
 :class:`~repro.insitu.algorithm.AnalysisContext` so it is built *once*
@@ -15,9 +13,6 @@ per analysis step and shared by every stage (FOF → centers → subhalos →
 SO → writers).  Build/reuse traffic is visible through ``repro.obs``
 counters:
 
-``spatial_index_misses`` / ``spatial_index_hits``
-    :class:`~repro.analysis.spatial_index.PeriodicCellIndex` builds and
-    reuses — the acceptance invariant is *at most one miss per step*.
 ``tag_index_builds_total`` / ``tag_index_reuses_total``
     tag→row map builds and reuses.
 ``owner_map_builds_total`` / ``owner_map_reuses_total``
@@ -34,7 +29,6 @@ from typing import Any
 
 import numpy as np
 
-from ..analysis.spatial_index import PeriodicCellIndex
 from ..obs import get_recorder
 from ..parallel.decomposition import CartesianDecomposition
 
@@ -54,45 +48,8 @@ class SharedStepIndex:
 
     def __init__(self, particles: Any) -> None:
         self.particles = particles
-        self.box = float(particles.box)
-        self._cell_indexes: dict[float, PeriodicCellIndex] = {}
         self._tag_index: np.ndarray | None = None
         self._owners: dict[tuple[int, int, int], np.ndarray] = {}
-
-    # -- neighborhood index ----------------------------------------------------
-
-    def default_cell_size(self) -> float:
-        """Target cell edge: two mean interparticle separations.
-
-        Small enough that an SO neighborhood sphere covers few cells,
-        large enough that per-cell occupancy (~8 particles) amortizes
-        the gather.
-        """
-        n = len(self.particles.pos)
-        mean_sep = self.box / max(round(n ** (1.0 / 3.0)), 1)
-        return 2.0 * mean_sep
-
-    def cell_index(self, cell_size: float | None = None) -> PeriodicCellIndex:
-        """The step's :class:`PeriodicCellIndex`, built at most once.
-
-        All stages that pass the same ``cell_size`` (or the default)
-        share one index; the first call is a ``spatial_index_misses``
-        count, every later call a ``spatial_index_hits`` count.
-        """
-        rec = get_recorder()
-        key = float(cell_size) if cell_size is not None else self.default_cell_size()
-        index = self._cell_indexes.get(key)
-        if index is None:
-            rec.counter(
-                "spatial_index_misses", "per-step PeriodicCellIndex builds"
-            ).inc()
-            index = PeriodicCellIndex(self.particles.pos, self.box, key)
-            self._cell_indexes[key] = index
-        else:
-            rec.counter(
-                "spatial_index_hits", "per-step PeriodicCellIndex reuses"
-            ).inc()
-        return index
 
     # -- tag -> row map --------------------------------------------------------
 
@@ -127,7 +84,6 @@ class SharedStepIndex:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<SharedStepIndex n={len(self.particles.pos)} "
-            f"cell_indexes={len(self._cell_indexes)} "
             f"tag_index={'yes' if self._tag_index is not None else 'no'} "
             f"owner_maps={len(self._owners)}>"
         )

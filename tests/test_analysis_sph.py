@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
-from repro.analysis import cubic_spline_kernel, knn_neighbors, sph_density, tophat_density
+from repro.analysis import cubic_spline_kernel, knn_neighbors, sph_density
+from tests.oracles.sph_reference import knn_bruteforce, tophat_density
 
 
 def test_kernel_positive_with_compact_support():
@@ -55,6 +58,37 @@ def test_knn_k_too_large():
         knn_neighbors(np.zeros((3, 3)), 3)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(2, 90),
+    k=st.integers(1, 12),
+    layout=st.sampled_from(["uniform", "duplicates", "lattice"]),
+)
+def test_prop_knn_matches_bruteforce(seed, n, k, layout):
+    """Distances exactly equal to the full distance matrix's; indices
+    equal wherever the neighbor set is unique."""
+    local = np.random.default_rng(seed)
+    k = min(k, n - 1)
+    if layout == "lattice":  # ties everywhere, coincident points too
+        pos = local.integers(0, 3, (n, 3)).astype(float)
+    else:
+        pos = local.uniform(0, 5, (n, 3))
+    if layout == "duplicates":  # more than k + 1 copies of one point
+        copies = local.choice(n, size=min(n, k + 2 + local.integers(0, 3)), replace=False)
+        pos[copies] = pos[copies[0]]
+    idx, dist = knn_neighbors(pos, k)
+    ref_idx, ref_dist = knn_bruteforce(pos, k)
+    assert np.array_equal(dist, ref_dist[:, :k])
+    unique = (
+        ref_dist[:, k - 1] < ref_dist[:, k]
+        if ref_dist.shape[1] > k
+        else np.ones(n, dtype=bool)
+    )
+    assert np.array_equal(idx[unique], ref_idx[unique, :k])
+    assert not np.any(idx == np.arange(n)[:, None])
+
+
 def test_density_higher_in_cluster(rng):
     """Particles inside a tight blob must have higher density than
     isolated background particles."""
@@ -63,6 +97,18 @@ def test_density_higher_in_cluster(rng):
     pos = np.concatenate([blob, background])
     rho = sph_density(pos, k=16)
     assert np.median(rho[:100]) > 10 * np.median(rho[100:])
+
+
+def test_density_matches_per_particle_kernel_sum(rng):
+    """The vectorised kernel sum equals the per-row scalar-h form up to
+    the last bit (array and scalar ``**`` may round differently)."""
+    pos = rng.normal(0, 1, (300, 3))
+    _, dist = knn_neighbors(pos, 16)
+    ref = [
+        cubic_spline_kernel(d, d[-1]).sum() + cubic_spline_kernel(np.zeros(1), d[-1])[0]
+        for d in dist
+    ]
+    np.testing.assert_allclose(sph_density(pos, k=16), ref, rtol=1e-15, atol=0)
 
 
 def test_density_ranking_consistent_between_estimators(rng):

@@ -115,14 +115,19 @@ def test_unbind_min_size_dissolution(rng):
 
 def test_subhalo_cost_grows_superlinearly(rng):
     """The imbalance driver: doubling the parent size should more than
-    double the work (measured in wall time on this serial code)."""
+    double the work (measured in wall time on this serial code).  Each
+    size keeps the fastest of three runs, so one scheduler hiccup on the
+    ~10 ms small case cannot flip the ratio."""
     import time
 
     times = []
     for n in (400, 1600):
         pos = rng.normal(0, 1, (n, 3))
         vel = rng.normal(0, 0.05, (n, 3))
-        t0 = time.perf_counter()
-        find_subhalos(pos, vel, g_constant=10.0, min_size=30, k_density=16)
-        times.append(time.perf_counter() - t0)
+        runs = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            find_subhalos(pos, vel, g_constant=10.0, min_size=30, k_density=16)
+            runs.append(time.perf_counter() - t0)
+        times.append(min(runs))
     assert times[1] > 2.0 * times[0]

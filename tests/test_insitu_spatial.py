@@ -1,17 +1,20 @@
-"""Shared per-step spatial structures: cell index, SO routing, step cache.
+"""Per-step neighborhood products: SO spheres, the step cache, the chain.
 
-Covers :class:`repro.analysis.spatial_index.PeriodicCellIndex` against
-brute force, the indexed SO path against the full-scan reference, the
-:class:`repro.insitu.spatial.SharedStepIndex` memoization contract, and
-the end-to-end invariant that one analysis step builds at most one
-spatial index (``spatial_index_misses`` telemetry).
+Covers the neighborhood SO path against the full-scan oracle, the
+:class:`repro.insitu.spatial.SharedStepIndex` memoization contract, the
+invariant that one analysis step builds each shared map once, and a
+pinned digest of the in-situ chain's SO masses and subhalo labels.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
+from scipy.spatial import cKDTree
+
 from repro import obs
-from repro.analysis import PeriodicCellIndex, so_masses, so_masses_indexed
+from repro.analysis import so_masses_indexed
 from repro.insitu import (
     HaloCenterAlgorithm,
     HaloFinderAlgorithm,
@@ -25,6 +28,7 @@ from repro.insitu.algorithm import AnalysisContext
 from repro.insitu.spatial import SharedStepIndex
 from repro.parallel.decomposition import CartesianDecomposition
 from repro.sim import HACCSimulation, SimulationConfig
+from tests.oracles.so_reference import so_masses
 
 
 @pytest.fixture
@@ -32,80 +36,7 @@ def rng():
     return np.random.default_rng(7)
 
 
-def brute_radius(pos, box, center, r):
-    d = pos - np.asarray(center)
-    d -= box * np.round(d / box)
-    return np.flatnonzero(np.einsum("ij,ij->i", d, d) <= r * r)
-
-
-# -- PeriodicCellIndex ---------------------------------------------------------
-
-
-@pytest.mark.parametrize("cell_size", [0.7, 1.3, 5.0])
-def test_query_radius_matches_brute_force(rng, cell_size):
-    box = 10.0
-    pos = rng.uniform(0, box, (800, 3))
-    index = PeriodicCellIndex(pos, box, cell_size)
-    for center in [(0.1, 9.9, 5.0), (5.0, 5.0, 5.0), (9.99, 0.01, 0.5)]:
-        for r in (0.4, 1.7, 3.2):
-            got = index.query_radius(np.asarray(center), r)
-            expected = brute_radius(index.pos, box, center, r)
-            np.testing.assert_array_equal(got, expected)
-
-
-def test_query_radius_whole_box(rng):
-    box = 6.0
-    pos = rng.uniform(0, box, (200, 3))
-    index = PeriodicCellIndex(pos, box, 1.0)
-    # radius beyond half the box: every particle is a candidate and the
-    # exact filter keeps everything within sqrt(3)/2 * box
-    got = index.query_radius(np.zeros(3), box)
-    np.testing.assert_array_equal(got, np.arange(200))
-
-
-def test_query_radius_sorted_and_deterministic(rng):
-    box = 8.0
-    pos = rng.uniform(0, box, (500, 3))
-    index = PeriodicCellIndex(pos, box, 1.0)
-    a = index.query_radius(np.asarray([4.0, 4.0, 4.0]), 2.0)
-    b = index.query_radius(np.asarray([4.0, 4.0, 4.0]), 2.0)
-    assert np.all(np.diff(a) > 0)
-    np.testing.assert_array_equal(a, b)
-
-
-def test_cell_members_partition(rng):
-    box = 5.0
-    pos = rng.uniform(0, box, (300, 3))
-    index = PeriodicCellIndex(pos, box, 1.0)
-    seen = np.concatenate(
-        [index.cell_members(c) for c in range(index.ncell**3)]
-    )
-    assert len(seen) == 300
-    np.testing.assert_array_equal(np.sort(seen), np.arange(300))
-
-
-def test_empty_index_and_validation():
-    index = PeriodicCellIndex(np.empty((0, 3)), 4.0, 1.0)
-    assert len(index) == 0
-    assert index.query_radius(np.zeros(3), 1.0).size == 0
-    with pytest.raises(ValueError, match="pos must have shape"):
-        PeriodicCellIndex(np.zeros((3, 2)), 4.0, 1.0)
-    with pytest.raises(ValueError, match="box must be positive"):
-        PeriodicCellIndex(np.zeros((1, 3)), 0.0, 1.0)
-    with pytest.raises(ValueError, match="radius must be non-negative"):
-        PeriodicCellIndex(np.zeros((1, 3)), 4.0, 1.0).query_radius(np.zeros(3), -1)
-
-
-def test_oversized_cell_size_degenerates_to_one_cell(rng):
-    box = 3.0
-    pos = rng.uniform(0, box, (50, 3))
-    index = PeriodicCellIndex(pos, box, 100.0)
-    assert index.ncell == 1
-    got = index.query_radius(np.asarray([1.5, 1.5, 1.5]), 1.0)
-    np.testing.assert_array_equal(got, brute_radius(index.pos, box, (1.5,) * 3, 1.0))
-
-
-# -- indexed SO masses ---------------------------------------------------------
+# -- neighborhood SO masses ----------------------------------------------------
 
 
 def _clumpy_box(rng, box=20.0):
@@ -120,8 +51,7 @@ def test_so_masses_indexed_matches_full_scan(rng):
     rho = len(pos) / box**3
     centers = np.asarray([[5.0, 5.0, 5.0], [19.5, 0.2, 10.0]])
     ref = so_masses(pos, centers, 1.0, rho, delta=200.0, box=box)
-    index = PeriodicCellIndex(pos, box, 1.0)
-    got = so_masses_indexed(index, centers, 1.0, rho, delta=200.0)
+    got = so_masses_indexed(pos, box, centers, 1.0, rho, delta=200.0, min_radius=1.0)
     for a, b in zip(ref, got):
         assert a == b
 
@@ -132,9 +62,8 @@ def test_so_masses_indexed_retry_from_tiny_radius(rng):
     rho = len(pos) / box**3
     centers = np.asarray([[5.0, 5.0, 5.0]])
     ref = so_masses(pos, centers, 1.0, rho, delta=200.0, box=box)[0]
-    index = PeriodicCellIndex(pos, box, 1.0)
     got = so_masses_indexed(
-        index, centers, 1.0, rho, delta=200.0, initial_radii=1e-3
+        pos, box, centers, 1.0, rho, delta=200.0, initial_radii=1e-3, min_radius=1.0
     )[0]
     assert got == ref
 
@@ -142,10 +71,35 @@ def test_so_masses_indexed_retry_from_tiny_radius(rng):
 def test_so_masses_indexed_underdense_caps_at_half_box(rng):
     box = 12.0
     pos = rng.uniform(0, box, (300, 3))  # no overdense structure
-    index = PeriodicCellIndex(pos, box, 1.5)
-    res = so_masses_indexed(index, np.asarray([[6.0, 6.0, 6.0]]), 1.0,
-                            reference_density=1e6, delta=200.0)[0]
+    res = so_masses_indexed(pos, box, np.asarray([[6.0, 6.0, 6.0]]), 1.0,
+                            reference_density=1e6, delta=200.0, min_radius=1.5)[0]
     assert not res.converged  # profile never reaches the threshold
+
+
+def test_so_masses_indexed_particles_on_the_box_edge(rng):
+    """Coordinates equal to ``box`` (given, or from ``np.mod(-1e-17, box)``)
+    are legal input; the radii stay those of a full scan over the same
+    ``np.mod`` values."""
+    box = 10.0
+    slab = rng.normal(5.0, 0.2, (300, 3))
+    slab[:, 0] = -1e-17  # a clump flattened onto the x = 0 face
+    pos = np.vstack([rng.uniform(0, box, (500, 3)), rng.normal(0, 0.2, (300, 3)), slab])
+    pos[500:540, 0] = box
+    assert np.any(np.mod(pos, box) == box)
+    with pytest.raises(ValueError):
+        cKDTree(np.mod(pos, box), boxsize=box)
+    rho = len(pos) / box**3
+    centers = np.asarray([[0.0, 0.0, 0.0], [0.1, 5.0, 5.0]])
+    ref = so_masses(np.mod(pos, box), centers, 1.0, rho, delta=200.0, box=box)
+    got = so_masses_indexed(pos, box, centers, 1.0, rho, delta=200.0, min_radius=0.5)
+    assert got == ref
+    assert all(r.converged and r.count > 100 for r in got)
+
+
+def test_so_masses_indexed_needs_a_positive_min_radius(rng):
+    with pytest.raises(ValueError, match="min_radius"):
+        so_masses_indexed(rng.uniform(0, 4, (10, 3)), 4.0, np.zeros((1, 3)), 1.0,
+                          1.0, min_radius=0.0)
 
 
 # -- SharedStepIndex -----------------------------------------------------------
@@ -174,12 +128,6 @@ def test_shared_step_index_memoizes_and_counts(rng):
     shared = SharedStepIndex(sim.particles)
     decomp = CartesianDecomposition.for_ranks(10.0, 8)
     with obs.telemetry() as rec:
-        a = shared.cell_index()
-        b = shared.cell_index()
-        assert a is b
-        assert rec.counter("spatial_index_misses").value == 1
-        assert rec.counter("spatial_index_hits").value == 1
-
         t1 = shared.tag_index()
         t2 = shared.tag_index()
         assert t1 is t2
@@ -202,7 +150,6 @@ def test_shared_step_index_memoizes_and_counts(rng):
 def test_shared_step_index_distinct_keys_build_separately(rng):
     sim = _fake_sim(rng)
     shared = SharedStepIndex(sim.particles)
-    assert shared.cell_index(1.0) is not shared.cell_index(2.0)
     d8 = CartesianDecomposition.for_ranks(10.0, 8)
     d4 = CartesianDecomposition.for_ranks(10.0, 4)
     assert shared.owners(d8) is not shared.owners(d4)
@@ -217,10 +164,10 @@ def test_context_shared_spatial_scoped_to_context(rng):
     assert AnalysisContext(step=2, a=0.6).shared_spatial(sim) is not s1
 
 
-# -- end-to-end: one spatial index per analysis step ---------------------------
+# -- end-to-end: each shared map built once per analysis step ------------------
 
 
-def test_chain_builds_at_most_one_spatial_index_per_step(tmp_path):
+def test_chain_builds_each_shared_map_once_per_step(tmp_path):
     analysis_steps = [6, 12]
     mgr = InSituAnalysisManager()
     mgr.register(HaloFinderAlgorithm(at_steps=analysis_steps, min_count=30, n_ranks=4))
@@ -242,13 +189,10 @@ def test_chain_builds_at_most_one_spatial_index_per_step(tmp_path):
     with obs.telemetry() as rec:
         sim.run()
         spans = rec.tracer.snapshot()
-        misses = rec.counter("spatial_index_misses").value
         tag_builds = rec.counter("tag_index_builds_total").value
         tag_reuses = rec.counter("tag_index_reuses_total").value
         owner_builds = rec.counter("owner_map_builds_total").value
 
-    # the acceptance invariant: at most one cell-index build per step
-    assert misses <= len(analysis_steps)
     # tag map: one build per step, shared by centers/subhalos/L2 writer
     assert tag_builds == len(analysis_steps)
     assert tag_reuses >= len(analysis_steps)  # at least one reuse per step
@@ -265,3 +209,46 @@ def test_chain_builds_at_most_one_spatial_index_per_step(tmp_path):
         assert writer.name in ("insitu.level1_writer", "insitu.level2_writer")
         step = by_id[by_id[writer.parent_id].parent_id]
         assert step.name == "sim.step" and step.step == writer.step in analysis_steps
+
+
+# -- pinned chain products -----------------------------------------------------
+
+
+def _chain_digest(np_per_dim, box, ng):
+    """sha256 over every SO result and every parent's subhalo labels/sizes."""
+    last = 20
+    mgr = InSituAnalysisManager()
+    mgr.register(HaloFinderAlgorithm(at_steps=last, min_count=40, n_ranks=4))
+    mgr.register(HaloCenterAlgorithm(at_steps=last, threshold=200))
+    mgr.register(SubhaloFinderAlgorithm(at_steps=last, min_parent=150, min_size=15))
+    mgr.register(SOMassAlgorithm(at_steps=last))
+    sim = HACCSimulation(
+        SimulationConfig(
+            np_per_dim=np_per_dim, box=box, z_initial=30.0, n_steps=last, ng=ng
+        ),
+        analysis_manager=mgr,
+    )
+    sim.run()
+    store = mgr.history[last].store
+    assert store["so_mass"] and store["subhalos"]["by_halo"]
+    h = hashlib.sha256()
+    for tag, res in sorted(store["so_mass"].items()):
+        h.update(repr((int(tag), res.radius, res.mass, res.count, res.converged)).encode())
+    for tag, sub in sorted(store["subhalos"]["by_halo"].items()):
+        h.update(repr(int(tag)).encode())
+        h.update(np.asarray(sub.labels, dtype=np.int64).tobytes())
+        h.update(np.asarray(sub.subhalo_sizes, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "np_per_dim, box, ng, digest",
+    [
+        (24, 40.0, 48, "72e865e166ca3d974d3106ee5dabf045580267027d81839847aef7a2e0b89c01"),
+        (16, 30.0, 32, "7e0bed202d0a141c2ca527c8a1d9989e55c50d68941cf508d38685c81fa79493"),
+    ],
+)
+def test_chain_products_are_pinned(np_per_dim, box, ng, digest):
+    """SO masses and subhalo labels of the in-situ chain, pinned to the
+    values the pure-Python k-NN and the periodic cell index produced."""
+    assert _chain_digest(np_per_dim, box, ng) == digest
