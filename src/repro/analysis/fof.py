@@ -3,13 +3,16 @@
 One pair search, three entry points:
 
 ``link_components``
-    The finder itself: a compiled k-d tree
-    (``scipy.spatial.cKDTree.query_pairs``, minimum-image metric in a
-    periodic box) emits every pair with ``d <= linking_length`` and
-    connected components over those edges give a component id per
-    particle.  The paper's serial algorithm (§3.3.1) is the same k-d
-    tree traversal; its pure-Python form and the O(n²) periodic brute
-    force live in ``tests/oracles/fof_reference.py`` as the cross-check.
+    The finder itself: a compiled open k-d tree
+    (``scipy.spatial.cKDTree.query_pairs``) emits every pair with
+    ``d <= linking_length`` and connected components over those edges
+    give a component id per particle.  In a periodic box the rows near
+    a low face also enter the tree as images one box up, so the open
+    search finds the minimum-image pairs too.  The paper's serial
+    algorithm (§3.3.1) is the same k-d tree traversal; its pure-Python
+    form, the periodic-tree search this one replaced and the O(n²)
+    periodic brute force live in ``tests/oracles/fof_reference.py`` as
+    the cross-check.
 
 ``fof_grid``
     The serial finder: ``link_components`` plus stable minimum-tag halo
@@ -131,24 +134,92 @@ def wrap_periodic(pos: np.ndarray, box: float) -> np.ndarray:
     return pos
 
 
+def _face_images(
+    pos: np.ndarray, linking_length: float, box: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Images one box up of the rows within ``linking_length`` of a low face.
+
+    A row near the low face on a set of axes gets one image per non-empty
+    subset of those axes, shifted by ``box`` along that subset.  Returns
+    the image rows and each image's shift as an axis bitmask.
+    """
+    low = (pos <= linking_length) @ (1 << np.arange(pos.shape[1]))  # bit k: near face k
+    near = np.flatnonzero(low)
+    subsets = range(1, 1 << pos.shape[1])
+    rows = [near[(low[near] & s) == s] for s in subsets]
+    shift = np.repeat(np.fromiter(subsets, dtype=np.int64), [len(r) for r in rows])
+    return np.concatenate(rows), shift
+
+
+def _fold_images(pairs: np.ndarray, n: int, rows: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``pairs`` over ``n`` rows and then their images, as pairs of rows.
+
+    Works in place and returns a prefix of ``pairs``: an image end maps
+    back to its row, and a pair of two images shifted along a common
+    axis is dropped, because it repeats the pair that sits one box lower
+    on that axis, which the search found as well.  The last pairs move
+    into the holes, so dropping costs no copy of the rest.
+    """
+    at = np.flatnonzero(pairs[:, 1] >= n)  # pairs (i < j) with an image
+    i, j = pairs[at, 0], pairs[at, 1] - n
+    both = np.flatnonzero(i >= n)
+    pairs[at, 1] = rows[j]
+    pairs[at[both], 0] = rows[i[both] - n]
+    repeats = at[both[(shift[i[both] - n] & shift[j[both]]) != 0]]  # ascending
+    k = len(pairs) - len(repeats)
+    tail = np.setdiff1d(np.arange(k, len(pairs)), repeats, assume_unique=True)
+    pairs[repeats[: len(tail)]] = pairs[tail]
+    return pairs[:k]
+
+
 def link_components(
     pos: np.ndarray, linking_length: float, box: float | None = None
 ) -> np.ndarray:
     """Component id per particle of the ``d <= linking_length`` graph.
 
-    The one pair search under every finder: a compiled k-d tree emits
-    the linked pairs (minimum-image metric when ``box`` is given, which
-    needs ``pos`` inside ``[0, box)`` — see :func:`wrap_periodic`) and
-    connected components label them with dense ids ``0..k-1``.
+    The one pair search under every finder: a compiled open k-d tree
+    emits the linked pairs and connected components label them with
+    dense ids ``0..k-1``.  With ``box`` the metric is the minimum image,
+    which needs ``pos`` inside ``[0, box)`` (see :func:`wrap_periodic`):
+    a pair that links through the wrap on a set of axes has, on each of
+    them, its lower end within ``linking_length`` of the low face, so
+    the tree also holds every such row's images one box up
+    (:func:`_face_images`) and image pairs map back to their rows.
+    Each pair reaches the graph once; for ``box <= 2 * linking_length``,
+    where one pair can link through two images, that takes a dedupe.
     """
     n = len(pos)
     if n == 0:
         return np.empty(0, dtype=np.intp)
-    pairs = cKDTree(pos, boxsize=box).query_pairs(linking_length, output_type="ndarray")
+    points, rows = pos, np.empty(0, dtype=np.intp)
+    if box is not None:
+        rows, shift = _face_images(pos, linking_length, box)
+        if len(rows):
+            offset = ((shift[:, None] >> np.arange(pos.shape[1])) & 1) * box
+            points = np.concatenate([pos, pos[rows] + offset])
+    # midpoint splits and unshrunk nodes: a cheaper build, no slower a search
+    pairs = cKDTree(points, balanced_tree=False, compact_nodes=False).query_pairs(
+        linking_length, output_type="ndarray"
+    )
+    del points
+    if len(rows):
+        pairs = _fold_images(pairs, n, rows, shift)
+        if box <= 2 * linking_length:  # one pair may link through two images
+            pairs = np.unique(np.sort(pairs, axis=1), axis=0)
+            pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # and a row to its own image
     # int32 edges (what the graph stores), the int64 pairs freed first
     edges = pairs.T.astype(np.int32 if n < 2**31 else np.intp)
     del pairs
+    # Every pair comes once, so the COO is marked canonical and its CSR
+    # conversion skips the per-row sort and duplicate sum: nothing to
+    # sum, and row order does not matter to components.  The weights
+    # turn float64 on the CSR, because csgraph's own cast would sort and
+    # deduplicate again.
     graph = coo_matrix((np.ones(edges.shape[1], dtype=np.int8), tuple(edges)), shape=(n, n))
+    del edges
+    graph.has_canonical_format = True
+    graph = graph.tocsr()
+    graph.data = graph.data.astype(np.float64)
     _, roots = connected_components(graph, directed=False)
     return np.asarray(roots, dtype=np.intp)
 

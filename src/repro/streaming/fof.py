@@ -21,7 +21,10 @@ Exactness argument (the contract ``docs/streaming.md`` spells out):
   over ``ring + piece`` finds every new edge (the periodic metric links
   the head slab to late pieces with no extra pass), and components are
   merged into persistent groups through a
-  :class:`~repro.analysis.union_find.GrowableDisjointSet`.
+  :class:`~repro.analysis.union_find.GrowableDisjointSet`.  A piece
+  inside ``(2 ll, box - ll)`` is more than ``ll`` from the head slab,
+  directly and through the wrap, so its call leaves the head slab out:
+  the links of those rows are already held by their groups.
 * A group with no remaining ring member can never gain another
   particle; it is *retired* — its ``(min tag, count)`` pair emitted —
   and the forest compacted, so resident state is
@@ -168,7 +171,7 @@ class _Piece:
 
     tags: np.ndarray  # the piece's own particles, in resident order
     keep: np.ndarray  # resident rows the ring keeps after this piece
-    rows: int  # resident rows (ring + piece) the link searches
+    rows: int  # resident rows (ring + piece)
     last: bool  # the chunk's last piece: retirement follows its merge
     links: Future  # component id per resident row
 
@@ -243,8 +246,10 @@ class StreamingFOF:
         self.n_chunks += 1
         if n_c == 0:
             return
+        if not (pos.min() >= 0.0 and pos.max() < self.box):  # slab snapshots are
+            pos = wrap_periodic(pos, self.box)
         try:
-            self._plan(wrap_periodic(pos, self.box), tags)
+            self._plan(pos, tags)
         except BaseException:
             self.close()
             raise
@@ -278,6 +283,12 @@ class StreamingFOF:
         """Frontier advance, ring filter and resident set; link on the pool."""
         ll = self.linking_length
         resident = np.concatenate([self._ring_pos, pos])
+        # resident rows are in stream order, so ascending x: the head slab
+        # (x <= ll) leads.  A piece inside (2 ll, box - ll) is more than ll
+        # from it directly and through the x wrap, so it is left out
+        head = 0
+        if pos[0, 0] > 2 * ll and pos[-1, 0] < self.box - ll:
+            head = int(np.searchsorted(self._ring_pos[:, 0], ll, side="right"))
         self._frontier = max(self._frontier, float(pos[-1, 0]))
         x = resident[:, 0]
         keep = (x >= self._frontier - ll) | (x <= ll)
@@ -286,18 +297,21 @@ class StreamingFOF:
             self._pool = ThreadPoolExecutor(
                 self._width, thread_name_prefix="stream-link", initializer=_name_lane
             )
-        links = self._pool.submit(self._link, resident)
+        links = self._pool.submit(self._link, resident, head)
         self._in_flight.append(_Piece(tags, keep, len(resident), last, links))
         self.peak_resident = max(self.peak_resident, sum(p.rows for p in self._in_flight))
 
-    def _link(self, resident: np.ndarray) -> np.ndarray:
+    def _link(self, resident: np.ndarray, head: int) -> np.ndarray:
         """The link stage, on a pool thread: one periodic pair search over
-        ring + piece (both already wrapped) finds every new edge,
-        including head-slab links through the x wrap."""
+        ring + piece (both already wrapped) past the first ``head`` rows
+        finds every new edge, including head-slab links through the x
+        wrap.  The rows left out get singleton components: their links
+        so far are already held by their groups."""
         rec = get_recorder()
         rec.bind_thread(self._trace)
-        with rec.span("stream.link", rows=len(resident)):
-            return link_components(resident, self.linking_length, self.box)
+        with rec.span("stream.link", rows=len(resident) - head):
+            links = link_components(resident[head:], self.linking_length, self.box)
+        return np.concatenate([np.arange(head), head + links]) if head else links
 
     def _merge(self, piece: _Piece) -> None:
         """The merge stage, on the caller's thread in stream order."""

@@ -3,11 +3,14 @@
 ``fof_kdtree`` is the paper's serial algorithm (§3.3.1) written out in
 Python — build a balanced k-d tree and recursively merge, using subtree
 bounding boxes to merge or exclude whole subtrees at once; open
-(non-periodic) boxes only.  ``_fof_brute_periodic`` is the O(n²) all-pairs
-finder under the minimum-image metric (positions need not be wrapped).
-They share only the label convention (``_finalize``: a halo is named by
-its minimum tag) with the production finder
-(:func:`repro.analysis.fof.link_components`), none of the pair search.
+(non-periodic) boxes only.  ``fof_periodic_tree`` is the compiled
+periodic-tree search (``cKDTree(boxsize=)``) the production finder ran
+before it moved to an open tree with face images.  ``_fof_brute_periodic``
+is the O(n²) all-pairs finder under the minimum-image metric (positions
+need not be wrapped).  They share only the label convention
+(``_finalize``: a halo is named by its minimum tag) with the production
+finder (:func:`repro.analysis.fof.link_components`), none of the pair
+search.
 
 ``catalog_sha256`` is the digest the benchmarks compare catalogs by.
 """
@@ -20,12 +23,13 @@ import sys
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from repro.analysis.fof import DEFAULT_MIN_COUNT, FOFResult, _finalize
 from repro.analysis.kdtree import KDTree
 from repro.analysis.union_find import DisjointSet
 
-__all__ = ["fof_kdtree", "_fof_brute_periodic", "catalog_sha256"]
+__all__ = ["fof_kdtree", "fof_periodic_tree", "_fof_brute_periodic", "catalog_sha256"]
 
 
 def catalog_sha256(*arrays) -> str:
@@ -120,6 +124,24 @@ def fof_kdtree(
     finally:
         sys.setrecursionlimit(old_limit)
     return _finalize(dsu.labels(), tags, min_count)
+
+
+def fof_periodic_tree(
+    pos: np.ndarray,
+    ll: float,
+    box: float,
+    tags: np.ndarray | None = None,
+    min_count: int = DEFAULT_MIN_COUNT,
+) -> FOFResult:
+    """Periodic FOF on a minimum-image k-d tree (``pos`` inside ``[0, box)``)."""
+    pos = np.atleast_2d(np.asarray(pos, dtype=float))
+    n = len(pos)
+    if n == 0:
+        return _finalize(np.empty(0, dtype=np.intp), tags, min_count)
+    pairs = cKDTree(pos, boxsize=box).query_pairs(ll, output_type="ndarray")
+    graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    _, roots = connected_components(graph, directed=False)
+    return _finalize(np.asarray(roots, dtype=np.intp), tags, min_count)
 
 
 def _fof_brute_periodic(

@@ -13,8 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 
+from repro.analysis import fof as fof_module
 from repro.analysis import fof_grid, halo_groups, parallel_fof
+from repro.analysis.fof import _finalize, link_components, wrap_periodic
 from repro.parallel import CartesianDecomposition, run_spmd
 from tests.oracles.fof_reference import (
     _fof_brute_periodic,
@@ -22,6 +25,7 @@ from tests.oracles.fof_reference import (
     box_span_sq,
     catalog_sha256,
     fof_kdtree,
+    fof_periodic_tree,
 )
 
 
@@ -396,3 +400,92 @@ def test_box_edge_positions_wrap_to_half_open_interval():
         got = fof_grid(p, 0.2, min_count=1, box=box)
         assert np.array_equal(got.halo_counts, [5, 1])
         _assert_same_result(got, _oracle(p, 0.2, box))
+
+
+# -- the periodic link: an open tree over the rows and their face images ---------
+
+
+def _face_field(seed, n, box, ll):
+    """Each coordinate uniform, within ``ll`` of the low or the high face,
+    at ``0`` or at ``np.nextafter(box, 0)``: rows near faces, edges and
+    the corner, on both sides of the wrap."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, 1.0, (n, 3))
+    kind = rng.integers(0, 5, (n, 3))
+    edge = np.full_like(u, np.nextafter(box, 0))
+    return wrap_periodic(np.choose(kind, [u * box, u * ll, box - u * ll, 0 * u, edge]), box)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 60),
+    box=st.floats(0.5, 50.0),
+    ll_frac=st.one_of(st.floats(0.01, 0.9), st.just(0.5)),  # 0.5: ll just under box/2
+)
+def test_prop_periodic_link_equals_periodic_tree_and_brute_force(seed, n, box, ll_frac):
+    ll = np.nextafter(box / 2, 0) if ll_frac == 0.5 else ll_frac * box
+    pos = _face_field(seed, n, box, ll)
+    got = _finalize(link_components(pos, ll, box), None, 1).labels
+    assert np.array_equal(got, fof_periodic_tree(pos, ll, box, min_count=1).labels)
+    assert np.array_equal(got, _fof_brute_periodic(pos, ll, box, None, 1).labels)
+
+
+def _spy_components(mp):
+    """Record ``(graph, (k, labels))`` of each ``connected_components`` call."""
+    calls = []
+    real = fof_module.connected_components
+
+    def spy(graph, **kwargs):
+        out = real(graph, **kwargs)
+        calls.append((graph, out))
+        return out
+
+    mp.setattr(fof_module, "connected_components", spy)
+    return calls, real
+
+
+@pytest.mark.parametrize("ll_frac", [0.02, 0.2, 0.45])
+def test_periodic_link_hands_components_each_pair_once(monkeypatch, ll_frac):
+    """For ``box > 2 ll`` every minimum-image pair reaches the graph once:
+    the image pairs that repeat a pair one box lower are dropped."""
+    box = 10.0
+    ll = ll_frac * box
+    pos = _face_field(0, 300, box, ll)
+    calls, _ = _spy_components(monkeypatch)
+    link_components(pos, ll, box)
+    ((graph, _),) = calls
+    edges = graph.tocoo()
+    lo, hi = np.minimum(edges.row, edges.col), np.maximum(edges.row, edges.col)
+    got = np.unique(lo.astype(np.int64) * len(pos) + hi)
+    assert len(got) == edges.nnz  # no pair twice, either way round
+    assert np.all(lo < hi)  # no row linked to itself
+    d = pos[:, None, :] - pos[None, :, :]
+    d -= box * np.round(d / box)
+    want_lo, want_hi = np.nonzero(np.triu(np.sum(d * d, axis=-1) <= ll * ll, k=1))
+    assert np.array_equal(got, want_lo * len(pos) + want_hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(2, 200),
+    ll_frac=st.floats(0.01, 0.3),
+    periodic=st.booleans(),
+)
+def test_prop_unique_pair_graph_labels_equal_the_canonical_csr(seed, n, ll_frac, periodic):
+    """The graph marked canonical without scipy's per-row sort and
+    duplicate sum labels components exactly as the fully canonicalised
+    CSR of the same edges does."""
+    box = 10.0
+    pos = _face_field(seed, n, box, ll_frac * box)
+    with pytest.MonkeyPatch.context() as mp:
+        calls, real = _spy_components(mp)
+        link_components(pos, ll_frac * box, box if periodic else None)
+    ((graph, (k, labels)),) = calls
+    edges = graph.tocoo()
+    canonical = coo_matrix((edges.data, (edges.row, edges.col)), shape=graph.shape).tocsr()
+    assert canonical.has_canonical_format
+    k_ref, labels_ref = real(canonical, directed=False)
+    assert k == k_ref
+    assert np.array_equal(labels, labels_ref)

@@ -50,19 +50,85 @@ def test_streamed_catalog_matches_in_memory(blob_points):
         assert cat.n_particles == len(blob_points)
 
 
-def test_wrap_straddling_halo_is_exact():
-    """A blob across the periodic x boundary joins head + tail slabs."""
+def _wrap_straddling_field():
+    """A blob across the periodic x boundary in a uniform background."""
     rng = np.random.default_rng(42)
     box = 10.0
     blob = np.mod(rng.normal([0.0, 5.0, 5.0], 0.15, (300, 3)), box)
     background = rng.uniform(0, box, (700, 3))
-    pos = np.concatenate([blob, background])
+    return np.concatenate([blob, background]), box
+
+
+def test_wrap_straddling_halo_is_exact(monkeypatch):
+    """A blob across the periodic x boundary joins head + tail slabs, at
+    every link width."""
+    pos, box = _wrap_straddling_field()
     tags = np.arange(len(pos), dtype=np.int64)
     ref_tags, ref_counts = _reference_catalog(pos, tags, box, 0.3, 50)
     assert len(ref_tags) >= 1
-    for chunk_rows in (50, 128, 333):
-        cat = _stream_catalog(pos, tags, box, 0.3, 50, chunk_rows)
-        _assert_bit_identical(cat, ref_tags, ref_counts)
+    for width in (1, 2, 3):
+        monkeypatch.setattr(streaming_fof, "link_width", lambda w=width: w)
+        for chunk_rows in (50, 128, 333):
+            cat = _stream_catalog(pos, tags, box, 0.3, 50, chunk_rows)
+            _assert_bit_identical(cat, ref_tags, ref_counts)
+
+
+def test_middle_pieces_leave_the_head_slab_out(monkeypatch):
+    """The ring keeps the x <= ll head slab for the wrap; a piece inside
+    (2 ll, box - ll) cannot reach it, so its link leaves it out, while
+    the first pieces and those reaching box - ll search all of it."""
+    pos, box = _wrap_straddling_field()
+    ll = 0.3
+    monkeypatch.setattr(streaming_fof, "link_width", lambda: 1)  # one piece per chunk
+    searched = []
+    real = streaming_fof.link_components
+
+    def link(resident, *args):
+        searched.append(resident[:, 0].copy())
+        return real(resident, *args)
+
+    monkeypatch.setattr(streaming_fof, "link_components", link)
+    chunks = list(ArrayStream(pos, box, chunk_rows=50))
+    fof = StreamingFOF(box, ll, min_count=50)
+    for chunk in chunks:
+        fof.ingest(chunk["pos"], chunk["tag"])
+    fof.finalize()
+    assert len(searched) == len(chunks)
+
+    head = np.empty(0)
+    middle = []
+    for chunk, xs in zip(chunks, searched):
+        x = chunk["pos"][:, 0]
+        inside = x.min() > 2 * ll and x.max() < box - ll
+        found = np.isin(head, xs)
+        assert not found.any() if inside else found.all()
+        middle.append(inside)
+        head = np.concatenate([head, x[x <= ll]])
+    assert len(head) > 0
+    assert not middle[0] and not middle[-1]
+    assert any(middle)
+
+
+def test_ingest_wraps_only_chunks_outside_the_box(monkeypatch):
+    """A chunk already inside [0, box) — a slab snapshot's — is linked as
+    given; one with a coordinate outside is wrapped first."""
+    wrapped = []
+    real = streaming_fof.wrap_periodic
+
+    def wrap(pos, box):
+        wrapped.append(len(pos))
+        return real(pos, box)
+
+    monkeypatch.setattr(streaming_fof, "wrap_periodic", wrap)
+    inside = np.array([[0.0, 1.0, 1.0], [np.nextafter(10.0, 0), 1.0, 1.0]])
+    fof = StreamingFOF(10.0, 0.3, min_count=1)
+    fof.ingest(inside, np.array([0, 1]))
+    assert np.array_equal(fof.finalize().halo_counts, [2])
+    assert wrapped == []
+    fof = StreamingFOF(10.0, 0.3, min_count=1)
+    fof.ingest(np.array([[-1e-17, 1.0, 1.0], [9.9, 1.0, 1.0]]), np.array([0, 1]))
+    assert np.array_equal(fof.finalize().halo_counts, [2])
+    assert wrapped == [2]
 
 
 @settings(max_examples=25, deadline=None)
