@@ -39,8 +39,10 @@ __all__ = [
     "ACTIVE_STATES",
     "IN_FLIGHT_STATES",
     "JobState",
+    "LEGAL_EDGES",
     "LEGAL_TRANSITIONS",
     "LIFECYCLE_ORDER",
+    "RECOVERY_EDGES",
     "RECOVERY_TRANSITIONS",
     "TERMINAL_STATES",
     "IllegalTransition",
@@ -101,6 +103,12 @@ RECOVERY_TRANSITIONS: dict[JobState, frozenset[JobState]] = {
     src: frozenset({JobState.CREATED}) for src in IN_FLIGHT_STATES
 }
 
+#: Both relations as ``(src, dst)`` pairs, one set test per edge for
+#: :func:`validate_transition` and the store's replay alike; ``recovery=True``
+#: admits :data:`RECOVERY_EDGES` (the legal edges plus the rollbacks).
+LEGAL_EDGES = frozenset((src, dst) for src, dsts in LEGAL_TRANSITIONS.items() for dst in dsts)
+RECOVERY_EDGES = LEGAL_EDGES | {(src, JobState.CREATED) for src in RECOVERY_TRANSITIONS}
+
 
 class IllegalTransition(ValueError):
     """A job was asked to move along an edge the lifecycle forbids."""
@@ -125,8 +133,5 @@ def validate_transition(
     ``recovery=True`` additionally admits the in-flight -> ``CREATED``
     rollbacks the store's crash recovery performs; nothing else.
     """
-    if dst in LEGAL_TRANSITIONS[src]:
-        return
-    if recovery and dst in RECOVERY_TRANSITIONS.get(src, frozenset()):
-        return
-    raise IllegalTransition(src, dst, job_id=job_id)
+    if (src, dst) not in (RECOVERY_EDGES if recovery else LEGAL_EDGES):
+        raise IllegalTransition(src, dst, job_id=job_id)

@@ -81,7 +81,7 @@ from ..obs.journal import (
     detect_code_version,
     read_records,
 )
-from .states import IN_FLIGHT_STATES, JobState, validate_transition
+from .states import IN_FLIGHT_STATES, LEGAL_EDGES, RECOVERY_EDGES, JobState, validate_transition
 
 __all__ = [
     "JOBS_FILE",
@@ -105,14 +105,17 @@ LOCK_FILE = "lock"
 #: Store format tag written into every manifest.
 STORE_FORMAT = "repro-service/1"
 
+#: journaled state name -> state, without building the enum per record
+_STATES: dict[str, JobState] = {s.value: s for s in JobState}
+
 
 class StoreCorruptError(RuntimeError):
     """The job journal encodes something replay cannot honour.
 
     Torn final lines are *not* corruption (they are recovered); this is
-    raised for interior damage — an unparseable line in the middle of
-    the journal, a transition for an unknown job, or an edge the state
-    machine forbids.
+    raised, naming the record's ``seq``, for interior damage: any record
+    the live mutation methods would have refused (listed under
+    "Interior damage" in docs/service.md).
     """
 
 
@@ -179,7 +182,8 @@ class JobRecord:
     result: dict[str, Any] | None = None
     dead_lettered: bool = False
     #: full lifecycle trail: ``(state, wall_seconds)`` per transition,
-    #: starting with the ``CREATED`` stamp.
+    #: starting with the ``CREATED`` stamp; each wall is its journal
+    #: record's, so a reopened store has the same trail.
     history: list[tuple[str, float]] = field(default_factory=list)
 
     @property
@@ -269,10 +273,12 @@ class CampaignStore:
     in-memory job table).  A writable store holds the single-writer
     ``flock`` for its lifetime (:class:`StoreLockedError` on
     contention); ``readonly=True`` opens take no lock and reject writes.
-    Mutations are thread-safe: validate + journal append + in-memory
-    apply happen under one reentrant lock, so two threads can never
-    both depart the same replayed state.  Each record gets the next
-    ``seq``; when it is fsynced is :meth:`batch`'s business.
+    Mutations are thread-safe: validate + journal append + apply
+    through replay's :meth:`_apply` (docs/service.md "validated,
+    journaled, then applied") happen under one reentrant lock, so two
+    threads can never both depart the same replayed state.  Each record
+    gets the next ``seq``; when it is fsynced is :meth:`batch`'s
+    business.
     """
 
     def __init__(
@@ -289,7 +295,7 @@ class CampaignStore:
         # time.time is referenced, never called here
         self._clock = time.time if clock is None else clock
         # reentrant: transition() holds it across validate+append+apply
-        # while _append takes it again for the journal write
+        # while _append takes it again for the journal write + apply
         self._lock = threading.RLock()
         self.jobs: dict[str, JobRecord] = {}
         self.campaigns: dict[str, CampaignInfo] = {}
@@ -312,7 +318,12 @@ class CampaignStore:
                     f"{self.jobs_path}: unparseable interior record at line {corrupt[0]}"
                 )
             for rec in records:
-                self._apply(rec)
+                try:
+                    self._apply(rec)
+                except (StoreCorruptError, KeyError, TypeError, ValueError) as exc:
+                    raise StoreCorruptError(
+                        f"{self.jobs_path}: record seq={rec.get('seq')}: {exc}"
+                    ) from exc
             self._discard_partial_campaigns()
         except BaseException:
             self.close()  # a store that fails to replay must not keep the lock
@@ -401,17 +412,21 @@ class CampaignStore:
         return nullcontext() if self._log is None else self._log.batch()
 
     def _append(self, record: dict[str, Any]) -> int:
-        """Journal one record (adds ``seq`` + ``wall``; fsync: :meth:`batch`); returns its seq."""
+        """Journal one validated record (adds ``seq`` + one ``wall`` read; fsync:
+        :meth:`batch`), then :meth:`_apply` it; returns its seq."""
         with self._lock:  # wall stamps are taken in seq order
             if self._log is None:
                 raise RuntimeError("store is read-only")
-            seq = self._log.append({"wall": self._clock(), **record})
+            record = {"wall": self._clock(), **record}
+            seq = self._log.append(record)
             if seq < 0:
                 raise RuntimeError("store is closed")
+            self._apply(record)
             return seq
 
     def _apply(self, record: dict[str, Any]) -> None:
-        """Replay one journal record into the in-memory tables."""
+        """Apply one journal record to the in-memory tables, on replay and live alike;
+        refuses every record the live mutation methods would have refused."""
         kind = record.get("kind")
         wall = float(record.get("wall", 0.0))
         if kind == "campaign.create":
@@ -425,6 +440,8 @@ class CampaignStore:
             )
         elif kind == "job.create":
             spec = dict(record.get("job") or {})
+            if "id" not in spec or "campaign" not in spec:
+                raise StoreCorruptError("job.create lacks the job's id or campaign")
             job = JobRecord(
                 id=str(spec["id"]),
                 campaign=str(spec["campaign"]),
@@ -446,17 +463,19 @@ class CampaignStore:
             self.jobs[job.id] = job
             self.campaigns[job.campaign].job_ids.append(job.id)
         elif kind == "job.transition":
-            job = self._job(record)
-            dst = JobState(str(record["to"]))
-            src = JobState(str(record["from"]))
+            job = self._job(str(record.get("job")))
+            src = _STATES.get(record.get("from"))
+            dst = _STATES.get(record.get("to"))
+            if (src, dst) not in (RECOVERY_EDGES if record.get("recovery") else LEGAL_EDGES):
+                raise StoreCorruptError(
+                    f"transition for {job.id!r}: {record.get('from')!r} -> "
+                    f"{record.get('to')!r} is not an edge of the state machine"
+                )
             if src is not job.state:
                 raise StoreCorruptError(
                     f"transition for {job.id!r} departs from {src} but the "
                     f"replayed state is {job.state}"
                 )
-            validate_transition(
-                src, dst, job_id=job.id, recovery=bool(record.get("recovery"))
-            )
             job.state = dst
             job.attempts = int(record.get("attempts", job.attempts))
             job.error = record.get("error")
@@ -464,7 +483,9 @@ class CampaignStore:
                 job.result = dict(record["result"])
             job.history.append((dst.value, wall))
         elif kind == "job.dead_letter":
-            job = self._job(record)
+            job = self._job(str(record.get("job")))
+            if job.state is not JobState.FAILED:
+                raise StoreCorruptError(f"dead-letter for {job.id!r} from {job.state}, not FAILED")
             job.dead_lettered = True
             self.dead_letter.add(
                 job.id,
@@ -504,9 +525,10 @@ class CampaignStore:
                 "campaign": name,
                 "reason": "partial submission",
             }
-            if not self.readonly:
+            if self.readonly:  # a view only hides it; a writer journals the discard
+                self._apply(record)
+            else:
                 self._append(record)
-            self._apply(record)
         if partial and not self.readonly:
             get_recorder().event(
                 "service.partial_campaigns_discarded",
@@ -516,11 +538,11 @@ class CampaignStore:
             )
         return partial
 
-    def _job(self, record: dict[str, Any]) -> JobRecord:
-        job_id = str(record.get("job"))
+    def _job(self, job_id: str) -> JobRecord:
+        """The job, or :class:`KeyError` (replay reports it as corruption)."""
         job = self.jobs.get(job_id)
         if job is None:
-            raise StoreCorruptError(f"record references unknown job {job_id!r}")
+            raise KeyError(f"unknown job {job_id!r}")
         return job
 
     # -- submission ------------------------------------------------------------
@@ -552,27 +574,11 @@ class CampaignStore:
                     "jobs": len(specs),
                 }
             )
-            wall = self._clock()
-            self.campaigns[name] = CampaignInfo(
-                name=name, seed=int(seed), created=wall, expected_jobs=len(specs)
-            )
-            created: list[JobRecord] = []
             for i, spec in enumerate(specs):
-                job = JobRecord(
-                    id=f"{name}.{i:05d}",
-                    campaign=name,
-                    name=spec.name,
-                    kind=spec.kind,
-                    params=dict(spec.params),
-                    n_nodes=spec.n_nodes,
-                    wall_estimate=spec.wall_estimate,
-                    max_requeues=spec.max_requeues,
-                    history=[(JobState.CREATED.value, wall)],
-                )
-                self._append({"kind": "job.create", "job": job.spec_dict()})
-                self.jobs[job.id] = job
-                self.campaigns[name].job_ids.append(job.id)
-                created.append(job)
+                # the spec's fields in declaration order (vars: no deep copy)
+                job = {"id": f"{name}.{i:05d}", "campaign": name, **vars(spec)}
+                self._append({"kind": "job.create", "job": job})
+            created = [self.jobs[job_id] for job_id in self.campaigns[name].job_ids]
         rec.event(
             "service.campaign_submitted", campaign=name, jobs=len(created), seed=seed
         )
@@ -588,18 +594,14 @@ class CampaignStore:
         result: dict[str, Any] | None = None,
         recovery: bool = False,
     ) -> JobRecord:
-        """Move one job along a legal edge, journaled before applied.
+        """Move one job along a legal edge: validate, journal, apply.
 
         Raises :class:`~repro.service.states.IllegalTransition` for a
-        forbidden edge *before* anything touches disk, so an illegal
-        call can never corrupt the store.  Validate, append, and apply
-        happen under the store lock, so concurrent threads can never
-        both journal a departure from the same state.
+        forbidden edge before anything touches disk (docs/service.md,
+        "validated, journaled, then applied").
         """
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
+            job = self._job(job_id)
             src = job.state
             validate_transition(src, dst, job_id=job_id, recovery=recovery)
             # `attempts` counts lifecycle *failures* (FAILED entries), so a
@@ -620,12 +622,6 @@ class CampaignStore:
             if recovery:
                 record["recovery"] = True
             self._append(record)
-            job.state = dst
-            job.attempts = attempts
-            job.error = error
-            if result is not None:
-                job.result = dict(result)
-            job.history.append((dst.value, self._clock()))
         get_recorder().event(
             "service.transition",
             job=job_id,
@@ -644,9 +640,7 @@ class CampaignStore:
         the scheduler and exec engine use.
         """
         with self._lock:
-            job = self.jobs.get(job_id)
-            if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
+            job = self._job(job_id)
             if job.state is not JobState.FAILED:
                 raise IllegalDeadLetter(job_id, job.state)
             self._append(
@@ -657,8 +651,6 @@ class CampaignStore:
                     "attempts": job.attempts,
                 }
             )
-            job.dead_lettered = True
-            self.dead_letter.add(job_id, reason, attempts=job.attempts)
         return job
 
     # -- recovery --------------------------------------------------------------

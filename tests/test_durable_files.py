@@ -1,12 +1,16 @@
 """The durable-file layer as a whole: one format, written in one place.
 
-* **Cross-version compatibility**: ``tests/data/seed_store`` and
-  ``tests/data/seed_run`` were written by the code *before* the store,
-  the run journal and the recorder's file sink were rebased on
-  :class:`repro.obs.journal.AppendLog` (commit 7fa00ac, by the
+* **Cross-version compatibility**: ``tests/data/seed_run`` and
+  ``tests/data/seed_store/manifest.json`` were written by the code
+  *before* the store, the run journal and the recorder's file sink were
+  rebased on :class:`repro.obs.journal.AppendLog` (commit 7fa00ac, by the
   ``_write_store`` / ``_write_run`` scenarios below under a frozen clock).
-  They must still open and replay, and the same scenarios run against
-  today's code must reproduce them byte for byte.
+  ``seed_store/jobs.jsonl`` was rewritten by the commit that made live
+  store mutations apply through replay's code: one clock read per record
+  instead of two per transition, so only its ``wall`` stamps moved, and
+  the 7fa00ac bytes still replay to ``STORE_FINGERPRINT``.  The fixtures
+  must still open and replay, and the same scenarios run against today's
+  code must reproduce them byte for byte.
 * **Architecture guard**: ``os.fsync``, ``os.replace`` and append-mode
   ``open`` appear in ``src/repro`` only inside ``obs/journal.py`` plus an
   explicit allowlist, so a fourth hand-rolled writer cannot reappear

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.service.states import IllegalTransition, JobState
+from repro.service.states import ACTIVE_STATES, LIFECYCLE_ORDER, IllegalTransition, JobState
 from repro.service.store import (
     JOBS_FILE,
     CampaignStore,
@@ -227,6 +232,30 @@ def test_transition_for_unknown_job_is_corruption(tmp_path):
         )
     with pytest.raises(StoreCorruptError, match="unknown job"):
         CampaignStore.open(tmp_path / "s")
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"kind": "job.transition", "job": "demo.00000", "from": "CREATED", "to": "RUNNING"},
+        {"kind": "job.transition", "job": "demo.00000", "from": "CREATED", "to": "LIMBO"},
+        {"kind": "job.create", "job": {"campaign": "demo", "name": "no-id"}},
+        {"kind": "job.create", "job": {"id": "demo.00009", "name": "no-campaign"}},
+        {"kind": "job.dead_letter", "job": "demo.00000", "reason": "never failed"},
+    ],
+    ids=["forbidden-edge", "unknown-state", "create-without-id", "create-without-campaign",
+         "dead-letter-not-failed"],
+)  # fmt: skip
+def test_replay_refuses_what_live_refuses(tmp_path, record):
+    """Each record is one the live methods would have refused (IllegalTransition,
+    an unknown JobState, a job without identity, IllegalDeadLetter)."""
+    make_store(tmp_path / "s").close()  # seq 0..3: one campaign.create, three job.create
+    with open(tmp_path / "s" / JOBS_FILE, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"seq": 4, "wall": 0.0, **record}) + "\n")
+    with pytest.raises(StoreCorruptError, match="seq=4"):
+        CampaignStore.open(tmp_path / "s")
+    with pytest.raises(StoreCorruptError, match="seq=4"):
+        CampaignStore.open(tmp_path / "s", readonly=True)
 
 
 def test_manifest_format_tag_enforced(tmp_path):
@@ -515,3 +544,64 @@ def test_concurrent_transitions_from_threads_replay_cleanly(tmp_path):
     reopened = CampaignStore.open(tmp_path / "s")  # replay accepts the journal
     assert reopened.done
     reopened.close()
+
+
+# -- live == replay ---------------------------------------------------------------
+
+OPS = st.lists(
+    st.tuples(st.sampled_from(["advance", "fail", "dead_letter", "recover"]), st.integers(0, 7)),
+    max_size=40,
+)
+
+
+def apply_op(store: CampaignStore, op: str, job_id: str) -> None:
+    """One live mutation, only ever a legal one."""
+    job = store.jobs[job_id]
+    if op == "recover":
+        store.recover()
+    elif op == "fail" and job.state in ACTIVE_STATES:
+        store.transition(job_id, JobState.FAILED, error=f"boom {job.attempts}")
+    elif op == "dead_letter" and job.state is JobState.FAILED and not job.dead_lettered:
+        store.mark_dead_letter(job_id, "gave up")
+    elif op == "advance" and job.state is JobState.FAILED and not job.dead_lettered:
+        store.transition(job_id, JobState.CREATED, error=job.error)  # the requeue
+    elif op == "advance" and job.state in ACTIVE_STATES:
+        dst = LIFECYCLE_ORDER[LIFECYCLE_ORDER.index(job.state) + 1]
+        result = {"halos": len(job.history)} if dst is JobState.JOB_FINISHED else None
+        store.transition(job_id, dst, result=result)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=2), ops=OPS)
+def test_a_live_store_equals_its_readonly_reopen(sizes, ops):
+    """Live mutations apply through replay's code, so a reopen rebuilds every
+    field, walls included: one clock read per record, shared by both."""
+    ticks = itertools.count(1)
+    with tempfile.TemporaryDirectory() as tmp:
+        store = CampaignStore.create(Path(tmp) / "s", seed=1, clock=lambda: float(next(ticks)))
+        with store.batch():
+            for c, n in enumerate(sizes):
+                specs = [JobSpec(name=f"j{i}", max_requeues=i % 2) for i in range(n)]
+                store.submit_campaign(f"c{c}", specs, seed=c)
+            ids = list(store.jobs)
+            for op, k in ops:
+                apply_op(store, op, ids[k % len(ids)])
+        with CampaignStore.open(Path(tmp) / "s", readonly=True) as view:
+            assert view.jobs == store.jobs  # every JobRecord field, history included
+            assert view.campaigns == store.campaigns  # created included
+            assert view.dead_letter.entries() == store.dead_letter.entries()
+            assert view.dead_letter.total == store.dead_letter.total
+            assert view.fingerprint() == store.fingerprint()
+        store.close()
+
+
+def test_one_submit_and_one_transition_replay_their_live_walls(tmp_path):
+    ticks = itertools.count(1)
+    store = make_store(tmp_path / "s", n=1, clock=lambda: float(next(ticks)))
+    store.transition("demo.00000", JobState.STAGED_IN)
+    # one read each: manifest 1.0, campaign.create 2.0, job.create 3.0, transition 4.0
+    assert store.campaigns["demo"].created == 2.0
+    assert store.jobs["demo.00000"].history == [("CREATED", 3.0), ("STAGED_IN", 4.0)]
+    store.close()
+    with CampaignStore.open(tmp_path / "s", readonly=True) as view:
+        assert view.campaigns == store.campaigns and view.jobs == store.jobs
