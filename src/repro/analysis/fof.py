@@ -8,11 +8,13 @@ One pair search, three entry points:
     ``d <= linking_length`` and connected components over those edges
     give a component id per particle.  In a periodic box the rows near
     a low face also enter the tree as images one box up, so the open
-    search finds the minimum-image pairs too.  The paper's serial
-    algorithm (§3.3.1) is the same k-d tree traversal; its pure-Python
-    form, the periodic-tree search this one replaced and the O(n²)
-    periodic brute force live in ``tests/oracles/fof_reference.py`` as
-    the cross-check.
+    search finds the minimum-image pairs too.  A point alone in the
+    2×2×2 block of cells (side just over ``2 * linking_length``) that
+    holds all its partners never enters the tree; early snapshots are
+    mostly such points.  The paper's serial algorithm (§3.3.1) is the
+    same k-d tree traversal; its pure-Python form, the periodic-tree
+    search this one replaced and the O(n²) periodic brute force live in
+    ``tests/oracles/fof_reference.py`` as the cross-check.
 
 ``fof_grid``
     The serial finder: ``link_components`` plus stable minimum-tag halo
@@ -92,28 +94,23 @@ class FOFResult:
 def _finalize(
     roots: np.ndarray, tags: np.ndarray | None, min_count: int
 ) -> FOFResult:
-    """Convert union-find roots into stable tag-based halo labels."""
+    """Convert component ids into stable tag-based halo labels.
+
+    ``roots`` are non-negative component ids (dense ``0..k-1`` from
+    :func:`link_components`; an id without rows is no component).  A
+    halo is labelled by the minimum id (tag, else index) of its rows.
+    """
     n = len(roots)
     ids = np.arange(n, dtype=np.int64) if tags is None else np.asarray(tags, dtype=np.int64)
-    # label of each component = min id within it
-    order = np.argsort(roots, kind="stable")
-    sroots = roots[order]
-    sids = ids[order]
-    boundaries = np.empty(n, dtype=bool)
-    if n:
-        boundaries[0] = True
-        boundaries[1:] = sroots[1:] != sroots[:-1]
-    seg = np.cumsum(boundaries) - 1 if n else np.empty(0, dtype=np.intp)
-    min_ids = np.minimum.reduceat(sids, np.flatnonzero(boundaries)) if n else np.empty(0, np.int64)
-    counts = np.diff(np.append(np.flatnonzero(boundaries), n)) if n else np.empty(0, np.intp)
-
-    labels = np.empty(n, dtype=np.int64)
-    labels[order] = min_ids[seg]
-    keep = counts >= min_count
+    counts = np.bincount(roots)
+    min_ids = np.full(len(counts), np.iinfo(np.int64).max)
+    np.minimum.at(min_ids, roots, ids)
+    keep = counts >= max(min_count, 1)
     kept_tags = min_ids[keep]
     kept_counts = counts[keep]
-    discard = ~np.isin(labels, kept_tags)
-    labels[discard] = -1
+    # a row keeps its label iff some kept halo carries it: with repeated
+    # tags (ghost images) a small component can share a kept halo's tag
+    labels = np.where(np.isin(min_ids, kept_tags), min_ids, -1)[roots]
     srt = np.argsort(kept_tags)
     return FOFResult(
         labels=labels,
@@ -172,6 +169,47 @@ def _fold_images(pairs: np.ndarray, n: int, rows: np.ndarray, shift: np.ndarray)
     return pairs[:k]
 
 
+def _linkable(points: np.ndarray, linking_length: float) -> np.ndarray:
+    """Indices of the points that may have a partner within ``linking_length``.
+
+    The 2×2×2-block test of :func:`link_components`.  The cell side is
+    strictly above ``2 * linking_length``: at exactly that side the
+    rounding of a cell coordinate can put a partner at a tie two cells
+    away.  A sparse spread grows the cells, so the uint8 occupancy grid
+    holds at most 16 cells per point.
+    """
+    m, dim = points.shape
+    if m < 2:
+        return np.empty(0, dtype=np.intp)
+    # column by column: an axis-0 min over the (m, dim) rows is ~10x slower
+    lo = np.array([col.min() for col in points.T])
+    span = np.array([col.max() for col in points.T]) - lo
+    side = max(2 * linking_length * (1 + 2.0**-12), np.finfo(float).tiny)
+    shape = np.floor(span / side) + 3  # a padding cell on either side
+    cap = max(16 * m, 3**dim)
+    while np.prod(shape) > cap:
+        side *= max(np.prod(shape) / cap, 1.0625) ** (1 / dim)
+        shape = np.floor(span / side) + 3
+    shape = shape.astype(np.int64)
+    strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
+    own = np.zeros(m, dtype=np.int64)  # flat padded cell of each point
+    block = np.zeros(m, dtype=np.int64)  # and the low corner of its block
+    for axis in range(dim):  # one axis at a time: every temporary is one column
+        t = (points[:, axis] - lo[axis]) / side
+        cell = np.floor(t)
+        own += (cell + 1).astype(np.int64) * strides[axis]
+        block += (cell + (t - cell >= 0.5)).astype(np.int64) * strides[axis]
+    occ = np.zeros(int(np.prod(shape)), dtype=np.uint8)
+    np.add.at(occ, own, np.uint8(1))  # counts mod 256
+    if occ.sum(dtype=np.int64) != m:  # a cell of 256 or more wrapped: count exactly
+        occ = np.bincount(own, minlength=len(occ)).clip(max=2).astype(np.uint8)
+    np.minimum(occ, 2, out=occ)  # 0, 1 or more: a block sums to at most 16
+    del own
+    corners = np.indices((2,) * dim).reshape(dim, -1).T @ strides
+    in_block = sum(occ[block + c] for c in corners)
+    return np.flatnonzero(in_block > 1)
+
+
 def link_components(
     pos: np.ndarray, linking_length: float, box: float | None = None
 ) -> np.ndarray:
@@ -179,8 +217,14 @@ def link_components(
 
     The one pair search under every finder: a compiled open k-d tree
     emits the linked pairs and connected components label them with
-    dense ids ``0..k-1``.  With ``box`` the metric is the minimum image,
-    which needs ``pos`` inside ``[0, box)`` (see :func:`wrap_periodic`):
+    dense ids ``0..k-1``.  Only points that may link enter the tree
+    (:func:`_linkable`): on cells of side just over ``2 *
+    linking_length`` a partner lies less than half a cell away along each
+    axis, so in the point's own cell or the next one toward the cell face
+    the point is nearer to.  A point alone in that 2×2×2 block has no
+    partner and stays a singleton; the pass emits no pair.  With ``box``
+    the metric is the minimum image, which needs ``pos`` inside
+    ``[0, box)`` (see :func:`wrap_periodic`):
     a pair that links through the wrap on a set of axes has, on each of
     them, its lower end within ``linking_length`` of the low face, so
     the tree also holds every such row's images one box up
@@ -197,11 +241,14 @@ def link_components(
         if len(rows):
             offset = ((shift[:, None] >> np.arange(pos.shape[1])) & 1) * box
             points = np.concatenate([pos, pos[rows] + offset])
+    keep = _linkable(points, linking_length)
+    points = points[keep]
     # midpoint splits and unshrunk nodes: a cheaper build, no slower a search
     pairs = cKDTree(points, balanced_tree=False, compact_nodes=False).query_pairs(
         linking_length, output_type="ndarray"
     )
     del points
+    keep.take(pairs, out=pairs, mode="clip")  # tree indices back to points, in place
     if len(rows):
         pairs = _fold_images(pairs, n, rows, shift)
         if box <= 2 * linking_length:  # one pair may link through two images
@@ -320,12 +367,19 @@ def parallel_fof(
     local = fof_grid(all_pos, linking_length, tags=all_tag, min_count=min_count)
 
     # 3. ownership: this rank owns a halo iff the halo's min-tag particle
-    #    is one of the rank's owned (non-ghost) particles.
-    owned_tags = set(tags.tolist())
-    result: dict[int, np.ndarray] = {}
-    for halo_tag in local.halo_tags:
-        if int(halo_tag) in owned_tags:
-            members = np.unique(all_tag[local.labels == halo_tag])
-            if len(members) >= min_count:  # re-check after image dedup
-                result[int(halo_tag)] = members
-    return result
+    #    is one of the rank's owned (non-ghost) particles.  One sort by
+    #    (halo, tag) groups the owned halos' rows and puts the images of a
+    #    particle side by side, so membership is deduplicated by tag.
+    owned = local.halo_tags[np.isin(local.halo_tags, tags)]
+    rows = np.flatnonzero(np.isin(local.labels, owned))
+    rows = rows[np.lexsort((all_tag[rows], local.labels[rows]))]
+    halo, member = local.labels[rows], all_tag[rows]
+    first = np.ones(len(rows), dtype=bool)  # first row of each (halo, tag)
+    first[1:] = (halo[1:] != halo[:-1]) | (member[1:] != member[:-1])
+    halo, member = halo[first], member[first]
+    _, starts = np.unique(halo, return_index=True)
+    return {
+        int(halo[s]): members
+        for s, members in zip(starts, np.split(member, starts[1:]))
+        if len(members) >= min_count  # re-check after image dedup
+    }

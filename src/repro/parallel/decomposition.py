@@ -111,12 +111,15 @@ class CartesianDecomposition:
     def rank_of_position(self, pos: np.ndarray) -> np.ndarray:
         """Owner ranks of positions ``pos`` (shape ``(n, 3)`` or ``(3,)``).
 
-        Positions are periodically wrapped into the box first.
+        Positions are periodically wrapped into the box first; rows
+        already inside ``[0, box)`` wrap to themselves, so the wrap only
+        runs when some row lies outside.
         """
         pos = np.atleast_2d(np.asarray(pos, dtype=float))
-        wrapped = np.mod(pos, self.box)
+        if pos.size and not (pos.min() >= 0.0 and pos.max() < self.box):
+            pos = np.mod(pos, self.box)
         cell = self.cell_sizes
-        idx = np.floor(wrapped / cell).astype(np.intp)
+        idx = np.floor(pos / cell).astype(np.intp)
         dims = np.asarray(self.dims, dtype=np.intp)
         # Guard against positions exactly at the box edge after wrap.
         np.clip(idx, 0, dims - 1, out=idx)

@@ -71,9 +71,12 @@ def overload_destinations(
     dims = np.asarray(decomp.dims)
     box = decomp.box
 
-    # For each axis, flag particles near the low / high face.
+    # For each axis, flag particles near the low / high face; only the rows
+    # near some face can go anywhere, so the direction masks cover those.
     near_lo = positions < (lo + width)  # (n, 3) booleans
     near_hi = positions >= (hi - width)
+    near = np.flatnonzero((near_lo | near_hi).any(axis=1))
+    near_lo, near_hi = near_lo[near], near_hi[near]
 
     # A neighbor reachable via several directions (small grids with
     # wraparound) gets one (indices, shifts) part per direction.  Parts
@@ -88,7 +91,7 @@ def overload_destinations(
                 if dx == dy == dz == 0:
                     continue
                 d = (dx, dy, dz)
-                mask = np.ones(len(positions), dtype=bool)
+                mask = np.ones(len(near), dtype=bool)
                 for axis, step in enumerate(d):
                     if step == -1:
                         mask &= near_lo[:, axis]
@@ -97,7 +100,7 @@ def overload_destinations(
                 if not mask.any():
                     continue
                 nbr = decomp.rank_of_coords(ix + dx, iy + dy, iz + dz)
-                idx = np.flatnonzero(mask)
+                idx = near[mask]
                 # Periodic shift: if stepping off the grid edge, shift the
                 # copy so it lands adjacent to the receiving rank's frame.
                 # Stepping below cell 0 wraps to the highest rank, whose

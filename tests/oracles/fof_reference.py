@@ -12,6 +12,10 @@ need not be wrapped).  They share only the label convention
 finder (:func:`repro.analysis.fof.link_components`), none of the pair
 search.
 
+``finalize_reference`` is the sorting form of ``_finalize`` (stable sort
+by component, segment minima, ``isin`` over every row) that the
+bincount form replaced.
+
 ``catalog_sha256`` is the digest the benchmarks compare catalogs by.
 """
 
@@ -29,7 +33,13 @@ from repro.analysis.fof import DEFAULT_MIN_COUNT, FOFResult, _finalize
 from repro.analysis.kdtree import KDTree
 from repro.analysis.union_find import DisjointSet
 
-__all__ = ["fof_kdtree", "fof_periodic_tree", "_fof_brute_periodic", "catalog_sha256"]
+__all__ = [
+    "fof_kdtree",
+    "fof_periodic_tree",
+    "_fof_brute_periodic",
+    "catalog_sha256",
+    "finalize_reference",
+]
 
 
 def catalog_sha256(*arrays) -> str:
@@ -38,6 +48,34 @@ def catalog_sha256(*arrays) -> str:
     for a in arrays:
         h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
     return h.hexdigest()
+
+
+def finalize_reference(roots: np.ndarray, tags: np.ndarray | None, min_count: int) -> FOFResult:
+    """Component ids to halo labels by one stable sort over the rows."""
+    n = len(roots)
+    ids = np.arange(n, dtype=np.int64) if tags is None else np.asarray(tags, dtype=np.int64)
+    order = np.argsort(roots, kind="stable")
+    sroots = roots[order]
+    boundaries = np.empty(n, dtype=bool)
+    if n:
+        boundaries[0] = True
+        boundaries[1:] = sroots[1:] != sroots[:-1]
+    seg = np.cumsum(boundaries) - 1 if n else np.empty(0, dtype=np.intp)
+    starts = np.flatnonzero(boundaries)
+    min_ids = np.minimum.reduceat(ids[order], starts) if n else np.empty(0, np.int64)
+    counts = np.diff(np.append(starts, n)) if n else np.empty(0, np.intp)
+    labels = np.empty(n, dtype=np.int64)
+    labels[order] = min_ids[seg]
+    keep = counts >= min_count
+    kept_tags = min_ids[keep]
+    labels[~np.isin(labels, kept_tags)] = -1
+    srt = np.argsort(kept_tags)
+    return FOFResult(
+        labels=labels,
+        min_count=min_count,
+        halo_tags=kept_tags[srt],
+        halo_counts=counts[keep][srt].astype(np.int64),
+    )
 
 
 def box_gap_sq(lo_a: np.ndarray, hi_a: np.ndarray, lo_b: np.ndarray, hi_b: np.ndarray) -> float:

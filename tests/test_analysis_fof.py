@@ -9,11 +9,15 @@ the commit *before* the compiled pair search replaced the cell grid
 asserted rather than promised.
 """
 
+import threading
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from repro.analysis import fof as fof_module
 from repro.analysis import fof_grid, halo_groups, parallel_fof
@@ -24,6 +28,7 @@ from tests.oracles.fof_reference import (
     box_gap_sq,
     box_span_sq,
     catalog_sha256,
+    finalize_reference,
     fof_kdtree,
     fof_periodic_tree,
 )
@@ -328,6 +333,49 @@ def test_golden_digest_mini_sim_parallel(mini_sim, nranks, n_halos, digest):
     assert _parallel_digest(halos) == digest
 
 
+def _owned_halos_reference(local, all_tag, tags, min_count):
+    """The per-halo ownership loop ``parallel_fof`` ran before its one-pass form."""
+    owned_tags = set(tags.tolist())
+    out = {}
+    for halo_tag in local.halo_tags:
+        if int(halo_tag) in owned_tags:
+            members = np.unique(all_tag[local.labels == halo_tag])
+            if len(members) >= min_count:
+                out[int(halo_tag)] = members
+    return out
+
+
+@pytest.mark.parametrize("nranks", [1, 2, 4])
+def test_one_pass_ownership_equals_the_per_halo_loop(mini_sim, nranks, monkeypatch):
+    """Each rank's halos equal the loop's over the same rank-local FOF,
+    repeated ghost tags included (1- and 2-wide axes send images)."""
+    box = mini_sim.config.box
+    ll = 0.2 * box / mini_sim.config.np_per_dim
+    pos = np.asarray(mini_sim.particles.pos, dtype=float)
+    tags = np.asarray(mini_sim.particles.tag, dtype=np.int64)
+    local_of = {}
+    real = fof_module.fof_grid
+
+    def recording_fof_grid(p, linking_length, tags=None, **kwargs):
+        out = real(p, linking_length, tags=tags, **kwargs)
+        local_of[threading.get_ident()] = (out, tags)  # one thread per rank
+        return out
+
+    def prog(comm):
+        decomp = CartesianDecomposition.for_ranks(box, comm.size)
+        mine = decomp.rank_of_position(pos) == comm.rank
+        got = parallel_fof(comm, decomp, pos[mine], tags[mine], ll, 8 * ll, min_count=10)
+        local, all_tag = local_of[threading.get_ident()]
+        return got, _owned_halos_reference(local, all_tag, tags[mine], 10)
+
+    monkeypatch.setattr(fof_module, "fof_grid", recording_fof_grid)
+    for got, want in run_spmd(nranks, prog, transport="thread"):
+        assert list(got) == list(want)
+        for tag, members in want.items():
+            assert members.dtype == got[tag].dtype
+            assert np.array_equal(members, got[tag])
+
+
 # -- the production finder against both oracles ----------------------------------
 
 
@@ -489,3 +537,120 @@ def test_prop_unique_pair_graph_labels_equal_the_canonical_csr(seed, n, ll_frac,
     k_ref, labels_ref = real(canonical, directed=False)
     assert k == k_ref
     assert np.array_equal(labels, labels_ref)
+
+
+# -- the isolation pre-pass: a row it keeps out of the tree has no partner -------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    ll=st.one_of(st.sampled_from([0.1, 0.3, 1 / 3, 0.7, 2.2]), st.floats(1e-3, 50.0)),
+    origin=st.one_of(st.just(0.0), st.floats(-1e4, 1e4)),
+    axis=st.integers(0, 2),
+    n_pairs=st.integers(0, 300),
+    n_loose=st.sampled_from([0, 0, 5, 40]),
+    far=st.sampled_from([0.0, 0.0, 1e3, 1e6]),
+)
+@example(seed=0, ll=0.1, origin=-2.0, axis=0, n_pairs=5, n_loose=0, far=0.0)  # a side of 2 ll fails
+def test_prop_prepass_keeps_every_row_with_a_partner(
+    seed, ll, origin, axis, n_pairs, n_loose, far
+):
+    """Pairs ``ll`` apart (or one ulp less) along ``axis``, one end at a
+    half-cell of the ``2 ll`` lattice anchored at the lowest point and
+    three cells from the next pair: each row's only partner is a tie
+    that a cell of side exactly ``2 ll`` can lose to rounding.  The
+    other axes have zero extent, so the grid keeps its cell side until
+    ``loose`` points fill the cube or a ``far`` point makes the box
+    sparse enough for the cells to grow."""
+    rng = np.random.default_rng(seed)
+    side = 2 * ll
+    half = np.full((n_pairs, 3), origin)
+    half[:, axis] += (3 * np.arange(n_pairs) + 0.5) * side
+    other = half.copy()
+    end = half[:, axis] + rng.choice([-ll, ll], n_pairs)
+    other[:, axis] = np.where(rng.random(n_pairs) < 0.5, end, np.nextafter(end, half[:, axis]))
+    loose = origin + rng.uniform(0.0, 4 * side, (n_loose, 3))
+    pos = np.concatenate([np.full((1, 3), origin), half, other, loose])
+    if far:
+        pos = np.concatenate([pos, np.full((1, 3), origin + far * side)])
+    pairs = cKDTree(pos).query_pairs(ll, output_type="ndarray")
+    assert np.isin(np.unique(pairs), fof_module._linkable(pos, ll)).all()
+    graph = coo_matrix((np.ones(len(pairs)), tuple(pairs.T)), shape=(len(pos),) * 2)
+    _, roots = connected_components(graph, directed=False)
+    assert np.array_equal(link_components(pos, ll), roots)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("box", [None, 1.0])
+def test_prepass_on_the_smallest_inputs(n, box):
+    pos = np.array([[0.0, 0.5, 0.5], [0.25, 0.5, 0.5]])[:n]
+    assert np.array_equal(fof_module._linkable(pos, 0.25), np.arange(n) if n == 2 else [])
+    got = _finalize(link_components(pos, 0.25, box), None, 1)
+    assert got.n_halos == min(n, 1)
+
+
+@pytest.mark.parametrize("n", [256, 257, 513])
+def test_prepass_counts_a_crowded_cell_exactly(n):
+    """Cell counts are kept mod 256 in a byte; a cell that full wraps to
+    0 or 1 and is counted again, exactly."""
+    pos = np.concatenate([np.zeros((n, 3)), [[5.0, 5.0, 5.0]]])
+    assert np.array_equal(fof_module._linkable(pos, 0.1), np.arange(n))
+    assert len(np.unique(link_components(pos, 0.1))) == 2
+
+
+@pytest.mark.parametrize("box", [None, 12.0])
+def test_an_isolated_field_never_enters_the_tree(monkeypatch, rng, box):
+    """A perturbed lattice of spacing 1 with ``ll = 0.1``: every row is
+    alone in its block, so the tree is built over zero rows."""
+    rows = []
+    real = fof_module.cKDTree
+
+    def tree(data, **kwargs):
+        rows.append(len(data))
+        return real(data, **kwargs)
+
+    monkeypatch.setattr(fof_module, "cKDTree", tree)
+    g = np.arange(12.0)
+    pos = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    pos += rng.uniform(-0.1, 0.1, pos.shape)
+    if box is not None:
+        pos = wrap_periodic(pos, box)
+    roots = link_components(pos, 0.1, box)
+    assert rows == [0]
+    assert len(np.unique(roots)) == len(pos)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(0, 400),
+    min_count=st.integers(0, 6),
+    dense=st.booleans(),
+    tag_kind=st.sampled_from(["none", "unique", "repeated"]),
+)
+def test_prop_finalize_equals_the_sorting_oracle(seed, n, min_count, dense, tag_kind):
+    """Mostly singletons, many components of exactly ``min_count`` rows;
+    dense ids (``link_components``) or union-find roots (the oracles'),
+    and tags repeated the way ghost images repeat them."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.choice([1, 1, 1, max(min_count, 1), min_count + 1, 2 * min_count + 3], n)
+    comp = np.repeat(np.arange(n), sizes)[:n]
+    rng.shuffle(comp)
+    if dense:  # ids in order of first appearance, like connected_components
+        _, first, inverse = np.unique(comp, return_index=True, return_inverse=True)
+        roots = np.argsort(np.argsort(first))[inverse]
+    else:  # each component named by one of its rows, like DisjointSet.labels
+        roots = np.zeros(n, dtype=np.intp)
+        for c in np.unique(comp):
+            at = np.flatnonzero(comp == c)
+            roots[at] = rng.choice(at)
+    tags = {
+        "none": None,
+        "unique": rng.permutation(10 * n + 1)[:n],
+        "repeated": rng.integers(0, max(n // 3, 1), n),
+    }[tag_kind]
+    roots = roots.astype(np.intp)
+    _assert_same_result(
+        _finalize(roots, tags, min_count), finalize_reference(roots, tags, min_count)
+    )

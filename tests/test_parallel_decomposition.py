@@ -68,6 +68,22 @@ def test_positions_outside_box_are_wrapped():
     )[0]
 
 
+def test_wrapping_only_outside_rows_changes_no_owner(rng):
+    """Rows inside ``[0, box)`` skip the wrap; every owner is what the
+    wrap of every row gives."""
+    d = CartesianDecomposition.for_ranks(10.0, 12)
+    inside = np.concatenate(
+        [rng.uniform(0, 10, (300, 3)), [[0.0, -0.0, np.nextafter(10.0, 0)], [5.0, 0.0, 9.99]]]
+    )
+    outside = rng.uniform(-25, 35, (300, 3))
+    for pos in (inside, outside, np.concatenate([inside, outside]), inside[:1]):
+        idx = np.floor(np.mod(pos, d.box) / d.cell_sizes).astype(np.intp)
+        idx = np.clip(idx, 0, np.asarray(d.dims) - 1)
+        want = (idx[:, 0] * d.dims[1] + idx[:, 1]) * d.dims[2] + idx[:, 2]
+        assert np.array_equal(d.rank_of_position(pos), want)
+    assert d.rank_of_position(np.empty((0, 3))).shape == (0,)
+
+
 def test_every_position_has_exactly_one_owner(rng):
     d = CartesianDecomposition.for_ranks(50.0, 12)
     pos = rng.uniform(-50, 100, (500, 3))  # includes out-of-box values

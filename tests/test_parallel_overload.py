@@ -134,3 +134,44 @@ def test_no_duplicate_rows_in_any_neighbor_plan(dims, rng):
         lo, hi = decomp.bounds(rank)
         near = (mine < lo + width).astype(int) + (mine >= hi - width)
         assert n_rows == int(np.sum(np.prod(1 + near, axis=1) - 1))
+
+
+def _plan_over_every_row(decomp, rank, pos, width):
+    """The plan with each of the 26 direction masks taken over every row."""
+    lo, hi = decomp.bounds(rank)
+    coords = np.asarray(decomp.coords_of_rank(rank))
+    near = {-1: pos < lo + width, 1: pos >= hi - width}
+    parts = {}
+    for d in itertools.product((-1, 0, 1), repeat=3):
+        mask = np.ones(len(pos), dtype=bool)
+        for axis, step in enumerate(d):
+            if step:
+                mask &= near[step][:, axis]
+        if d == (0, 0, 0) or not mask.any():
+            continue
+        tgt = coords + d
+        shift = np.where(tgt < 0, decomp.box, np.where(tgt >= decomp.dims, -decomp.box, 0.0))
+        idx = np.flatnonzero(mask)
+        part = parts.setdefault(decomp.rank_of_coords(*tgt), ([], []))
+        part[0].append(idx)
+        part[1].append(np.broadcast_to(shift, (len(idx), 3)))
+    return {nbr: (np.concatenate(i), np.concatenate(s)) for nbr, (i, s) in parts.items()}
+
+
+@pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 2, 1), (3, 3, 3)])
+def test_plan_equals_the_masks_over_every_row(dims, rng):
+    """Masks over the near-face rows only give the same plan: the same
+    neighbours in the same order, the same ascending indices and shifts."""
+    box = 60.0
+    decomp = CartesianDecomposition(box=box, dims=dims)
+    pos = rng.uniform(0, box, (3000, 3))
+    owners = decomp.rank_of_position(pos)
+    for rank in range(decomp.nranks):
+        mine = pos[owners == rank]
+        got = overload_destinations(decomp, rank, mine, 4.0)
+        want = _plan_over_every_row(decomp, rank, mine, 4.0)
+        assert list(got) == list(want)
+        for nbr, (idx, shift) in want.items():
+            assert got[nbr][0].dtype == idx.dtype
+            assert np.array_equal(got[nbr][0], idx)
+            assert np.array_equal(got[nbr][1], shift)
