@@ -8,12 +8,13 @@ Two measurements back the combined-workflow story:
   per rank, shared-memory array payloads).  The 2-rank runs must be
   bit-identical across transports (same decomposition, different rank
   substrate); with ≥2 real cores the process transport must beat 1 rank
-  by ≥1.2x.  The 1-rank run is the timing baseline only — rank count
-  changes the ghost-exchange pattern, so membership of halos straddling
-  the periodic boundary legitimately differs from the 2-rank split.
+  by ≥1.2x.  The 1-rank run is the timing baseline; its catalog is the
+  same as the 2-rank one (``parallel_fof`` equals serial periodic FOF
+  at every rank count).
 * **Pipeline overlap** — the combined workflow with
-  ``pipeline_insitu=True`` runs the in-situ chain of step *t*
-  concurrently with the solver's step *t+1*; the
+  ``pipeline_insitu=True`` (the driver's default) runs the in-situ
+  chain of step *t* concurrently with the solver's step *t+1*, against
+  ``pipeline_insitu=False``, the inline chain; the
   :class:`~repro.obs.timeline.WorkflowTimeline` overlap fraction must
   be strictly positive (it is, even on one core: the heavy kernels
   release the GIL).

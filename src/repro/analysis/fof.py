@@ -24,11 +24,13 @@ One pair search, three entry points:
     The distributed finder: particles live on ranks under a
     :class:`~repro.parallel.decomposition.CartesianDecomposition` with
     overload (ghost) regions wide enough to contain any halo, each rank
-    runs ``fof_grid`` on owned + ghost particles, and halos found by
-    multiple ranks are assigned to the unique owner of their minimum-tag
-    particle (paper: "the parallel halo finder identifies halos found in
-    whole or in part by multiple processes, and assigns them to a unique
-    processor").
+    runs ``link_components`` on owned + ghost particles (periodic along
+    the process grid's 1-wide axes, which span the box), and halos found
+    by multiple ranks are assigned to the unique owner of their
+    minimum-tag particle (paper: "the parallel halo finder identifies
+    halos found in whole or in part by multiple processes, and assigns
+    them to a unique processor").  The catalog is ``fof_grid(box=)``'s
+    at every rank count.
 
 :class:`~repro.streaming.fof.StreamingFOF` links each ring ∪ chunk
 through ``link_components`` too.  Halos below ``min_count`` particles are
@@ -132,19 +134,22 @@ def wrap_periodic(pos: np.ndarray, box: float) -> np.ndarray:
 
 
 def _face_images(
-    pos: np.ndarray, linking_length: float, box: float
+    pos: np.ndarray, linking_length: float, box: float, periodic: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Images one box up of the rows within ``linking_length`` of a low face.
 
-    A row near the low face on a set of axes gets one image per non-empty
-    subset of those axes, shifted by ``box`` along that subset.  Returns
-    the image rows and each image's shift as an axis bitmask.
+    Only the ``periodic`` axes have faces here.  A row near the low face
+    on a set of those axes gets one image per non-empty subset of them,
+    shifted by ``box`` along that subset.  Returns the image rows and
+    each image's shift as an axis bitmask.
     """
-    low = (pos <= linking_length) @ (1 << np.arange(pos.shape[1]))  # bit k: near face k
+    bits = np.where(periodic, 1 << np.arange(pos.shape[1]), 0)
+    low = (pos <= linking_length) @ bits  # bit k: near the low face of periodic axis k
     near = np.flatnonzero(low)
-    subsets = range(1, 1 << pos.shape[1])
+    faces = int(bits.sum())
+    subsets = [s for s in range(1, 1 << pos.shape[1]) if (s & faces) == s]
     rows = [near[(low[near] & s) == s] for s in subsets]
-    shift = np.repeat(np.fromiter(subsets, dtype=np.int64), [len(r) for r in rows])
+    shift = np.repeat(np.asarray(subsets, dtype=np.int64), [len(r) for r in rows])
     return np.concatenate(rows), shift
 
 
@@ -169,21 +174,27 @@ def _fold_images(pairs: np.ndarray, n: int, rows: np.ndarray, shift: np.ndarray)
     return pairs[:k]
 
 
-def _linkable(points: np.ndarray, linking_length: float) -> np.ndarray:
+def _linkable(
+    points: np.ndarray, linking_length: float, images: np.ndarray | None = None
+) -> np.ndarray:
     """Indices of the points that may have a partner within ``linking_length``.
 
-    The 2×2×2-block test of :func:`link_components`.  The cell side is
-    strictly above ``2 * linking_length``: at exactly that side the
-    rounding of a cell coordinate can put a partner at a tie two cells
-    away.  A sparse spread grows the cells, so the uint8 occupancy grid
-    holds at most 16 cells per point.
+    The 2×2×2-block test of :func:`link_components`, over ``points`` and
+    then ``images`` (indices run over the two in that order; their
+    concatenation is never built).  The cell side is strictly above
+    ``2 * linking_length``: at exactly that side the rounding of a cell
+    coordinate can put a partner at a tie two cells away.  A sparse
+    spread grows the cells, so the uint8 occupancy grid holds at most 16
+    cells per point.
     """
-    m, dim = points.shape
+    blocks = [b for b in (points, images) if b is not None and len(b)]
+    m = sum(len(b) for b in blocks)
     if m < 2:
         return np.empty(0, dtype=np.intp)
+    dim = blocks[0].shape[1]
     # column by column: an axis-0 min over the (m, dim) rows is ~10x slower
-    lo = np.array([col.min() for col in points.T])
-    span = np.array([col.max() for col in points.T]) - lo
+    lo = np.array([min(b[:, axis].min() for b in blocks) for axis in range(dim)])
+    span = np.array([max(b[:, axis].max() for b in blocks) for axis in range(dim)]) - lo
     side = max(2 * linking_length * (1 + 2.0**-12), np.finfo(float).tiny)
     shape = np.floor(span / side) + 3  # a padding cell on either side
     cap = max(16 * m, 3**dim)
@@ -194,11 +205,14 @@ def _linkable(points: np.ndarray, linking_length: float) -> np.ndarray:
     strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
     own = np.zeros(m, dtype=np.int64)  # flat padded cell of each point
     block = np.zeros(m, dtype=np.int64)  # and the low corner of its block
+    ends = np.cumsum([len(b) for b in blocks])
     for axis in range(dim):  # one axis at a time: every temporary is one column
-        t = (points[:, axis] - lo[axis]) / side
-        cell = np.floor(t)
-        own += (cell + 1).astype(np.int64) * strides[axis]
-        block += (cell + (t - cell >= 0.5)).astype(np.int64) * strides[axis]
+        for b, end in zip(blocks, ends):
+            at = slice(end - len(b), end)
+            t = (b[:, axis] - lo[axis]) / side
+            cell = np.floor(t)
+            own[at] += (cell + 1).astype(np.int64) * strides[axis]
+            block[at] += (cell + (t - cell >= 0.5)).astype(np.int64) * strides[axis]
     occ = np.zeros(int(np.prod(shape)), dtype=np.uint8)
     np.add.at(occ, own, np.uint8(1))  # counts mod 256
     if occ.sum(dtype=np.int64) != m:  # a cell of 256 or more wrapped: count exactly
@@ -211,7 +225,10 @@ def _linkable(points: np.ndarray, linking_length: float) -> np.ndarray:
 
 
 def link_components(
-    pos: np.ndarray, linking_length: float, box: float | None = None
+    pos: np.ndarray,
+    linking_length: float,
+    box: float | None = None,
+    periodic: np.ndarray | None = None,
 ) -> np.ndarray:
     """Component id per particle of the ``d <= linking_length`` graph.
 
@@ -223,9 +240,10 @@ def link_components(
     axis, so in the point's own cell or the next one toward the cell face
     the point is nearer to.  A point alone in that 2×2×2 block has no
     partner and stays a singleton; the pass emits no pair.  With ``box``
-    the metric is the minimum image, which needs ``pos`` inside
-    ``[0, box)`` (see :func:`wrap_periodic`):
-    a pair that links through the wrap on a set of axes has, on each of
+    the metric is the minimum image on the ``periodic`` axes (a boolean
+    per axis; default every axis), which needs ``pos`` inside ``[0,
+    box)`` on them (see :func:`wrap_periodic`); the other axes are open.
+    A pair that links through the wrap on a set of axes has, on each of
     them, its lower end within ``linking_length`` of the low face, so
     the tree also holds every such row's images one box up
     (:func:`_face_images`) and image pairs map back to their rows.
@@ -235,14 +253,24 @@ def link_components(
     n = len(pos)
     if n == 0:
         return np.empty(0, dtype=np.intp)
-    points, rows = pos, np.empty(0, dtype=np.intp)
+    images, rows = None, np.empty(0, dtype=np.intp)
     if box is not None:
-        rows, shift = _face_images(pos, linking_length, box)
+        if periodic is None:
+            periodic = np.ones(pos.shape[1], dtype=bool)
+        rows, shift = _face_images(pos, linking_length, box, periodic)
         if len(rows):
-            offset = ((shift[:, None] >> np.arange(pos.shape[1])) & 1) * box
-            points = np.concatenate([pos, pos[rows] + offset])
-    keep = _linkable(points, linking_length)
-    points = points[keep]
+            images = pos[rows]
+            images += ((shift[:, None] >> np.arange(pos.shape[1])) & 1) * box
+    keep = _linkable(pos, linking_length, images)
+    # only the rows that enter the tree are copied, each once
+    if images is None:
+        points = pos[keep]
+    else:
+        cut = np.searchsorted(keep, n)
+        points = np.empty((len(keep), pos.shape[1]), dtype=pos.dtype)
+        np.take(pos, keep[:cut], axis=0, out=points[:cut])
+        np.take(images, keep[cut:] - n, axis=0, out=points[cut:])
+    del images
     # midpoint splits and unshrunk nodes: a cheaper build, no slower a search
     pairs = cKDTree(points, balanced_tree=False, compact_nodes=False).query_pairs(
         linking_length, output_type="ndarray"
@@ -340,7 +368,8 @@ def parallel_fof(
     tags = np.asarray(tags, dtype=np.int64)
     n_owned = len(pos)
 
-    # 1. ghost exchange: send boundary particles to neighbors
+    # 1. ghost exchange: send boundary particles to the neighbors along
+    #    the axes the process grid splits (a rank sends itself nothing)
     plan = overload_destinations(decomp, comm.rank, pos, overload_width)
     send: list[dict[str, np.ndarray]] = []
     for dest in range(comm.size):
@@ -350,36 +379,36 @@ def parallel_fof(
         else:
             send.append({"pos": pos[:0], "tag": tags[:0]})
     received = comm.alltoall(send)
+    all_pos = np.concatenate([pos, *(chunk["pos"] for chunk in received)])
+    all_tag = np.concatenate([tags, *(chunk["tag"] for chunk in received)])
 
-    ghost_pos = [chunk["pos"] for src, chunk in enumerate(received) if src != comm.rank]
-    ghost_tag = [chunk["tag"] for src, chunk in enumerate(received) if src != comm.rank]
-    all_pos = np.concatenate([pos, *ghost_pos]) if ghost_pos else pos
-    all_tag = np.concatenate([tags, *ghost_tag]) if ghost_tag else tags
+    # 2. local link on owned + ghost particles.  A 1-wide axis of the
+    #    process grid spans the whole box, so the link wraps it itself;
+    #    the split axes are open (the ghosts carry their images).  With
+    #    overload_width under half a sub-box, each particle reaches a rank
+    #    at most once, so every row carries a distinct tag.
+    periodic = np.asarray(decomp.dims) == 1
+    for axis in np.flatnonzero(periodic):
+        all_pos[:, axis] = wrap_periodic(all_pos[:, axis], decomp.box)
+    roots = link_components(
+        all_pos, linking_length, decomp.box if periodic.any() else None, periodic
+    )
+    del all_pos
 
-    # NOTE: a particle may legitimately arrive as several periodic images
-    # (e.g. on a 2-wide process grid the same source rank is both the +x
-    # and -x neighbor).  All images are kept: distinct images of the same
-    # halo form components sharing the same minimum tag, and membership
-    # is deduplicated by tag below.
-
-    # 2. local FOF on owned + ghost particles (non-periodic: ghosts carry
-    #    the periodic images already)
-    local = fof_grid(all_pos, linking_length, tags=all_tag, min_count=min_count)
-
-    # 3. ownership: this rank owns a halo iff the halo's min-tag particle
-    #    is one of the rank's owned (non-ghost) particles.  One sort by
-    #    (halo, tag) groups the owned halos' rows and puts the images of a
-    #    particle side by side, so membership is deduplicated by tag.
-    owned = local.halo_tags[np.isin(local.halo_tags, tags)]
-    rows = np.flatnonzero(np.isin(local.labels, owned))
-    rows = rows[np.lexsort((all_tag[rows], local.labels[rows]))]
-    halo, member = local.labels[rows], all_tag[rows]
-    first = np.ones(len(rows), dtype=bool)  # first row of each (halo, tag)
-    first[1:] = (halo[1:] != halo[:-1]) | (member[1:] != member[:-1])
-    halo, member = halo[first], member[first]
-    _, starts = np.unique(halo, return_index=True)
+    # 3. ownership, in one pass over the rows: a component is this rank's
+    #    iff its minimum tag sits on an owned row.  Its label is that tag.
+    counts = np.bincount(roots)
+    owned_min = np.full(len(counts), np.iinfo(np.int64).max)
+    ghost_min = owned_min.copy()
+    np.minimum.at(owned_min, roots[:n_owned], tags)
+    np.minimum.at(ghost_min, roots[n_owned:], all_tag[n_owned:])
+    mine = (counts >= min_count) & (owned_min <= ghost_min)
+    rows = np.flatnonzero(mine[roots])
+    # one sort over the owned halos' rows: by halo, members by tag
+    halo, member = owned_min[roots[rows]], all_tag[rows]
+    order = np.lexsort((member, halo))
+    halo, member = halo[order], member[order]
+    starts = np.flatnonzero(np.diff(halo, prepend=halo[:1] - 1))
     return {
-        int(halo[s]): members
-        for s, members in zip(starts, np.split(member, starts[1:]))
-        if len(members) >= min_count  # re-check after image dedup
+        int(halo[s]): members for s, members in zip(starts, np.split(member, starts[1:]))
     }

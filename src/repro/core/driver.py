@@ -59,6 +59,7 @@ from ..io.genericio import GenericIOFile
 from ..machines.listener import Listener, ListenerStats
 from ..machines.staging import StagedItem, StagingArea
 from ..obs import RunTelemetry, get_recorder
+from ..parallel.transport import resolve_transport
 from ..sim.hacc import HACCSimulation, SimulationConfig
 from .accounting import FailureRecord
 
@@ -181,7 +182,7 @@ def run_combined_workflow(
     journal_dir: str | os.PathLike | None = None,
     run_id: str | None = None,
     spmd_transport=None,
-    pipeline_insitu: bool = False,
+    pipeline_insitu: bool = True,
     analysis_steps: list[int] | None = None,
 ) -> CombinedRunResult:
     """Run the combined in-situ/off-line workflow for real.
@@ -207,11 +208,15 @@ def run_combined_workflow(
     (``"thread"``, ``"process"``, or a
     :class:`~repro.parallel.transport.SpmdConfig`); ``"process"`` forks
     one OS process per analysis rank for real multi-core FOF.
-    ``pipeline_insitu=True`` runs the in-situ chain on a snapshot buffer
-    concurrently with the next simulation steps
+    ``pipeline_insitu`` (default on) runs the in-situ chain of step *t*
+    on a snapshot buffer concurrently with steps *t+1…*
     (:class:`~repro.insitu.pipeline.AsyncInSituManager`): the catalogs
-    are bit-identical to the serial run, but analysis wall time overlaps
+    are bit-identical to the inline run, but analysis wall time overlaps
     simulation wall time (``WorkflowTimeline.overlap_fraction() > 0``).
+    The chain stays inline when nothing can overlap (the final step is
+    the only analysis step, so no snapshot buffer is paid) and when the
+    rank transport resolves to ``"process"`` (forking rank worlds from
+    the pipeline thread while the PM threads run is unsafe).
     ``analysis_steps`` lists the steps the in-situ chain fires at
     (default: the final step only, the paper's Level 2 cadence); it must
     include ``config.n_steps``, whose catalog is the final product —
@@ -246,13 +251,18 @@ def run_combined_workflow(
             f"analysis_steps must include the final step {last_step} "
             "(its catalog is the run's Level 3 product)"
         )
+    pipelined = (
+        pipeline_insitu
+        and len(steps) > 1
+        and resolve_transport(spmd_transport).transport != "process"
+    )
     rec.event(
         "workflow.start",
         mode="coscheduled" if coschedule else "simple",
         handoff="staging" if staged else "spool",
         threshold=threshold,
         n_steps=config.n_steps,
-        pipeline_insitu=pipeline_insitu,
+        pipeline_insitu=pipelined,
     )
 
     manager = InSituAnalysisManager()
@@ -267,7 +277,7 @@ def run_combined_workflow(
     )
     manager.register(HaloCenterAlgorithm(at_steps=steps, threshold=threshold))
     manager.register(Level2WriterAlgorithm(at_steps=steps, output_dir=spool_dir))
-    exec_manager = AsyncInSituManager(manager) if pipeline_insitu else manager
+    exec_manager = AsyncInSituManager(manager) if pipelined else manager
 
     offline_catalogs: list[tuple[int, HaloCatalog]] = []
 
@@ -294,15 +304,17 @@ def run_combined_workflow(
                 # before the listener's final poll; close() re-raises their
                 # failures
                 try:
-                    if pipeline_insitu:
+                    if pipelined:
                         exec_manager.close()
                 finally:
                     listener.stop(final_poll=True)
     else:
-        with rec.span("workflow.sim", coschedule=False):
-            sim.run()
-        if pipeline_insitu:
-            exec_manager.close()
+        try:
+            with rec.span("workflow.sim", coschedule=False):
+                sim.run()
+        finally:
+            if pipelined:  # the pipeline thread never outlives the run
+                exec_manager.close()
         with rec.span("workflow.offline"):
             listener.poll_once()  # one shot after the run ("queued after sim")
 

@@ -15,10 +15,14 @@ simulation.
    buffers total, copied with :meth:`~repro.sim.particles.Particles.copy_into`
    — no steady-state allocation).
 2. The analysis chain runs against the snapshot on a dedicated worker
-   thread while the solver advances the next step.  Heavy kernels
-   release the GIL (NumPy/FFT) or fork SPMD rank processes
-   (``HaloFinderAlgorithm(transport="process")``), so the overlap is
-   real parallelism, not just interleaving.
+   thread while the solver advances the next step.  The overlap is real
+   parallelism where the kernels on either side release the GIL (the PM
+   solver's FFTs and row passes, the NumPy/SciPy kernels of the chain)
+   and interleaving elsewhere.  The chain's rank programs run as
+   threads: forking rank processes from this thread while the PM
+   threads run is unsafe, so
+   :func:`~repro.core.driver.run_combined_workflow` keeps the chain
+   inline when the SPMD transport is ``"process"``.
 3. Backpressure: at most ``max_in_flight`` analyses may be pending; a
    faster simulation blocks on the oldest future before snapshotting
    again, which bounds memory to the buffer pool.

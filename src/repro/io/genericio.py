@@ -76,6 +76,8 @@ def write_genericio(
     number of payload bytes written (used by the I/O cost accounting).
     The physical write runs under ``retry`` (``None`` → the tree-wide
     default) at the ``"io.write"`` fault site; re-writing is idempotent.
+    The file appears under ``path`` only once complete: it is written
+    under a hidden sibling name and renamed (atomic, not fsynced).
     ``meta`` is an optional JSON-serializable dict stored in the header
     (physical parameters like the box side, slab ordering flags) and
     exposed as :attr:`GenericIOFile.meta`.
@@ -138,16 +140,20 @@ def write_genericio(
 
     rec = get_recorder()
     fname = os.path.basename(os.fspath(path))
+    # written under a hidden sibling name, then renamed: a listener
+    # globbing for the final name never sees a half-written file
+    tmp = os.path.join(os.path.dirname(os.fspath(path)), f".{fname}.tmp.{os.getpid()}")
 
     def _write_attempt() -> None:
         maybe_inject("io.write", fname)
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh:
             fh.write(MAGIC)
             fh.write(len(header_json).to_bytes(8, "little"))
             fh.write(header_json)
             for blk in blocks:
                 for name in names:
                     fh.write(np.ascontiguousarray(blk[name]).tobytes())
+        os.replace(tmp, path)
 
     with rec.span("io.write", path=os.fspath(path), nbytes=payload_bytes):
         resolve_retry(retry).run(

@@ -15,6 +15,8 @@ the neighbor's coordinate neighborhood.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .decomposition import CartesianDecomposition
@@ -53,6 +55,8 @@ def overload_destinations(
     selects the particles to copy and ``shift`` is the ``(k, 3)`` periodic
     offset (multiples of the box length, usually zeros) to add to their
     positions so the neighbor sees them in its own unwrapped frame.
+    Neighbors lie only along the axes the process grid splits, so a rank
+    never appears in its own plan.
     """
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
     if width < 0:
@@ -66,55 +70,51 @@ def overload_destinations(
             "(must be < half the sub-box edge)"
         )
 
-    ix, iy, iz = decomp.coords_of_rank(rank)
+    coords = np.asarray(decomp.coords_of_rank(rank))
     lo, hi = decomp.bounds(rank)
     dims = np.asarray(decomp.dims)
     box = decomp.box
 
-    # For each axis, flag particles near the low / high face; only the rows
-    # near some face can go anywhere, so the direction masks cover those.
+    # Neighbours lie along the axes the process grid splits.  A 1-wide
+    # axis has none: the rank's own periodic link closes it
+    # (``parallel_fof``), so no direction steps along one.  Only the rows
+    # near a face of a split axis can go anywhere; the direction masks
+    # cover those.
+    split = dims > 1
     near_lo = positions < (lo + width)  # (n, 3) booleans
     near_hi = positions >= (hi - width)
-    near = np.flatnonzero((near_lo | near_hi).any(axis=1))
+    near = np.flatnonzero((near_lo | near_hi)[:, split].any(axis=1))
     near_lo, near_hi = near_lo[near], near_hi[near]
 
-    # A neighbor reachable via several directions (small grids with
+    # A neighbor reachable via several directions (a 2-wide axis with
     # wraparound) gets one (indices, shifts) part per direction.  Parts
     # never repeat a row: indices are unique within a direction, and two
     # directions onto the same neighbor differ in their shift vector
-    # (2-wide axis: +box / 0 or 0 / -box; 1-wide: +box / 0 / -box).
+    # (+box / 0 or 0 / -box along the 2-wide axis).
     parts: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
-    coords = np.asarray([ix, iy, iz])
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                if dx == dy == dz == 0:
-                    continue
-                d = (dx, dy, dz)
-                mask = np.ones(len(near), dtype=bool)
-                for axis, step in enumerate(d):
-                    if step == -1:
-                        mask &= near_lo[:, axis]
-                    elif step == 1:
-                        mask &= near_hi[:, axis]
-                if not mask.any():
-                    continue
-                nbr = decomp.rank_of_coords(ix + dx, iy + dy, iz + dz)
-                idx = near[mask]
-                # Periodic shift: if stepping off the grid edge, shift the
-                # copy so it lands adjacent to the receiving rank's frame.
-                # Stepping below cell 0 wraps to the highest rank, whose
-                # high face sits at x=box: the copy must appear at x+box.
-                shift = np.zeros(3)
-                for axis, step in enumerate(d):
-                    tgt = coords[axis] + step
-                    if tgt < 0:
-                        shift[axis] = box
-                    elif tgt >= dims[axis]:
-                        shift[axis] = -box
-                idx_parts, shift_parts = parts.setdefault(nbr, ([], []))
-                idx_parts.append(idx)
-                shift_parts.append(np.broadcast_to(shift, (idx.size, 3)))
+    steps = [(-1, 0, 1) if s else (0,) for s in split]
+    for d in itertools.product(*steps):
+        if not any(d):
+            continue
+        mask = np.ones(len(near), dtype=bool)
+        for axis, step in enumerate(d):
+            if step == -1:
+                mask &= near_lo[:, axis]
+            elif step == 1:
+                mask &= near_hi[:, axis]
+        if not mask.any():
+            continue
+        target = coords + d
+        nbr = decomp.rank_of_coords(*target)
+        idx = near[mask]
+        # Periodic shift: if stepping off the grid edge, shift the copy so
+        # it lands adjacent to the receiving rank's frame.  Stepping below
+        # cell 0 wraps to the highest rank, whose high face sits at x=box:
+        # the copy must appear at x+box.
+        shift = np.where(target < 0, box, np.where(target >= dims, -box, 0.0))
+        idx_parts, shift_parts = parts.setdefault(nbr, ([], []))
+        idx_parts.append(idx)
+        shift_parts.append(np.broadcast_to(shift, (idx.size, 3)))
     return {
         nbr: (np.concatenate(idx_parts), np.concatenate(shift_parts))
         for nbr, (idx_parts, shift_parts) in parts.items()

@@ -2,11 +2,11 @@
 
 ``fof_grid`` / ``parallel_fof`` are checked three ways: against the
 pure-Python k-d tree and O(n²) periodic brute-force oracles
-(:mod:`tests.oracles.fof_reference`), against each other across
-decompositions and transports, and against golden digests recorded from
-the commit *before* the compiled pair search replaced the cell grid
-(ea6c278) — so "identical to the parent, known deficiencies included" is
-asserted rather than promised.
+(:mod:`tests.oracles.fof_reference`), against each other (and the
+streamed pass) across decompositions and transports, and against golden
+digests: the serial finder's recorded from the commit *before* the
+compiled pair search replaced the cell grid (ea6c278), the parallel
+finder's derived from the serial periodic finder on the same particles.
 """
 
 import threading
@@ -23,6 +23,7 @@ from repro.analysis import fof as fof_module
 from repro.analysis import fof_grid, halo_groups, parallel_fof
 from repro.analysis.fof import _finalize, link_components, wrap_periodic
 from repro.parallel import CartesianDecomposition, run_spmd
+from repro.streaming import ArrayStream, StreamingFOF
 from tests.oracles.fof_reference import (
     _fof_brute_periodic,
     box_gap_sq,
@@ -277,13 +278,16 @@ def test_prop_kdtree_equals_brute_force(seed, ll):
         assert len({result.labels[i] for i in comp}) == 1
 
 
-# -- golden digests from the parent commit ---------------------------------------
+# -- golden digests ----------------------------------------------------------------
 #
-# Recorded at ea6c278 (cell-grid ``fof_grid``) by running exactly these
-# helpers with that commit's ``src`` on the path.  Do not regenerate them
-# with the code under test: they pin "same products as before the swap",
-# including ``parallel_fof``'s known non-periodicity on 1-wide process-grid
-# axes (ROADMAP item 1), which is why the three rank counts differ.
+# The clustered-field digest was recorded at ea6c278 (cell-grid
+# ``fof_grid``) by running exactly these helpers with that commit's
+# ``src`` on the path.  Do not regenerate pins with the code under test.
+# The mini_sim digest pins ``parallel_fof``, so it was derived from the
+# *serial* periodic finder instead: ``fof_grid(pos, ll, tags=tags,
+# min_count=10, box=box)`` on the same particles, grouped by
+# ``halo_groups`` into the ``halo tag -> sorted member tags`` form
+# ``_parallel_digest`` hashes.  Every rank count must reproduce it.
 
 
 def _clustered_field(seed, n):
@@ -319,61 +323,122 @@ def test_golden_digest_clustered_periodic_field():
     )
 
 
-@pytest.mark.parametrize(
-    "nranks, n_halos, digest",
-    [
-        (1, 74, "6b27fe84f58e80e619cdfcb2991319cd42cdb7fa58ccd687ee7acfb9c1f53202"),
-        (2, 72, "abc7c1888021643745ab150c263ba04ddc228024058c20ee01b6e9e0076f89b8"),
-        (4, 69, "dd69f0dc7dea430ddc9151bf8f5339ae76b5c8bd637b4c198fbc53c3dbb43b49"),
-    ],
-)
-def test_golden_digest_mini_sim_parallel(mini_sim, nranks, n_halos, digest):
+MINI_SIM_HALOS = 68
+MINI_SIM_DIGEST = "d76d5c412b5f9f1aad159b2d2173dab96623477164a9066dfe034bb4b876db02"
+
+
+@pytest.mark.parametrize("nranks", [1, 2, 3, 4, 8])
+def test_golden_digest_mini_sim_parallel(mini_sim, nranks):
     halos = _golden_mini_sim_halos(mini_sim, nranks)
-    assert len(halos) == n_halos
-    assert _parallel_digest(halos) == digest
+    assert len(halos) == MINI_SIM_HALOS
+    assert _parallel_digest(halos) == MINI_SIM_DIGEST
 
 
-def _owned_halos_reference(local, all_tag, tags, min_count):
-    """The per-halo ownership loop ``parallel_fof`` ran before its one-pass form."""
-    owned_tags = set(tags.tolist())
+def _owned_halos_reference(roots, all_tag, n_owned, min_count):
+    """The row rule, one component at a time: a component is the rank's
+    iff the row carrying its minimum tag is an owned row."""
+    order = np.argsort(roots, kind="stable")
+    starts = np.flatnonzero(np.diff(roots[order], prepend=-1))
     out = {}
-    for halo_tag in local.halo_tags:
-        if int(halo_tag) in owned_tags:
-            members = np.unique(all_tag[local.labels == halo_tag])
-            if len(members) >= min_count:
-                out[int(halo_tag)] = members
-    return out
+    for rows in np.split(order, starts[1:]):
+        if len(rows) >= min_count and rows[np.argmin(all_tag[rows])] < n_owned:
+            out[int(all_tag[rows].min())] = np.sort(all_tag[rows])
+    return dict(sorted(out.items()))
+
+
+class _RecordingComm:
+    """A communicator that keeps what ``alltoall`` delivered."""
+
+    def __init__(self, comm):
+        self._comm = comm
+        self.received = None
+
+    def __getattr__(self, name):
+        return getattr(self._comm, name)
+
+    def alltoall(self, send):
+        self.received = self._comm.alltoall(send)
+        return self.received
 
 
 @pytest.mark.parametrize("nranks", [1, 2, 4])
 def test_one_pass_ownership_equals_the_per_halo_loop(mini_sim, nranks, monkeypatch):
-    """Each rank's halos equal the loop's over the same rank-local FOF,
-    repeated ghost tags included (1- and 2-wide axes send images)."""
+    """Each rank's halos equal the row rule applied halo by halo over the
+    same rank-local link (1-wide axes linked periodically, no self-images)."""
     box = mini_sim.config.box
     ll = 0.2 * box / mini_sim.config.np_per_dim
     pos = np.asarray(mini_sim.particles.pos, dtype=float)
     tags = np.asarray(mini_sim.particles.tag, dtype=np.int64)
-    local_of = {}
-    real = fof_module.fof_grid
+    roots_of = {}
+    real = fof_module.link_components
 
-    def recording_fof_grid(p, linking_length, tags=None, **kwargs):
-        out = real(p, linking_length, tags=tags, **kwargs)
-        local_of[threading.get_ident()] = (out, tags)  # one thread per rank
-        return out
+    def recording_link(*args, **kwargs):
+        roots = real(*args, **kwargs)
+        roots_of[threading.get_ident()] = roots  # one thread per rank
+        return roots
 
     def prog(comm):
+        comm = _RecordingComm(comm)
         decomp = CartesianDecomposition.for_ranks(box, comm.size)
         mine = decomp.rank_of_position(pos) == comm.rank
         got = parallel_fof(comm, decomp, pos[mine], tags[mine], ll, 8 * ll, min_count=10)
-        local, all_tag = local_of[threading.get_ident()]
-        return got, _owned_halos_reference(local, all_tag, tags[mine], 10)
+        assert len(comm.received[comm.rank]["tag"]) == 0  # a rank sends itself nothing
+        all_tag = np.concatenate([tags[mine], *(c["tag"] for c in comm.received)])
+        assert len(np.unique(all_tag)) == len(all_tag)  # each particle reaches a rank once
+        roots = roots_of[threading.get_ident()]
+        return got, _owned_halos_reference(roots, all_tag, int(mine.sum()), 10)
 
-    monkeypatch.setattr(fof_module, "fof_grid", recording_fof_grid)
+    monkeypatch.setattr(fof_module, "link_components", recording_link)
     for got, want in run_spmd(nranks, prog, transport="thread"):
         assert list(got) == list(want)
         for tag, members in want.items():
             assert members.dtype == got[tag].dtype
             assert np.array_equal(members, got[tag])
+
+
+# -- one catalog at every rank count, transport and pass ---------------------------
+
+
+def _clumped_field(seed, box=40.0, n_clumps=12, per_clump=60, n_field=1500):
+    """Tight clumps in a uniform field; about a third of the clump centres
+    sit on a face of the box, so halos link through the wrap on every axis."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0, box, (n_clumps, 3))
+    centers[rng.random((n_clumps, 3)) < 1 / 3] = 0.0
+    clumps = centers.repeat(per_clump, axis=0)
+    clumps += rng.normal(0, 0.15, clumps.shape)
+    pos = wrap_periodic(np.concatenate([clumps, rng.uniform(0, box, (n_field, 3))]), box)
+    return pos, rng.permutation(len(pos)).astype(np.int64) + 1, box
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    nranks=st.integers(1, 8),  # primes give 1-wide axes, 8 gives none
+    transport=st.sampled_from(["thread", "process"]),
+    chunk_rows=st.integers(64, 1024),
+)
+@example(seed=0, nranks=7, transport="process", chunk_rows=100)
+@example(seed=1, nranks=2, transport="thread", chunk_rows=500)
+def test_prop_parallel_equals_serial_equals_streamed(seed, nranks, transport, chunk_rows):
+    """``parallel_fof`` ≡ ``fof_grid(box=)`` ≡ ``StreamingFOF`` by
+    ``catalog_sha256``: membership for the two in-memory finders, tags and
+    counts for the streamed catalog, which keeps no members."""
+    pos, tags, box = _clumped_field(seed)
+    ll, min_count = 0.25, 10
+    serial = fof_grid(pos, ll, tags=tags, min_count=min_count, box=box)
+    assert serial.n_halos > 0
+    groups = halo_groups(serial)
+    want = _parallel_digest({t: np.sort(tags[idx]) for t, idx in groups.items()})
+    halos = _parallel_halos(pos, tags, box, nranks, ll, 8 * ll, min_count, transport)
+    assert _parallel_digest(halos) == want
+    finder = StreamingFOF(box, ll, min_count=min_count)
+    for chunk in ArrayStream(pos, box, tags=tags, chunk_rows=chunk_rows):
+        finder.ingest(chunk["pos"], chunk["tag"])
+    streamed = finder.finalize()
+    assert catalog_sha256(streamed.halo_tags, streamed.halo_counts) == catalog_sha256(
+        serial.halo_tags, serial.halo_counts
+    )
 
 
 # -- the production finder against both oracles ----------------------------------

@@ -1,11 +1,12 @@
 """Live combined-workflow driver: end-to-end integration tests."""
 
+import hashlib
 import os
 
 import numpy as np
 import pytest
 
-from repro.core import offline_center_job, run_combined_workflow
+from repro.core import driver, offline_center_job, run_combined_workflow
 from repro.sim import SimulationConfig
 
 
@@ -132,3 +133,59 @@ def test_centers_from_level2_counts_match_membership():
     assert len(cat) == len(sizes)
     got = {int(r["halo_tag"]): int(r["count"]) for r in cat.records}
     assert got == sizes
+
+
+def _l3_digest(result):
+    return hashlib.sha256(result.catalog.records.tobytes()).hexdigest()
+
+
+def test_pipelined_and_inline_runs_give_one_l3_digest(
+    small_config, tmp_path_factory, simple_run, monkeypatch
+):
+    """Analysis at every second step overlaps the next steps (the default);
+    its Level 3 product equals the final-step-only run's, which stays
+    inline, and the same steps run with the pipeline switched off."""
+    built = []
+
+    class CountingManager(driver.AsyncInSituManager):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(driver, "AsyncInSituManager", CountingManager)
+    steps = list(range(2, small_config.n_steps + 1, 2))
+    runs = {}
+    for name, pipeline in (("pipelined", True), ("inline", False)):
+        runs[name] = run_combined_workflow(
+            small_config,
+            tmp_path_factory.mktemp(f"spool_{name}"),
+            threshold=250,
+            min_count=40,
+            n_ranks=4,
+            pipeline_insitu=pipeline,
+            analysis_steps=steps,
+        )
+        assert len(built) == 1  # only the pipelined run wraps its manager
+    assert len(runs["pipelined"].level2_paths) == len(steps)
+    assert _l3_digest(runs["pipelined"]) == _l3_digest(simple_run)
+    assert _l3_digest(runs["inline"]) == _l3_digest(simple_run)
+
+
+def test_process_ranks_keep_the_chain_inline(small_config, tmp_path, monkeypatch):
+    """Forking rank worlds from the pipeline thread beside the PM threads
+    is unsafe, so with process ranks the driver builds no pipeline."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("AsyncInSituManager built for process ranks")
+
+    monkeypatch.setattr(driver, "AsyncInSituManager", refuse)
+    result = run_combined_workflow(
+        small_config,
+        tmp_path,
+        threshold=250,
+        min_count=40,
+        n_ranks=2,
+        spmd_transport="process",
+        analysis_steps=[small_config.n_steps // 2, small_config.n_steps],
+    )
+    assert len(result.level2_paths) == 2

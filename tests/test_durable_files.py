@@ -172,6 +172,9 @@ def test_seed_written_run_opens_replays_and_reserializes(tmp_path, frozen):
 ALLOWED = {
     # per-job product drop: atomic but deliberately un-fsynced (ISSUE 15 scope)
     ("service/worker.py", "_write_product", "os.replace"),
+    # GenericIO publish: atomic so a listener never reads a half-written
+    # Level 2 file, and deliberately un-fsynced like the product drop
+    ("io/genericio.py", "_write_attempt", "os.replace"),
     # the single-writer flock file, never written to
     ("service/store.py", "_acquire_writer_lock", "open-append"),
 }

@@ -153,3 +153,51 @@ def test_prop_roundtrip_any_blocks(tmp_path_factory, arrays):
     write_genericio(path, blocks)
     got = read_genericio(path)
     assert np.array_equal(got["v"], np.concatenate(arrays), equal_nan=True)
+
+
+def test_a_listener_never_submits_a_half_written_file(tmp_path, monkeypatch, rng):
+    """The file appears under its name only once complete: a listener that
+    polls after every write call of a deliberately slowed write never
+    submits it, and afterwards submits it once, without a retry."""
+    from repro.faults import RetryPolicy
+    from repro.io import genericio
+    from repro.machines.listener import Listener
+
+    submitted = []
+
+    def submit(path, step, script):
+        GenericIOFile(path).read_all()  # a partial file fails here
+        submitted.append(path)
+
+    listener = Listener(tmp_path, "l2_step*.gio", submit, retry=RetryPolicy(max_attempts=1))
+    polls = []
+    real_open = open
+
+    class SlowFile:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, data):
+            written = self.fh.write(data)
+            self.fh.flush()  # the partial file is on disk while the listener polls
+            polls.append(listener.poll_once())
+            return written
+
+    def slow_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return SlowFile(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(genericio, "open", slow_open, raising=False)
+    path = str(tmp_path / "l2_step0002.gio")
+    write_genericio(path, _blocks(rng))
+    assert len(polls) > 3 and not any(polls)
+    assert listener.poll_once() == [path]
+    assert submitted == [path]
+    assert (listener.stats.submit_retries, listener.stats.jobs_failed) == (0, 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["l2_step0002.gio"]

@@ -113,41 +113,49 @@ def test_ghost_coverage_complete(rng):
     + [(1, 2, 3), (1, 1, 2), (2, 1, 2)],  # 1- and 2-wide axes in other positions
 )
 def test_no_duplicate_rows_in_any_neighbor_plan(dims, rng):
-    """Directions that map onto one neighbor (1- and 2-wide axes) differ
-    in their periodic shift, so a plan is built by plain concatenation —
-    no ``(index, shift)`` row may repeat, and every image must be there."""
+    """Directions that map onto one neighbor (2-wide axes) differ in their
+    periodic shift, so a plan is built by plain concatenation — no
+    ``(index, shift)`` row may repeat, and every image must be there.  No
+    direction steps along a 1-wide axis: the plan holds no self-image and
+    no shift along one, and the image count is taken over the split axes."""
     box = 60.0
     decomp = CartesianDecomposition(box=box, dims=dims)
+    split = np.asarray(dims) > 1
     pos = rng.uniform(0, box, (1500, 3))
     owners = decomp.rank_of_position(pos)
     width = 4.0
     for rank in range(decomp.nranks):
         mine = pos[owners == rank]
         plan = overload_destinations(decomp, rank, mine, width)
+        assert rank not in plan  # no self-image
         n_rows = 0
         for idx, shift in plan.values():
             assert shift.shape == (len(idx), 3)
+            assert not shift[:, ~split].any()
             rows = np.column_stack([idx.astype(float), shift])
             assert len(np.unique(rows, axis=0)) == len(rows)
             n_rows += len(rows)
-        # one image per direction whose faces the particle is near
+        # one image per direction whose faces (on split axes) the particle is near
         lo, hi = decomp.bounds(rank)
-        near = (mine < lo + width).astype(int) + (mine >= hi - width)
+        near = ((mine < lo + width).astype(int) + (mine >= hi - width))[:, split]
         assert n_rows == int(np.sum(np.prod(1 + near, axis=1) - 1))
 
 
 def _plan_over_every_row(decomp, rank, pos, width):
-    """The plan with each of the 26 direction masks taken over every row."""
+    """The plan with each direction mask taken over every row; a
+    direction that steps along a 1-wide axis is skipped."""
     lo, hi = decomp.bounds(rank)
     coords = np.asarray(decomp.coords_of_rank(rank))
     near = {-1: pos < lo + width, 1: pos >= hi - width}
     parts = {}
     for d in itertools.product((-1, 0, 1), repeat=3):
+        if d == (0, 0, 0) or any(step and n == 1 for step, n in zip(d, decomp.dims)):
+            continue
         mask = np.ones(len(pos), dtype=bool)
         for axis, step in enumerate(d):
             if step:
                 mask &= near[step][:, axis]
-        if d == (0, 0, 0) or not mask.any():
+        if not mask.any():
             continue
         tgt = coords + d
         shift = np.where(tgt < 0, decomp.box, np.where(tgt >= decomp.dims, -decomp.box, 0.0))
@@ -160,8 +168,9 @@ def _plan_over_every_row(decomp, rank, pos, width):
 
 @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1, 1), (2, 2, 2), (3, 2, 1), (3, 3, 3)])
 def test_plan_equals_the_masks_over_every_row(dims, rng):
-    """Masks over the near-face rows only give the same plan: the same
-    neighbours in the same order, the same ascending indices and shifts."""
+    """Masks over the near-face rows of the split axes only give the same
+    plan: the same neighbours in the same order, the same ascending
+    indices and shifts."""
     box = 60.0
     decomp = CartesianDecomposition(box=box, dims=dims)
     pos = rng.uniform(0, box, (3000, 3))
