@@ -150,7 +150,7 @@ def _face_images(
     subsets = [s for s in range(1, 1 << pos.shape[1]) if (s & faces) == s]
     rows = [near[(low[near] & s) == s] for s in subsets]
     shift = np.repeat(np.asarray(subsets, dtype=np.int64), [len(r) for r in rows])
-    return np.concatenate(rows), shift
+    return np.concatenate([near[:0], *rows]), shift  # no periodic axis: no image
 
 
 def _fold_images(pairs: np.ndarray, n: int, rows: np.ndarray, shift: np.ndarray) -> np.ndarray:

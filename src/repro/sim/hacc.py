@@ -13,8 +13,9 @@ scale factor)::
     dx/da = f(a) p / a²          f(a) = 1 / (a E(a))
     dp/da = -f(a) ∇φ             ∇²φ = (3 Ω_m / 2a) δ
 
-The Poisson solve runs on the force mesh in grid-cell units; mesh
-accelerations are converted to box units by one factor of the cell size,
+The Poisson solve runs on the force mesh in grid-cell units; the PM
+solver takes box-unit positions and returns box-unit accelerations (one
+factor of the cell size each way, applied inside its particle passes),
 so particle state is independent of the mesh resolution ``ng``.
 
 Timing is spans (``sim.run`` → ``sim.step`` → ``sim.force`` /
@@ -148,12 +149,9 @@ class HACCSimulation:
 
     def _compute_accelerations(self, a: float) -> np.ndarray:
         with get_recorder().span("sim.force", step=self.step + 1):
-            accel = self.pm.accelerations(
-                self.grid_positions, self.cosmo.poisson_factor(a)
+            return self.pm.accelerations(
+                self.particles.pos, self.cosmo.poisson_factor(a), cell=self._cell
             )
-            # mesh acceleration (grid units) -> box units: one factor of cell
-            accel *= self._cell
-        return accel
 
     def _integrate(self, accel: np.ndarray, kick: float, drift: float | None = None) -> None:
         """``p += accel·kick``; with ``drift`` also ``x += p·drift`` and wrap.

@@ -21,15 +21,27 @@ runs all three stages off a single sparse cloud-in-cell operator:
   order: accelerations are bit-identical for any block size.
 * **4 FFTs, never materializing φ** — Poisson (``-1/k²``) and gradient
   (``i·k``) are applied together in k-space to the single forward
-  transform of δ:  ``a_k = i k · factor · δ_k / k²``.
-* **PM threads: the FFTs and the particle passes** — ``workers`` threads
-  run the transforms (``scipy.fft``; pocketfft threads over independent
-  1-D lines) and every row-independent particle pass: the operator fill,
-  the gather, and the integrator's kick/drift/wrap
-  (:meth:`PMSolver.for_blocks`, which splits the blocks into ``workers``
-  contiguous ranges).  The scatter ``Wᵀ @ m`` sums over particles and
-  stays on the caller.  Each row is computed by the same operations in
-  the same order, so every result is bit-identical for any worker count.
+  transform of δ:  ``a_k = i k · factor · δ_k / k²``.  One spectral
+  helper serves the force and :meth:`PMSolver.inverse_gradient`: one
+  ``rfftn``, the three ``(factor · kernel) · δ_k`` products written into
+  one ``(3, ng, ng, ng//2+1)`` buffer, and one batched ``irfftn`` over
+  its last three axes.
+* **box units inside the passes** — given ``cell``,
+  :meth:`PMSolver.accelerations` takes box-unit positions and returns
+  box-unit accelerations: each fill block divides its own rows by
+  ``cell`` into its range's scratch buffer, each gather block multiplies
+  its own rows by it.  The caller makes no grid-unit copy and no
+  scaling pass.
+* **PM threads: every pass of a force** — ``workers`` threads run the
+  transforms (``scipy.fft``; pocketfft threads over independent 1-D
+  lines), the k-space products (split over k_x planes), the
+  planar-to-interleaved copy into the gather's mesh, and every
+  row-independent particle pass: the operator fill, the gather, and the
+  integrator's kick/drift/wrap (:meth:`PMSolver.for_blocks`, which
+  splits the blocks into ``workers`` contiguous ranges).  Only the
+  scatter ``Wᵀ @ m``, which sums over particles, stays on the caller
+  alone.  Each element is computed by the same operations in the same
+  order, so every result is bit-identical for any worker count.
 
 The function-at-a-time 6-FFT chain this engine replaced lives on as the
 test oracle ``tests/oracles/pm_reference.py``.
@@ -38,8 +50,9 @@ Purity contract: no wall-clock reads in this module (rule RPR003 covers
 it); timing is spans, whose clock lives in ``repro.obs`` where it
 belongs.  Every stage of :meth:`PMSolver.accelerations` sits under one
 of the spans ``sim.pm.deposit`` (operator build + scatter),
-``sim.pm.fft`` or ``sim.pm.gather``, opened on the calling thread, which
-waits for the pool's ranges inside it.  The standalone :meth:`deposit` /
+``sim.pm.fft`` (transforms, k-space products, interleave) or
+``sim.pm.gather``, opened on the calling thread, which waits for the
+pool's ranges inside it.  The standalone :meth:`deposit` /
 :meth:`inverse_gradient` / :meth:`potential` open no span: their time
 belongs to the caller's (an in-situ power spectrum, a streamed chunk,
 the initial conditions).
@@ -189,14 +202,16 @@ class PMSolver:
 
     # -- the CIC operator (scatter is Wᵀ, gather is W) -------------------------
 
-    def _operator(self, pos: np.ndarray) -> sparse.csr_matrix:
+    def _operator(self, pos: np.ndarray, cell: float | None = None) -> sparse.csr_matrix:
         """Fill and return the ``(n, ng³)`` CIC operator for ``pos``.
 
         Row ``i`` holds particle ``i``'s 8 corner cells (flattened mesh
         index) and trilinear weights, corners in ``(a, b, c) ∈ {0,1}³``
         loop-nest order with weight ``(wx·wy)·wz``.  Any finite position
         is folded into the periodic mesh by the integer ``%= ng``.  The
-        rows are filled block by block on the PM threads.
+        rows are filled block by block on the PM threads.  With ``cell``
+        the positions are in box units: each block divides its own rows
+        by ``cell`` into its range's scratch buffer first.
         """
         ng = self.ng
         n = len(pos)
@@ -220,8 +235,9 @@ class PMSolver:
         wts = op.data.reshape(n, 4, 2).transpose(1, 2, 0)
         mesh_strides = np.array([ng * ng, ng, 1], dtype=itype).reshape(3, 1, 1)
 
-        def fill(block: slice, _scratch: np.ndarray) -> None:
-            x = pos[block].T  # (3, rows)
+        def fill(block: slice, scratch: np.ndarray) -> None:
+            x = pos[block] if cell is None else np.divide(pos[block], cell, out=scratch)
+            x = x.T  # (3, rows)
             rows = x.shape[1]
             # [axis, upper?, row]: the lower and upper corner of each axis
             w = np.empty((3, 2, rows), dtype=np.float64)
@@ -247,8 +263,8 @@ class PMSolver:
         self.for_blocks(n, fill)
         return op
 
-    def _gather(self, mesh: np.ndarray) -> np.ndarray:
-        """``W @ mesh`` → ``(n, 3)`` for the operator last filled.
+    def _gather(self, mesh: np.ndarray, cell: float | None = None) -> np.ndarray:
+        """``W @ mesh`` (times ``cell``, if given) → ``(n, 3)`` for the operator last filled.
 
         Runs block by block on the PM threads, each block's product
         written into its rows of one caller-allocated array.  A block is
@@ -267,7 +283,11 @@ class PMSolver:
         acc = np.empty((n, 3), dtype=np.float64)
 
         def gather(block: slice, _scratch: np.ndarray) -> None:
-            acc[block] = views[block.start, block.stop] @ mesh
+            rows = views[block.start, block.stop] @ mesh
+            if cell is None:
+                acc[block] = rows
+            else:
+                np.multiply(rows, cell, out=acc[block])
 
         self.for_blocks(n, gather)
         return acc
@@ -296,15 +316,23 @@ class PMSolver:
                 stop = min(start + _BLOCK_ROWS, hi)
                 fn(slice(start, stop), scratch[k, : stop - start])
 
-        if len(ranges) > 1:
+        self._on_threads(len(ranges), walk)
+
+    def _on_threads(self, parts: int, walk: Callable[[int], None]) -> None:
+        """Call ``walk(k)`` for ``k < parts``: ``0`` on the caller, the rest on the pool.
+
+        Returns once every part is done; an error raised in any part is
+        re-raised here.
+        """
+        if parts > 1:
             pool = self._pool()
-            pending = [pool.submit(walk, k) for k in range(1, len(ranges))]
+            pending = [pool.submit(walk, k) for k in range(1, parts)]
         else:
             pending = []
         try:
             walk(0)
         finally:
-            wait(pending)  # no range outlives the call, even on an error
+            wait(pending)  # no part outlives the call, even on an error
         for future in pending:
             future.result()
 
@@ -389,12 +417,33 @@ class PMSolver:
         size — the Zel'dovich displacement field ``ψ`` solving
         ``δ = -∇·ψ``.  4 transforms, φ never materialized.
         """
-        delta = np.asarray(delta, dtype=np.float64)
-        ng = self.ng
+        return self._spectral(np.asarray(delta, dtype=np.float64), factor)
+
+    def _spectral(self, delta: np.ndarray, factor: float) -> np.ndarray:
+        """The planar ``(3, ng, ng, ng)`` field of :meth:`inverse_gradient`.
+
+        One forward transform; the three ``(factor · kernel) · δ_k``
+        products into one ``(3, ng, ng, ng//2+1)`` buffer, split over
+        k_x planes on the PM threads; one batched inverse transform over
+        it.  ``δ_k`` is released before the inverse allocates its output.
+        """
         dk = sp_fft.rfftn(delta, workers=self.workers)
-        out = np.empty((3, ng, ng, ng), dtype=np.float64)
-        for axis, kern in enumerate(self._grad_kernels):
-            out[axis] = sp_fft.irfftn(factor * kern * dk, s=delta.shape, workers=self.workers)
+        ak = np.empty((3, *dk.shape), dtype=np.complex128)
+        parts = min(self.workers, len(dk))
+        planes = [len(dk) * k // parts for k in range(parts + 1)]
+
+        def products(k: int) -> None:
+            lo, hi = planes[k], planes[k + 1]
+            for axis, kern in enumerate(self._grad_kernels):
+                out = ak[axis, lo:hi]
+                np.multiply(factor, kern[lo:hi], out=out)
+                out *= dk[lo:hi]
+
+        self._on_threads(parts, products)
+        del dk
+        out = sp_fft.irfftn(
+            ak, s=delta.shape, axes=(1, 2, 3), workers=self.workers, overwrite_x=True
+        )
         self._count_ffts(4)
         return out
 
@@ -404,6 +453,7 @@ class PMSolver:
         pos_grid: np.ndarray,
         factor: float,
         weights: np.ndarray | None = None,
+        cell: float | None = None,
     ) -> np.ndarray:
         """One fused PM force evaluation: scatter → k-space → gather.
 
@@ -411,7 +461,11 @@ class PMSolver:
         ``∇²φ = factor·δ``; numerically equivalent to the oracle
         ``cic_deposit → solve_poisson → gradient_spectral →
         cic_interpolate`` chain (rtol ≲ 1e-12) at 4 FFTs instead of 6
-        and one CIC operator shared by scatter and gather.
+        and one CIC operator shared by scatter and gather.  With
+        ``cell`` (the mesh cell size) positions are taken and
+        accelerations returned in box units: bit for bit
+        ``accelerations(pos / cell, factor) * cell``, with both unit
+        changes done per block inside the particle passes.
         """
         pos = np.atleast_2d(np.asarray(pos_grid, dtype=np.float64))
         if len(pos) == 0:
@@ -421,22 +475,23 @@ class PMSolver:
 
         with self._op_lock:
             with rec.span("sim.pm.deposit"):
-                op = self._operator(pos)
+                op = self._operator(pos, cell)
                 delta = self._scatter(op, weights, normalize=True)
 
             with rec.span("sim.pm.fft"):
-                dk = sp_fft.rfftn(delta, workers=self.workers)
+                planar = self._spectral(delta, factor).reshape(3, ng**3)
                 # the three force components of a cell side by side, so
                 # the gather reads each corner from one cache line
                 mesh = np.empty((ng**3, 3), dtype=np.float64)
-                for axis, kern in enumerate(self._grad_kernels):
-                    mesh[:, axis] = sp_fft.irfftn(
-                        factor * kern * dk, s=delta.shape, workers=self.workers
-                    ).reshape(ng**3)
+
+                def interleave(block: slice, _scratch: np.ndarray) -> None:
+                    mesh[block] = planar[:, block].T
+
+                self.for_blocks(ng**3, interleave)
+                del planar
 
             with rec.span("sim.pm.gather"):
-                acc = self._gather(mesh)
-        self._count_ffts(4)
+                acc = self._gather(mesh, cell)
         rec.counter("pm_force_evals_total").inc()
         return acc
 

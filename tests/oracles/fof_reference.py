@@ -7,10 +7,11 @@ bounding boxes to merge or exclude whole subtrees at once; open
 periodic-tree search (``cKDTree(boxsize=)``) the production finder ran
 before it moved to an open tree with face images.  ``_fof_brute_periodic``
 is the O(n²) all-pairs finder under the minimum-image metric (positions
-need not be wrapped).  They share only the label convention
-(``_finalize``: a halo is named by its minimum tag) with the production
-finder (:func:`repro.analysis.fof.link_components`), none of the pair
-search.
+need not be wrapped), over ``link_brute``: an all-pairs stand-in for
+:func:`repro.analysis.fof.link_components` with its signature, the
+minimum image on the ``periodic`` axes only.  They share only the label
+convention (``_finalize``: a halo is named by its minimum tag) with the
+production finder, none of the pair search.
 
 ``finalize_reference`` is the sorting form of ``_finalize`` (stable sort
 by component, segment minima, ``isin`` over every row) that the
@@ -37,6 +38,7 @@ __all__ = [
     "fof_kdtree",
     "fof_periodic_tree",
     "_fof_brute_periodic",
+    "link_brute",
     "catalog_sha256",
     "finalize_reference",
 ]
@@ -182,16 +184,41 @@ def fof_periodic_tree(
     return _finalize(np.asarray(roots, dtype=np.intp), tags, min_count)
 
 
+def link_brute(
+    pos: np.ndarray,
+    ll: float,
+    box: float | None = None,
+    periodic: np.ndarray | None = None,
+) -> np.ndarray:
+    """Component id per row of the ``d <= ll`` graph, every pair tested.
+
+    ``link_components``' contract: with ``box`` the distance is the
+    minimum image on the ``periodic`` axes (default every axis) and open
+    on the others.  Rows are compared a block at a time, so memory stays
+    O(block · n).
+    """
+    pos = np.atleast_2d(np.asarray(pos, dtype=float))
+    n = len(pos)
+    wrap = np.zeros(pos.shape[1], dtype=bool)
+    if box is not None:
+        wrap[:] = True if periodic is None else periodic
+    rows, cols = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo in range(0, n, 256):
+        d = pos[lo : lo + 256, None, :] - pos[None, :, :]
+        if wrap.any():
+            dw = d[..., wrap]
+            d[..., wrap] = dw - box * np.round(dw / box)
+        i, j = np.nonzero(np.sum(d * d, axis=-1) <= ll * ll)
+        rows.append(i + lo)
+        cols.append(j)
+    i, j = np.concatenate(rows), np.concatenate(cols)
+    graph = coo_matrix((np.ones(len(i)), (i, j)), shape=(n, n))
+    _, roots = connected_components(graph, directed=False)
+    return np.asarray(roots, dtype=np.intp)
+
+
 def _fof_brute_periodic(
     pos: np.ndarray, ll: float, box: float, tags: np.ndarray | None, min_count: int
 ) -> FOFResult:
     """O(n²) periodic FOF: every pair under the minimum-image metric."""
-    pos = np.atleast_2d(np.asarray(pos, dtype=float))
-    if len(pos) == 0:
-        return _finalize(np.empty(0, dtype=np.intp), tags, min_count)
-    d = pos[:, None, :] - pos[None, :, :]
-    d -= box * np.round(d / box)
-    adj = np.sum(d * d, axis=-1) <= ll * ll
-    graph = coo_matrix(adj)
-    _, roots = connected_components(graph, directed=False)
-    return _finalize(np.asarray(roots, dtype=np.intp), tags, min_count)
+    return _finalize(link_brute(pos, ll, box), tags, min_count)

@@ -32,6 +32,7 @@ from tests.oracles.fof_reference import (
     finalize_reference,
     fof_kdtree,
     fof_periodic_tree,
+    link_brute,
 )
 
 
@@ -178,16 +179,19 @@ def _assert_parallel_equals_serial(parallel_halos, pos, tags, box, ll, min_count
         assert np.array_equal(np.sort(tags[idx]), parallel_halos[tag])
 
 
-@pytest.mark.parametrize("local_finder", ["grid", "kdtree"])
+@pytest.mark.parametrize("local_finder", ["grid", "brute"])
 @pytest.mark.parametrize("nranks", [2, 8])
 def test_parallel_matches_serial(blob_points, local_finder, nranks, monkeypatch):
     """The ghost exchange + min-tag ownership give the serial catalog —
-    with the production local find, and with the paper-faithful k-d tree
-    oracle standing in for it (thread ranks share this module patch)."""
-    if local_finder == "kdtree":
-        monkeypatch.setattr("repro.analysis.fof.fof_grid", fof_kdtree)
+    with the production rank-local link, and with the all-pairs oracle
+    link (minimum image on the grid's 1-wide axes only) standing in for
+    it (thread ranks share this module patch; the serial reference runs
+    unpatched)."""
+    if local_finder == "brute":
+        monkeypatch.setattr("repro.analysis.fof.link_components", link_brute)
     tags = np.arange(len(blob_points))
     halos = _parallel_halos(blob_points, tags, 20.0, nranks, ll=0.2, overload=2.0, min_count=10)
+    monkeypatch.undo()
     _assert_parallel_equals_serial(halos, blob_points, tags, 20.0, 0.2, 10)
 
 
@@ -542,6 +546,24 @@ def test_prop_periodic_link_equals_periodic_tree_and_brute_force(seed, n, box, l
     got = _finalize(link_components(pos, ll, box), None, 1).labels
     assert np.array_equal(got, fof_periodic_tree(pos, ll, box, min_count=1).labels)
     assert np.array_equal(got, _fof_brute_periodic(pos, ll, box, None, 1).labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(1, 60),
+    box=st.floats(0.5, 50.0),
+    ll_frac=st.floats(0.01, 0.45),
+    periodic=st.lists(st.booleans(), min_size=3, max_size=3),
+)
+def test_prop_per_axis_periodic_link_equals_brute_force(seed, n, box, ll_frac, periodic):
+    """``link_components(periodic=)`` ≡ the all-pairs oracle that stands in
+    for it under ``parallel_fof``: minimum image on the chosen axes only."""
+    ll = ll_frac * box
+    pos = _face_field(seed, n, box, ll)
+    periodic = np.asarray(periodic)
+    got = _finalize(link_components(pos, ll, box, periodic), None, 1).labels
+    assert np.array_equal(got, _finalize(link_brute(pos, ll, box, periodic), None, 1).labels)
 
 
 def _spy_components(mp):

@@ -7,6 +7,7 @@ the solver's physical and reproducibility contracts: determinism,
 momentum conservation, buffer non-aliasing, and telemetry accounting.
 """
 
+import dataclasses
 import multiprocessing
 import sys
 import threading
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sp_fft
 
 from repro import obs
 from repro.check import check_determinism
@@ -295,7 +297,9 @@ def test_fused_and_reference_backends_agree_over_run(monkeypatch):
     fused = HACCSimulation(cfg)
     ref = HACCSimulation(cfg)
     monkeypatch.setattr(
-        ref.pm, "accelerations", lambda pos, factor: pm_accelerations(pos, ref.pm.ng, factor)
+        ref.pm,
+        "accelerations",
+        lambda pos, factor, cell: pm_accelerations(pos / cell, ref.pm.ng, factor) * cell,
     )
     ref.run()
     monkeypatch.undo()
@@ -431,6 +435,89 @@ def test_worker_count_bit_identical():
             for refill in (pos, pos[::-1]):
                 op = solver._operator(refill)
                 np.testing.assert_array_equal(solver._gather(mesh), op @ mesh)
+
+
+def face_positions(seed, n, box):
+    """Uniform in ``[0, box]`` with rows planted on the faces, edges and
+    corners: at ``0``, at ``box`` and just below ``box``."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.0, box, (n, 3))
+    kind = rng.integers(0, 4, (n, 3))
+    faces = [u, np.zeros_like(u), np.full_like(u, box), np.full_like(u, np.nextafter(box, 0))]
+    return np.choose(kind, faces)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    ng=st.sampled_from([7, 8, 16]),
+    n=st.sampled_from([1, 255, 256, 257, 700]),
+    cell=st.sampled_from([1.0, 0.37, 200.0 / 64, 75.0 / 48]),
+    weighted=st.booleans(),
+)
+def test_prop_box_units_equal_grid_units_times_cell(seed, ng, n, cell, weighted):
+    """``accelerations(pos, f, cell=c)`` ≡ ``accelerations(pos / c, f) * c``
+    exactly, at 1, 2 and 3 workers: the unit changes done per block inside
+    the operator fill and the gather are the caller's two passes, row for
+    row.  Blocks shrunk to 256 rows, so the passes split unevenly."""
+    pos = face_positions(seed, n, ng * cell)
+    w = np.random.default_rng(seed + 1).uniform(0.5, 2.0, n) if weighted else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pmsolver, "_BLOCK_ROWS", 256)
+        expected = PMSolver(ng, workers=1).accelerations(pos / cell, 1.3, weights=w) * cell
+        for workers in (1, 2, 3):
+            solver = PMSolver(ng, workers=workers)
+            got = solver.accelerations(pos, 1.3, weights=w, cell=cell)
+            np.testing.assert_array_equal(got, expected)
+            solver._drop_pool()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("ng", [7, 8, 16])
+def test_inverse_gradient_equals_three_inverse_transforms(rng, ng, workers):
+    """The batched spectral stage (k-space products split over k_x planes,
+    unevenly for odd ``ng``; one inverse over the three components) is
+    the former one-``irfftn``-per-axis form, bit for bit."""
+    delta = rng.standard_normal((ng, ng, ng))
+    solver = PMSolver(ng, workers=workers)
+    dk = sp_fft.rfftn(delta, workers=workers)
+    expected = np.stack(
+        [
+            sp_fft.irfftn(2.5 * kern * dk, s=delta.shape, workers=workers)
+            for kern in solver._grad_kernels
+        ]
+    )
+    np.testing.assert_array_equal(solver.inverse_gradient(delta, 2.5), expected)
+    assert solver.fft_count == 4
+    solver._drop_pool()
+
+
+def test_three_step_trajectory_equal_at_any_worker_count_and_to_grid_units(monkeypatch):
+    """A 3-step run on an odd mesh (its k_x planes split unevenly) is
+    byte-identical at 1, 2 and 3 PM workers, and to the run whose caller
+    converts units itself: ``accelerations(pos / cell, f) * cell``."""
+    cfg = SimulationConfig(np_per_dim=12, ng=15, box=30.0, z_initial=30.0, n_steps=3)
+    monkeypatch.setattr(pmsolver, "_BLOCK_ROWS", 500)
+    grid_units = PMSolver.accelerations
+
+    def run(workers, caller_converts=False):
+        clear_solver_cache()
+        sim = HACCSimulation(dataclasses.replace(cfg, fft_workers=workers))
+        if caller_converts:
+            monkeypatch.setattr(
+                sim.pm,
+                "accelerations",
+                lambda pos, factor, cell: grid_units(sim.pm, pos / cell, factor) * cell,
+            )
+        sim.run()
+        return sim.particles.pos.tobytes(), sim.particles.vel.tobytes()
+
+    try:
+        reference = run(1, caller_converts=True)
+        for workers in (1, 2, 3):
+            assert run(workers) == reference
+    finally:
+        clear_solver_cache()
 
 
 def test_row_ranges_partition_whole_blocks():
