@@ -7,14 +7,10 @@ order-stable float reductions, wall-clock-free kernels, and leak-free
 shared-memory lifecycles.  This package enforces them twice over:
 
 * **statically** — an AST-based analyzer with a pluggable rule registry
-  (RPR001-RPR010 in :mod:`repro.check.rules`; the flow-sensitive
-  concurrency pack RPR011-RPR015 in :mod:`repro.check.concurrency`,
-  built on the per-function CFG/dataflow engine of
-  :mod:`repro.check.flow` and the call-graph summaries of
-  :mod:`repro.check.callgraph`), ``# repro: noqa[...]`` suppressions,
-  text/JSON reporters, a ``python -m repro.check`` CLI (including
-  ``--changed`` for git-diff-scoped runs and ``--rules`` for a
-  machine-readable rule listing), and ``[tool.repro-check]``
+  (RPR001-RPR010 in :mod:`repro.check.rules`), ``# repro: noqa[...]``
+  suppressions, text/JSON reporters, a ``python -m repro.check`` CLI
+  (including ``--changed`` for git-diff-scoped runs and ``--rules`` for
+  a machine-readable rule listing), and ``[tool.repro-check]``
   configuration in ``pyproject.toml``;
 * **at runtime** — opt-in (``REPRO_SANITIZE=1``) sanitizers: the
   :func:`~repro.check.sanitize.guard_kernel` NaN/Inf + dtype-drift
@@ -43,10 +39,8 @@ from .analyzer import (
     iter_python_files,
     module_rel,
 )
-from .callgraph import FunctionSummary, ModuleCallGraph
 from .config import CheckConfig, find_pyproject, load_config, path_in_scope
 from .findings import Finding
-from .flow import CFG, Block, ForwardAnalysis, build_cfg, dominators, run_forward
 from .reporters import render_json, render_text
 from .rules import Rule, all_rules, register_rule
 from .sanitize import (
@@ -61,16 +55,11 @@ from .sanitize import (
 )
 
 __all__ = [
-    "CFG",
     "AnalysisResult",
-    "Block",
     "CheckConfig",
     "DeterminismError",
     "DeterminismReport",
     "Finding",
-    "ForwardAnalysis",
-    "FunctionSummary",
-    "ModuleCallGraph",
     "ModuleContext",
     "Rule",
     "SanitizerError",
@@ -78,9 +67,7 @@ __all__ = [
     "analyze_file",
     "analyze_paths",
     "analyze_source",
-    "build_cfg",
     "check_determinism",
-    "dominators",
     "find_pyproject",
     "guard_kernel",
     "iter_python_files",
@@ -92,6 +79,5 @@ __all__ = [
     "register_rule",
     "render_json",
     "render_text",
-    "run_forward",
     "sanitize_enabled",
 ]

@@ -30,23 +30,7 @@ Code         Invariant enforced
 ``RPR010``   Library code must not ``print()`` — diagnostics go through
              :mod:`repro.obs` events so they reach the run journal and
              the JSONL sinks (CLI entry points are exempt).
-``RPR011``   Every rank executes the same ordered collective sequence — no
-             collective reachable on only some paths of a rank-dependent
-             branch (flow-sensitive; :mod:`repro.check.concurrency`).
-``RPR012``   Shared-memory ownership lifecycle as dataflow: create →
-             transfer → close, no use-after-transfer / double release /
-             leak-on-exception (supersedes RPR005 where flow info exists).
-``RPR013``   No blocking call (``Queue.get``/``join``/``recv``/``barrier``)
-             while holding a lock (condition waits on the held object exempt).
-``RPR014``   No unbounded blocking receive in a loop without a timeout,
-             sentinel ``break``, or abort-flag check.
-``RPR015``   No process fork/spawn after background threads have started
-             in the same function (fork-safety hazard).
 ===========  ==================================================================
-
-RPR001-RPR010 are the syntactic rules defined below; RPR011-RPR015 are
-the flow-sensitive concurrency pack in :mod:`repro.check.concurrency`,
-built on the CFG/dataflow framework in :mod:`repro.check.flow`.
 """
 
 from __future__ import annotations
@@ -434,11 +418,7 @@ class SharedMemoryLifecycle(Rule):
                 guarded = node.finalbody + [s for h in node.handlers for s in h.body]
                 if _contains(guarded, lambda n: isinstance(n, ast.Name) and n.id == var):
                     return True
-        # RPR012 supersedes this rule where flow info exists: accept any
-        # construction the ownership dataflow proves released on all paths.
-        from .concurrency import flow_proves_release
-
-        return flow_proves_release(ctx, call)
+        return False
 
 
 # -- RPR006: silent broad exception handlers ----------------------------------
@@ -667,10 +647,3 @@ class LibraryPrint(Rule):
                     "repro.obs event (or move the output to a cli.py/__main__.py "
                     "surface)",
                 )
-
-
-# -- flow-sensitive concurrency pack (RPR011-RPR015) --------------------------
-
-# Importing the module registers its rules; done last so the base class
-# and registry above exist when the pack's @register_rule decorators run.
-from . import concurrency as _concurrency  # noqa: E402,F401

@@ -64,7 +64,7 @@ class CollectiveProtocolError(SpmdError):
     Raised on *every* rank when, at a barrier, the hashed ordered
     collective-op/dtype/shape sequences disagree across ranks; the
     message names the diverging rank(s).  Only armed under
-    ``REPRO_SANITIZE=1`` (the runtime twin of static rule RPR011).
+    ``REPRO_SANITIZE=1`` (the collective-protocol sanitizer, :class:`_ProtocolRecorder`).
     """
 
 
@@ -277,7 +277,7 @@ class Communicator:
         self.world = world
         self.rank = rank
         self.size = world.size
-        # Collective-sequence sanitizer (RPR011's runtime twin): armed only
+        # Collective-protocol sanitizer (_ProtocolRecorder): armed only
         # under REPRO_SANITIZE=1, so the hot path costs one env lookup at
         # construction.  Forked process ranks inherit the environment, so
         # the same switch arms both transports.

@@ -151,14 +151,14 @@ def test_shared_store_roundtrip():
     finally:
         store.unlink()
     with pytest.raises(RuntimeError):
-        store.array("pos")  # repro: noqa[RPR012] - asserts use-after-unlink raises
+        store.array("pos")  # asserts use-after-unlink raises
 
 
 def test_shared_store_empty_array_and_idempotent_unlink():
     store = SharedParticleStore.create(empty=np.empty(0, dtype=np.float64))
     assert store["empty"].size == 0
     store.unlink()
-    store.unlink()  # repro: noqa[RPR012] - asserts unlink is idempotent
+    store.unlink()  # asserts unlink is idempotent
 
 
 # ---------------------------------------------------------------------------

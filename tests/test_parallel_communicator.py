@@ -88,7 +88,7 @@ def test_scatter_gather_roundtrip():
 
 def test_scatter_wrong_length_raises():
     def prog(comm):
-        if comm.rank == 0:  # repro: noqa[RPR011] - deliberately divergent (asserts SpmdError)
+        if comm.rank == 0:  # deliberately divergent (asserts SpmdError)
             comm.scatter([1], root=0)  # wrong length
         else:
             comm.recv(source=0, tag=-102)
@@ -145,7 +145,7 @@ def test_send_to_invalid_rank_raises():
 
 def test_rank_exception_propagates():
     def prog(comm):
-        if comm.rank == 1:  # repro: noqa[RPR011] - deliberately divergent (asserts SpmdError)
+        if comm.rank == 1:  # deliberately divergent (asserts SpmdError)
             raise RuntimeError("boom")
         comm.barrier()
 

@@ -23,7 +23,7 @@ def _clean_prog(comm):
 
 def _skipping_prog(comm):
     # rank 1 skips the bcast: its protocol digest diverges at the barrier
-    if comm.rank != 1:  # repro: noqa[RPR011] - deliberately divergent fixture
+    if comm.rank != 1:  # deliberately divergent fixture
         comm.bcast("payload", root=0)
     comm.barrier()
     return comm.rank
@@ -60,7 +60,7 @@ def test_divergence_detected_even_with_equal_counts(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
 
     def prog(comm):  # same op count, different op kind on rank 2
-        if comm.rank == 2:  # repro: noqa[RPR011] - deliberately divergent fixture
+        if comm.rank == 2:  # deliberately divergent fixture
             comm.allreduce(1)
         else:
             comm.bcast(1, root=0)

@@ -221,7 +221,7 @@ def test_message_stats_match_thread_transport():
 
 def test_thread_barrier_error_names_failed_rank_and_chains():
     def prog(comm):
-        if comm.rank == 1:  # repro: noqa[RPR011] - deliberately divergent (asserts rank named)
+        if comm.rank == 1:  # deliberately divergent (asserts rank named)
             raise ValueError("rank one exploded")
         comm.barrier()
 
@@ -232,7 +232,7 @@ def test_thread_barrier_error_names_failed_rank_and_chains():
 
 def test_process_error_names_failed_rank_and_chains():
     def prog(comm):
-        if comm.rank == 1:  # repro: noqa[RPR011] - deliberately divergent (asserts rank named)
+        if comm.rank == 1:  # deliberately divergent (asserts rank named)
             raise ValueError("rank one exploded")
         comm.barrier()
         return comm.rank
