@@ -14,6 +14,9 @@ and off-line:
   gauge, steal counter, per-item dispatch overhead on each span)
 - :class:`SharedParticleStore` — zero-copy shared-memory particle arrays
   for the pooled runs
+- :class:`~repro.exec.supervisor.ProcessGroup` — the one process
+  supervisor (fork, liveness, abort, reap) under the worker pool and the
+  process SPMD ranks
 - :func:`parallel_halo_centers` / :func:`parallel_subhalos` — the batch
   drivers; results are bit-identical at every worker count
 """

@@ -48,7 +48,6 @@ Design (see :mod:`repro.exec.workqueue` for the scheduling policy):
 from __future__ import annotations
 
 import os
-import queue as queue_module
 import threading
 import time
 from dataclasses import dataclass, field
@@ -65,11 +64,11 @@ from ..analysis.centers import (
     mbp_center_astar,
     mbp_center_bruteforce,
 )
-from ..faults import DeadLetterBox, RetryPolicy, get_fault_plan, maybe_inject
+from ..faults import DeadLetterBox, RetryPolicy, maybe_inject
 from ..obs import NullRecorder, TelemetryRecorder, get_recorder
-from ..obs.context import merge_snapshot
 from .pool import WorkerPool
 from .sharedmem import SharedParticleStore
+from .supervisor import MemberContext
 from .workqueue import HaloWorkQueue, WorkItem
 
 __all__ = [
@@ -303,9 +302,7 @@ _SHARED_POOL: WorkerPool | None = None
 _SHARED_POOL_LOCK = threading.Lock()
 
 
-def _acquire_pool(
-    n_workers: int, start_method: str | None
-) -> tuple[WorkerPool, bool, bool]:
+def _acquire_pool(n_workers: int) -> tuple[WorkerPool, bool, bool]:
     """Borrow the shared pool (or build one). Returns (pool, shared, reused).
 
     ``shared=True`` means the caller holds ``_SHARED_POOL_LOCK`` and must
@@ -315,36 +312,28 @@ def _acquire_pool(
     global _SHARED_POOL
     if _SHARED_POOL_LOCK.acquire(blocking=False):
         pool = _SHARED_POOL
-        if (
-            pool is not None
-            and pool.alive
-            and pool.n_workers >= n_workers
-            and pool.start_method == start_method
-        ):
+        if pool is not None and pool.alive and pool.n_workers >= n_workers:
             return pool, True, True
         if pool is not None:
             pool.close()
-        _SHARED_POOL = WorkerPool(n_workers, start_method)
+        _SHARED_POOL = WorkerPool(n_workers)
         return _SHARED_POOL, True, False
     # the shared pool is busy on another thread: private one-job pool
-    return WorkerPool(n_workers, start_method), False, False
+    return WorkerPool(n_workers), False, False
 
 
 def _release_pool(pool: WorkerPool, shared: bool, broken: bool) -> None:
-    """Return a pool borrowed via :func:`_acquire_pool`."""
-    global _SHARED_POOL
-    if broken:
-        pool.mark_broken()
-    if shared:
-        try:
-            if broken:
-                pool.close()
-                if _SHARED_POOL is pool:
-                    _SHARED_POOL = None
-        finally:
+    """Return a pool borrowed via :func:`_acquire_pool`.
+
+    A broken pool (a worker died, or the job timed out) is closed, so
+    the next :func:`_acquire_pool` replaces it; a private pool always is.
+    """
+    try:
+        if broken or not shared:
+            pool.close()
+    finally:
+        if shared:
             _SHARED_POOL_LOCK.release()
-    else:
-        pool.close()
 
 
 def shutdown_pool() -> None:
@@ -374,14 +363,12 @@ class ExecutionEngine:
         Width of a run (default: cores available to this process).  One
         worker — or a queue of one item — runs inline on the calling
         thread; more fan out over pooled worker processes.
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default;
-        ``fork`` on Linux).
     split_factor, chunk_factor, min_split_rows:
         Scheduling knobs forwarded to :meth:`HaloWorkQueue.build`.
     result_timeout:
-        Hard ceiling in seconds on waiting for worker results — the
-        no-hang guarantee even if a worker is killed outright.
+        Seconds without any worker result before the run fails — the
+        no-hang guarantee for a stuck worker (one killed outright is
+        caught within a poll step).
     item_retries:
         ``0`` (default) keeps the historical contract: any failing item
         crashes its worker and the run raises :class:`WorkerError` (an
@@ -395,7 +382,6 @@ class ExecutionEngine:
     def __init__(
         self,
         workers: int | None = None,
-        start_method: str | None = None,
         split_factor: float = 2.0,
         chunk_factor: float = 16.0,
         min_split_rows: int = 256,
@@ -403,7 +389,6 @@ class ExecutionEngine:
         item_retries: int = 0,
     ) -> None:
         self.workers = int(workers) if workers else default_workers()
-        self.start_method = start_method
         self.split_factor = split_factor
         self.chunk_factor = chunk_factor
         self.min_split_rows = min_split_rows
@@ -531,21 +516,18 @@ class ExecutionEngine:
         busy = [0.0] * n_workers
         steals = [0] * n_workers
         failed_items: list[int] = []
-        active_plan = get_fault_plan()
-        plan_dict = active_plan.to_dict() if active_plan is not None else None
-        # trace context for the workers: run id + the open exec.run span
-        # (run() holds it on this thread), so worker telemetry comes back
-        # causally parented under the driver's trace
-        ctx_trace = rec.trace_context()
-        trace_dict = ctx_trace.to_dict() if ctx_trace is not None else None
+        # fault plan + trace context for the workers: run() holds the
+        # exec.run span open on this thread, so worker telemetry comes
+        # back causally parented under the caller's trace
+        hop = MemberContext.capture()
         snaps: dict[int, dict[str, Any] | None] = {}
-        wpool, shared, reused = _acquire_pool(n_workers, self.start_method)
+        wpool, shared, reused = _acquire_pool(n_workers)
         if reused:
             rec.counter(
                 "exec_pool_reuse_total",
                 help="engine runs served by an already-warm worker pool",
             ).inc()
-        broken = False
+        broken = True  # until the job drains cleanly
         try:
             # re-balance seeds onto the actual worker count
             seeds: list[list[int]] = [[] for _ in range(n_workers)]
@@ -557,51 +539,15 @@ class ExecutionEngine:
                 else:
                     pool.insert(rank - n_workers, item_id)
             job_id = wpool.submit(
-                n_workers,
-                store.spec,
-                work.items,
-                seeds,
-                pool,
-                task,
-                plan_dict,
-                self.item_retries > 0,
-                trace_dict,
+                n_workers, store.spec, work.items, seeds, pool, task, hop, self.item_retries > 0
             )
 
-            finished: set[int] = set()
-            deadline = time.monotonic() + self.result_timeout
-            while len(finished) < n_workers:
-                try:
-                    msg = wpool.get(timeout=0.2)
-                except queue_module.Empty:
-                    dead = [
-                        w
-                        for w in range(n_workers)
-                        if w not in finished and not wpool.worker_alive(w)
-                    ]
-                    if dead:
-                        wpool.abort_job()
-                        broken = True
-                        if error is None:
-                            error = WorkerError(
-                                f"worker {dead[0]} died without reporting "
-                                f"(exitcode {wpool.worker_exitcode(dead[0])})",
-                                worker_id=dead[0],
-                            )
-                        finished.update(dead)
-                    if time.monotonic() > deadline:
-                        wpool.abort_job()
-                        broken = True
-                        error = error or WorkerError(
-                            f"timed out after {self.result_timeout:.0f}s waiting "
-                            f"for workers {sorted(set(range(n_workers)) - finished)}"
-                        )
-                        break
-                    continue
+            def on_message(msg: tuple[Any, ...]) -> int | None:
+                nonlocal error
                 if msg[1] != job_id:
                     # straggler from an earlier aborted job on a reused
                     # pool: job-id tagging makes it harmless
-                    continue
+                    return None
                 if msg[0] == "ok":
                     _, _, w, item_id, payload, t0, t1, overhead, stolen = msg
                     payloads.append((item_id, payload))
@@ -609,43 +555,45 @@ class ExecutionEngine:
                     log.append(
                         ItemRecord(w, item.kind, item.n_halos, item.cost, t0, t1, overhead, stolen)
                     )
-                elif msg[0] == "done":
+                    return None
+                if msg[0] == "item_error":
+                    failed_items.append(msg[3])  # item id; retried by the parent below
+                    return None
+                if msg[0] == "done":
                     _, _, w, wbusy, wsteals, snap = msg
                     busy[w] = wbusy
                     steals[w] = wsteals
                     snaps[w] = snap
-                    finished.add(w)
-                elif msg[0] == "item_error":
-                    failed_items.append(msg[3])  # item id; retried by the parent below
-                elif msg[0] == "error":
-                    # the worker shipped the traceback and survives for
-                    # the next job; the batch still fails loudly
-                    _, _, w, tb = msg
-                    wpool.abort_job()
-                    finished.add(w)
-                    if error is None:
-                        last = tb.strip().splitlines()[-1] if tb.strip() else "unknown"
-                        error = WorkerError(
-                            f"worker {w} failed: {last}", worker_id=w, remote_traceback=tb
-                        )
+                    return int(w)
+                # "error": the worker shipped the traceback and survives
+                # for the next job; the batch still fails loudly
+                _, _, w, tb = msg
+                wpool.group.abort()
+                if error is None:
+                    last = tb.strip().splitlines()[-1] if tb.strip() else "unknown"
+                    error = WorkerError(
+                        f"worker {w} failed: {last}", worker_id=w, remote_traceback=tb
+                    )
+                return int(w)
+
+            dead, stuck = wpool.group.drain(range(n_workers), on_message, self.result_timeout)
+            broken = bool(dead or stuck)
+            if dead and error is None:
+                w, code = min(dead.items())
+                error = WorkerError(
+                    f"worker {w} died without reporting (exitcode {code})", worker_id=w
+                )
+            if stuck and error is None:
+                error = WorkerError(
+                    f"timed out after {self.result_timeout:.0f}s waiting for workers {stuck}"
+                )
         finally:
             _release_pool(wpool, shared, broken)
             store.unlink()
+        # worker root spans/events hang under the open exec.run span
+        hop.fold(snaps, "exec-worker")
         if error is not None:
             raise error
-
-        # fold worker-process telemetry into the parent recorder in sorted
-        # worker order (deterministic journal content for identical runs);
-        # worker root spans/events hang under the open exec.run span
-        parent_rec = get_recorder()
-        if trace_dict is not None and isinstance(parent_rec, TelemetryRecorder):
-            for w in sorted(snaps):
-                merge_snapshot(
-                    parent_rec,
-                    snaps[w],
-                    parent_span_id=trace_dict.get("span_id"),
-                    thread=f"exec-worker-{w}",
-                )
 
         recovered, poisoned = self._retry_failed_items(
             failed_items, arrays, work, task, payloads

@@ -1,34 +1,23 @@
 """Persistent worker-process pool for the execution engine.
 
-Historically :class:`~repro.exec.engine.ExecutionEngine` forked a fresh
-set of worker processes for every batch.  At mini-HACC scale the fork +
-interpreter warm-up + module import cost is a fixed tax per analysis
-step — paid dozens of times in a campaign that runs the off-line center
-job once per snapshot.  :class:`WorkerPool` keeps the workers alive
-between batches instead:
+Forking workers per batch would pay the fork + warm-up + import cost
+once per analysis step, dozens of times in a campaign.
+:class:`WorkerPool` keeps them alive between batches.  The workers are
+the members of one :class:`~repro.exec.supervisor.ProcessGroup` (lane
+``exec-worker``), which forks, watches, aborts and reaps them; the pool
+adds what a persistent worker needs on top: a job queue per worker
+(tiny payloads: the shared-memory spec, the work items, the task and
+the job's :class:`~repro.exec.supervisor.MemberContext`), the
+work-stealing cursor (inherited at fork, reset before each job with the
+group's abort event), and job-id tagging, so a straggler message from
+an aborted job can never corrupt the next one.
 
-* one OS process per worker, started once, fed through a per-worker job
-  queue (job payloads are tiny: the shared-memory spec, the work items,
-  and the task dict — bulk arrays still travel through
-  :class:`~repro.exec.sharedmem.SharedParticleStore` segments);
-* the work-stealing cursor and the abort event are created once and
-  *inherited* at fork (``multiprocessing`` synchronization primitives
-  cannot be shipped through queues), then reset by the dispatcher
-  before each job;
-* every result message carries its job id, so a straggler message from
-  an aborted job can never corrupt the next one;
-* per job, each worker installs a fresh fault plan and a fresh local
-  telemetry recorder — exactly the state a newly forked worker would
-  have, which keeps pooled runs bit-identical to the fork-per-run path;
-* a worker that ships an ``error`` message survives to take the next
-  job (the engine still raises
-  :class:`~repro.exec.engine.WorkerError`); a worker that *dies* or
-  times out marks the pool broken, and the engine tears it down and
-  builds a fresh one.
-
-The engine exposes reuse through the ``exec_pool_reuse_total`` counter;
-pool processes are daemons with an ``atexit`` backstop, so an abandoned
-pool can never outlive the interpreter.
+A worker that ships an ``error`` message survives to take the next job
+(the engine still raises :class:`~repro.exec.engine.WorkerError`); a
+worker that dies, or a job that times out, makes the engine close the
+pool and fork a fresh one.  Reuse is counted in
+``exec_pool_reuse_total``; the workers are daemons with an ``atexit``
+backstop, so an abandoned pool never outlives the interpreter.
 """
 
 from __future__ import annotations
@@ -36,13 +25,11 @@ from __future__ import annotations
 import atexit
 import time
 import traceback
-from multiprocessing import get_context
 from typing import TYPE_CHECKING, Any
 
-from ..faults import FaultPlan, maybe_inject, set_fault_plan
-from ..obs import NullRecorder, TelemetryRecorder, set_recorder
-from ..obs.context import export_snapshot
+from ..faults import maybe_inject
 from .sharedmem import SharedParticleStore
+from .supervisor import MemberContext, ProcessGroup
 
 if TYPE_CHECKING:
     from .workqueue import WorkItem
@@ -52,10 +39,10 @@ __all__ = ["WorkerPool"]
 
 def _pool_worker_main(
     worker_id: int,
-    job_q: Any,  # multiprocessing Queue from the pool's ctx
-    result_q: Any,  # multiprocessing Queue from the pool's ctx
+    job_q: Any,  # multiprocessing Queue from the group
+    result_q: Any,  # the group's result queue
     cursor: Any,  # multiprocessing.Value("l") — inherited, reset per job
-    abort: Any,  # multiprocessing Event — inherited, cleared per job
+    abort: Any,  # the group's abort event — inherited, cleared per job
 ) -> None:
     """Worker loop: take one job at a time until the ``None`` sentinel."""
     # lazy import: the runner registry lives in engine.py, which imports
@@ -66,27 +53,8 @@ def _pool_worker_main(
         job = job_q.get()
         if job is None:
             break
-        (
-            job_id,
-            spec,
-            items,
-            seed_ids,
-            pool_ids,
-            task,
-            plan_dict,
-            catch_item_errors,
-            trace,
-        ) = job
-        # fresh per-job state, exactly as a newly forked worker would have:
-        # deterministic fault-plan attempt counters and a local recorder
-        # whose snapshot ships back with the "done" message
-        set_fault_plan(FaultPlan.from_dict(plan_dict) if plan_dict is not None else None)
-        local_rec: TelemetryRecorder | None = None
-        if trace is not None:
-            local_rec = TelemetryRecorder(run_id=trace.get("run"), capacity=4096)
-            set_recorder(local_rec)
-        else:
-            set_recorder(NullRecorder())
+        job_id, spec, items, seed_ids, pool_ids, task, hop, catch_item_errors = job
+        hop.install()
         store = SharedParticleStore.attach(spec)
         runner = _TASK_RUNNERS[task["task"]]
         cache: dict[int, Any] = {}
@@ -132,8 +100,7 @@ def _pool_worker_main(
                     cursor.value = nxt + 1
                 steals += 1
                 run_one(pool_ids[nxt], stolen=True)
-            snap = export_snapshot(local_rec) if local_rec is not None else None
-            result_q.put(("done", job_id, worker_id, busy, steals, snap))
+            result_q.put(("done", job_id, worker_id, busy, steals, hop.snapshot()))
         except BaseException:  # repro: noqa[RPR006] - traceback is shipped to
             # the parent over result_q, which raises WorkerError (crash
             # isolation); the worker itself survives to take the next job.
@@ -145,62 +112,33 @@ def _pool_worker_main(
 class WorkerPool:
     """A reusable set of worker processes fed through job queues.
 
-    One dispatcher thread drives one job at a time (``submit`` then
-    drain via :meth:`get` until every participating worker reported
-    ``done``/``error``).  The engine owns the lifecycle; see
-    :meth:`ExecutionEngine.close <repro.exec.engine.ExecutionEngine.close>`.
+    One dispatcher thread drives one job at a time: :meth:`submit`, then
+    drain :attr:`group` (:meth:`ProcessGroup.drain
+    <repro.exec.supervisor.ProcessGroup.drain>`) until every
+    participating worker reported ``done``/``error``.  The engine owns
+    the lifecycle: it borrows the pool through ``_acquire_pool`` and
+    returns it through ``_release_pool``
+    (:func:`repro.exec.shutdown_pool` closes the shared one).
     """
 
-    def __init__(self, n_workers: int, start_method: str | None = None) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = int(n_workers)
-        self.start_method = start_method
-        ctx = get_context(start_method)
-        self._result_q: Any = ctx.Queue()
-        self._cursor: Any = ctx.Value("l", 0)
-        self._abort: Any = ctx.Event()
-        self._job_qs: list[Any] = [ctx.Queue() for _ in range(self.n_workers)]
-        self._procs: list[Any] = []
+    def __init__(self, n_workers: int) -> None:
+        self.group = group = ProcessGroup("exec-worker", n_workers)
+        self.n_workers = group.size
+        self._cursor: Any = group.ctx.Value("l", 0)
+        self._job_qs = [group.queue() for _ in range(self.n_workers)]
         self._job_seq = 0
-        self._broken = False
-        self._closed = False
-        for w in range(self.n_workers):
-            p = ctx.Process(
-                target=_pool_worker_main,
-                args=(w, self._job_qs[w], self._result_q, self._cursor, self._abort),
-                name=f"exec-worker-{w}",
-                daemon=True,
-            )
-            self._procs.append(p)
-            p.start()
+        group.start(
+            _pool_worker_main,
+            lambda w: (w, self._job_qs[w], group.results, self._cursor, group.abort_event),
+        )
         # backstop: an abandoned pool must not outlive the interpreter
         # (the processes are daemons, but a clean join avoids noise)
         atexit.register(self.close)
 
-    # -- state ----------------------------------------------------------------
-
     @property
     def alive(self) -> bool:
-        """Usable for another job: not broken, not closed, workers up."""
-        return (
-            not self._broken
-            and not self._closed
-            and all(p.is_alive() for p in self._procs)
-        )
-
-    def worker_alive(self, worker_id: int) -> bool:
-        return bool(self._procs[worker_id].is_alive())
-
-    def worker_exitcode(self, worker_id: int) -> int | None:
-        code = self._procs[worker_id].exitcode
-        return None if code is None else int(code)
-
-    def mark_broken(self) -> None:
-        """A job ended un-drainably (death/timeout): no further reuse."""
-        self._broken = True
-
-    # -- job dispatch ----------------------------------------------------------
+        """Usable for another job: not closed, every worker up."""
+        return self.group.alive
 
     def submit(
         self,
@@ -210,15 +148,14 @@ class WorkerPool:
         seeds: list[list[int]],
         pool_ids: list[int],
         task: dict[str, Any],
-        plan_dict: dict[str, Any] | None,
+        hop: MemberContext,
         catch_item_errors: bool,
-        trace: dict[str, Any] | None,
     ) -> int:
         """Dispatch one job to the first ``n_workers`` workers.
 
         Returns the job id that every result message for this job will
-        carry.  The caller must drain the job to completion (or mark the
-        pool broken) before submitting the next one.
+        carry.  The caller must drain the job to completion (or close
+        the pool) before submitting the next one.
         """
         if not self.alive:
             raise RuntimeError("worker pool is not usable")
@@ -227,61 +164,23 @@ class WorkerPool:
         job_id = self._job_seq
         self._job_seq += 1
         # reset the inherited primitives: no worker holds a job right now
-        self._abort.clear()
+        self.group.abort_event.clear()
         with self._cursor.get_lock():
             self._cursor.value = 0
         for w in range(n_workers):
             self._job_qs[w].put(
-                (
-                    job_id,
-                    spec,
-                    items,
-                    seeds[w],
-                    pool_ids,
-                    task,
-                    plan_dict,
-                    catch_item_errors,
-                    trace,
-                )
+                (job_id, spec, items, seeds[w], pool_ids, task, hop, catch_item_errors)
             )
         return job_id
 
-    def get(self, timeout: float) -> Any:
-        """Next result message (raises ``queue.Empty`` on timeout)."""
-        return self._result_q.get(timeout=timeout)
-
-    def abort_job(self) -> None:
-        """Ask workers to stop at the next item boundary."""
-        self._abort.set()
-
-    # -- lifecycle -------------------------------------------------------------
-
     def close(self) -> None:
         """Stop the workers and release the queues (idempotent)."""
-        if self._closed:
+        if self.group.closed:
             return
-        self._closed = True
         atexit.unregister(self.close)
-        self._abort.set()
         for q in self._job_qs:
             try:
                 q.put_nowait(None)
             except (OSError, ValueError):  # pragma: no cover - queue torn down
                 pass
-        for p in self._procs:
-            p.join(timeout=2.0)
-        for p in self._procs:
-            if p.is_alive():  # pragma: no cover - last-resort cleanup
-                p.terminate()
-                p.join(timeout=2.0)
-        for q in [*self._job_qs, self._result_q]:
-            try:
-                q.close()
-            except (OSError, ValueError):  # pragma: no cover - defensive
-                pass
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+        self.group.close()

@@ -21,17 +21,16 @@ the segments, materialises the arrays, and frees them.  Senders register
 every segment name on a cleanup queue so the parent can reap anything a
 crashed receiver never adopted (no leaked segments on any failure path).
 
-Ranks are forked (``start_method="fork"``), which lets rank programs be
-closures over parent arrays exactly like the thread transport — the
-in-situ FOF driver passes a closure and needs no changes to switch
-transports.  ``TraceContext`` is shipped to each rank; rank-local
-telemetry snapshots come back with the results and are merged into the
-parent trace (one-trace-per-run invariant), labelled ``spmd-rank-N``.
+The ranks are forked, watched, aborted and reaped by one
+:class:`~repro.exec.supervisor.ProcessGroup` (lane ``spmd-rank``), which
+also carries the fault plan and ``TraceContext`` in and the rank-local
+telemetry back into the parent trace.  Forking lets rank programs be
+closures over parent arrays exactly like the thread transport.  This
+module keeps what is SPMD: inboxes, barrier, ``failed_rank``, reaper.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue
 import traceback
@@ -41,9 +40,8 @@ from typing import Any, Callable
 import numpy as np
 
 from ..exec.sharedmem import SharedParticleStore, _attach_segment
-from ..faults import FaultPlan, get_fault_plan, set_fault_plan
-from ..obs import TelemetryRecorder, get_recorder, set_recorder
-from ..obs.context import export_snapshot, merge_snapshot
+from ..exec.supervisor import MemberContext, ProcessGroup
+from ..obs import get_recorder
 
 __all__ = ["ProcessWorld", "SpmdConfig", "resolve_transport"]
 
@@ -51,10 +49,6 @@ __all__ = ["ProcessWorld", "SpmdConfig", "resolve_transport"]
 TRANSPORT_ENV = "REPRO_SPMD_TRANSPORT"
 
 _VALID_TRANSPORTS = ("thread", "process")
-
-#: Poll step used for bounded queue waits (seconds, accumulated — no
-#: wall-clock reads in this module per RPR003).
-_POLL_STEP = 0.25
 
 
 @dataclass(frozen=True)
@@ -72,15 +66,11 @@ class SpmdConfig:
     shm_threshold:
         NumPy payloads of at least this many bytes bypass pickling and
         ride shared-memory segments (process transport only).
-    start_method:
-        Multiprocessing start method.  Only ``"fork"`` supports the
-        closure-style rank programs used throughout the repo.
     """
 
     transport: str = "thread"
     timeout: float | None = None
     shm_threshold: int = 65536
-    start_method: str = "fork"
 
     def __post_init__(self) -> None:
         if self.transport not in _VALID_TRANSPORTS:
@@ -137,28 +127,29 @@ class _ShmSlot:
         self.key = key
 
 
+def _map_leaves(x: Any, leaf: Callable[[Any], Any]) -> Any:
+    """Rebuild tuples, lists and dicts around ``leaf`` of everything else."""
+    if isinstance(x, tuple):
+        return tuple(_map_leaves(v, leaf) for v in x)
+    if isinstance(x, list):
+        return [_map_leaves(v, leaf) for v in x]
+    if isinstance(x, dict):
+        return {k: _map_leaves(v, leaf) for k, v in x.items()}
+    return leaf(x)
+
+
 def _encode_payload(obj: Any, threshold: int, cleanup_q: Any) -> tuple[Any, ...]:
     """Encode ``obj`` for a queue hop, hoisting big arrays into shm."""
     arrays: dict[str, np.ndarray] = {}
 
     def hoist(x: Any) -> Any:
-        if (
-            isinstance(x, np.ndarray)
-            and not x.dtype.hasobject
-            and x.nbytes >= threshold
-        ):
+        if isinstance(x, np.ndarray) and not x.dtype.hasobject and x.nbytes >= threshold:
             key = f"a{len(arrays)}"
             arrays[key] = x
             return _ShmSlot(key)
-        if isinstance(x, tuple):
-            return tuple(hoist(v) for v in x)
-        if isinstance(x, list):
-            return [hoist(v) for v in x]
-        if isinstance(x, dict):
-            return {k: hoist(v) for k, v in x.items()}
         return x
 
-    template = hoist(obj)
+    template = _map_leaves(obj, hoist)
     if not arrays:
         return ("pickle", obj)
     store = SharedParticleStore.create(**arrays)
@@ -185,19 +176,7 @@ def _decode_payload(msg: tuple[Any, ...]) -> Any:
         arrays = {key: np.array(store.array(key), copy=True) for key in store.fields}
     finally:
         store.unlink()
-
-    def fill(x: Any) -> Any:
-        if isinstance(x, _ShmSlot):
-            return arrays[x.key]
-        if isinstance(x, tuple):
-            return tuple(fill(v) for v in x)
-        if isinstance(x, list):
-            return [fill(v) for v in x]
-        if isinstance(x, dict):
-            return {k: fill(v) for k, v in x.items()}
-        return x
-
-    return fill(template)
+    return _map_leaves(template, lambda x: arrays[x.key] if isinstance(x, _ShmSlot) else x)
 
 
 def _reap_segments(cleanup_q: Any) -> int:
@@ -228,7 +207,8 @@ def _reap_segments(cleanup_q: Any) -> int:
 class _ProcessRankWorld:
     """Rank-local world over fork-inherited queues (one per rank).
 
-    Implements the narrow transport interface the
+    Built by the parent for each rank just before the fork.  Implements
+    the narrow transport interface the
     :class:`~repro.parallel.communicator.Communicator` consumes:
     ``deliver`` / ``poll`` / ``barrier_wait`` / ``aborted`` / ``record``.
     Statistics are counted locally and shipped back with the rank result;
@@ -322,62 +302,45 @@ class _ProcessRankWorld:
                 f"barrier broken (a rank died or timed out after {self.timeout}s)"
             ) from None
 
+    # rank failure --------------------------------------------------------
+
+    def fail(self) -> None:
+        """Record this rank as the first failure (if it is) and abort the world."""
+        with self._failed_rank.get_lock():
+            if self._failed_rank.value < 0:
+                self._failed_rank.value = self.rank
+        self._abort.set()
+        try:
+            self._barrier.abort()
+        except (OSError, ValueError):  # pragma: no cover - barrier torn down
+            pass
+
 
 def _process_rank_main(
-    rank: int,
-    size: int,
+    world: _ProcessRankWorld,
     fn: Callable[..., Any],
     fn_args: tuple[Any, ...],
     fn_kwargs: dict[str, Any],
-    inboxes: list[Any],
+    hop: MemberContext,
     result_q: Any,
-    cleanup_q: Any,
-    barrier: Any,
-    abort: Any,
-    failed_rank: Any,
-    timeout: float,
-    shm_threshold: int,
-    trace: dict[str, Any] | None,
-    plan_dict: dict[str, Any] | None,
 ) -> None:
     """Entry point of one forked SPMD rank."""
     from .communicator import Communicator
 
-    if plan_dict is not None:
-        # forked ranks inherit the parent's fault-plan *history*; install
-        # a fresh copy so per-rank attempt state is deterministic
-        set_fault_plan(FaultPlan.from_dict(plan_dict))
-    local_rec: TelemetryRecorder | None = None
-    if trace is not None:
-        # record rank-local telemetry and ship one snapshot back with the
-        # result, so the parent's single trace covers this process too
-        local_rec = TelemetryRecorder(run_id=trace.get("run"), capacity=4096)
-        set_recorder(local_rec)
-    world = _ProcessRankWorld(
-        rank, size, inboxes, cleanup_q, barrier, abort, failed_rank,
-        timeout, shm_threshold,
-    )
-    comm = Communicator(world, rank)
+    hop.install()
     try:
-        result = fn(comm, *fn_args, **fn_kwargs)
-        payload = _encode_payload(result, shm_threshold, cleanup_q)
+        result = fn(Communicator(world, world.rank), *fn_args, **fn_kwargs)
+        payload = _encode_payload(result, world._shm_threshold, world._cleanup_q)
         status = "ok"
     except BaseException as exc:  # repro: noqa[RPR006] - the traceback is
         # shipped to the parent over result_q, which re-raises it as a
         # chained SpmdError: the failure is loudly observable, never
         # swallowed.
-        with failed_rank.get_lock():
-            if failed_rank.value < 0:
-                failed_rank.value = rank
-        abort.set()
-        try:
-            barrier.abort()
-        except (OSError, ValueError):  # pragma: no cover - barrier torn down
-            pass
+        world.fail()
         status = "error"
         payload = (type(exc).__name__, str(exc), traceback.format_exc())
-    snap = export_snapshot(local_rec) if local_rec is not None else None
-    result_q.put((rank, status, payload, (world.messages_sent, world.bytes_sent), snap))
+    stats = (world.messages_sent, world.bytes_sent)
+    result_q.put((world.rank, status, payload, stats, hop.snapshot()))
 
 
 # -- parent side ---------------------------------------------------------------
@@ -387,9 +350,7 @@ class RemoteRankError(RuntimeError):
     """Carries the formatted traceback of a failed SPMD rank process."""
 
     def __init__(self, rank: int, formatted_traceback: str) -> None:
-        super().__init__(
-            f"rank {rank} traceback:\n{formatted_traceback}"
-        )
+        super().__init__(f"rank {rank} traceback:\n{formatted_traceback}")
         self.rank = rank
         self.formatted_traceback = formatted_traceback
 
@@ -415,140 +376,65 @@ def run_process_spmd(
 
     if cfg.timeout is not None:
         timeout = cfg.timeout
-    try:
-        ctx = multiprocessing.get_context(cfg.start_method)
-    except ValueError as exc:  # pragma: no cover - non-POSIX platforms
-        raise SpmdError(
-            f"process transport requires the {cfg.start_method!r} start method "
-            "(rank programs are closures); use transport='thread' instead"
-        ) from exc
-
-    # Start the shared-memory resource tracker *before* forking: ranks
-    # must inherit the parent's tracker, or each rank lazily starts its
-    # own, which unlinks that rank's in-flight message segments the
-    # moment the rank exits — racing the receivers that adopt them.
-    from multiprocessing import resource_tracker
-
-    ensure_running = getattr(resource_tracker, "ensure_running", None)
-    if ensure_running is not None:
-        ensure_running()
-
-    inboxes = [ctx.Queue() for _ in range(nranks)]
-    result_q = ctx.Queue()
-    cleanup_q = ctx.Queue()
-    barrier = ctx.Barrier(nranks)
-    abort = ctx.Event()
-    failed_rank = ctx.Value("l", -1)
-
+    group = ProcessGroup("spmd-rank", nranks)
+    inboxes = [group.queue() for _ in range(nranks)]
+    cleanup_q = group.queue()
+    barrier = group.ctx.Barrier(nranks)
+    failed_rank = group.ctx.Value("l", -1)
+    # the abort flag stops ranks at their next poll; breaking the barrier
+    # releases the ones already parked in it (they would otherwise sit
+    # out the whole per-wait timeout)
+    group.abort_hooks.append(barrier.abort)
+    hop = MemberContext.capture()
     rec = get_recorder()
-    ctx_trace = rec.trace_context()
-    trace_dict = ctx_trace.to_dict() if ctx_trace is not None else None
-    active_plan = get_fault_plan()
-    plan_dict = active_plan.to_dict() if active_plan is not None else None
+    got: dict[int, tuple[str, Any, tuple[int, int], dict[str, Any] | None]] = {}
 
-    procs = [
-        ctx.Process(
-            target=_process_rank_main,
-            args=(
-                r, nranks, fn, fn_args, fn_kwargs, inboxes, result_q, cleanup_q,
-                barrier, abort, failed_rank, timeout, cfg.shm_threshold,
-                trace_dict, plan_dict,
-            ),
-            name=f"spmd-rank-{r}",
-            daemon=True,
-        )
-        for r in range(nranks)
-    ]
-
-    got: dict[int, tuple[Any, ...]] = {}
-    dead: dict[int, int] = {}
-    timed_out = False
-
-    def abort_world() -> None:
-        # the flag stops ranks at their next poll; breaking the barrier
-        # releases the ones already parked in it (they would otherwise
-        # sit out the whole per-wait timeout)
-        abort.set()
-        try:
-            barrier.abort()
-        except (OSError, ValueError):  # pragma: no cover - barrier torn down
-            pass
-
-    def absorb(msg: tuple[Any, ...]) -> None:
+    def absorb(msg: tuple[Any, ...]) -> int:
         # decode at receipt time, while the payload's segments are still
         # guaranteed un-reaped; error payloads are plain tuples
-        rank_, status_, payload_, stats_, snap_ = msg
-        if status_ == "ok":
-            payload_ = _decode_payload(payload_)
-        got[rank_] = (rank_, status_, payload_, stats_, snap_)
-        dead.pop(rank_, None)
-        if status_ == "error":
-            abort_world()
+        rank, status, payload, stats, snap = msg
+        if status == "ok":
+            payload = _decode_payload(payload)
+        else:
+            group.abort()
+        got[rank] = (status, payload, stats, snap)
+        return int(rank)
 
     try:
-        for p in procs:
-            p.start()
-        waited = 0.0
-        budget = timeout * 4
-        while len(got) + len(dead) < nranks:
-            try:
-                msg = result_q.get(timeout=_POLL_STEP)
-            except queue.Empty:
-                waited += _POLL_STEP
-                for r, p in enumerate(procs):
-                    if r not in got and r not in dead and not p.is_alive():
-                        dead[r] = p.exitcode if p.exitcode is not None else -1
-                        abort_world()
-                if waited >= budget:
-                    timed_out = True
-                    break
-            else:
-                absorb(msg)
+        group.start(
+            _process_rank_main,
+            lambda r: (
+                _ProcessRankWorld(
+                    r, nranks, inboxes, cleanup_q, barrier, group.abort_event,
+                    failed_rank, timeout, cfg.shm_threshold,
+                ),
+                fn, fn_args, fn_kwargs, hop, group.results,
+            ),
+        )
+        dead, stuck = group.drain(range(nranks), absorb, timeout * 4)
     finally:
-        abort_world()
-        for p in procs:
-            p.join(timeout=5.0)
-        for p in procs:
-            if p.is_alive():  # pragma: no cover - stuck rank
-                p.terminate()
-                p.join(timeout=5.0)
-        # absorb results that raced the liveness check (a rank can exit
-        # between putting its result and the parent observing it)
-        while True:
-            try:
-                absorb(result_q.get_nowait())
-            except queue.Empty:
-                break
+        group.stop()
         # everything absorbed is adopted; whatever segment names remain
         # belong to messages nobody will ever read (crashed receivers)
         reaped = _reap_segments(cleanup_q)
         if reaped:
             rec.event("spmd.segments_reaped", level="warning", segments=reaped)
-        for q in (*inboxes, result_q, cleanup_q):
-            q.close()
+        group.close()
 
     world = ProcessWorld(nranks, timeout)
     for r in sorted(got):
-        messages, nbytes = got[r][3]
+        messages, nbytes = got[r][2]
         world.messages_sent += int(messages)
         world.bytes_sent += int(nbytes)
     # fold rank telemetry into the parent trace in rank order before any
     # raise, so failed runs are still fully observable
-    if trace_dict is not None and isinstance(rec, TelemetryRecorder):
-        for r in sorted(got):
-            if got[r][4] is not None:
-                merge_snapshot(
-                    rec,
-                    got[r][4],
-                    parent_span_id=trace_dict.get("span_id"),
-                    thread=f"spmd-rank-{r}",
-                )
+    hop.fold({r: got[r][3] for r in got}, "spmd-rank")
 
-    errors = {r: got[r][2] for r in sorted(got) if got[r][1] == "error"}
+    errors = {r: got[r][1] for r in sorted(got) if got[r][0] == "error"}
     if dead:
         # a rank that died without reporting (hard crash) is always the
         # root cause — any recorded errors are its peers' broken barriers
-        rank, code = sorted(dead.items())[0]
+        rank, code = min(dead.items())
         raise SpmdError(
             f"rank {rank} died with exit code {code} before returning a result "
             "(process transport)"
@@ -560,14 +446,13 @@ def run_process_spmd(
         rank = first if first in errors else next(iter(errors))
         etype, emsg, tb = errors[rank]
         raise SpmdError(f"rank {rank} raised {etype}: {emsg}") from RemoteRankError(rank, tb)
-    if timed_out:
-        missing = sorted(set(range(nranks)) - set(got))
+    if stuck:
         raise SpmdError(
-            f"SPMD ranks {missing} failed to finish within {timeout * 4}s "
+            f"SPMD ranks {stuck} failed to finish within {timeout * 4}s "
             "— likely deadlock"
         )
 
-    results = [got[r][2] for r in range(nranks)]
+    results = [got[r][1] for r in range(nranks)]
     if return_world:
         return results, world
     return results
