@@ -85,7 +85,11 @@ __all__ = [
 
 
 def default_workers() -> int:
-    """Default worker count: the cores this process may schedule on."""
+    """The CPUs this process may run on (its affinity mask, not the machine's count).
+
+    The one CPU-width function: the exec pool's default size, the
+    streaming FOF's link width and the PM's default thread count.
+    """
     try:
         return max(len(os.sched_getaffinity(0)), 1)
     except AttributeError:  # pragma: no cover - non-Linux

@@ -76,15 +76,24 @@ class SharedParticleStore:
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def create(cls, **arrays: np.ndarray) -> "SharedParticleStore":
-        """Copy keyword arrays into fresh shared-memory segments."""
+    def create(
+        cls, names: Mapping[str, str] | None = None, /, **arrays: np.ndarray
+    ) -> "SharedParticleStore":
+        """Copy keyword arrays into fresh shared-memory segments.
+
+        ``names`` (field -> segment name) fixes the segment names up
+        front, so a caller can record them before the segments exist;
+        by default each segment gets a fresh random name.
+        """
         segments: dict[str, shared_memory.SharedMemory] = {}
         spec: dict[str, tuple[str, tuple[int, ...], str]] = {}
         try:
             for field, value in arrays.items():
                 arr = np.ascontiguousarray(value)
                 nbytes = max(int(arr.nbytes), 1)  # zero-size arrays need 1 byte
-                shm = shared_memory.SharedMemory(create=True, size=nbytes)
+                shm = shared_memory.SharedMemory(
+                    name=names[field] if names else None, create=True, size=nbytes
+                )
                 segments[field] = shm
                 view: np.ndarray = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
                 view[...] = arr

@@ -14,7 +14,7 @@ from .communicator import CollectiveProtocolError, Communicator, SpmdError, Worl
 from .decomposition import CartesianDecomposition, factor_dims
 from .exchange import ExchangeStats, alltoallv_arrays, redistribute_arrays
 from .overload import OVERLOAD_SAFETY_FACTOR, overload_destinations, select_overload
-from .transport import ProcessWorld, SpmdConfig, resolve_transport
+from .transport import SpmdConfig, resolve_transport
 
 __all__ = [
     "CollectiveProtocolError",
@@ -22,7 +22,6 @@ __all__ = [
     "SpmdError",
     "World",
     "run_spmd",
-    "ProcessWorld",
     "SpmdConfig",
     "resolve_transport",
     "CartesianDecomposition",

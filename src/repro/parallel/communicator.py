@@ -9,29 +9,31 @@ in-process communicator with mpi4py-compatible semantics: point-to-point
 
 An SPMD program is a function ``fn(comm, *args)``; :func:`run_spmd`
 executes it over a pluggable *transport* (``transport="thread"`` or
-``"process"``, see :mod:`repro.parallel.transport`).  The thread
-transport runs one OS thread per rank against a shared :class:`World`
-and is the deterministic reference; the process transport forks one OS
-process per rank over shared-memory queues for real multi-core
-parallelism.  Both move logically identical payloads, so rank programs
-produce bit-for-bit the same results on either.
+``"process"``).  Both transports run their ranks over one
+:class:`World` — mailbox matching, the bounded wait, abort, the
+first-failure record, barrier errors and traffic counts live here once —
+and differ only in the primitives they hand it: per-rank inboxes, a
+barrier, an abort event, a first-failure record and a payload codec.
+The thread transport (one OS thread per rank, in-process queues, a
+codec that copies arrays) is the deterministic reference; the process
+transport (:mod:`repro.parallel.transport`: forked ranks,
+multiprocessing queues, big arrays through shared memory) gives real
+multi-core parallelism.  Rank programs produce bit-for-bit the same
+results on either.
 
-Messages are deep-ish copies (NumPy arrays are copied; process hops
-copy by construction) so that ranks cannot accidentally share mutable
-state through the transport, mirroring distributed-memory semantics.
-
-:class:`Communicator` talks to its world through a narrow interface —
-``deliver`` / ``poll`` / ``barrier_wait`` / ``aborted`` — which is what
-makes the transports swappable.
+Send buffers: ``send`` fixes its payload before it returns (copied by
+the thread codec, pickled by the process codec), so a sender may reuse
+or overwrite its arrays at once — ranks never share mutable state
+through the transport, mirroring distributed-memory semantics.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import queue
 import threading
 from collections import deque
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
@@ -52,6 +54,13 @@ ANY_TAG = -1
 
 #: Default seconds a blocking recv/collective waits before declaring deadlock.
 DEFAULT_TIMEOUT = 120.0
+
+#: Seconds between abort checks while a recv waits.
+POLL_STEP = 0.2
+
+#: What a finished rank reports: ``(ok, result or (description, exception),
+#: (messages, bytes) sent)``.
+RankReport = tuple[bool, Any, tuple[int, int]]
 
 
 class SpmdError(RuntimeError):
@@ -81,105 +90,148 @@ def _isolate(obj: Any) -> Any:
     return obj
 
 
-@dataclass
-class _Mailbox:
-    """Per-rank incoming message store with (source, tag) matching."""
+class _CopyCodec:
+    """Thread-transport payload codec: arrays are copied at send."""
 
-    inbox: "queue.Queue[tuple[int, int, Any]]" = field(default_factory=queue.Queue)
-    pending: list[tuple[int, int, Any]] = field(default_factory=list)
+    @staticmethod
+    def encode(obj: Any, rank: int) -> Any:
+        return _isolate(obj)
 
-    def match(self, source: int, tag: int, timeout: float) -> tuple[int, int, Any]:
-        for i, (src, tg, _payload) in enumerate(self.pending):
-            if (source in (ANY_SOURCE, src)) and (tag in (ANY_TAG, tg)):
-                return self.pending.pop(i)
-        while True:
-            try:
-                msg = self.inbox.get(timeout=timeout)
-            except queue.Empty:
-                raise SpmdError(
-                    f"recv(source={source}, tag={tag}) timed out after {timeout}s "
-                    "— likely SPMD deadlock"
-                ) from None
-            src, tg, _ = msg
-            if (source in (ANY_SOURCE, src)) and (tag in (ANY_TAG, tg)):
-                return msg
-            self.pending.append(msg)
+    @staticmethod
+    def decode(wire: Any) -> Any:
+        return wire
+
+
+class _FirstFailure:
+    """Thread-transport first-failure record, shaped like ``mp.Value("l", -1)``."""
+
+    def __init__(self) -> None:
+        self.value = -1
+        self._lock = threading.Lock()
+
+    def get_lock(self) -> threading.Lock:
+        return self._lock
 
 
 class World:
-    """Shared state backing one thread-transport SPMD execution.
+    """One SPMD execution's rank world, over its transport's primitives.
 
-    Holds the per-rank mailboxes and the barrier, accumulates transport
-    statistics (message counts and payload bytes) that the machine cost
-    model uses to charge communication time, and implements the narrow
-    transport interface (``deliver`` / ``poll`` / ``barrier_wait`` /
-    ``aborted``) the :class:`Communicator` is written against.
+    The :class:`Communicator` is written against this class only:
+    ``deliver`` / ``poll`` / ``barrier_wait`` / ``aborted`` / ``fail`` /
+    ``record``.  Built with no primitives it is the thread world
+    (in-process queues, ``threading`` barrier and event, the copying
+    codec); the process transport hands it multiprocessing ones and its
+    shared-memory codec, builds it before the fork and every rank runs
+    on its inherited copy.  ``traffic[rank]`` is the ``(messages,
+    bytes)`` that rank sent, written by that rank only; ``run_spmd``
+    fills it from the rank reports, so the sums below are the same on
+    both transports.
     """
 
-    def __init__(self, size: int, timeout: float = DEFAULT_TIMEOUT) -> None:
+    def __init__(
+        self,
+        size: int,
+        timeout: float = DEFAULT_TIMEOUT,
+        *,
+        inboxes: Sequence[Any] | None = None,
+        barrier: Any = None,
+        abort: Any = None,
+        failed: Any = None,
+        codec: Any = None,
+    ) -> None:
         if size < 1:
             raise ValueError("world size must be >= 1")
         self.size = size
         self.timeout = timeout
-        self.mailboxes = [_Mailbox() for _ in range(size)]
-        self.barrier_obj = threading.Barrier(size)
-        self.abort = threading.Event()
-        self.failure: tuple[int, BaseException] | None = None
-        self._stats_lock = threading.Lock()
-        self.messages_sent = 0
-        self.bytes_sent = 0
+        self.inboxes: list[Any] = (
+            list(inboxes) if inboxes is not None else [queue.SimpleQueue() for _ in range(size)]
+        )
+        self.barrier = barrier if barrier is not None else threading.Barrier(size)
+        self.abort = abort if abort is not None else threading.Event()
+        self.failed = failed if failed is not None else _FirstFailure()
+        self.codec = codec if codec is not None else _CopyCodec()
+        self.traffic: list[tuple[int, int]] = [(0, 0)] * size
+        self._pending: list[list[tuple[int, int, Any]]] = [[] for _ in range(size)]
 
-    def record(self, payload: Any) -> None:
-        nbytes = _payload_bytes(payload)
-        with self._stats_lock:
-            self.messages_sent += 1
-            self.bytes_sent += nbytes
+    @property
+    def messages_sent(self) -> int:
+        return sum(m for m, _ in self.traffic)
 
-    # -- narrow transport interface (shared with _ProcessRankWorld) -----
+    @property
+    def bytes_sent(self) -> int:
+        return sum(b for _, b in self.traffic)
+
+    def record(self, rank: int, payload: Any) -> None:
+        """Count one message of ``payload``'s logical bytes against ``rank``."""
+        messages, nbytes = self.traffic[rank]
+        self.traffic[rank] = (messages + 1, nbytes + _payload_bytes(payload))
 
     def aborted(self) -> str | None:
         """Abort reason if the world is dead, else ``None``."""
         if not self.abort.is_set():
             return None
-        if self.failure is not None:
-            rank, exc = self.failure
-            return f"world aborted (rank {rank} raised {type(exc).__name__})"
-        return "world aborted"
+        rank = int(self.failed.value)
+        return f"world aborted: rank {rank} failed" if rank >= 0 else "world aborted"
 
-    def fail(self, rank: int, exc: BaseException) -> None:
-        """Mark the world dead because ``rank`` raised ``exc``."""
-        with self._stats_lock:
-            if self.failure is None:
-                self.failure = (rank, exc)
+    def fail(self, rank: int = -1) -> None:
+        """Abort the world; ``rank`` is recorded if it is the first to fail."""
+        with self.failed.get_lock():
+            if self.failed.value < 0:
+                self.failed.value = rank
         self.abort.set()
-        self.barrier_obj.abort()
+        with contextlib.suppress(OSError, ValueError):  # barrier torn down
+            self.barrier.abort()
 
     def deliver(self, dest: int, source: int, tag: int, obj: Any) -> None:
-        """Isolate ``obj`` and enqueue it on ``dest``'s mailbox."""
-        payload = _isolate(obj)
-        self.record(payload)
-        self.mailboxes[dest].inbox.put((source, tag, payload))
+        """Fix ``obj`` through the codec and enqueue it for ``dest``."""
+        self.record(source, obj)
+        self.inboxes[dest].put((source, tag, self.codec.encode(obj, source)))
 
-    def poll(self, rank: int, source: int, tag: int, step: float) -> Any:
-        """One bounded matching attempt on ``rank``'s mailbox."""
-        _, _, payload = self.mailboxes[rank].match(source, tag, step)
-        return payload
+    def poll(self, rank: int, source: int, tag: int) -> Any:
+        """Take ``rank``'s first message matching ``(source, tag)``.
+
+        Waits up to the world timeout, checking for abort every
+        :data:`POLL_STEP`; non-matching messages are kept, in arrival
+        order, for later polls.
+        """
+
+        def matches(src: int, tg: int) -> bool:
+            return source in (ANY_SOURCE, src) and tag in (ANY_TAG, tg)
+
+        pending = self._pending[rank]
+        waited = 0.0  # counted in empty poll steps: no clock is read
+        while True:
+            reason = self.aborted()
+            if reason is not None:
+                raise SpmdError(reason)
+            for i, (src, tg, _) in enumerate(pending):
+                if matches(src, tg):
+                    return pending.pop(i)[2]
+            if waited >= self.timeout:
+                raise SpmdError(
+                    f"recv(source={source}, tag={tag}) timed out after {self.timeout}s "
+                    "— likely SPMD deadlock"
+                )
+            step = min(POLL_STEP, self.timeout - waited)
+            try:
+                src, tg, wire = self.inboxes[rank].get(timeout=step)
+            except queue.Empty:
+                waited += step
+                continue
+            pending.append((src, tg, self.codec.decode(wire)))
 
     def barrier_wait(self) -> None:
-        """Enter the world barrier; name the culprit if it breaks."""
+        """Enter the world barrier; name the first failed rank if it breaks."""
         try:
-            self.barrier_obj.wait(timeout=self.timeout)
+            self.barrier.wait(self.timeout)
         except threading.BrokenBarrierError:
-            failure = self.failure
-            if failure is not None:
-                rank, exc = failure
-                raise SpmdError(
-                    f"barrier broken: rank {rank} raised "
-                    f"{type(exc).__name__}: {exc}"
-                ) from exc
-            raise SpmdError(
-                f"barrier broken (a rank died or timed out after {self.timeout}s)"
-            ) from None
+            rank = int(self.failed.value)
+            why = (
+                f"rank {rank} failed"
+                if rank >= 0
+                else f"a rank died or did not arrive within {self.timeout}s"
+            )
+            raise SpmdError(f"barrier broken: {why}") from None
 
 
 def _shape_sig(obj: Any, depth: int = 0) -> str:
@@ -266,14 +318,9 @@ def _payload_bytes(obj: Any) -> int:
 
 
 class Communicator:
-    """Rank-local handle to a world (mpi4py-flavoured API).
+    """Rank-local handle to a :class:`World` (mpi4py-flavoured API)."""
 
-    ``world`` is any transport implementing the narrow interface:
-    the thread :class:`World` here, or the process-backed rank world in
-    :mod:`repro.parallel.transport`.
-    """
-
-    def __init__(self, world: Any, rank: int) -> None:
+    def __init__(self, world: World, rank: int) -> None:
         self.world = world
         self.rank = rank
         self.size = world.size
@@ -300,18 +347,7 @@ class Communicator:
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Receive a message matching ``(source, tag)``; blocks until available."""
-        deadline_step = min(0.25, self.world.timeout)
-        waited = 0.0
-        while True:
-            reason = self.world.aborted()
-            if reason is not None:
-                raise SpmdError(reason)
-            try:
-                return self.world.poll(self.rank, source, tag, deadline_step)
-            except SpmdError:
-                waited += deadline_step
-                if waited >= self.world.timeout:
-                    raise
+        return self.world.poll(self.rank, source, tag)
 
     def sendrecv(self, obj: Any, dest: int, source: int, tag: int = 0) -> Any:
         """Combined send+recv (safe against pairwise exchange deadlock)."""
@@ -460,6 +496,46 @@ class _SysTag:
     SANITIZE = -105  # collective-sequence sanitizer cross-check
 
 
+def _rank_main(
+    world: World, rank: int, fn: Callable[..., Any], args: tuple[Any, ...], kwargs: dict[str, Any]
+) -> RankReport:
+    """Run one rank of either transport; a rank that raises aborts the world."""
+    try:
+        ok, value = True, fn(Communicator(world, rank), *args, **kwargs)
+    except BaseException as exc:  # repro: noqa[RPR006] - reported to
+        # run_spmd, which re-raises it as SpmdError after the world aborts
+        world.fail(rank)
+        ok, value = False, (f"{type(exc).__name__}: {exc}", exc)
+    return ok, value, world.traffic[rank]
+
+
+def _run_thread_ranks(
+    world: World, fn: Callable[..., Any], args: tuple[Any, ...], kwargs: dict[str, Any]
+) -> tuple[dict[int, RankReport], list[int]]:
+    """One thread per rank (one rank runs inline); ``(reports, stuck)``."""
+    reports: dict[int, RankReport] = {}
+
+    def runner(rank: int) -> None:
+        reports[rank] = _rank_main(world, rank, fn, args, kwargs)
+
+    if world.size == 1:
+        # no threads, a direct call (useful under profilers)
+        runner(0)
+        return reports, []
+    threads = [
+        threading.Thread(target=runner, args=(r,), name=f"spmd-rank-{r}", daemon=True)
+        for r in range(world.size)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(world.timeout * 4)
+    stuck = [r for r, t in enumerate(threads) if t.is_alive()]
+    if stuck:
+        world.fail()
+    return reports, stuck
+
+
 def run_spmd(
     nranks: int,
     fn: Callable[..., Any],
@@ -468,13 +544,15 @@ def run_spmd(
     return_world: bool = False,
     transport: "str | SpmdConfig | None" = None,
     **kwargs: Any,
-) -> list[Any] | tuple[list[Any], Any]:
+) -> list[Any] | tuple[list[Any], World]:
     """Execute ``fn(comm, *args, **kwargs)`` on ``nranks`` concurrent ranks.
 
     Returns the list of per-rank return values (rank order).  If any rank
-    raises, the world is aborted and the first exception is re-raised
-    wrapped in :class:`SpmdError`.  With ``return_world=True`` the world
-    (carrying transport statistics) is also returned.
+    raises, the world is aborted and the first rank to fail is re-raised
+    as :class:`SpmdError`, chaining its exception (thread ranks) or a
+    :class:`~repro.parallel.transport.RemoteRankError` with its traceback
+    (process ranks).  With ``return_world=True`` the :class:`World`
+    (carrying ``messages_sent`` / ``bytes_sent``) is also returned.
 
     ``transport`` selects the rank substrate: ``"thread"`` (default; the
     deterministic in-process reference), ``"process"`` (one forked OS
@@ -484,51 +562,37 @@ def run_spmd(
     always runs inline on the calling thread regardless of transport
     (useful under profilers; also what the cost model assumes).
     """
-    from .transport import resolve_transport, run_process_spmd
+    from .transport import resolve_transport, run_process_ranks
 
     cfg = resolve_transport(transport)
-    if nranks > 1 and cfg.transport == "process":
-        return run_process_spmd(
-            cfg, nranks, fn, args, kwargs, timeout=timeout, return_world=return_world
-        )
     if cfg.timeout is not None:
         timeout = cfg.timeout
-
-    world = World(nranks, timeout=timeout)
-    results: list[Any] = [None] * nranks
-    errors: list[tuple[int, BaseException]] = []
-    lock = threading.Lock()
-
-    def runner(rank: int) -> None:
-        comm = Communicator(world, rank)
-        try:
-            results[rank] = fn(comm, *args, **kwargs)
-        except BaseException as exc:  # repro: noqa[RPR006] - collected and
-            # re-raised by spmd() as SpmdError after the world aborts
-            with lock:
-                errors.append((rank, exc))
-            world.fail(rank, exc)
-
-    if nranks == 1:
-        # Fast path: no threads, direct call (useful under profilers).
-        runner(0)
+    dead: dict[int, int] = {}
+    if nranks > 1 and cfg.transport == "process":
+        world, reports, dead, stuck = run_process_ranks(cfg, nranks, fn, args, kwargs, timeout)
     else:
-        threads = [
-            threading.Thread(target=runner, args=(r,), name=f"spmd-rank-{r}", daemon=True)
-            for r in range(nranks)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=timeout * 4)
-            if t.is_alive():
-                world.abort.set()
-                world.barrier_obj.abort()
-                raise SpmdError(f"rank thread {t.name} failed to terminate")
+        world = World(nranks, timeout=timeout)
+        reports, stuck = _run_thread_ranks(world, fn, args, kwargs)
 
+    for rank, (_, _, traffic) in reports.items():
+        world.traffic[rank] = traffic
+    if dead:
+        # a rank that died without reporting (hard crash) is always the
+        # root cause — any recorded errors are its peers' broken waits
+        rank, code = min(dead.items())
+        raise SpmdError(f"rank {rank} died with exit code {code} before returning a result")
+    errors = {r: value for r, (ok, value, _) in reports.items() if not ok}
     if errors:
-        rank, exc = errors[0]
-        raise SpmdError(f"rank {rank} raised {type(exc).__name__}: {exc}") from exc
+        # the first rank to fail is the root cause; its abort broke its peers
+        first = int(world.failed.value)
+        rank = first if first in errors else min(errors)
+        description, cause = errors[rank]
+        raise SpmdError(f"rank {rank} raised {description}") from cause
+    if stuck:
+        raise SpmdError(
+            f"SPMD ranks {stuck} failed to finish within {timeout * 4}s — likely deadlock"
+        )
+    results = [reports[r][1] for r in range(nranks)]
     if return_world:
         return results, world
     return results

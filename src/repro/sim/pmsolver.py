@@ -87,12 +87,27 @@ _MAX_AUTO_WORKERS = 8
 _BLOCK_ROWS = 16384
 
 
+#: Held around every transform here and, through the at-fork hooks below,
+#: across every ``os.fork`` in the process.  pocketfft stops its thread
+#: pool for the length of a fork, and a transform another thread submits
+#: in that window raises "Work item submitted after shutdown" (a rank
+#: world or exec pool forked beside the solver).
+_FFT_FORK_LOCK = threading.Lock()
+
+os.register_at_fork(
+    before=_FFT_FORK_LOCK.acquire,
+    after_in_parent=_FFT_FORK_LOCK.release,
+    after_in_child=_FFT_FORK_LOCK.release,
+)
+
+
 def resolve_fft_workers(workers: int | None = None) -> int:
     """Resolve the PM thread count: the FFTs and the particle passes.
 
     Explicit ``workers`` wins; else the ``REPRO_PM_WORKERS`` environment
-    variable; else the CPU count capped at ``8``.  Always ≥ 1.  Every
-    result is bit-identical for any value, so this is purely a
+    variable; else the CPUs this process may run on
+    (:func:`repro.exec.default_workers`), capped at ``8``.  Always ≥ 1.
+    Every result is bit-identical for any value, so this is purely a
     throughput knob.
     """
     if workers is None:
@@ -100,7 +115,10 @@ def resolve_fft_workers(workers: int | None = None) -> int:
         if env:
             workers = int(env)
         else:
-            workers = min(os.cpu_count() or 1, _MAX_AUTO_WORKERS)
+            # imported here: repro.exec imports the analysis layer, which imports this module
+            from ..exec.engine import default_workers
+
+            workers = min(default_workers(), _MAX_AUTO_WORKERS)
     return max(int(workers), 1)
 
 
@@ -403,9 +421,11 @@ class PMSolver:
         The fused force path never materializes φ; this method exists so
         tests can compare against the oracle ``solve_poisson``.
         """
-        dk = sp_fft.rfftn(np.asarray(delta, dtype=np.float64), workers=self.workers)
+        with _FFT_FORK_LOCK:
+            dk = sp_fft.rfftn(np.asarray(delta, dtype=np.float64), workers=self.workers)
         phik = -factor * self._inv_k2 * dk
-        out = sp_fft.irfftn(phik, s=delta.shape, workers=self.workers)
+        with _FFT_FORK_LOCK:
+            out = sp_fft.irfftn(phik, s=delta.shape, workers=self.workers)
         self._count_ffts(2)
         return out
 
@@ -427,7 +447,8 @@ class PMSolver:
         k_x planes on the PM threads; one batched inverse transform over
         it.  ``δ_k`` is released before the inverse allocates its output.
         """
-        dk = sp_fft.rfftn(delta, workers=self.workers)
+        with _FFT_FORK_LOCK:
+            dk = sp_fft.rfftn(delta, workers=self.workers)
         ak = np.empty((3, *dk.shape), dtype=np.complex128)
         parts = min(self.workers, len(dk))
         planes = [len(dk) * k // parts for k in range(parts + 1)]
@@ -441,9 +462,10 @@ class PMSolver:
 
         self._on_threads(parts, products)
         del dk
-        out = sp_fft.irfftn(
-            ak, s=delta.shape, axes=(1, 2, 3), workers=self.workers, overwrite_x=True
-        )
+        with _FFT_FORK_LOCK:
+            out = sp_fft.irfftn(
+                ak, s=delta.shape, axes=(1, 2, 3), workers=self.workers, overwrite_x=True
+            )
         self._count_ffts(4)
         return out
 

@@ -51,7 +51,6 @@ streamed and in-memory catalogs cannot drift apart at the
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -62,18 +61,12 @@ import numpy as np
 
 from ..analysis.fof import DEFAULT_MIN_COUNT, link_components, wrap_periodic
 from ..analysis.union_find import GrowableDisjointSet
+from ..exec.engine import default_workers as link_width  # link-stage width W
 from ..obs import get_recorder
 
 __all__ = ["StreamOrderError", "StreamedCatalog", "StreamingFOF", "GroupForest", "link_width"]
 
 _NO_TAG = np.iinfo(np.int64).max
-
-
-def link_width() -> int:
-    """Link-stage width ``W``: the CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _name_lane() -> None:

@@ -61,7 +61,8 @@ def test_spmd_config_validates_transport():
         SpmdConfig(transport="mpi")
 
 
-def test_resolve_transport_accepts_str_config_none():
+def test_resolve_transport_accepts_str_config_none(monkeypatch):
+    monkeypatch.delenv(TRANSPORT_ENV, raising=False)
     assert resolve_transport("process").transport == "process"
     cfg = SpmdConfig(transport="process", shm_threshold=1)
     assert resolve_transport(cfg) is cfg

@@ -9,6 +9,7 @@ momentum conservation, buffer non-aliasing, and telemetry accounting.
 
 import dataclasses
 import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -407,6 +408,46 @@ def test_resolve_fft_workers(monkeypatch):
     assert resolve_fft_workers() == 5
     monkeypatch.delenv("REPRO_PM_WORKERS")
     assert resolve_fft_workers() >= 1
+
+
+def test_default_pm_workers_follow_the_affinity_mask(monkeypatch):
+    # under taskset or a cpuset the PM starts no more threads than the
+    # process may run on, whatever the machine's CPU count
+    monkeypatch.delenv("REPRO_PM_WORKERS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert resolve_fft_workers() == 1
+
+
+
+def test_transforms_beside_a_forking_thread():
+    # pocketfft stops its pool for the length of each fork: a transform
+    # submitted meanwhile used to raise "Work item submitted after shutdown"
+    from repro.parallel import run_spmd
+
+    solver = PMSolver(32, workers=2)
+    delta = np.random.default_rng(3).standard_normal((32, 32, 32))
+    expected = solver.inverse_gradient(delta)
+    stop = threading.Event()
+    errors = []
+
+    def transforms():
+        while not stop.is_set():
+            try:
+                np.testing.assert_array_equal(solver.inverse_gradient(delta), expected)
+            except Exception as exc:  # collected for the assert below
+                errors.append(exc)
+
+    thread = threading.Thread(target=transforms)
+    thread.start()
+    try:
+        for _ in range(10):
+            assert run_spmd(2, lambda comm: comm.rank, transport="process") == [0, 1]
+    finally:
+        stop.set()
+        thread.join(timeout=30.0)
+    assert not thread.is_alive()
+    assert errors == []
 
 
 SPLIT_SIZES = [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 17, 3 * BLOCK + 7]
