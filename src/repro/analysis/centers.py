@@ -441,7 +441,7 @@ def halo_centers(
         softening=softening,
         method=method,
         select_tags=select_tags,
-        workers=workers or 1,
+        workers=1 if workers is None else workers,
     )
 
 

@@ -6,12 +6,13 @@ placement* — not raw FLOPs — decides wall-clock (§3.3.2, Figure 4).
 This package is the one executor under every per-halo batch, in-situ
 and off-line:
 
-- :class:`HaloWorkQueue` — cost-model-guided LPT schedule with halo
-  splitting, small-halo chunking, and a work-stealing tail pool
-- :class:`ExecutionEngine` — runs a queue inline on the calling thread
-  (one worker) or over a pool of worker processes, with full
-  :mod:`repro.obs` instrumentation (per-worker spans, load-imbalance
-  gauge, steal counter, per-item dispatch overhead on each span)
+- :class:`HaloWorkQueue` — cost-model-guided LPT item list with halo
+  splitting and small-halo chunking; workers claim it through one cursor
+- :class:`ExecutionEngine` — runs a queue's one job function inline on
+  the calling thread (one worker) or on every worker of the shared
+  process pool, with full :mod:`repro.obs` instrumentation (per-worker
+  spans, load-imbalance gauge, steal counter, per-item dispatch
+  overhead on each span)
 - :class:`SharedParticleStore` — zero-copy shared-memory particle arrays
   for the pooled runs
 - :class:`~repro.exec.supervisor.ProcessGroup` — the one process

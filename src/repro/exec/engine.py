@@ -13,45 +13,53 @@ Design (see :mod:`repro.exec.workqueue` for the scheduling policy):
 * the :class:`~repro.exec.workqueue.HaloWorkQueue` pre-sorts work items
   longest-processing-time-first using the ``n(n-1)`` cost model, splits
   giant halos into row slabs, and packs small halos into amortized
-  chunks; the head items seed one worker each and idle workers steal
-  the tail through an atomic cursor;
+  chunks; workers claim the items in that order through one cursor, so
+  the head items go one per worker and the tail to whoever idles first;
+* every batch runs the one job function, :func:`run_job`: pool workers
+  call it with the shared cursor, a one-worker batch calls it on the
+  calling thread with a local cursor (no fork, no shared-memory
+  segment, no pool lock), and one handler folds its messages into every
+  :class:`ExecReport`.  A second pooled batch that finds the shared
+  pool busy waits for it; the engine forks only to create or replace
+  that pool;
 * results return as tiny tuples (indices + scalars for centers; pickled
   :class:`~repro.analysis.subhalos.SubhaloResult` for subhalos) and are
   reassembled in deterministic halo order.  This is the **one path** a
   batch of per-halo kernels takes — the item runners below are the only
   callers of ``mbp_center_*`` / ``find_subhalos`` in ``src/`` — so the
-  worker count is a width, not a choice of code: one worker runs the
-  same items inline on the calling thread (no fork, no shared-memory
-  segment), and output is bit-identical for any count (the independent
-  per-halo loop it is checked against lives in ``tests/oracles``);
+  worker count is a width, not a choice of code, and output is
+  bit-identical for any count (the independent per-halo loop it is
+  checked against lives in ``tests/oracles``);
 * a crashing worker is isolated: its traceback is shipped back, the
   remaining workers drain at the next item boundary, and the engine
   raises :class:`WorkerError` instead of hanging;
 * with ``item_retries > 0`` the failure unit shrinks from worker to
   *item*: a failing item (including an injected ``"exec.item"`` fault
-  from the active :class:`~repro.faults.FaultPlan`) is shipped back as
-  an item error, retried inline by the parent under the shared failure
-  ladder (:meth:`~repro.faults.RetryPolicy.attempt`, no requeue rung)
-  and — after exhausting its retries — *poisoned*: quarantined in the
-  engine's bounded :class:`~repro.faults.DeadLetterBox` and excluded
-  from the output, while every other item completes normally (see
-  ``docs/failures.md``);
+  from the active :class:`~repro.faults.FaultPlan`) is reported as an
+  item error, retried by the parent on its own thread under the shared
+  failure ladder (:meth:`~repro.faults.RetryPolicy.attempt`, no requeue
+  rung) and — after exhausting its retries — *poisoned*: quarantined in
+  the engine's bounded :class:`~repro.faults.DeadLetterBox` and
+  excluded from the output, while every other item completes normally
+  (see ``docs/failures.md``);
 * everything is instrumented through :mod:`repro.obs`: per-worker item
   spans land in the Chrome trace on ``exec-worker-N`` tracks (on the
   calling thread's own track for an inline run), the
   ``exec_load_imbalance_ratio`` gauge reports max/mean worker busy time
-  (the paper's Figure 4 metric), ``exec_steals_total`` counts tail
-  steals, and each ``exec.item`` span carries its dispatch ``overhead``
-  (the gap since its worker's previous item ended).
+  (the paper's Figure 4 metric), ``exec_steals_total`` counts claims
+  past the head (none at one worker), and each ``exec.item`` span
+  carries its dispatch ``overhead`` (the gap since its worker's
+  previous item ended).
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Protocol
+from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -80,6 +88,7 @@ __all__ = [
     "default_workers",
     "parallel_halo_centers",
     "parallel_subhalos",
+    "run_job",
     "shutdown_pool",
 ]
 
@@ -94,6 +103,15 @@ def default_workers() -> int:
         return max(len(os.sched_getaffinity(0)), 1)
     except AttributeError:  # pragma: no cover - non-Linux
         return max(os.cpu_count() or 1, 1)
+
+
+def _width(workers: int | None) -> int:
+    """A run's width: ``None`` is :func:`default_workers`, below one is an error."""
+    if workers is None:
+        return default_workers()
+    if workers < 1:
+        raise ValueError(f"a batch needs at least one worker, got {workers}")
+    return int(workers)
 
 
 class WorkerError(RuntimeError):
@@ -144,7 +162,6 @@ class ExecReport:
     imbalance: float = 1.0
     total_cost: int = 0
     item_log: list[ItemRecord] = field(default_factory=list)
-    halo_seconds: dict[int, float] = field(default_factory=dict)
     #: item attempts that failed (before retry resolution)
     item_failures: int = 0
     #: items that succeeded on an inline retry after a worker-side failure
@@ -166,16 +183,16 @@ class ExecReport:
 
 
 # ---------------------------------------------------------------------------
-# task runners (executed inside workers; registered by name so spawn-based
-# contexts can resolve them after re-import)
+# task runners and the one job loop that drives them (registered by name:
+# a job names its task, and pool workers resolve it in their own copy)
 # ---------------------------------------------------------------------------
 
 
 class ParticleArrays(Protocol):
-    """Structural type shared by :class:`SharedParticleStore` and the
-    inline dict-of-arrays store: field name -> particle array."""
+    """Structural type shared by :class:`SharedParticleStore` and a plain
+    mapping of arrays (a one-worker batch): field name -> particle array."""
 
-    def __getitem__(self, field: str) -> np.ndarray: ...
+    def __getitem__(self, field: str, /) -> np.ndarray: ...
 
 
 def _members_of(store: ParticleArrays, h: int) -> np.ndarray:
@@ -291,6 +308,45 @@ _TASK_RUNNERS: dict[str, Callable[..., list[tuple[Any, ...]]]] = {
 }
 
 
+def run_job(
+    job_id: int,
+    worker: int,
+    items: Sequence[WorkItem],
+    store: ParticleArrays,
+    task: Mapping[str, Any],
+    claim: Callable[[], int | None],
+    put: Callable[[tuple[Any, ...]], None],
+    catch_item_errors: bool,
+) -> None:
+    """Run claimed items until ``claim`` returns ``None``: the one job loop.
+
+    A pool worker claims from the shared cursor and puts to the result
+    queue; a one-worker batch claims from a local cursor and hands each
+    message straight to the engine's handler.  Every item becomes one
+    ``("item", job_id, worker, item_id, t0, t1, overhead, payload)``
+    message, ``overhead`` being the gap since this worker's previous
+    item ended.  A failing item propagates its exception, unless
+    ``catch_item_errors`` is set: then its ``payload`` is ``None`` and
+    the parent retries it.
+    """
+    runner = _TASK_RUNNERS[task["task"]]
+    cache: dict[int, np.ndarray] = {}
+    t_prev = time.perf_counter()
+    while (item_id := claim()) is not None:
+        t0 = time.perf_counter()
+        payload: list[tuple[Any, ...]] | None
+        try:
+            maybe_inject("exec.item", item_id)
+            payload = runner(items[item_id], store, task, cache)
+        except Exception:
+            if not catch_item_errors:
+                raise
+            payload = None
+        t1 = time.perf_counter()
+        put(("item", job_id, worker, item_id, t0, t1, t0 - t_prev, payload))
+        t_prev = t1
+
+
 # ---------------------------------------------------------------------------
 # the shared worker pool
 # ---------------------------------------------------------------------------
@@ -298,46 +354,37 @@ _TASK_RUNNERS: dict[str, Callable[..., list[tuple[Any, ...]]]] = {
 # One long-lived WorkerPool (see repro.exec.pool) is shared by every
 # engine in the process, so a campaign that runs the engine once per
 # analysis step pays the fork + warm-up cost once, not per step.  The
-# pool runs one job at a time; a second engine running concurrently on
-# another thread (e.g. the pipelined in-situ chain next to an off-line
-# job) gets a private ephemeral pool instead of blocking.
+# pool runs one job at a time: a second pooled batch on another thread
+# (e.g. the pipelined in-situ chain next to an off-line job) waits for
+# it rather than forking a pool of its own.
 
 _SHARED_POOL: WorkerPool | None = None
 _SHARED_POOL_LOCK = threading.Lock()
 
 
-def _acquire_pool(n_workers: int) -> tuple[WorkerPool, bool, bool]:
-    """Borrow the shared pool (or build one). Returns (pool, shared, reused).
+@contextlib.contextmanager
+def _shared_pool(n_workers: int) -> Iterator[tuple[WorkerPool, bool]]:
+    """Hold the shared pool for one job; yields ``(pool, reused)``.
 
-    ``shared=True`` means the caller holds ``_SHARED_POOL_LOCK`` and must
-    release it through :func:`_release_pool`; ``reused=True`` means an
-    existing pool's workers take this job (no forks).
+    Waits while another thread holds it.  Forks a pool only when there
+    is none, or the last one is closed, dead or narrower than
+    ``n_workers``; ``reused`` means warm workers take the job.  A job
+    cut short by an exception closes the pool, so the next batch
+    replaces it.
     """
     global _SHARED_POOL
-    if _SHARED_POOL_LOCK.acquire(blocking=False):
+    with _SHARED_POOL_LOCK:
         pool = _SHARED_POOL
-        if pool is not None and pool.alive and pool.n_workers >= n_workers:
-            return pool, True, True
-        if pool is not None:
+        reused = pool is not None and pool.alive and pool.n_workers >= n_workers
+        if pool is None or not reused:
+            if pool is not None:
+                pool.close()
+            pool = _SHARED_POOL = WorkerPool(n_workers)
+        try:
+            yield pool, reused
+        except BaseException:
             pool.close()
-        _SHARED_POOL = WorkerPool(n_workers)
-        return _SHARED_POOL, True, False
-    # the shared pool is busy on another thread: private one-job pool
-    return WorkerPool(n_workers), False, False
-
-
-def _release_pool(pool: WorkerPool, shared: bool, broken: bool) -> None:
-    """Return a pool borrowed via :func:`_acquire_pool`.
-
-    A broken pool (a worker died, or the job timed out) is closed, so
-    the next :func:`_acquire_pool` replaces it; a private pool always is.
-    """
-    try:
-        if broken or not shared:
-            pool.close()
-    finally:
-        if shared:
-            _SHARED_POOL_LOCK.release()
+            raise
 
 
 def shutdown_pool() -> None:
@@ -364,9 +411,9 @@ class ExecutionEngine:
     Parameters
     ----------
     workers:
-        Width of a run (default: cores available to this process).  One
-        worker — or a queue of one item — runs inline on the calling
-        thread; more fan out over pooled worker processes.
+        Width of a run, at least one (default: cores available to this
+        process).  One worker — or a queue of one item — runs the job
+        on the calling thread; more fan it out over the shared pool.
     split_factor, chunk_factor, min_split_rows:
         Scheduling knobs forwarded to :meth:`HaloWorkQueue.build`.
     result_timeout:
@@ -392,7 +439,7 @@ class ExecutionEngine:
         result_timeout: float = 600.0,
         item_retries: int = 0,
     ) -> None:
-        self.workers = int(workers) if workers else default_workers()
+        self.workers = _width(workers)
         self.split_factor = split_factor
         self.chunk_factor = chunk_factor
         self.min_split_rows = min_split_rows
@@ -435,192 +482,130 @@ class ExecutionEngine:
         index, which is what makes results scheduling-independent.
         """
         rec = get_recorder()
-        n_workers = max(1, min(self.workers, max(len(work.items), 1)))
+        width = max(1, min(self.workers, len(work.items)))
         n_halos = int(len(arrays["starts"]) - 1) if "starts" in arrays else 0
+        payloads: list[tuple[int, list[tuple[Any, ...]]]] = []
+        log: list[ItemRecord] = []
+        failed: list[int] = []
+        busy = [0.0] * width
+        steals = [0] * width
+
+        def take(msg: tuple[Any, ...]) -> None:
+            """Fold one ``item`` message of :func:`run_job` into the run."""
+            _, _, w, item_id, t0, t1, overhead, payload = msg
+            item = work.items[item_id]
+            # the first ``width`` claims are the LPT head, one per worker;
+            # a later claim is a steal (there is no one to steal from at 1)
+            stolen = width > 1 and item_id >= width
+            log.append(ItemRecord(w, item.kind, item.n_halos, item.cost, t0, t1, overhead, stolen))
+            busy[w] += t1 - t0
+            steals[w] += stolen
+            if payload is None:
+                failed.append(item_id)
+            else:
+                payloads.append((item_id, payload))
+
         with rec.span(
             "exec.run",
             task=task.get("task"),
-            workers=n_workers,
+            workers=width,
             items=len(work.items),
             halos=n_halos,
         ):
             t_wall0 = time.perf_counter()
-            if n_workers == 1 or len(work.items) == 0:
-                payloads, report = self._run_inline(arrays, work, task)
+            if width == 1:
+                ids = iter(range(len(work.items)))
+                catch = self.item_retries > 0
+                run_job(0, 0, work.items, arrays, task, lambda: next(ids, None), take, catch)
             else:
-                payloads, report = self._run_processes(arrays, work, task, n_workers)
-            report.wall_seconds = time.perf_counter() - t_wall0
-            report.n_halos = n_halos
+                self._run_pool(arrays, work, task, width, take)
+            recovered, poisoned = self._retry_failed_items(failed, arrays, work, task, payloads)
+            mean_busy = sum(busy) / width
+            report = ExecReport(
+                workers=width,
+                n_items=len(work.items),
+                n_halos=n_halos,
+                n_split_halos=work.n_split_halos,
+                wall_seconds=time.perf_counter() - t_wall0,
+                worker_busy=busy,
+                steals=steals,
+                imbalance=max(busy) / mean_busy if mean_busy > 0 else 1.0,
+                total_cost=work.total_cost,
+                item_log=log,
+                item_failures=len(failed),
+                recovered_items=recovered,
+                poisoned=poisoned,
+            )
             self._record_telemetry(rec, report, task)
         return payloads, report
 
-    # -- inline (single worker, no processes) ---------------------------------
-
-    def _run_inline(
-        self, arrays: Mapping[str, np.ndarray], work: HaloWorkQueue, task: dict[str, Any]
-    ) -> tuple[list[tuple[int, list[tuple[Any, ...]]]], ExecReport]:
-        runner = _TASK_RUNNERS[task["task"]]
-        store = _InlineStore(arrays)
-        cache: dict[int, np.ndarray] = {}
-        payloads: list[tuple[int, list[tuple[Any, ...]]]] = []
-        log: list[ItemRecord] = []
-        failed_items: list[int] = []
-        busy = 0.0
-        order = [i for ids in work.seeds for i in ids] + list(work.pool)
-        t_prev = time.perf_counter()
-        for item_id in order:
-            item = work.items[item_id]
-            t0 = time.perf_counter()
-            try:
-                maybe_inject("exec.item", item_id)
-                payloads.append((item_id, runner(item, store, task, cache)))
-            except Exception:
-                if self.item_retries == 0:
-                    raise  # historical contract: inline failures propagate
-                failed_items.append(item_id)
-            t1 = time.perf_counter()
-            log.append(
-                ItemRecord(0, item.kind, item.n_halos, item.cost, t0, t1, t0 - t_prev, False)
-            )
-            busy += t1 - t0
-            t_prev = t1
-        recovered, poisoned = self._retry_failed_items(
-            failed_items, arrays, work, task, payloads
-        )
-        return payloads, ExecReport(
-            workers=1,
-            n_items=len(work.items),
-            n_halos=0,
-            n_split_halos=work.n_split_halos,
-            wall_seconds=0.0,
-            worker_busy=[busy],
-            steals=[0],
-            imbalance=1.0,
-            total_cost=work.total_cost,
-            item_log=log,
-            item_failures=len(failed_items),
-            recovered_items=recovered,
-            poisoned=poisoned,
-        )
-
-    # -- multi-process path ---------------------------------------------------
-
-    def _run_processes(
+    def _run_pool(
         self,
         arrays: Mapping[str, np.ndarray],
         work: HaloWorkQueue,
         task: dict[str, Any],
-        n_workers: int,
-    ) -> tuple[list[tuple[int, list[tuple[Any, ...]]]], ExecReport]:
-        rec = get_recorder()
-        store = SharedParticleStore.create(**arrays)
-        error: WorkerError | None = None
-        payloads: list[tuple[int, list[tuple[Any, ...]]]] = []
-        log: list[ItemRecord] = []
-        busy = [0.0] * n_workers
-        steals = [0] * n_workers
-        failed_items: list[int] = []
+        width: int,
+        take: Callable[[tuple[Any, ...]], None],
+    ) -> None:
+        """Run the job on the shared pool's first ``width`` workers."""
         # fault plan + trace context for the workers: run() holds the
         # exec.run span open on this thread, so worker telemetry comes
         # back causally parented under the caller's trace
         hop = MemberContext.capture()
         snaps: dict[int, dict[str, Any] | None] = {}
-        wpool, shared, reused = _acquire_pool(n_workers)
-        if reused:
-            rec.counter(
-                "exec_pool_reuse_total",
-                help="engine runs served by an already-warm worker pool",
-            ).inc()
-        broken = True  # until the job drains cleanly
+        error: WorkerError | None = None
+        store = SharedParticleStore.create(**arrays)
         try:
-            # re-balance seeds onto the actual worker count
-            seeds: list[list[int]] = [[] for _ in range(n_workers)]
-            flat_seeds = [i for ids in work.seeds for i in ids]
-            pool = list(work.pool)
-            for rank, item_id in enumerate(flat_seeds):
-                if rank < n_workers:
-                    seeds[rank].append(item_id)
-                else:
-                    pool.insert(rank - n_workers, item_id)
-            job_id = wpool.submit(
-                n_workers, store.spec, work.items, seeds, pool, task, hop, self.item_retries > 0
-            )
-
-            def on_message(msg: tuple[Any, ...]) -> int | None:
-                nonlocal error
-                if msg[1] != job_id:
-                    # straggler from an earlier aborted job on a reused
-                    # pool: job-id tagging makes it harmless
-                    return None
-                if msg[0] == "ok":
-                    _, _, w, item_id, payload, t0, t1, overhead, stolen = msg
-                    payloads.append((item_id, payload))
-                    item = work.items[item_id]
-                    log.append(
-                        ItemRecord(w, item.kind, item.n_halos, item.cost, t0, t1, overhead, stolen)
-                    )
-                    return None
-                if msg[0] == "item_error":
-                    failed_items.append(msg[3])  # item id; retried by the parent below
-                    return None
-                if msg[0] == "done":
-                    _, _, w, wbusy, wsteals, snap = msg
-                    busy[w] = wbusy
-                    steals[w] = wsteals
-                    snaps[w] = snap
-                    return int(w)
-                # "error": the worker shipped the traceback and survives
-                # for the next job; the batch still fails loudly
-                _, _, w, tb = msg
-                wpool.group.abort()
-                if error is None:
-                    last = tb.strip().splitlines()[-1] if tb.strip() else "unknown"
-                    error = WorkerError(
-                        f"worker {w} failed: {last}", worker_id=w, remote_traceback=tb
-                    )
-                return int(w)
-
-            dead, stuck = wpool.group.drain(range(n_workers), on_message, self.result_timeout)
-            broken = bool(dead or stuck)
-            if dead and error is None:
-                w, code = min(dead.items())
-                error = WorkerError(
-                    f"worker {w} died without reporting (exitcode {code})", worker_id=w
+            with _shared_pool(width) as (wpool, reused):
+                if reused:
+                    get_recorder().counter(
+                        "exec_pool_reuse_total",
+                        help="engine runs served by an already-warm worker pool",
+                    ).inc()
+                job_id = wpool.submit(
+                    width, store.spec, work.items, task, hop, self.item_retries > 0
                 )
-            if stuck and error is None:
-                error = WorkerError(
-                    f"timed out after {self.result_timeout:.0f}s waiting for workers {stuck}"
-                )
+
+                def on_message(msg: tuple[Any, ...]) -> int | None:
+                    nonlocal error
+                    if msg[1] != job_id:
+                        # straggler from an earlier aborted job on a reused
+                        # pool: job-id tagging makes it harmless
+                        return None
+                    if msg[0] == "item":
+                        take(msg)
+                        return None
+                    w = int(msg[2])
+                    if msg[0] == "done":
+                        snaps[w] = msg[3]
+                        return w
+                    # "error": the worker shipped the traceback and survives
+                    # for the next job; the batch still fails loudly
+                    wpool.group.abort()
+                    if error is None:
+                        tb = msg[3].strip()
+                        last = tb.splitlines()[-1] if tb else "unknown"
+                        error = WorkerError(
+                            f"worker {w} failed: {last}", worker_id=w, remote_traceback=msg[3]
+                        )
+                    return w
+
+                dead, stuck = wpool.group.drain(range(width), on_message, self.result_timeout)
+                if dead or stuck:
+                    wpool.close()  # the next batch forks a fresh pool
         finally:
-            _release_pool(wpool, shared, broken)
             store.unlink()
         # worker root spans/events hang under the open exec.run span
         hop.fold(snaps, "exec-worker")
+        if error is None and dead:
+            w, code = min(dead.items())
+            error = WorkerError(f"worker {w} died without reporting (exitcode {code})", worker_id=w)
+        if error is None and stuck:
+            error = WorkerError(
+                f"timed out after {self.result_timeout:.0f}s waiting for workers {stuck}"
+            )
         if error is not None:
             raise error
-
-        recovered, poisoned = self._retry_failed_items(
-            failed_items, arrays, work, task, payloads
-        )
-
-        nonzero = [b for b in busy if b > 0]
-        mean_busy = float(np.mean(busy)) if busy else 0.0
-        imbalance = (max(busy) / mean_busy) if nonzero and mean_busy > 0 else 1.0
-        return payloads, ExecReport(
-            workers=n_workers,
-            n_items=len(work.items),
-            n_halos=0,
-            n_split_halos=work.n_split_halos,
-            wall_seconds=0.0,
-            worker_busy=busy,
-            steals=steals,
-            imbalance=imbalance,
-            total_cost=work.total_cost,
-            item_log=log,
-            item_failures=len(failed_items),
-            recovered_items=recovered,
-            poisoned=poisoned,
-        )
 
     def _retry_failed_items(
         self,
@@ -642,7 +627,6 @@ class ExecutionEngine:
         if not failed_items:
             return 0, []
         runner = _TASK_RUNNERS[task["task"]]
-        store = _InlineStore(arrays)
         retry = RetryPolicy(max_attempts=self.item_retries, base_delay=0.0, max_delay=0.0)
         attempts = 1 + self.item_retries
         recovered = 0
@@ -650,7 +634,7 @@ class ExecutionEngine:
 
         def attempt(item_id: int) -> list[tuple[Any, ...]]:
             maybe_inject("exec.item", item_id)
-            return runner(work.items[item_id], store, task, {})
+            return runner(work.items[item_id], arrays, task, {})
 
         for item_id in sorted(failed_items):
             item = work.items[item_id]
@@ -728,16 +712,6 @@ class ExecutionEngine:
         )
 
 
-class _InlineStore:
-    """Dict-of-arrays stand-in for :class:`SharedParticleStore` (inline path)."""
-
-    def __init__(self, arrays: Mapping[str, np.ndarray]) -> None:
-        self._arrays = arrays
-
-    def __getitem__(self, field: str) -> np.ndarray:
-        return np.asarray(self._arrays[field])
-
-
 # ---------------------------------------------------------------------------
 # batch drivers
 # ---------------------------------------------------------------------------
@@ -773,7 +747,7 @@ def parallel_halo_centers(
     if engine is None:
         engine = ExecutionEngine(workers=workers)
     elif workers is not None:
-        engine.workers = int(workers)
+        engine.workers = _width(workers)
 
     halo_tags, groups = group_halo_members(labels, select_tags=select_tags)
     n_halos = len(halo_tags)
@@ -897,7 +871,7 @@ def parallel_subhalos(
     if engine is None:
         engine = ExecutionEngine(workers=workers)
     elif workers is not None:
-        engine.workers = int(workers)
+        engine.workers = _width(workers)
 
     tag_list = list(halos.keys())
     groups = [np.asarray(halos[t], dtype=np.int64) for t in tag_list]
@@ -928,5 +902,4 @@ def parallel_subhalos(
         for _, h, res, seconds in entries:
             by_tag[tag_list[h]] = res
             halo_seconds[tag_list[h]] = seconds
-    report.halo_seconds = halo_seconds
     return SubhaloBatchResult(by_tag=by_tag, halo_seconds=halo_seconds, report=report)

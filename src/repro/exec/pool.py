@@ -7,15 +7,17 @@ the members of one :class:`~repro.exec.supervisor.ProcessGroup` (lane
 ``exec-worker``), which forks, watches, aborts and reaps them; the pool
 adds what a persistent worker needs on top: a job queue per worker
 (tiny payloads: the shared-memory spec, the work items, the task and
-the job's :class:`~repro.exec.supervisor.MemberContext`), the
-work-stealing cursor (inherited at fork, reset before each job with the
-group's abort event), and job-id tagging, so a straggler message from
-an aborted job can never corrupt the next one.
+the job's :class:`~repro.exec.supervisor.MemberContext`), the one
+claim cursor over the LPT-ordered items (inherited at fork, reset
+before each job with the group's abort event), and job-id tagging, so a
+straggler message from an aborted job can never corrupt the next one.
+Each worker runs :func:`repro.exec.engine.run_job` — the same job
+function a one-worker batch runs inline on the calling thread.
 
 A worker that ships an ``error`` message survives to take the next job
 (the engine still raises :class:`~repro.exec.engine.WorkerError`); a
 worker that dies, or a job that times out, makes the engine close the
-pool and fork a fresh one.  Reuse is counted in
+pool, and the next batch forks a fresh one.  Reuse is counted in
 ``exec_pool_reuse_total``; the workers are daemons with an ``atexit``
 backstop, so an abandoned pool never outlives the interpreter.
 """
@@ -23,11 +25,9 @@ backstop, so an abandoned pool never outlives the interpreter.
 from __future__ import annotations
 
 import atexit
-import time
 import traceback
 from typing import TYPE_CHECKING, Any
 
-from ..faults import maybe_inject
 from .sharedmem import SharedParticleStore
 from .supervisor import MemberContext, ProcessGroup
 
@@ -44,63 +44,29 @@ def _pool_worker_main(
     cursor: Any,  # multiprocessing.Value("l") — inherited, reset per job
     abort: Any,  # the group's abort event — inherited, cleared per job
 ) -> None:
-    """Worker loop: take one job at a time until the ``None`` sentinel."""
-    # lazy import: the runner registry lives in engine.py, which imports
+    """Worker loop: run one job at a time until the ``None`` sentinel."""
+    # lazy import: the job function lives in engine.py, which imports
     # this module
-    from .engine import _TASK_RUNNERS
+    from .engine import run_job
 
-    while True:
-        job = job_q.get()
-        if job is None:
-            break
-        job_id, spec, items, seed_ids, pool_ids, task, hop, catch_item_errors = job
+    while (job := job_q.get()) is not None:
+        job_id, spec, items, task, hop, catch_item_errors = job
         hop.install()
         store = SharedParticleStore.attach(spec)
-        runner = _TASK_RUNNERS[task["task"]]
-        cache: dict[int, Any] = {}
-        busy = 0.0
-        steals = 0
-        t_prev = time.perf_counter()
+
+        def claim() -> int | None:
+            if abort.is_set():
+                return None
+            with cursor.get_lock():
+                nxt = int(cursor.value)
+                if nxt >= len(items):
+                    return None
+                cursor.value = nxt + 1
+            return nxt
+
         try:
-
-            def run_one(item_id: int, stolen: bool) -> None:
-                nonlocal busy, t_prev
-                item: WorkItem = items[item_id]
-                t0 = time.perf_counter()
-                overhead = t0 - t_prev
-                try:
-                    maybe_inject("exec.item", item_id)
-                    payload = runner(item, store, task, cache)
-                except Exception:
-                    if not catch_item_errors:
-                        raise
-                    t1 = time.perf_counter()
-                    busy += t1 - t0
-                    t_prev = t1
-                    result_q.put(
-                        ("item_error", job_id, worker_id, item_id, traceback.format_exc())
-                    )
-                    return
-                t1 = time.perf_counter()
-                busy += t1 - t0
-                t_prev = t1
-                result_q.put(
-                    ("ok", job_id, worker_id, item_id, payload, t0, t1, overhead, stolen)
-                )
-
-            for item_id in seed_ids:
-                if abort.is_set():
-                    break
-                run_one(item_id, stolen=False)
-            while not abort.is_set():
-                with cursor.get_lock():
-                    nxt = cursor.value
-                    if nxt >= len(pool_ids):
-                        break
-                    cursor.value = nxt + 1
-                steals += 1
-                run_one(pool_ids[nxt], stolen=True)
-            result_q.put(("done", job_id, worker_id, busy, steals, hop.snapshot()))
+            run_job(job_id, worker_id, items, store, task, claim, result_q.put, catch_item_errors)
+            result_q.put(("done", job_id, worker_id, hop.snapshot()))
         except BaseException:  # repro: noqa[RPR006] - traceback is shipped to
             # the parent over result_q, which raises WorkerError (crash
             # isolation); the worker itself survives to take the next job.
@@ -116,9 +82,8 @@ class WorkerPool:
     drain :attr:`group` (:meth:`ProcessGroup.drain
     <repro.exec.supervisor.ProcessGroup.drain>`) until every
     participating worker reported ``done``/``error``.  The engine owns
-    the lifecycle: it borrows the pool through ``_acquire_pool`` and
-    returns it through ``_release_pool``
-    (:func:`repro.exec.shutdown_pool` closes the shared one).
+    the lifecycle: a batch holds the shared pool for its whole job
+    (:func:`repro.exec.shutdown_pool` closes it).
     """
 
     def __init__(self, n_workers: int) -> None:
@@ -145,8 +110,6 @@ class WorkerPool:
         n_workers: int,
         spec: dict[str, tuple[str, tuple[int, ...], str]],
         items: "list[WorkItem]",
-        seeds: list[list[int]],
-        pool_ids: list[int],
         task: dict[str, Any],
         hop: MemberContext,
         catch_item_errors: bool,
@@ -168,9 +131,7 @@ class WorkerPool:
         with self._cursor.get_lock():
             self._cursor.value = 0
         for w in range(n_workers):
-            self._job_qs[w].put(
-                (job_id, spec, items, seeds[w], pool_ids, task, hop, catch_item_errors)
-            )
+            self._job_qs[w].put((job_id, spec, items, task, hop, catch_item_errors))
         return job_id
 
     def close(self) -> None:

@@ -19,15 +19,17 @@ schedule that attacks the skew from three sides:
    per-item dispatch overhead (queue round-trip, result pickling) is
    paid once per chunk instead of once per 40-particle halo.
 
-The largest items seed one worker each (static LPT assignment); the
-rest form a shared tail pool that idle workers *steal* from.  The queue
-itself is a plain in-process structure — the engine shares only the
-item list and an atomic pool cursor with its workers.
+The schedule is the item list itself: workers claim items in LPT order
+through one cursor, so the first claims are the classic static LPT
+assignment (one head item per worker) and every later claim goes to
+whichever worker idles first — the greedy list scheduling behind the
+4/3 bound.  The queue is a plain in-process structure; the engine
+shares only the item list and that cursor with its workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,21 +60,15 @@ class WorkItem:
 
 @dataclass
 class HaloWorkQueue:
-    """LPT-ordered work items with static seeds and a steal pool.
+    """A batch's work items, longest-processing-time first.
 
-    ``items`` is the full item list; ``seeds[w]`` are the item ids
-    worker ``w`` starts with; ``pool`` is the shared LPT-ordered tail
-    that idle workers steal from.
+    ``total_cost`` is the modeled cost of the whole batch and
+    ``n_split_halos`` the number of halos cut into row slabs.
     """
 
     items: list[WorkItem]
-    seeds: list[list[int]]
-    pool: list[int]
     total_cost: int = 0
     n_split_halos: int = 0
-    split_threshold: int = 0
-    chunk_target: int = 0
-    modeled_makespan: float = field(default=0.0)
 
     @classmethod
     def build(
@@ -170,56 +166,8 @@ class HaloWorkQueue:
         # global LPT order over the final items
         items.sort(key=lambda it: -it.cost)
 
-        # static seeds: greedy LPT assignment of the head items, one per
-        # worker; everything else is the shared steal pool (tail)
-        seeds: list[list[int]] = [[] for _ in range(workers)]
-        for w in range(min(workers, len(items))):
-            seeds[w].append(w)
-        pool = list(range(min(workers, len(items)), len(items)))
-
-        # modeled makespan (for the imbalance projection / tests)
-        loads = np.zeros(workers)
-        for w, ids in enumerate(seeds):
-            loads[w] = sum(items[i].cost for i in ids)
-        for i in pool:
-            w = int(np.argmin(loads))
-            loads[w] += items[i].cost
-        makespan = float(loads.max()) if len(items) else 0.0
-
-        return cls(
-            items=items,
-            seeds=seeds,
-            pool=pool,
-            total_cost=total,
-            n_split_halos=n_split,
-            split_threshold=split_threshold,
-            chunk_target=chunk_target,
-            modeled_makespan=makespan,
-        )
-
-    # -- invariants (used by tests) -------------------------------------------
-
-    def covered_halos(self) -> dict[int, list[tuple[int, int]]]:
-        """Halo id -> list of (row_start, row_end) covering it (whole
-        halos report a single ``(0, 0)`` marker)."""
-        out: dict[int, list[tuple[int, int]]] = {}
-        for it in self.items:
-            if it.kind == "slab":
-                out.setdefault(it.halo_indices[0], []).append((it.row_start, it.row_end))
-            else:
-                for h in it.halo_indices:
-                    out.setdefault(h, []).append((0, 0))
-        return out
+        return cls(items=items, total_cost=total, n_split_halos=n_split)
 
     @property
     def n_items(self) -> int:
         return len(self.items)
-
-    def modeled_imbalance(self, serial_cost: float | None = None) -> float:
-        """Projected max/mean worker load under greedy LPT."""
-        total = serial_cost if serial_cost is not None else float(self.total_cost)
-        workers = len(self.seeds)
-        if not workers or self.modeled_makespan <= 0:
-            return 1.0
-        mean = total / workers
-        return self.modeled_makespan / mean if mean > 0 else 1.0

@@ -326,7 +326,7 @@ class SubhaloFinderAlgorithm(_Scheduled):
             min_size=self.min_size,
             box=box,
             vel_scale=1.0 / a,  # proper peculiar velocity proxy
-            workers=self.workers or 1,
+            workers=1 if self.workers is None else self.workers,
         )
         rank_seconds = np.zeros(n_ranks)
         for t in parents:

@@ -12,6 +12,7 @@ execution hook.
 
 import inspect
 import json
+import threading
 import time
 import tracemalloc
 
@@ -36,8 +37,10 @@ from repro.exec import (
     SharedParticleStore,
     WorkerError,
     WorkItem,
+    default_workers,
     parallel_halo_centers,
     parallel_subhalos,
+    shutdown_pool,
 )
 from repro.exec.pool import WorkerPool
 from repro.insitu.algorithms import HaloCenterAlgorithm
@@ -45,6 +48,7 @@ from repro.machines.machine import MOONLIGHT
 from repro.machines.scheduler import Job, Scheduler
 from repro.obs.report import RunTelemetry
 from tests.oracles.centers_reference import halo_centers_reference, potential_reference
+from tests.oracles.lpt_schedule import covered_halos, modeled_imbalance
 
 #: every width the engine is checked at: ``None``/1 run inline, 2/4 on the pool
 WIDTHS = (None, 1, 2, 4)
@@ -169,7 +173,7 @@ def test_shared_store_empty_array_and_idempotent_unlink():
 def test_workqueue_covers_every_halo_exactly():
     counts = np.asarray([5000, 400, 400, 60, 50, 45, 44, 43])
     q = HaloWorkQueue.build(counts, workers=4)
-    covered = q.covered_halos()
+    covered = covered_halos(q)
     assert set(covered) == set(range(len(counts)))
     for h, spans in covered.items():
         if spans[0] == (0, 0):  # whole halo: exactly once
@@ -189,12 +193,12 @@ def test_workqueue_splits_dominant_halo():
     assert len(slabs) >= 2
     assert all(it.row_end - it.row_start >= 1 for it in slabs)
     # splitting must break the one-giant-pins-one-worker ceiling
-    assert q.modeled_imbalance() < 2.0
+    assert modeled_imbalance(q, 4) < 2.0
     # the Figure 4 projection: per-halo placement alone leaves one worker
     # pinned by the giant, row slabs project near-balance
     sizes = np.asarray([20_000] + [100] * 200)
-    assert HaloWorkQueue.build(sizes, workers=4, splittable=False).modeled_imbalance() > 2.0
-    assert HaloWorkQueue.build(sizes, workers=4, splittable=True).modeled_imbalance() < 1.5
+    assert modeled_imbalance(HaloWorkQueue.build(sizes, workers=4, splittable=False), 4) > 2.0
+    assert modeled_imbalance(HaloWorkQueue.build(sizes, workers=4, splittable=True), 4) < 1.5
 
 
 def test_workqueue_not_splittable():
@@ -211,20 +215,17 @@ def test_workqueue_chunks_small_halos():
     assert sum(it.n_halos for it in q.items) == 200
 
 
-def test_workqueue_lpt_order_and_pool():
+def test_workqueue_lpt_order():
     counts = np.asarray([900, 800, 700, 60, 55, 50, 45, 40])
     q = HaloWorkQueue.build(counts, workers=2, split_factor=0.5)
     item_costs = [it.cost for it in q.items]
     assert item_costs == sorted(item_costs, reverse=True)
-    seeded = [i for ids in q.seeds for i in ids]
-    assert len(seeded) <= 2
-    assert sorted(seeded + q.pool) == list(range(q.n_items))
     assert q.total_cost == int(center_finding_cost(counts).sum())
 
 
 def test_workqueue_empty():
     q = HaloWorkQueue.build(np.empty(0, dtype=np.int64), workers=3)
-    assert q.n_items == 0 and q.pool == []
+    assert q.n_items == 0 and q.items == []
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +339,70 @@ def test_one_worker_batch_never_forks_or_touches_shm(skewed_catalog, monkeypatch
     _assert_same_centers(ref, got)
 
 
+def test_width_below_one_is_rejected(skewed_catalog):
+    """A width is at least one worker; only ``None`` asks for the default
+    (``0`` used to mean every core to the engine and one to ``halo_centers``)."""
+    pos, tags, labels = skewed_catalog
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="at least one worker"):
+            ExecutionEngine(workers=bad)
+        with pytest.raises(ValueError, match="at least one worker"):
+            halo_centers(pos, tags, labels, workers=bad)
+        with pytest.raises(ValueError, match="at least one worker"):
+            parallel_halo_centers(pos, tags, labels, workers=bad, engine=ExecutionEngine())
+        with pytest.raises(ValueError, match="at least one worker"):
+            parallel_subhalos(pos, pos, {0: np.arange(10)}, workers=bad)
+    assert ExecutionEngine().workers == ExecutionEngine(workers=None).workers == default_workers()
+
+
+def test_steals_are_claims_past_the_lpt_head(skewed_catalog):
+    """Workers claim the LPT list through one cursor: the first claim per
+    worker is the head, every later one a steal — none at one worker."""
+    pos, tags, labels = skewed_catalog
+    for workers, head in ((1, None), (2, 2)):
+        report = halo_centers(pos, tags, labels, workers=workers).exec_report
+        assert report.n_items > 2
+        assert report.total_steals == (0 if head is None else report.n_items - head)
+        assert sum(it.stolen for it in report.item_log) == report.total_steals
+    shutdown_pool()
+
+
+def test_concurrent_pooled_batches_share_one_pool(skewed_catalog, monkeypatch):
+    """Two threads run a two-worker batch at once: the second waits for the
+    shared pool instead of forking a private one, so one pool is built."""
+    shutdown_pool()
+    built = []
+    real_init = WorkerPool.__init__
+
+    def counting_init(self, n_workers):
+        built.append(n_workers)
+        time.sleep(0.2)  # hold the pool while the other batch arrives
+        real_init(self, n_workers)
+
+    monkeypatch.setattr(WorkerPool, "__init__", counting_init)
+    pos, tags, labels = skewed_catalog
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def batch(i):
+        start.wait()
+        results[i] = parallel_halo_centers(pos, tags, labels, workers=2)
+
+    threads = [threading.Thread(target=batch, args=(i,)) for i in range(2)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert built == [2]
+        ref = halo_centers_reference(pos, tags, labels)
+        for got in results:
+            assert got is not None
+            _assert_same_centers(ref, got)
+    finally:
+        shutdown_pool()
+
+
 def test_worker_count_has_one_spelling():
     """``workers=`` is the only way to ask for a width: no batch driver,
     kernel or algorithm takes a backend name that could route a batch."""
@@ -394,7 +459,7 @@ def test_slab_kernel_memory_is_bounded_like_the_whole_halo_kernel():
 
     # a forced, lopsided cut: 4500 + 1500 rows
     slabs = [WorkItem("slab", (0,), r * (n - 1), s, s + r) for s, r in ((0, 4500), (4500, 1500))]
-    work = HaloWorkQueue(items=slabs, seeds=[[0]], pool=[1])
+    work = HaloWorkQueue(items=slabs)
     arrays = {"pos": pos, "members": tags, "starts": np.asarray([0, n])}
     task = {"task": "centers", "method": "bruteforce", "mass": 1.0, "softening": 1e-5}
     (payloads, _), peak = peak_of(lambda: ExecutionEngine(workers=1).run(arrays, work, task))
