@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""The paper's three MBP center finders on one Plummer halo, side by side.
+"""The MBP center finder on one Plummer halo, against its per-element oracle.
 
 The compute-intensive analysis the combined workflow off-loads is the
 O(n²) most-bound-particle (MBP) potential (paper §3.3.2).  This example
@@ -8,16 +8,16 @@ runs, on one dense halo:
 * brute force — every pair, through the one compiled pair kernel
   (``scipy.spatial.distance.cdist`` in row blocks), which stands in for
   the paper's PISTON/GPU kernel;
-* A* search — the bounded search of Ref. [10] (paper: "a
-  problem-dependent factor of roughly eight" less work than brute
-  force);
 * the per-element Python double loop the kernel is cross-validated
   against (``tests/oracles/centers_reference.py``), on a sub-halo, as
   an interpreted-CPU reference point.
 
-It prints each finder's pair-op count and time.  PISTON's CPU/GPU
-portability is not reproduced, and no GPU speed-up is measured: the
-facility cost model's GPU-over-CPU factor is the paper's constant
+It prints the finder's center, pair-op count and time, and both
+per-pair-op costs.  The serial A* search of Ref. [10] is not here: it
+did about the same pair work as brute force and ran 4-5x slower
+(EXPERIMENTS.md).  PISTON's CPU/GPU portability is not reproduced, and
+no GPU speed-up is measured: the facility cost model's GPU-over-CPU
+factor is the paper's constant
 (``repro.machines.cost.CostModel.gpu_cpu_factor`` = 50).
 
 Usage (from a checkout: the oracle lives under ``tests/``)::
@@ -35,7 +35,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from repro.analysis import mbp_center_astar, mbp_center_bruteforce, potential_bruteforce  # noqa: E402
+from repro.analysis import mbp_center_bruteforce, potential_bruteforce  # noqa: E402
 from repro.machines.cost import PAPER_CALIBRATION  # noqa: E402
 from tests.oracles.centers_reference import potential_reference  # noqa: E402
 
@@ -61,19 +61,9 @@ def main() -> None:
     n = len(halo)
     print(f"halo: {n} particles (Plummer profile)\n")
 
-    (i_b, phi_b, brute), t_b = timed(lambda: mbp_center_bruteforce(halo))
-    (i_a, phi_a, astar), t_a = timed(lambda: mbp_center_astar(halo))
-    for label, idx, phi, stats, dt in [
-        ("brute force (pair kernel)", i_b, phi_b, brute, t_b),
-        ("A* search", i_a, phi_a, astar, t_a),
-    ]:
-        print(f"{label:26s}: center particle {idx:5d}  phi={phi:10.2f}  "
-              f"{dt * 1e3:8.1f} ms  pair-ops {stats.pair_evaluations:>12,}")
-    assert i_a == i_b, f"finders disagree: {i_a} vs {i_b}"
-    print("both found the same most-bound particle.")
-    print(f"A* pair-op reduction over brute force: "
-          f"{brute.pair_evaluations / astar.pair_evaluations:.1f}x, exact potentials "
-          f"{astar.exact_potentials} of {n} (paper: 'roughly eight')")
+    (idx, phi, brute), dt = timed(lambda: mbp_center_bruteforce(halo))
+    print(f"brute force (pair kernel): center particle {idx:5d}  phi={phi:10.2f}  "
+          f"{dt * 1e3:8.1f} ms  pair-ops {brute.pair_evaluations:>12,}")
 
     sub = halo[:300]
     m = len(sub)

@@ -1,8 +1,8 @@
 """Halo analysis algorithms (the CosmoTools algorithm library).
 
 FOF halo finding (serial and distributed, over one compiled pair search),
-MBP center finding (brute force over one compiled pair kernel, A*-style
-search, and approximations), SPH density + subhalo finding with
+MBP center finding (brute force over one compiled pair kernel, and
+approximations), SPH density + subhalo finding with
 unbinding, spherical overdensity masses, the power spectrum, and the halo
 mass function.
 """
@@ -15,7 +15,6 @@ from .centers import (
     center_finding_cost,
     group_halo_members,
     halo_centers,
-    mbp_center_astar,
     mbp_center_bruteforce,
     potential_bruteforce,
 )
@@ -26,7 +25,6 @@ from .fof import (
     halo_groups,
     parallel_fof,
 )
-from .kdtree import KDTree
 from .mass_function import MassFunction, mass_function, scale_counts, split_by_threshold
 from .power_spectrum import PowerSpectrumResult, measure_power_spectrum
 from .so import SOResult, so_mass, so_masses_indexed
@@ -42,7 +40,6 @@ __all__ = [
     "center_finding_cost",
     "group_halo_members",
     "halo_centers",
-    "mbp_center_astar",
     "mbp_center_bruteforce",
     "potential_bruteforce",
     "DEFAULT_MIN_COUNT",
@@ -50,7 +47,6 @@ __all__ = [
     "fof_grid",
     "halo_groups",
     "parallel_fof",
-    "KDTree",
     "MassFunction",
     "mass_function",
     "scale_counts",

@@ -14,14 +14,9 @@ Implementations:
     Computes all n² pair terms with one compiled pair kernel
     (``scipy.spatial.distance.cdist``), which stands in for the paper's
     PISTON/GPU kernel.  PISTON's CPU/GPU portability is not reproduced;
-    the cost model's GPU-over-CPU factor is the paper's constant.
-
-``mbp_center_astar``
-    The serial A*-style search of Ref. [10]: an optimistic (lower-bound)
-    potential estimate per particle from a coarse mass grid orders the
-    search; exact potentials are computed lazily until the best exact
-    value beats every remaining bound.  The paper reports roughly an 8x
-    reduction in work over brute force.
+    the cost model's GPU-over-CPU factor is the paper's constant.  The
+    serial A* search of Ref. [10] is not kept: it did as much pair work
+    and ran 4-5x slower (EXPERIMENTS.md).
 
 ``approximate_center_*``
     Cheaper, less accurate definitions (center of mass, densest CIC
@@ -32,7 +27,7 @@ Implementations:
     Batch driver over a FOF catalog, with per-halo pair-interaction
     counters used for the cost model and Figure 4.  There is one path:
     every batch is scheduled by the :mod:`repro.exec` engine, whose item
-    runners are the only callers of the ``mbp_center_*`` kernels, and
+    runners are the only callers of ``mbp_center_bruteforce``, and
     ``workers`` is only its width (one worker runs inline on the calling
     thread).  The independent per-halo loop the engine is checked
     against is a test oracle (``tests/oracles/centers_reference.py``).
@@ -52,7 +47,6 @@ __all__ = [
     "CenterStats",
     "potential_bruteforce",
     "mbp_center_bruteforce",
-    "mbp_center_astar",
     "approximate_center_of_mass",
     "approximate_center_densest_cell",
     "group_halo_members",
@@ -75,12 +69,10 @@ class CenterStats:
 
     n_particles: int = 0
     pair_evaluations: int = 0
-    exact_potentials: int = 0
 
     def merge(self, other: "CenterStats") -> None:
         self.n_particles += other.n_particles
         self.pair_evaluations += other.pair_evaluations
-        self.exact_potentials += other.exact_potentials
 
 
 def _phi_rows(
@@ -166,7 +158,7 @@ def mbp_center_bruteforce(
     """
     pos = np.atleast_2d(np.asarray(pos, dtype=float))
     n = len(pos)
-    stats = CenterStats(n_particles=n, pair_evaluations=n * (n - 1), exact_potentials=n)
+    stats = CenterStats(n_particles=n, pair_evaluations=n * (n - 1))
     if n == 0:
         raise ValueError("empty halo")
     if n == 1:
@@ -174,152 +166,6 @@ def mbp_center_bruteforce(
     phi = potential_bruteforce(pos, mass=mass, softening=softening)
     idx = int(np.argmin(phi))
     return idx, float(phi[idx]), stats
-
-
-@guard_kernel
-def mbp_center_astar(
-    pos: np.ndarray,
-    mass: float = 1.0,
-    softening: float = DEFAULT_SOFTENING,
-    leaf_size: int | None = None,
-    near_factor: float = 10.0,
-) -> tuple[int, float, CenterStats]:
-    """MBP via branch-and-bound search with an optimistic heuristic.
-
-    Following the serial A* center finder of Ref. [10], an optimistic
-    (admissible) estimate of each particle's potential avoids computing
-    exact potentials for most particles:
-
-    1. Partition the halo with a balanced k-d tree (leaves adapt to the
-       density profile, so bound quality is best exactly where potential
-       minima live).
-    2. For each particle, bound every leaf's contribution from its
-       centroid and bounding radius: the leaf pulls at least
-       ``-M/(d - r)`` (lower/optimistic) and at most ``-M/(d + r)``
-       (upper/pessimistic).  Leaves too close for the bound to be
-       meaningful — including the particle's own — contribute exactly.
-    3. Any particle whose optimistic bound is above the best pessimistic
-       bound can never be the MBP; the few survivors get exact O(n)
-       potential evaluations.
-
-    The work counter mirrors the paper's observation that this search
-    "is reported to be faster than a brute force approach ... by a
-    problem-dependent factor of roughly eight".
-    """
-    from .kdtree import KDTree
-
-    pos = np.atleast_2d(np.asarray(pos, dtype=float))
-    n = len(pos)
-    stats = CenterStats(n_particles=n)
-    if n == 0:
-        raise ValueError("empty halo")
-    if n == 1:
-        return 0, 0.0, stats
-    if n <= 512:
-        idx, phi, bstats = mbp_center_bruteforce(pos, mass, softening)
-        return idx, phi, bstats
-
-    if leaf_size is None:
-        leaf_size = 32
-    tree = KDTree(pos, leaf_size=leaf_size)
-    nodes = tree.nodes
-    n_nodes = len(nodes)
-    # per-node monopole moments
-    coms = np.empty((n_nodes, 3))
-    radii = np.empty(n_nodes)
-    nmass = np.empty(n_nodes)
-    left = np.empty(n_nodes, dtype=np.intp)
-    right = np.empty(n_nodes, dtype=np.intp)
-    for k, nd in enumerate(nodes):
-        m = tree.index[nd.start : nd.end]
-        com = pos[m].mean(axis=0)
-        coms[k] = com
-        radii[k] = np.sqrt(np.max(np.sum((pos[m] - com) ** 2, axis=1)))
-        nmass[k] = len(m) * mass
-        left[k] = nd.left
-        right[k] = nd.right
-
-    # characteristic potential scale sets the per-node bound tolerance:
-    # nodes whose lower/upper width exceeds tol are opened (near_factor
-    # re-purposed as a percent-level tightness dial; smaller = tighter)
-    r_char = max(float(radii[0]), softening)
-    tol = near_factor * 1e-3 * (n * mass) / r_char
-
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    # breadth-style refinement over (particle, node) pairs, vectorized
-    p_idx = np.arange(n, dtype=np.intp)
-    node_idx = np.zeros(n, dtype=np.intp)
-    exact_p: list[np.ndarray] = []
-    exact_node: list[np.ndarray] = []
-    pairs_processed = 0
-    while len(p_idx):
-        pairs_processed += len(p_idx)
-        d = np.sqrt(np.sum((pos[p_idx] - coms[node_idx]) ** 2, axis=1))
-        r = radii[node_idx]
-        m_node = nmass[node_idx]
-        dl = np.maximum(d - r, 0.0)
-        lo_term = -m_node / (dl + softening)
-        up_term = -m_node / (d + r + softening)
-        width = up_term - lo_term  # >= 0
-        accept = width <= tol
-        np.add.at(lower, p_idx[accept], lo_term[accept])
-        np.add.at(upper, p_idx[accept], up_term[accept])
-        rest_p = p_idx[~accept]
-        rest_n = node_idx[~accept]
-        is_leaf = left[rest_n] < 0
-        if is_leaf.any():
-            exact_p.append(rest_p[is_leaf])
-            exact_node.append(rest_n[is_leaf])
-        split_p = rest_p[~is_leaf]
-        split_n = rest_n[~is_leaf]
-        p_idx = np.concatenate([split_p, split_p])
-        node_idx = np.concatenate([left[split_n], right[split_n]])
-    stats.pair_evaluations += pairs_processed
-
-    # exact evaluation of the (particle, leaf) pairs too close to bound,
-    # grouped by leaf so each group is one vectorized pairwise block
-    if exact_p:
-        ep = np.concatenate(exact_p)
-        en = np.concatenate(exact_node)
-        order_e = np.argsort(en, kind="stable")
-        ep = ep[order_e]
-        en = en[order_e]
-        starts_e = np.flatnonzero(np.concatenate([[True], en[1:] != en[:-1]]))
-        bounds_e = np.append(starts_e, len(en))
-        for s, e in zip(bounds_e[:-1], bounds_e[1:]):
-            leaf = nodes[en[s]]
-            m = tree.index[leaf.start : leaf.end]
-            who = ep[s:e]
-            # rows whose particle belongs to this leaf hold a self pair
-            own = np.nonzero(who[:, None] == m[None, :])
-            contrib = _phi_rows(pos[who], pos[m], mass, softening, own)
-            np.add.at(lower, who, contrib)
-            np.add.at(upper, who, contrib)
-            stats.pair_evaluations += len(who) * len(m)
-
-    incumbent = float(upper.min())
-    candidates = np.flatnonzero(lower <= incumbent)
-    # A* expansion: evaluate candidates most-promising first; once the
-    # best exact potential undercuts the next candidate's optimistic
-    # bound, no remaining candidate can win.
-    order_c = candidates[np.argsort(lower[candidates])]
-    best_idx = -1
-    best_phi = np.inf
-    block = 32
-    for s in range(0, len(order_c), block):
-        chunk = order_c[s : s + block]
-        if lower[chunk[0]] >= best_phi:
-            break
-        own = (np.arange(len(chunk)), chunk)
-        phi_chunk = _phi_rows(pos[chunk], pos, mass, softening, own)
-        stats.exact_potentials += len(chunk)
-        stats.pair_evaluations += len(chunk) * (n - 1)
-        b = int(np.argmin(phi_chunk))
-        if phi_chunk[b] < best_phi:
-            best_phi = float(phi_chunk[b])
-            best_idx = int(chunk[b])
-    return best_idx, best_phi, stats
 
 
 def approximate_center_of_mass(pos: np.ndarray) -> np.ndarray:
@@ -395,7 +241,6 @@ def halo_centers(
     labels: np.ndarray,
     mass: float = 1.0,
     softening: float = DEFAULT_SOFTENING,
-    method: str = "bruteforce",
     select_tags: np.ndarray | None = None,
     workers: int | None = None,
     backend: str | None = None,
@@ -407,8 +252,6 @@ def halo_centers(
     pos, tags, labels:
         Particle positions, unique tags, and FOF halo labels (label -1 =
         not in a halo).  Typically from :class:`~repro.analysis.fof.FOFResult`.
-    method:
-        ``"bruteforce"`` (every pair) or ``"astar"`` (bounded search).
     select_tags:
         Restrict to these halo tags (the workflow's in-situ/off-line
         split passes the below- or above-threshold subset).
@@ -439,7 +282,6 @@ def halo_centers(
         labels,
         mass=mass,
         softening=softening,
-        method=method,
         select_tags=select_tags,
         workers=1 if workers is None else workers,
     )

@@ -97,7 +97,6 @@ def centers_from_level2_arrays(
     data: dict[str, np.ndarray],
     particle_mass: float = 1.0,
     softening: float = 1.0e-5,
-    method: str = "bruteforce",
     workers: int | None = None,
 ) -> HaloCatalog:
     """Find MBP centers for a Level 2 bundle (pos/tag/halo_tag arrays).
@@ -119,7 +118,6 @@ def centers_from_level2_arrays(
         halo_tags,
         mass=particle_mass,
         softening=softening,
-        method=method,
         workers=workers,
     )
     # One O(n log n) pass instead of the former O(halos × particles)
@@ -140,7 +138,6 @@ def offline_center_job(
     level2: str | os.PathLike | StagedItem,
     particle_mass: float = 1.0,
     softening: float = 1.0e-5,
-    method: str = "bruteforce",
     block: int | None = None,
     workers: int | None = None,
 ) -> HaloCatalog:
@@ -163,7 +160,6 @@ def offline_center_job(
             data,
             particle_mass=particle_mass,
             softening=softening,
-            method=method,
             workers=workers,
         )
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..obs.report import render_table
 from .accounting import WorkflowReport
 
 __all__ = [
@@ -26,21 +27,6 @@ def format_bytes(nbytes: float) -> str:
         if nbytes >= factor:
             return f"{nbytes / factor:.1f} {unit}"
     return f"{nbytes:.0f} B"
-
-
-def render_table(headers: list[str], rows: list[list[object]], title: str = "") -> str:
-    """Plain-text table with aligned columns."""
-    cells = [[str(h) for h in headers], *([str(c) for c in row] for row in rows)]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = []
-    if title:
-        lines.append(title)
-    sep = "-+-".join("-" * w for w in widths)
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(cells[0], widths)))
-    lines.append(sep)
-    for row in cells[1:]:
-        lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)
 
 
 def table3(reports: list[WorkflowReport]) -> str:

@@ -26,8 +26,8 @@ Design (see :mod:`repro.exec.workqueue` for the scheduling policy):
   :class:`~repro.analysis.subhalos.SubhaloResult` for subhalos) and are
   reassembled in deterministic halo order.  This is the **one path** a
   batch of per-halo kernels takes — the item runners below are the only
-  callers of ``mbp_center_*`` / ``find_subhalos`` in ``src/`` — so the
-  worker count is a width, not a choice of code, and output is
+  callers of ``mbp_center_bruteforce`` / ``find_subhalos`` in ``src/``
+  — so the worker count is a width, not a choice of code, and output is
   bit-identical for any count (the independent per-halo loop it is
   checked against lives in ``tests/oracles``);
 * a crashing worker is isolated: its traceback is shipped back, the
@@ -68,8 +68,8 @@ from ..analysis.centers import (
     CenterStats,
     HaloCentersResult,
     _phi_blocked,
+    center_finding_cost,
     group_halo_members,
-    mbp_center_astar,
     mbp_center_bruteforce,
 )
 from ..faults import DeadLetterBox, RetryPolicy, maybe_inject
@@ -206,12 +206,11 @@ def _run_centers_item(
     task: Mapping[str, Any],
     cache: dict[int, np.ndarray],
 ) -> list[tuple[Any, ...]]:
-    """Center finding: whole halos or a row slab of a giant halo."""
+    """Center finding: ``(h, idx, phi)`` per whole halo, or ``(h, row, phi)``
+    for the deepest row of a giant halo's slab."""
     pos = store["pos"]
     mass = task["mass"]
     softening = task["softening"]
-    method = task["method"]
-    out: list[tuple[Any, ...]] = []
     if item.kind == "slab":
         h = item.halo_indices[0]
         hpos = cache.get(h)
@@ -219,37 +218,14 @@ def _run_centers_item(
             cache.clear()  # keep at most one gathered giant halo resident
             hpos = pos[_members_of(store, h)]
             cache[h] = hpos
-        n = len(hpos)
         phi = _phi_blocked(hpos, item.row_start, item.row_end, mass, softening)
         b = int(np.argmin(phi))
-        out.append(
-            (
-                "slab",
-                h,
-                item.row_start + b,
-                float(phi[b]),
-                item.row_end - item.row_start,
-                (item.row_end - item.row_start) * (n - 1),
-            )
-        )
-        return out
+        return [(h, item.row_start + b, float(phi[b]))]
+    out: list[tuple[Any, ...]] = []
     for h in item.halo_indices:
         hpos = pos[_members_of(store, h)]
-        if method == "astar":
-            idx, phi, stats = mbp_center_astar(hpos, mass=mass, softening=softening)
-        else:
-            idx, phi, stats = mbp_center_bruteforce(hpos, mass=mass, softening=softening)
-        out.append(
-            (
-                "halo",
-                h,
-                idx,
-                phi,
-                stats.n_particles,
-                stats.pair_evaluations,
-                stats.exact_potentials,
-            )
-        )
+        idx, phi, _ = mbp_center_bruteforce(hpos, mass=mass, softening=softening)
+        out.append((h, idx, phi))
     return out
 
 
@@ -366,14 +342,18 @@ _SHARED_POOL_LOCK = threading.Lock()
 def _shared_pool(n_workers: int) -> Iterator[tuple[WorkerPool, bool]]:
     """Hold the shared pool for one job; yields ``(pool, reused)``.
 
-    Waits while another thread holds it.  Forks a pool only when there
-    is none, or the last one is closed, dead or narrower than
-    ``n_workers``; ``reused`` means warm workers take the job.  A job
-    cut short by an exception closes the pool, so the next batch
-    replaces it.
+    Waits while another thread holds it, inside an ``exec.pool_wait``
+    span (opened only when the lock is taken, so an uncontended batch
+    records none).  Forks a pool only when there is none, or the last
+    one is closed, dead or narrower than ``n_workers``; ``reused`` means
+    warm workers take the job.  A job cut short by an exception closes
+    the pool, so the next batch replaces it.
     """
     global _SHARED_POOL
-    with _SHARED_POOL_LOCK:
+    if not _SHARED_POOL_LOCK.acquire(blocking=False):
+        with get_recorder().span("exec.pool_wait", workers=n_workers):
+            _SHARED_POOL_LOCK.acquire()
+    try:
         pool = _SHARED_POOL
         reused = pool is not None and pool.alive and pool.n_workers >= n_workers
         if pool is None or not reused:
@@ -385,6 +365,8 @@ def _shared_pool(n_workers: int) -> Iterator[tuple[WorkerPool, bool]]:
         except BaseException:
             pool.close()
             raise
+    finally:
+        _SHARED_POOL_LOCK.release()
 
 
 def shutdown_pool() -> None:
@@ -723,7 +705,6 @@ def parallel_halo_centers(
     labels: np.ndarray,
     mass: float = 1.0,
     softening: float = DEFAULT_SOFTENING,
-    method: str = "bruteforce",
     select_tags: np.ndarray | None = None,
     workers: int | None = None,
     engine: ExecutionEngine | None = None,
@@ -735,12 +716,13 @@ def parallel_halo_centers(
     every core, and takes a configured ``engine``): group →
     :class:`HaloWorkQueue` → :meth:`ExecutionEngine.run` → one
     reassembly, so centers / MBP tags / potentials / pair counts are
-    **bit-identical** whatever the width.  Brute-force batches split
-    giant halos into row slabs so a single dominant halo does not pin
-    the makespan to one core.
+    **bit-identical** whatever the width.  Giant halos are split into
+    row slabs so a single dominant halo does not pin the makespan to
+    one core.  A halo is returned only when every item covering it
+    completed: one poisoned slab drops its whole halo, never shrinking
+    the argmin to the surviving rows.  ``stats`` and ``per_halo_pairs``
+    count the returned halos, each ``n(n-1)`` pairs.
     """
-    if method not in ("bruteforce", "astar"):
-        raise ValueError(f"unknown method {method!r}")
     pos = np.atleast_2d(np.asarray(pos, dtype=float))
     tags = np.asarray(tags)
     labels = np.asarray(labels)
@@ -750,73 +732,36 @@ def parallel_halo_centers(
         engine.workers = _width(workers)
 
     halo_tags, groups = group_halo_members(labels, select_tags=select_tags)
-    n_halos = len(halo_tags)
     counts = np.asarray([len(g) for g in groups], dtype=np.int64)
     members = np.concatenate([np.empty(0, np.int64), *groups])
     starts = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    work = engine.build_queue(counts, splittable=(method == "bruteforce"))
-    task = {
-        "task": "centers",
-        "method": method,
-        "mass": mass,
-        "softening": softening,
-    }
+    work = engine.build_queue(counts)
+    task = {"task": "centers", "mass": mass, "softening": softening}
     payloads, report = engine.run(
         {"pos": pos, "members": members, "starts": starts}, work, task
     )
 
-    centers = np.empty((n_halos, 3))
-    mbp_tags = np.empty(n_halos, dtype=tags.dtype)
-    potentials = np.empty(n_halos)
-    per_halo_pairs = np.zeros(n_halos, dtype=np.int64)
-    n_particles = np.zeros(n_halos, dtype=np.int64)
-    exact = np.zeros(n_halos, dtype=np.int64)
-    best: dict[int, tuple[float, int]] = {}  # slab reduction: h -> (phi, row)
-
+    best: dict[int, tuple[float, int]] = {}  # h -> (phi, row)
     for _, entries in payloads:
-        for entry in entries:
-            if entry[0] == "halo":
-                _, h, idx, phi, nparts, pairs, nexact = entry
-                best[h] = (phi, idx)
-                per_halo_pairs[h] = pairs
-                n_particles[h] = nparts
-                exact[h] = nexact
-            else:  # slab partial: reduce exactly like np.argmin (first min wins)
-                _, h, row, phi, rows, pairs = entry
-                per_halo_pairs[h] += pairs
-                n_particles[h] = counts[h]
-                exact[h] += rows
-                cur = best.get(h)
-                if cur is None or (phi, row) < cur:
-                    best[h] = (phi, row)
-
-    total = CenterStats(
-        n_particles=int(n_particles.sum()),
-        pair_evaluations=int(per_halo_pairs.sum()),
-        exact_potentials=int(exact.sum()),
-    )
-    done = [h for h in range(n_halos) if h in best]
-    for h in done:
-        phi, idx = best[h]
-        gidx = groups[h][idx]
-        centers[h] = pos[gidx]
-        mbp_tags[h] = tags[gidx]
-        potentials[h] = phi
-    if len(done) < n_halos:
-        # poisoned items (item_retries quarantine) drop their halos from
-        # the catalog; everything that completed is returned unchanged
-        keep = np.asarray(done, dtype=np.int64)
-        halo_tags = halo_tags[keep]
-        centers = centers[keep]
-        mbp_tags = mbp_tags[keep]
-        potentials = potentials[keep]
-        per_halo_pairs = per_halo_pairs[keep]
+        for h, row, phi in entries:
+            # slab partials reduce exactly like np.argmin (first min wins)
+            cur = best.get(h)
+            if cur is None or (phi, row) < cur:
+                best[h] = (phi, row)
+    # poisoned items (item_retries quarantine) drop every halo they cover
+    lost = {h for i in report.poisoned for h in work.items[i].halo_indices}
+    done = np.asarray([h for h in range(len(halo_tags)) if h not in lost], dtype=np.int64)
+    rows = [int(groups[h][best[h][1]]) for h in done]
+    done_counts = counts[done]
+    per_halo_pairs = center_finding_cost(done_counts)
     return HaloCentersResult(
-        halo_tags=halo_tags,
-        centers=centers,
-        mbp_tags=mbp_tags,
-        potentials=potentials,
-        stats=total,
+        halo_tags=halo_tags[done],
+        centers=pos[rows],
+        mbp_tags=tags[rows],
+        potentials=np.asarray([best[h][0] for h in done], dtype=float),
+        stats=CenterStats(
+            n_particles=int(done_counts.sum()), pair_evaluations=int(per_halo_pairs.sum())
+        ),
         per_halo_pairs=per_halo_pairs,
         exec_report=report,
     )

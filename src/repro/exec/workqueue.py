@@ -10,8 +10,7 @@ schedule that attacks the skew from three sides:
    are cut into row *slabs* (each slab computes the potentials of a row
    range against all members), so even a single dominant halo spreads
    across workers.  Only cost models that are row-separable support
-   this (brute-force MBP is; the A* search and the subhalo tree walk
-   are not).
+   this (brute-force MBP is; the subhalo tree walk is not).
 2. **LPT ordering** — remaining work items are sorted
    longest-processing-time-first, the classic 4/3-competitive greedy
    for makespan.
@@ -94,7 +93,7 @@ class HaloWorkQueue:
             pair model ``n(n-1)`` (:func:`repro.analysis.centers.center_finding_cost`).
         splittable:
             Whether a single halo's work may be split into row slabs
-            (True for brute-force centers, False for A* / subhalos).
+            (True for centers, False for subhalos).
         split_factor:
             Halos costing more than ``total / (workers * split_factor)``
             are split; larger values split more aggressively.

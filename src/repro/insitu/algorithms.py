@@ -200,7 +200,6 @@ class HaloCenterAlgorithm(_Scheduled):
 
     name = "halo_centers"
     threshold: int | None = 300_000
-    method: str = "bruteforce"
     softening: float = 1.0e-5
     workers: int | None = None
 
@@ -246,7 +245,6 @@ class HaloCenterAlgorithm(_Scheduled):
                     labels,
                     mass=sim.particles.particle_mass,
                     softening=self.softening,
-                    method=self.method,
                     workers=self.workers,
                 )
                 row_of = {int(t): i for i, t in enumerate(res.halo_tags)}

@@ -32,12 +32,13 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from typing import Any
 
 from .events import _json_default
 from .journal import JournalView, read_journal
 from .live import follow_journal, format_record
-from .report import RunTelemetry
+from .report import RunTelemetry, phase_of
 from .spans import Span
 from .timeline import MachineTimeline, WorkflowTimeline
 
@@ -59,8 +60,11 @@ RACY_COUNTERS = frozenset({"exec_steals_total", "exec_pool_reuse_total"})
 #: (allocator/environment dependent) — excluded from ``diff``.
 HOST_METRICS = frozenset({"process_peak_rss_bytes"})
 
-#: Span/event names whose *count* depends on thread timing (poll loops).
-RACY_NAMES = frozenset({"listener.poll", "listener.started", "listener.stopped"})
+#: Span/event names whose *count* depends on thread timing (poll loops,
+#: a pooled batch finding the shared pool busy).
+RACY_NAMES = frozenset(
+    {"listener.poll", "listener.started", "listener.stopped", "exec.pool_wait"}
+)
 
 #: Phases made of poll-loop spans: their calls and time are thread-timing races.
 RACY_PHASES = frozenset({"Listener"})
@@ -146,13 +150,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
         run_id=view.run_id,
     )
     if args.canonical:
+        calls = Counter(phase_of(s.name) for s in rt.spans if s.name not in RACY_NAMES)
         payload = {
             "run": view.run_id,
             "config_hash": view.manifest.config_hash if view.manifest else None,
             "complete": view.complete,
-            "phases": {
-                p: ps.calls for p, ps in sorted(rt.phase_stats().items()) if p not in RACY_PHASES
-            },
+            "phases": {p: calls[p] for p in sorted(calls) if p not in RACY_PHASES},
             "counters": canonical_counters(rt.metrics),
             "failures": [
                 {k: v for k, v in sorted(f.items()) if k not in ("seq", "kind")}

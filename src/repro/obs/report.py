@@ -17,7 +17,7 @@ double-counting ``sim.step`` around ``insitu.*``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .events import Event
 from .spans import Span, write_chrome_trace
@@ -28,6 +28,7 @@ __all__ = [
     "PHASE_RULES",
     "FAILURE_COUNTERS",
     "FAILURE_EVENTS",
+    "render_table",
 ]
 
 #: Span-name prefix -> phase label (first match wins; order matters).
@@ -228,7 +229,7 @@ class RunTelemetry:
         if title is None:
             run = f" [{self.run_id}]" if self.run_id else ""
             title = f"Per-run phase breakdown{run} — wall {wall:.3f} s"
-        return _render_table(headers, rows, title=title)
+        return render_table(headers, rows, title=title)
 
     def memory_stats(self) -> dict[str, float]:
         """Memory gauges sampled into this run (empty if never sampled).
@@ -297,12 +298,12 @@ class RunTelemetry:
                 for run in sorted(grouped)
                 for label, count in sorted(grouped[run].items())
             ]
-            return _render_table(["Run", "What", "Count"], rows, title=title)
+            return render_table(["Run", "What", "Count"], rows, title=title)
         stats = self.failure_stats()
         if not stats:
             return ""
         rows2 = [[failure_label(name), f"{value:g}"] for name, value in stats.items()]
-        return _render_table(["What", "Count"], rows2, title=title)
+        return render_table(["What", "Count"], rows2, title=title)
 
     def span_table(self, top: int = 20) -> str:
         """Per-span-name totals, heaviest first (the hot-path view)."""
@@ -315,7 +316,7 @@ class RunTelemetry:
             [name, str(calls), f"{secs:.3f}", f"{secs / calls * 1e3:.2f}"]
             for name, (calls, secs) in ranked
         ]
-        return _render_table(
+        return render_table(
             ["Span", "Calls", "Total (s)", "Mean (ms)"], rows, title="Hottest spans"
         )
 
@@ -345,8 +346,10 @@ class RunTelemetry:
         }
 
 
-def _render_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:
-    """Aligned plain-text table (kept local: obs has no repro deps)."""
+def render_table(
+    headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = ""
+) -> str:
+    """Plain-text table with aligned columns (the package's one table renderer)."""
     cells = [[str(h) for h in headers], *([str(c) for c in row] for row in rows)]
     widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
     lines: list[str] = []

@@ -5,9 +5,8 @@
 the :mod:`repro.exec` engine: no work queue, no slabs, no chunks, no
 reassembly — one label scan and one whole-halo kernel call per halo, in
 ascending halo-tag order.  The engine is checked against it bit for bit
-at every worker count.  It shares the per-halo kernels
-(``mbp_center_bruteforce`` / ``mbp_center_astar``) with production and
-none of the batching.
+at every worker count.  It shares the per-halo kernel
+(``mbp_center_bruteforce``) with production and none of the batching.
 
 ``potential_reference`` is the per-element Python double loop the
 compiled pair kernel is cross-validated against (``allclose``); the
@@ -30,7 +29,6 @@ from repro.analysis.centers import (
     DEFAULT_SOFTENING,
     CenterStats,
     HaloCentersResult,
-    mbp_center_astar,
     mbp_center_bruteforce,
 )
 
@@ -137,7 +135,6 @@ def halo_centers_reference(
     labels: np.ndarray,
     mass: float = 1.0,
     softening: float = DEFAULT_SOFTENING,
-    method: str = "bruteforce",
     select_tags: np.ndarray | None = None,
 ) -> HaloCentersResult:
     """MBP center of every halo, one whole-halo kernel call at a time."""
@@ -156,10 +153,7 @@ def halo_centers_reference(
     for h, halo_tag in enumerate(halo_tags):
         members = np.flatnonzero(labels == halo_tag)
         hpos = pos[members]
-        if method == "astar":
-            idx, phi, stats = mbp_center_astar(hpos, mass=mass, softening=softening)
-        else:
-            idx, phi, stats = mbp_center_bruteforce(hpos, mass=mass, softening=softening)
+        idx, phi, stats = mbp_center_bruteforce(hpos, mass=mass, softening=softening)
         centers[h] = hpos[idx]
         mbp_tags[h] = tags[members[idx]]
         potentials[h] = phi

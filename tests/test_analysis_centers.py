@@ -1,4 +1,4 @@
-"""MBP center finding: the one pair kernel, and correctness across methods."""
+"""MBP center finding: the one pair kernel and the one brute-force center finder."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.analysis import (
     approximate_center_of_mass,
     center_finding_cost,
     halo_centers,
-    mbp_center_astar,
     mbp_center_bruteforce,
     potential_bruteforce,
 )
@@ -90,29 +89,11 @@ def test_mbp_center_near_density_peak(plummer_halo):
     assert np.linalg.norm(plummer_halo[idx] - 10.0) < 0.5
 
 
-def test_mbp_astar_matches_bruteforce(plummer_halo):
-    i_b, phi_b, _ = mbp_center_bruteforce(plummer_halo)
-    i_a, phi_a, stats = mbp_center_astar(plummer_halo)
-    assert i_a == i_b
-    assert phi_a == pytest.approx(phi_b, rel=1e-10)
-    # pruning must have avoided most exact evaluations
-    assert stats.exact_potentials < len(plummer_halo) / 2
-
-
-def test_mbp_astar_small_halo_delegates():
-    pos = np.random.default_rng(1).normal(0, 1, (50, 3))
-    i_a, phi_a, _ = mbp_center_astar(pos)
-    i_b, phi_b, _ = mbp_center_bruteforce(pos)
-    assert i_a == i_b and phi_a == pytest.approx(phi_b)
-
-
 def test_mbp_singleton_and_empty():
     idx, phi, _ = mbp_center_bruteforce(np.zeros((1, 3)))
     assert idx == 0 and phi == 0.0
     with pytest.raises(ValueError):
         mbp_center_bruteforce(np.empty((0, 3)))
-    with pytest.raises(ValueError):
-        mbp_center_astar(np.empty((0, 3)))
 
 
 def test_approximate_centers_close_but_not_exact(plummer_halo):
@@ -154,18 +135,12 @@ def test_halo_centers_skips_fluff(rng):
     assert np.array_equal(res.halo_tags, [4])
 
 
-def test_halo_centers_astar_method_agrees(plummer_halo):
-    labels = np.zeros(len(plummer_halo), dtype=int)
-    tags = np.arange(len(plummer_halo))
-    a = halo_centers(plummer_halo, tags, labels, method="bruteforce")
-    b = halo_centers(plummer_halo, tags, labels, method="astar")
-    assert np.array_equal(a.mbp_tags, b.mbp_tags)
-
-
 def test_halo_centers_unknown_method(plummer_halo):
-    with pytest.raises(ValueError):
-        halo_centers(plummer_halo, np.arange(len(plummer_halo)),
-                     np.zeros(len(plummer_halo), dtype=int), method="magic")
+    """There is one center kernel, so no ``method=`` selects one."""
+    for name in ("magic", "bruteforce"):
+        with pytest.raises(TypeError, match="method"):
+            halo_centers(plummer_halo, np.arange(len(plummer_halo)),
+                         np.zeros(len(plummer_halo), dtype=int), method=name)
 
 
 def test_center_finding_cost_quadratic():

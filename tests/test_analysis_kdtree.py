@@ -1,9 +1,9 @@
-"""Balanced k-d tree: the node structure A* and the FOF oracle walk."""
+"""Balanced k-d tree: the node structure the serial FOF oracle walks."""
 
 import numpy as np
 import pytest
 
-from repro.analysis import KDTree
+from tests.oracles.kdtree import KDTree
 
 
 def test_empty_tree():

@@ -307,7 +307,7 @@ def test_one_batch_path_over_the_per_halo_kernels():
     """A batch of per-halo kernels is driven in one place, the exec engine's
     item runners; a second per-halo loop (an algorithm calling the kernel
     itself, a width-one shortcut) would need its own cross-validation."""
-    kernels = {"mbp_center_bruteforce", "mbp_center_astar", "find_subhalos"}
+    kernels = {"mbp_center_bruteforce", "find_subhalos"}
     defining = ("analysis/centers.py", "analysis/subhalos.py")
     outside = {(rel, func) for rel, func, _ in _calls_of(kernels) if rel not in defining}
     assert outside == {
@@ -350,14 +350,11 @@ def _imports_dataparallel(node: ast.AST) -> bool:
 def test_one_pair_kernel_under_every_potential():
     """The MBP potential has one spelling: ``cdist`` is called only in
     ``_phi_rows``, which only the row-capped ``_phi_blocked`` (whole halos,
-    slab items, subhalo unbinding) and A*'s bounded blocks reach; no
-    module builds its own ``(rows, n, 3)`` difference block, and the
-    retired portability layer is imported nowhere."""
+    slab items, subhalo unbinding) reaches; no module builds its own
+    ``(rows, n, 3)`` difference block, and the retired portability layer
+    is imported nowhere."""
     assert set(_calls_of({"cdist"})) == {("analysis/centers.py", "_phi_rows", "cdist")}
-    assert set(_calls_of({"_phi_rows"})) == {
-        ("analysis/centers.py", "_phi_blocked", "_phi_rows"),
-        ("analysis/centers.py", "mbp_center_astar", "_phi_rows"),
-    }
+    assert set(_calls_of({"_phi_rows"})) == {("analysis/centers.py", "_phi_blocked", "_phi_rows")}
     broadcasts, imports = [], []
     for rel, tree in _src_trees():
         for node in ast.walk(tree):

@@ -43,6 +43,7 @@ from repro.exec import (
     shutdown_pool,
 )
 from repro.exec.pool import WorkerPool
+from repro.faults import FaultPlan, FaultSpec, fault_plan
 from repro.insitu.algorithms import HaloCenterAlgorithm
 from repro.machines.machine import MOONLIGHT
 from repro.machines.scheduler import Job, Scheduler
@@ -74,7 +75,7 @@ def _assert_same_centers(ref, got):
     assert ref.mbp_tags.dtype == got.mbp_tags.dtype
     assert np.array_equal(ref.potentials, got.potentials)
     assert np.array_equal(ref.per_halo_pairs, got.per_halo_pairs)
-    assert ref.stats == got.stats  # n_particles, pair_evaluations, exact_potentials
+    assert ref.stats == got.stats  # n_particles, pair_evaluations
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +254,33 @@ def test_parallel_centers_giant_halo_is_split(skewed_catalog):
         _assert_same_centers(ref, got)
 
 
-def test_parallel_centers_astar_identical(skewed_catalog):
-    pos, tags, labels = skewed_catalog
-    ref = halo_centers_reference(pos, tags, labels, method="astar")
-    for workers in WIDTHS:
-        got = halo_centers(pos, tags, labels, method="astar", workers=workers)
-        _assert_same_centers(ref, got)
-        assert got.exec_report.n_split_halos == 0  # the A* search is not row-separable
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_poisoned_slab_drops_its_whole_halo(workers):
+    """A split halo whose MBP-holding slab is poisoned is absent from the
+    result: the argmin over its surviving slabs would be a wrong center.
+    The other halos, their pair counts and the stats equal the oracle's."""
+    pos, tags, labels = _clumps(np.random.default_rng(3), [1200, 40, 30])
+    halo_tags, groups = group_halo_members(labels)
+    giant = int(np.argmax([len(g) for g in groups]))
+    ref = halo_centers_reference(pos, tags, labels)
+    mbp_row = int(np.flatnonzero(tags[groups[giant]] == ref.mbp_tags[giant])[0])
+    eng = ExecutionEngine(workers=workers, item_retries=1, min_split_rows=64)
+    work = eng.build_queue(np.asarray([len(g) for g in groups]))
+    slab = next(
+        i
+        for i, it in enumerate(work.items)
+        if it.kind == "slab" and it.row_start <= mbp_row < it.row_end
+    )
+    plan = FaultPlan(seed=0, sites={"exec.item": FaultSpec(always=True, keys=(str(slab),))})
+    with fault_plan(plan):
+        got = parallel_halo_centers(pos, tags, labels, engine=eng)
+    report = got.exec_report
+    assert report.n_split_halos == 1 and report.poisoned == [slab]
+    assert halo_tags[giant] not in got.halo_tags
+    survivors = np.delete(halo_tags, giant)
+    _assert_same_centers(halo_centers_reference(pos, tags, labels, select_tags=survivors), got)
+    # the failed slab's first attempt is still on the item log
+    assert len(report.item_log) == report.n_items and report.item_failures >= 1
 
 
 def test_parallel_centers_select_tags(skewed_catalog):
@@ -300,10 +321,9 @@ def test_parallel_centers_one_particle_halo():
     seed=st.integers(0, 2**16),
     small=st.lists(st.integers(1, 120), min_size=0, max_size=12),
     dominant=st.sampled_from([0, 2 * 256, 2 * 256 + 37, 700]),
-    method=st.sampled_from(["bruteforce", "astar"]),
     select=st.booleans(),
 )
-def test_prop_one_worker_engine_equals_oracle(seed, small, dominant, method, select):
+def test_prop_one_worker_engine_equals_oracle(seed, small, dominant, select):
     """The inline width — what every in-situ batch runs at — against the
     oracle, over catalogs with and without a halo the queue slab-splits
     (``dominant >= 2 * min_split_rows`` and more than half the pair work)."""
@@ -313,8 +333,8 @@ def test_prop_one_worker_engine_equals_oracle(seed, small, dominant, method, sel
         sizes = [1]
     pos, tags, labels = _clumps(rng, sizes)
     pick = np.unique(labels)[::2] if select else None
-    ref = halo_centers_reference(pos, tags, labels, method=method, select_tags=pick)
-    got = halo_centers(pos, tags, labels, method=method, select_tags=pick, workers=1)
+    ref = halo_centers_reference(pos, tags, labels, select_tags=pick)
+    got = halo_centers(pos, tags, labels, select_tags=pick, workers=1)
     _assert_same_centers(ref, got)
 
 
@@ -403,6 +423,72 @@ def test_concurrent_pooled_batches_share_one_pool(skewed_catalog, monkeypatch):
         shutdown_pool()
 
 
+def test_a_batch_that_waits_for_the_pool_records_one_pool_wait(skewed_catalog, monkeypatch):
+    """The second of two pooled batches waits for the shared pool inside an
+    ``exec.pool_wait`` span on its own lane, under its own ``exec.run``;
+    the batch that found the pool free records none."""
+    from repro.exec import engine as engine_mod
+
+    shutdown_pool()
+    holding, waiting = threading.Event(), threading.Event()
+
+    class SpyLock:
+        """The pool lock, flagging a blocking acquire before it blocks."""
+
+        def __init__(self, lock):
+            self.lock = lock
+
+        def acquire(self, blocking=True):
+            if blocking:
+                waiting.set()
+            return self.lock.acquire(blocking)
+
+        def release(self):
+            self.lock.release()
+
+        __enter__ = acquire
+
+        def __exit__(self, *exc):
+            self.release()
+
+    real_submit = WorkerPool.submit
+
+    def held_submit(self, *args):
+        if threading.current_thread().name == "first-batch":
+            holding.set()  # the first batch holds the pool...
+            assert waiting.wait(60)  # ...until the second blocks on it
+        return real_submit(self, *args)
+
+    monkeypatch.setattr(engine_mod, "_SHARED_POOL_LOCK", SpyLock(engine_mod._SHARED_POOL_LOCK))
+    monkeypatch.setattr(WorkerPool, "submit", held_submit)
+    pos, tags, labels = skewed_catalog
+    errors = []
+
+    def batch():
+        try:
+            parallel_halo_centers(pos, tags, labels, workers=2)
+        except BaseException as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    first = threading.Thread(target=batch, name="first-batch")
+    second = threading.Thread(target=batch, name="second-batch")
+    try:
+        with obs.telemetry() as rec:
+            first.start()
+            assert holding.wait(60)
+            second.start()
+            for t in (first, second):
+                t.join(timeout=120)
+            snap = RunTelemetry.from_recorder(rec)
+    finally:
+        shutdown_pool()
+    assert not first.is_alive() and not second.is_alive()
+    assert errors == []
+    (wait,) = [s for s in snap.spans if s.name == "exec.pool_wait"]
+    (run,) = [s for s in snap.spans if s.name == "exec.run" and s.thread == "second-batch"]
+    assert wait.thread == "second-batch" and wait.parent_id == run.span_id
+
+
 def test_worker_count_has_one_spelling():
     """``workers=`` is the only way to ask for a width: no batch driver,
     kernel or algorithm takes a backend name that could route a batch."""
@@ -415,6 +501,21 @@ def test_worker_count_has_one_spelling():
     ):
         assert "backend" not in inspect.signature(fn).parameters, fn.__name__
     assert not hasattr(HaloCenterAlgorithm, "backend")
+
+
+def test_the_center_path_has_one_kernel():
+    """No batch driver, kernel or algorithm takes a ``method=`` that could
+    select a second center finder, nor that finder's tree knobs."""
+    for fn in (
+        halo_centers,
+        parallel_halo_centers,
+        mbp_center_bruteforce,
+        centers_from_level2_arrays,
+        offline_center_job,
+    ):
+        knobs = {"method", "leaf_size", "near_factor"} & set(inspect.signature(fn).parameters)
+        assert not knobs, fn.__name__
+    assert not hasattr(HaloCenterAlgorithm, "method")
 
 
 def test_halo_centers_backend_keyword_selects_nothing(skewed_catalog):
@@ -461,9 +562,9 @@ def test_slab_kernel_memory_is_bounded_like_the_whole_halo_kernel():
     slabs = [WorkItem("slab", (0,), r * (n - 1), s, s + r) for s, r in ((0, 4500), (4500, 1500))]
     work = HaloWorkQueue(items=slabs)
     arrays = {"pos": pos, "members": tags, "starts": np.asarray([0, n])}
-    task = {"task": "centers", "method": "bruteforce", "mass": 1.0, "softening": 1e-5}
+    task = {"task": "centers", "mass": 1.0, "softening": 1e-5}
     (payloads, _), peak = peak_of(lambda: ExecutionEngine(workers=1).run(arrays, work, task))
-    partials = [(phi_min, row) for _, entries in payloads for _, _, row, phi_min, _, _ in entries]
+    partials = [(phi_min, row) for _, entries in payloads for _, row, phi_min in entries]
     assert min(partials) == best[::-1]
     assert peak <= 1.05 * whole_peak, (peak, whole_peak)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -160,6 +161,38 @@ def test_canonical_trace_byte_identical_across_runs(two_runs, tmp_path, capsys):
     assert "exec.run" in names and "exec.item" in names
     items = [e for e in trace["traceEvents"] if e["name"] == "exec.item"]
     assert all(e["args"]["parent"] == "exec.run" for e in items)
+
+
+def test_a_pool_wait_span_changes_no_canonical_output(two_runs, tmp_path, capsys):
+    """Whether a pooled batch finds the shared pool busy is a thread race:
+    a journal with one more ``exec.pool_wait`` span projects to the same
+    canonical report, timeline and trace."""
+    a, _ = two_runs
+    b = shutil.copytree(a, tmp_path / "caseA")
+    path = b / "journal.jsonl"
+    lines = path.read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    run = next(r for r in records if r.get("kind") == "span" and r["name"] == "exec.run")
+    wait = {
+        **run,
+        "seq": len(records),
+        "name": "exec.pool_wait",
+        "span_id": 1 + max(r.get("span_id", 0) for r in records),
+        "parent_id": run["span_id"],
+        "depth": run["depth"] + 1,
+        "fields": {"workers": 2},
+    }
+    path.write_text("\n".join([*lines[:-1], json.dumps(wait), lines[-1]]) + "\n")
+    assert any(s.name == "exec.pool_wait" for s in read_journal(str(b)).spans())
+    for cmd in (["report"], ["timeline"]):
+        assert _capture(capsys, [*cmd, a, "--canonical"]) == _capture(
+            capsys, [*cmd, str(b), "--canonical"]
+        )
+    ta, tb = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    assert main(["trace", a, "--canonical", "-o", ta]) == 0
+    assert main(["trace", str(b), "--canonical", "-o", tb]) == 0
+    capsys.readouterr()
+    assert open(ta, "rb").read() == open(tb, "rb").read()
 
 
 # -- full-fidelity outputs -----------------------------------------------------

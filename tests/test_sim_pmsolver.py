@@ -45,6 +45,20 @@ def rng():
     return np.random.default_rng(99)
 
 
+@pytest.fixture(autouse=True)
+def _stop_pool_threads():
+    """Stop the ``pm-rows`` threads of every solver a test left with a pool.
+
+    A solver kept alive by a reference cycle (a ``pytest.raises``
+    traceback holds its frame) otherwise loses its threads at some later
+    garbage collection, inside whichever test runs then, and a test that
+    compares ``threading.active_count()`` before and after sees them go.
+    """
+    yield
+    for solver in list(pmsolver._POOLED):
+        solver._drop_pool()
+
+
 # -- cross-validation against the reference pipeline --------------------------
 
 
