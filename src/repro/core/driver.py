@@ -16,11 +16,11 @@ mini-HACC scale on the local machine:
    product.
 
 *When* the off-line leg runs (simple / co-scheduled) and *where* Level 2
-goes are independent choices.  The hand-off is a spool directory of
-GenericIO files, or — the paper's in-transit variant — a
-:class:`~repro.machines.staging.StagingArea` passed in its place: the
-same writer, listener, off-line job, failure ladder and merge serve
-both, and only the transport differs.
+goes are independent choices.  The hand-off is a Level 2 device
+(:mod:`repro.machines.staging`): a spool directory of GenericIO files,
+or — the paper's in-transit variant — a staging area passed in its
+place.  The same writer, listener, off-line job, failure ladder and
+merge serve both; only the device differs.
 
 This is the code path the integration tests and examples exercise; its
 outputs are bit-identical between the simple and co-scheduled variants
@@ -57,7 +57,7 @@ from ..insitu.pipeline import AsyncInSituManager
 from ..io.catalog import HaloCatalog, merge_catalogs
 from ..io.genericio import GenericIOFile
 from ..machines.listener import Listener, ListenerStats
-from ..machines.staging import StagedItem, StagingArea
+from ..machines.staging import Level2Device, Level2Reader, level2_device
 from ..obs import RunTelemetry, get_recorder
 from ..parallel.transport import resolve_transport
 from ..sim.hacc import HACCSimulation, SimulationConfig
@@ -79,8 +79,8 @@ class CombinedRunResult:
     insitu_catalog: HaloCatalog
     offline_catalog: HaloCatalog
     offloaded_halo_tags: list[int]
-    #: the Level 2 products the listener picked up (file paths, or
-    #: staged item names for an in-transit run)
+    #: the Level 2 device keys the listener picked up (a spool's file
+    #: paths, or staged item names for an in-transit run)
     level2_paths: list[str] = field(default_factory=list)
     listener_stats: ListenerStats | None = None
     #: :class:`~repro.obs.report.RunTelemetry` snapshot of the run
@@ -135,7 +135,7 @@ def centers_from_level2_arrays(
 
 
 def offline_center_job(
-    level2: str | os.PathLike | StagedItem,
+    level2: str | os.PathLike | Level2Reader,
     particle_mass: float = 1.0,
     softening: float = 1.0e-5,
     block: int | None = None,
@@ -143,18 +143,17 @@ def offline_center_job(
 ) -> HaloCatalog:
     """The stand-alone analysis driver the listener launches.
 
-    Reads one Level 2 product — a GenericIO file, or the
-    :class:`~repro.machines.staging.StagedItem` of an in-transit run,
-    which has the same ``read_block`` / ``read_all`` contract — whole or
-    a single block of it (the Moonlight single-node-job pattern), groups
-    particles by halo tag, and finds each halo's MBP center.
+    Reads one Level 2 product — a GenericIO file's path, or the reader
+    a Level 2 device's ``get`` returned — whole or a single block of it
+    (the Moonlight single-node-job pattern), groups particles by halo
+    tag, and finds each halo's MBP center.
     ``workers`` is the width of that :mod:`repro.exec` batch: ``> 1``
     fills the analysis node's cores.
     """
-    staged = isinstance(level2, StagedItem)
-    path = level2.name if staged else os.fspath(level2)
-    with get_recorder().span("offline.center_job", path=path, block=block, workers=workers):
-        source = level2 if staged else GenericIOFile(path)
+    source = GenericIOFile(level2) if isinstance(level2, (str, os.PathLike)) else level2
+    with get_recorder().span(
+        "offline.center_job", path=source.path, block=block, workers=workers
+    ):
         data = source.read_all() if block is None else source.read_block(block)
         return centers_from_level2_arrays(
             data,
@@ -166,7 +165,7 @@ def offline_center_job(
 
 def run_combined_workflow(
     config: SimulationConfig,
-    spool_dir: str | os.PathLike | StagingArea,
+    spool_dir: str | os.PathLike | Level2Device,
     threshold: int,
     linking_length_factor: float = 0.2,
     min_count: int = 40,
@@ -188,13 +187,13 @@ def run_combined_workflow(
     otherwise the off-line pass runs after the simulation completes
     (the "simple" variant).  Results are identical either way.
 
-    ``spool_dir`` is where Level 2 goes: a directory, or a
-    :class:`~repro.machines.staging.StagingArea` for the in-transit
-    hand-off (no Level 2 file touches disk; size the device with
-    ``StagingArea(capacity_bytes=)``).  A staged item leaves the device
-    once its off-line job succeeds; a dead-lettered one stays staged,
-    as its file would stay in the spool.  Results are identical either
-    way.
+    ``spool_dir`` is where Level 2 goes: a Level 2 device, or a spool
+    directory's path (:func:`~repro.machines.staging.level2_device`) —
+    a :class:`~repro.machines.staging.StagingArea` for the in-transit
+    hand-off, where no Level 2 file touches disk.  Each product is
+    released once its off-line job succeeds (a staged item leaves the
+    device, a spool file stays); a dead-lettered one stays on the
+    device.  Results are identical either way.
 
     ``analysis_workers`` is the width of every off-line center job's
     :mod:`repro.exec` batch (``> 1``: the node's cores actually used;
@@ -239,7 +238,7 @@ def run_combined_workflow(
         # nothing but the parameters is bound yet: locals() *is* the call
         return _run_combined_journaled(dict(locals()))
     rec = get_recorder()
-    staged = isinstance(spool_dir, StagingArea)
+    device = level2_device(spool_dir)
     last_step = config.n_steps
     steps = sorted(set(analysis_steps)) if analysis_steps is not None else [last_step]
     if last_step not in steps:
@@ -255,7 +254,7 @@ def run_combined_workflow(
     rec.event(
         "workflow.start",
         mode="coscheduled" if coschedule else "simple",
-        handoff="staging" if staged else "spool",
+        handoff=device.kind,
         threshold=threshold,
         n_steps=config.n_steps,
         pipeline_insitu=pipelined,
@@ -272,23 +271,22 @@ def run_combined_workflow(
         )
     )
     manager.register(HaloCenterAlgorithm(at_steps=steps, threshold=threshold))
-    manager.register(Level2WriterAlgorithm(at_steps=steps, output_dir=spool_dir))
+    manager.register(Level2WriterAlgorithm(at_steps=steps, output_dir=device))
     exec_manager = AsyncInSituManager(manager) if pipelined else manager
 
     offline_catalogs: list[tuple[int, HaloCatalog]] = []
 
-    def submit(name: str, step: int, script: str) -> None:
+    def submit(key: str, step: int, script: str) -> None:
         maybe_inject("offline.job", key=step)
-        # a staged item is read, not drained, per attempt: a retry sees it
-        # again, and a dead-lettered one stays staged like its spool file
-        level2 = spool_dir.get(name, drain=False) if staged else name
-        offline_catalogs.append((step, offline_center_job(level2, workers=analysis_workers)))
-        if staged:
-            spool_dir.discard(name)
+        # get does not consume: a retry reads the product again, and a
+        # dead-lettered one stays on the device
+        catalog = offline_center_job(device.get(key), workers=analysis_workers)
+        offline_catalogs.append((step, catalog))
+        device.release(key)
 
     sim = HACCSimulation(config, analysis_manager=exec_manager)
     listener = Listener(
-        spool_dir, "l2_step*.gio", submit, poll_interval=listener_poll, retry=retry
+        device, "l2_step*.gio", submit, poll_interval=listener_poll, retry=retry
     )
     if coschedule:
         with rec.span("workflow.sim", coschedule=True):

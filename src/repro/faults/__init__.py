@@ -5,7 +5,7 @@ The failure model for the whole combined workflow (see
 
 * **Injection** — a seeded :class:`FaultPlan` decides, reproducibly
   from a single seed, whether any attempt at a named workflow hop
-  (listener submit, staging/storage transfer, GenericIO read/write,
+  (listener submit, staging transfer, GenericIO read/write,
   scheduler payload, exec work item) fails or stalls.  Off by default;
   enable per-run with :func:`fault_plan` / :func:`set_fault_plan`, or
   process-wide with ``REPRO_FAULTS=<plan.json>``.

@@ -34,8 +34,6 @@ Site                   Hop
 ``scheduler.payload``  :class:`repro.machines.scheduler.Job` payload execution
 ``staging.put``        :meth:`repro.machines.staging.StagingArea.put`
 ``staging.get``        :meth:`repro.machines.staging.StagingArea.get`
-``storage.write``      :meth:`repro.machines.storage.StorageDevice.write_seconds`
-``storage.read``       ``StorageDevice.read_seconds``
 ``io.write``           :func:`repro.io.genericio.write_genericio`
 ``io.read``            :meth:`repro.io.genericio.GenericIOFile.read_block`
 ``stream.read``        one chunk hand-off in a :mod:`repro.streaming` stream
@@ -79,8 +77,6 @@ KNOWN_SITES: tuple[str, ...] = (
     "scheduler.payload",
     "staging.put",
     "staging.get",
-    "storage.write",
-    "storage.read",
     "io.write",
     "io.read",
     "stream.read",

@@ -11,8 +11,8 @@ The five analysis tasks of the paper's §4.1 plus the data writers:
 
 Writers: :class:`Level1WriterAlgorithm` (full raw snapshot, off-line
 workflow) and :class:`Level2WriterAlgorithm` (particles of off-loaded
-halos only, combined workflow — into a spool directory or, in-transit,
-a :class:`~repro.machines.staging.StagingArea`).
+halos only, combined workflow — onto a Level 2 device,
+:mod:`repro.machines.staging`).
 
 Each algorithm records per-rank wall-clock times in the step's
 :class:`~repro.insitu.algorithm.AnalysisContext`, which is how the
@@ -35,7 +35,7 @@ from ..analysis.so import so_masses_indexed
 from ..exec import parallel_subhalos
 from ..io.catalog import HaloCatalog
 from ..io.genericio import write_genericio
-from ..machines.staging import StagingArea
+from ..machines.staging import Level2Device, level2_device
 from ..parallel.communicator import Communicator, run_spmd
 from ..parallel.decomposition import CartesianDecomposition
 from .algorithm import AnalysisContext, InSituAlgorithm
@@ -435,15 +435,14 @@ class Level2WriterAlgorithm(_Scheduled):
     layout is what lets the co-scheduled analysis jobs each read a
     single block (the Moonlight 128x128 scheme).
 
-    ``output_dir`` is a spool directory or, for the paper's in-transit
-    variant, a :class:`~repro.machines.staging.StagingArea`: the same
-    blocks then land on the shared device instead of the file system.
-    Either way the product is named ``l2_step{step:04d}.gio`` and its
-    ``path`` (the staged item's name) is recorded under ``"level2"``.
+    ``output_dir`` is the Level 2 device, or a spool directory's path
+    (:func:`~repro.machines.staging.level2_device`).  The product is
+    named ``l2_step{step:04d}.gio`` and its device key (a spool's full
+    file path) is recorded as ``path`` under ``"level2"``.
     """
 
     name = "level2_writer"
-    output_dir: str | StagingArea = "."
+    output_dir: str | Level2Device = "."
 
     def execute(self, sim: Any, context: AnalysisContext) -> None:
         fof = context.require("fof")
@@ -478,17 +477,12 @@ class Level2WriterAlgorithm(_Scheduled):
                     "halo_tag": halo_ids,
                 }
             )
-        name = f"l2_step{context.step:04d}.gio"
-        if isinstance(self.output_dir, StagingArea):
-            path, write = name, self.output_dir.put
-        else:
-            os.makedirs(self.output_dir, exist_ok=True)
-            path, write = os.path.join(self.output_dir, name), write_genericio
+        device = level2_device(self.output_dir)
         t0 = time.perf_counter()
-        nbytes = write(path, blocks)
+        path = device.put(f"l2_step{context.step:04d}.gio", blocks)
         context.store["level2"] = {
             "path": path,
-            "bytes": nbytes,
+            "bytes": sum(a.nbytes for b in blocks for a in b.values()),
             "n_particles": sum(len(b["tag"]) for b in blocks),
             "halo_tags": list(offloaded),
         }

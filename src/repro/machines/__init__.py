@@ -1,6 +1,6 @@
 """Simulated HPC facilities — the paper's §2/§3.2 machine layer.
 
-Six modules, one per facility concern (guide: ``docs/machines.md``):
+Five modules, one per facility concern (guide: ``docs/machines.md``):
 
 * :mod:`~repro.machines.machine` — Titan/Rhea/Moonlight specs and queue
   policies (including Titan's ≤2-small-jobs rule);
@@ -10,10 +10,9 @@ Six modules, one per facility concern (guide: ``docs/machines.md``):
   with capacity + policy constraints, deadlines, requeue, dead-letter;
 * :mod:`~repro.machines.listener` — the Bellerophon-style co-scheduling
   listener that turns new Level 2 files into analysis-job submissions;
-* :mod:`~repro.machines.staging` — the hypothetical in-transit NVRAM
-  staging device (shared-memory Level 2 path);
-* :mod:`~repro.machines.storage` — Lustre-like and burst-buffer storage
-  tiers with byte/seconds accounting.
+* :mod:`~repro.machines.staging` — the Level 2 device the hand-off goes
+  through: a spool directory, or the hypothetical in-transit NVRAM
+  staging area.
 
 The campaign service (:mod:`repro.service`) builds on this layer: its
 packer prices jobs with the cost model and its facade submits packed
@@ -24,8 +23,7 @@ from .cost import CostModel, PAPER_CALIBRATION
 from .listener import BatchTemplate, Listener, ListenerStats
 from .machine import MOONLIGHT, MachineSpec, QueuePolicy, RHEA, TITAN
 from .scheduler import Job, Scheduler
-from .staging import StagedItem, StagingArea
-from .storage import StorageDevice, burst_buffer_like, lustre_like
+from .staging import Level2Device, SpoolDirectory, StagingArea, level2_device
 
 __all__ = [
     "CostModel",
@@ -40,9 +38,8 @@ __all__ = [
     "TITAN",
     "Job",
     "Scheduler",
-    "StagedItem",
+    "Level2Device",
+    "SpoolDirectory",
     "StagingArea",
-    "StorageDevice",
-    "burst_buffer_like",
-    "lustre_like",
+    "level2_device",
 ]

@@ -1,51 +1,142 @@
-"""In-transit staging: the shared-memory Level 2 data path.
+"""The Level 2 device: where the in-situ leg hands data to the off-line leg.
 
-The paper's third combined-workflow variant is "at this point only a
-hypothetical implementation": instead of writing Level 2 data to disk,
-"the data is now stored on a separate memory device and the analysis is
-done *in-transit*.  This could be either NVRAM or an external memory
-set-up that is connected to both the main HPC system as well as the
-analysis cluster."
+The paper hands Level 2 products over through a file system, or — its
+hypothetical in-transit variant — through "a separate memory device
+(such as NVRAM) that is shared between the main HPC system and the
+analysis cluster".  Either way the path is the same: the Level 2 writer
+``put``s a product, the :class:`~repro.machines.listener.Listener` scans
+the device's ``names``, each off-line job ``get``s a reader with the
+``read_block`` / ``read_all`` contract, and a job that succeeded
+``release``s its item.  :class:`Level2Device` is that interface, and
+:func:`level2_device` is the one place that turns a spool path into a
+device (see ARCHITECTURE.md, "The Level 2 hand-off").
 
-:class:`StagingArea` implements that device as an in-process object
-store shared between the producing simulation and the consuming
-analysis: named items (one per snapshot) with block structure, put/get
-semantics, byte accounting, and optional consume-once draining.  Only
-the transport changes, so it is not a second workflow: passed to
-:func:`~repro.core.driver.run_combined_workflow` where the spool
-directory goes, the Level 2 writer stages into it, the
-:class:`~repro.machines.listener.Listener` scans its item names, and
-the off-line job reads the :class:`StagedItem` through the same
-``read_block`` / ``read_all`` contract as a GenericIO file — no Level 2
-file touches disk.
+Two devices implement it:
 
-Failure model (see ``docs/failures.md``): each put/get transfer runs
-under a :class:`~repro.faults.RetryPolicy` at the ``"staging.put"`` /
-``"staging.get"`` injection sites — the flaky-interconnect model for
-the hypothetical NVRAM device.  Only injected faults are retried;
-real back-pressure (``MemoryError`` when the device is full) and
-consumer errors (``KeyError``) propagate immediately.
+* :class:`SpoolDirectory` — GenericIO files in a directory, written
+  atomically; keys are full file paths.  ``release`` keeps the file:
+  Level 2 is the paper's disk product.
+* :class:`StagingArea` — the in-transit device, an in-process object
+  store with byte capacity; ``release`` frees the item's bytes.
+
+``get`` never consumes an item, so a retried job reads it again and a
+dead-lettered one stays on the device.
+
+Failure model (see ``docs/failures.md``): the spool's files move under
+the ``"io.write"`` / ``"io.read"`` sites of :mod:`repro.io.genericio`;
+each staged put/get transfer runs under a
+:class:`~repro.faults.RetryPolicy` at the ``"staging.put"`` /
+``"staging.get"`` sites — the flaky-interconnect model for the NVRAM
+device.  Only injected faults are retried; real back-pressure
+(``MemoryError`` when the device is full) and consumer errors
+(``KeyError``) propagate immediately.
 """
 
 from __future__ import annotations
 
+import fnmatch
+import glob
+import os
 import threading
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Protocol
 
 import numpy as np
 
 from ..faults import FaultInjected, RetryPolicy, maybe_inject, resolve_retry
 from ..obs import get_recorder
 
-__all__ = ["StagedItem", "StagingArea"]
+__all__ = [
+    "Level2Device",
+    "Level2Reader",
+    "SpoolDirectory",
+    "StagedItem",
+    "StagingArea",
+    "level2_device",
+]
+
+
+class Level2Reader(Protocol):
+    """One Level 2 product, opened: ``path`` names it (its key)."""
+
+    path: str
+
+    def read_block(self, block: int) -> dict[str, np.ndarray]: ...
+
+    def read_all(self) -> dict[str, np.ndarray]: ...
+
+
+class Level2Device(Protocol):
+    """Where Level 2 products go between the in-situ and off-line legs.
+
+    ``kind`` names the device in events and jobs; ``path`` is its
+    directory (``None`` for a device off the file system).
+    """
+
+    kind: str
+    path: str | None
+
+    def put(self, name: str, blocks: list[dict[str, np.ndarray]]) -> str:
+        """Store ``blocks`` as product ``name``; returns its key."""
+
+    def names(self, pattern: str = "*") -> list[str]:
+        """Sorted keys of the products matching ``pattern``."""
+
+    def get(self, key: str) -> Level2Reader:
+        """A reader over one product; the product stays on the device."""
+
+    def release(self, key: str) -> None:
+        """The product's consumer is done with it."""
+
+
+def level2_device(where: str | os.PathLike | Level2Device) -> Level2Device:
+    """A spool path becomes a :class:`SpoolDirectory`; a device passes through."""
+    return SpoolDirectory(where) if isinstance(where, (str, os.PathLike)) else where
+
+
+class SpoolDirectory:
+    """Level 2 as GenericIO files in a spool directory.
+
+    ``put`` creates the directory and writes the file atomically (it
+    appears under its name only once complete), so a listener globbing
+    the spool never sees half a product.  A directory not yet created
+    lists empty.
+
+    GenericIO is imported per call: importing :mod:`repro.io` pulls in
+    the simulation (and scipy), which the campaign service, importing
+    :mod:`repro.machines` for its cost model and scheduler, never needs.
+    """
+
+    kind = "spool"
+
+    def __init__(self, path: str | os.PathLike):
+        self.path = os.fspath(path)
+
+    def put(self, name: str, blocks: list[dict[str, np.ndarray]]) -> str:
+        from ..io.genericio import write_genericio
+
+        os.makedirs(self.path, exist_ok=True)
+        key = os.path.join(self.path, name)
+        write_genericio(key, blocks)
+        return key
+
+    def names(self, pattern: str = "*") -> list[str]:
+        return sorted(glob.glob(os.path.join(self.path, pattern)))
+
+    def get(self, key: str) -> Level2Reader:
+        from ..io.genericio import GenericIOFile
+
+        return GenericIOFile(key)
+
+    def release(self, key: str) -> None:
+        """Keep the file: Level 2 is the paper's disk product."""
 
 
 @dataclass
 class StagedItem:
     """One staged data product: named blocks of named arrays."""
 
-    name: str
+    path: str
     blocks: list[dict[str, np.ndarray]]
 
     @property
@@ -74,16 +165,20 @@ class StagingArea:
     """Shared-memory staging device for in-transit workflows.
 
     Thread-safe: the simulation side ``put``s items while a co-scheduled
-    listener lists their ``names`` and its jobs ``get`` them.  Capacity
-    is enforced in bytes (NVRAM devices are finite); producers get a
-    ``MemoryError`` when the device is full — the back-pressure a real
-    burst buffer exhibits.
+    listener lists their ``names`` and its jobs ``get`` them.  Keys are
+    the item names.  Capacity is enforced in bytes (NVRAM devices are
+    finite); producers get a ``MemoryError`` when the device is full —
+    the back-pressure a real burst buffer exhibits — until ``release``
+    frees space.
 
     ``retry`` governs transfer retries at the ``"staging.put"`` /
     ``"staging.get"`` fault-injection sites (``None`` → the tree-wide
     default policy); only :class:`~repro.faults.FaultInjected` is
     retried, so real back-pressure still propagates immediately.
     """
+
+    kind = "staging"
+    path = None
 
     def __init__(
         self,
@@ -106,11 +201,11 @@ class StagingArea:
 
     # -- producer side ---------------------------------------------------------
 
-    def put(self, name: str, blocks: list[dict[str, np.ndarray]]) -> int:
-        """Stage an item; returns its size in bytes."""
+    def put(self, name: str, blocks: list[dict[str, np.ndarray]]) -> str:
+        """Stage an item under ``name`` (its key)."""
         rec = get_recorder()
         item = StagedItem(
-            name=name,
+            path=name,
             blocks=[{k: np.asarray(v) for k, v in b.items()} for b in blocks],
         )
         self._transfer("staging.put", name)
@@ -138,13 +233,13 @@ class StagingArea:
                 self.bytes_staged_total += item.nbytes
                 self.puts += 1
                 rec.counter("staging_bytes_staged_total").inc(item.nbytes)
-        return item.nbytes
+        return name
 
     # -- consumer side ---------------------------------------------------------
 
-    def names(self) -> list[str]:
+    def names(self, pattern: str = "*") -> list[str]:
         with self._lock:
-            return sorted(self._items)
+            return sorted(fnmatch.filter(self._items, pattern))
 
     def used_bytes_unlocked(self) -> int:
         return sum(i.nbytes for i in self._items.values())
@@ -154,23 +249,19 @@ class StagingArea:
         with self._lock:
             return self.used_bytes_unlocked()
 
-    def get(self, name: str, drain: bool = True) -> StagedItem:
-        """Fetch a staged item; ``drain`` frees the device space."""
-        self._transfer("staging.get", name)
+    def get(self, key: str) -> StagedItem:
+        """Fetch a staged item; it stays staged until :meth:`release`."""
+        self._transfer("staging.get", key)
         with self._lock:
-            if name not in self._items:
-                raise KeyError(f"no staged item {name!r}")
-            item = self._items.pop(name) if drain else self._items[name]
+            if key not in self._items:
+                raise KeyError(f"no staged item {key!r}")
             self.gets += 1
-            return item
+            return self._items[key]
 
-    def discard(self, name: str) -> None:
+    def release(self, key: str) -> None:
         """Free an item's device space once its consumer is done with it."""
         with self._lock:
-            del self._items[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names())
+            del self._items[key]
 
     def __len__(self) -> int:
         with self._lock:

@@ -42,7 +42,7 @@ import subprocess
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -129,30 +129,11 @@ class RunManifest:
             self.config_hash = config_hash(self.config)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "format": JOURNAL_FORMAT,
-            "run_id": self.run_id,
-            "created": self.created,
-            "config": self.config,
-            "config_hash": self.config_hash,
-            "seeds": self.seeds,
-            "fault_plan": self.fault_plan,
-            "code_version": self.code_version,
-            "extra": self.extra,
-        }
+        return {"format": JOURNAL_FORMAT, **asdict(self)}
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "RunManifest":
-        return cls(
-            run_id=d["run_id"],
-            created=float(d.get("created", 0.0)),
-            config=dict(d.get("config") or {}),
-            config_hash=d.get("config_hash", ""),
-            seeds=dict(d.get("seeds") or {}),
-            fault_plan=d.get("fault_plan"),
-            code_version=d.get("code_version", ""),
-            extra=dict(d.get("extra") or {}),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
     def save(self, path: str | os.PathLike) -> str:
         return atomic_write_json(path, self.to_dict())

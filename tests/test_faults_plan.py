@@ -222,4 +222,4 @@ def test_known_sites_cover_the_documented_hops():
     assert "offline.job" in KNOWN_SITES
     assert "stream.read" in KNOWN_SITES
     assert "service.job" in KNOWN_SITES
-    assert len(KNOWN_SITES) == len(set(KNOWN_SITES)) == 12
+    assert len(KNOWN_SITES) == len(set(KNOWN_SITES)) == 10

@@ -1,4 +1,4 @@
-"""Facility layer: machines, cost model, scheduler, listener, storage."""
+"""Facility layer: machines, cost model, scheduler, listener."""
 
 import os
 import threading
@@ -18,8 +18,6 @@ from repro.machines import (
     RHEA,
     Scheduler,
     TITAN,
-    burst_buffer_like,
-    lustre_like,
 )
 
 # --- machines -------------------------------------------------------------------
@@ -333,36 +331,6 @@ def test_overlapping_polls_submit_each_file_once(tmp_path):
     assert not first.is_alive() and not second.is_alive()
     assert sorted(calls) == [1, 2]
     assert listener.stats.jobs_submitted == listener.stats.files_seen == 2
-
-
-# --- storage ---------------------------------------------------------------------
-
-
-def test_storage_accounting():
-    disk = lustre_like()
-    t = disk.write_seconds(int(1e9), 4)
-    assert t > 0
-    disk.read_seconds(int(5e8), 2)
-    assert disk.bytes_written == int(1e9)
-    assert disk.bytes_read == int(5e8)
-    assert len(disk.write_events) == 1
-
-
-def test_burst_buffer_faster_than_lustre():
-    disk, bb = lustre_like(), burst_buffer_like()
-    nbytes = int(1e10)
-    assert bb.write_seconds(nbytes, 4) < disk.write_seconds(nbytes, 4) / 5
-
-
-def test_storage_aggregate_cap():
-    disk = lustre_like()
-    # huge client counts saturate at the cap
-    assert disk.read_seconds(int(35e9), 100000) == pytest.approx(1.0)
-
-
-def test_storage_invalid_nodes():
-    with pytest.raises(ValueError):
-        lustre_like().write_seconds(10, 0)
 
 
 # --- listener resilience + bounded stats ------------------------------------------

@@ -1,5 +1,6 @@
-"""In-transit staging area: put/get, capacity back-pressure, and the
-hand-off it provides to the one workflow driver."""
+"""The Level 2 devices: one put/names/get/release contract over a spool
+directory and the in-transit staging area, the staging area's capacity
+back-pressure, and the hand-off both provide to the one workflow driver."""
 
 import itertools
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import run_combined_workflow
-from repro.machines import StagingArea
+from repro.machines import SpoolDirectory, StagingArea
 from repro.sim import SimulationConfig
 
 
@@ -16,10 +17,35 @@ def _blocks(n=10):
     return [{"pos": np.zeros((n, 3), dtype=np.float32), "tag": np.arange(n, dtype=np.uint64)}]
 
 
+@pytest.mark.parametrize("kind", ["staging", "spool"])
+def test_level2_device_contract(kind, tmp_path):
+    """Both devices: put → names(pattern) → get().read_all() round-trips
+    the blocks, a spool not yet created lists empty, and release frees a
+    staged item's bytes but keeps a spool file on disk."""
+    device = StagingArea() if kind == "staging" else SpoolDirectory(tmp_path / "not-yet")
+    assert device.kind == kind
+    assert device.names() == []
+    blocks = _blocks(4) + _blocks(3)
+    key = device.put("l2_step0002.gio", blocks)
+    device.put("other_step0001.gio", _blocks(1))
+    assert device.names("l2_step*.gio") == [key]
+    assert os.path.basename(key) == "l2_step0002.gio"
+    data = device.get(key).read_all()
+    for name in ("pos", "tag"):
+        assert np.array_equal(data[name], np.concatenate([b[name] for b in blocks]))
+    assert np.array_equal(device.get(key).read_block(1)["tag"], blocks[1]["tag"])
+    device.release(key)
+    if kind == "staging":
+        assert device.names() == ["other_step0001.gio"]
+        assert device.used_bytes == 1 * 12 + 1 * 8
+    else:
+        assert os.path.exists(key) and device.names("l2_step*.gio") == [key]
+
+
 def test_put_get_roundtrip():
     area = StagingArea()
-    nbytes = area.put("l2_step0001", _blocks())
-    assert nbytes == 10 * 12 + 10 * 8
+    assert area.put("l2_step0001", _blocks()) == "l2_step0001"
+    assert area.used_bytes == 10 * 12 + 10 * 8
     item = area.get("l2_step0001")
     assert item.n_rows == 10
     data = item.read_all()
@@ -30,19 +56,24 @@ def test_put_get_roundtrip():
 
 
 def test_get_drains_by_default():
+    """Draining is an explicit release: the consumer ``get``s, then
+    ``release`` takes the item off the device and a later get misses."""
     area = StagingArea()
     area.put("a", _blocks())
     area.get("a")
+    area.release("a")
     assert len(area) == 0
     with pytest.raises(KeyError):
         area.get("a")
 
 
 def test_get_without_drain_keeps_item():
+    """A get never consumes (a retried job reads the item again)."""
     area = StagingArea()
     area.put("a", _blocks())
-    area.get("a", drain=False)
-    assert "a" in list(area)
+    first, again = area.get("a").read_all(), area.get("a").read_all()
+    assert np.array_equal(first["tag"], again["tag"])
+    assert area.names() == ["a"] and area.gets == 2
 
 
 def test_duplicate_name_rejected():
@@ -57,7 +88,10 @@ def test_capacity_back_pressure():
     area.put("a", _blocks(10))  # 200 bytes
     with pytest.raises(MemoryError):
         area.put("b", _blocks(10))
-    area.get("a")  # drain frees space
+    area.get("a")  # a get frees nothing
+    with pytest.raises(MemoryError):
+        area.put("b", _blocks(10))
+    area.release("a")
     area.put("b", _blocks(10))
 
 
@@ -70,13 +104,15 @@ def test_accounting():
     assert area.used_bytes == area.bytes_staged_total
     area.get("a")
     assert area.gets == 1
+    assert area.used_bytes == area.bytes_staged_total  # a get is not a release
+    area.release("a")
     assert area.used_bytes == 5 * 12 + 5 * 8
 
 
-def test_discard_frees_the_item():
+def test_release_frees_the_item():
     area = StagingArea()
     area.put("a", _blocks())
-    area.discard("a")
+    area.release("a")
     assert len(area) == 0 and area.used_bytes == 0
     assert area.gets == 0  # freeing is not a fetch
 

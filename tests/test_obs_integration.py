@@ -244,3 +244,24 @@ def test_intransit_run_carries_telemetry(small_config):
     assert len(area) == 0  # every item left the device with its job
     tags = result.catalog["halo_tag"]
     assert len(tags) == len(np.unique(tags))
+
+
+def test_a_journaled_staged_run_names_its_device(small_config, tmp_path):
+    """The listener's start event names the device kind (and a spool's
+    directory), not an object repr whose address differs run to run."""
+    run_combined_workflow(
+        small_config,
+        StagingArea(),
+        threshold=100,
+        n_ranks=4,
+        coschedule=True,
+        listener_poll=0.02,
+        journal_dir=tmp_path,
+        run_id="staged",
+    )
+    text = (tmp_path / "staged" / "journal.jsonl").read_text()
+    assert "object at 0x" not in text
+    [started] = [
+        r for r in map(json.loads, text.splitlines()) if r.get("name") == "listener.started"
+    ]
+    assert started["fields"] == {"device": "staging", "dir": None, "pattern": "l2_step*.gio"}
