@@ -38,6 +38,8 @@ from ..io.genericio import write_genericio
 from ..machines.staging import Level2Device, level2_device
 from ..parallel.communicator import Communicator, run_spmd
 from ..parallel.decomposition import CartesianDecomposition
+from ..streaming.engine import StreamingAnalysis
+from ..streaming.stream import ArrayStream
 from .algorithm import AnalysisContext, InSituAlgorithm
 
 __all__ = [
@@ -518,11 +520,6 @@ class StreamingPreviewAlgorithm(_Scheduled):
     heavy_hitter_k: int = 16
 
     def execute(self, sim: Any, context: AnalysisContext) -> None:
-        # local import: repro.streaming pulls repro.io, which this
-        # module's writers already import lazily at call level elsewhere
-        from ..streaming.engine import StreamingAnalysis
-        from ..streaming.stream import ArrayStream
-
         box = float(sim.config.box)
         mean_sep = box / sim.config.np_per_dim
         ll = self.linking_length if self.linking_length else self.linking_length_factor * mean_sep

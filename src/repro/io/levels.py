@@ -20,9 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from ..sim.particles import BYTES_PER_PARTICLE
-
 __all__ = [
+    "BYTES_PER_PARTICLE",
     "DataLevel",
     "HALO_CENTER_RECORD_BYTES",
     "level1_bytes",
@@ -40,6 +39,11 @@ class DataLevel(enum.IntEnum):
     REDUCED = 2
     DERIVED = 3
 
+
+#: Raw bytes of Level 1 data per particle (paper §3: "each particle
+#: carries 36 bytes of information"; the record is
+#: :data:`repro.sim.particles.LEVEL1_SCHEMA`).
+BYTES_PER_PARTICLE = 36
 
 #: Bytes per halo record in a Level 3 center catalog: halo tag (8),
 #: center xyz (12), MBP tag (8), count (8), mass (4), potential (4),

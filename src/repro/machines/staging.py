@@ -44,6 +44,7 @@ from typing import Protocol
 import numpy as np
 
 from ..faults import FaultInjected, RetryPolicy, maybe_inject, resolve_retry
+from ..io.genericio import GenericIOFile, write_genericio
 from ..obs import get_recorder
 
 __all__ = [
@@ -101,10 +102,6 @@ class SpoolDirectory:
     appears under its name only once complete), so a listener globbing
     the spool never sees half a product.  A directory not yet created
     lists empty.
-
-    GenericIO is imported per call: importing :mod:`repro.io` pulls in
-    the simulation (and scipy), which the campaign service, importing
-    :mod:`repro.machines` for its cost model and scheduler, never needs.
     """
 
     kind = "spool"
@@ -113,8 +110,6 @@ class SpoolDirectory:
         self.path = os.fspath(path)
 
     def put(self, name: str, blocks: list[dict[str, np.ndarray]]) -> str:
-        from ..io.genericio import write_genericio
-
         os.makedirs(self.path, exist_ok=True)
         key = os.path.join(self.path, name)
         write_genericio(key, blocks)
@@ -124,8 +119,6 @@ class SpoolDirectory:
         return sorted(glob.glob(os.path.join(self.path, pattern)))
 
     def get(self, key: str) -> Level2Reader:
-        from ..io.genericio import GenericIOFile
-
         return GenericIOFile(key)
 
     def release(self, key: str) -> None:

@@ -12,7 +12,7 @@ with ``run_spmd(..., transport="thread"|"process")`` or
 
 from .communicator import CollectiveProtocolError, Communicator, SpmdError, World, run_spmd
 from .decomposition import CartesianDecomposition, factor_dims
-from .exchange import ExchangeStats, alltoallv_arrays, redistribute_arrays
+from .exchange import alltoallv_arrays
 from .overload import OVERLOAD_SAFETY_FACTOR, overload_destinations, select_overload
 from .transport import SpmdConfig, resolve_transport
 
@@ -26,9 +26,7 @@ __all__ = [
     "resolve_transport",
     "CartesianDecomposition",
     "factor_dims",
-    "ExchangeStats",
     "alltoallv_arrays",
-    "redistribute_arrays",
     "OVERLOAD_SAFETY_FACTOR",
     "overload_destinations",
     "select_overload",

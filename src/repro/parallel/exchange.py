@@ -1,36 +1,20 @@
-"""Particle redistribution across ranks (the "Redistribute" phase).
+"""Variable-size all-to-all of named-array bundles.
 
 The off-line workflows in the paper pay a substantial cost to read
 Level 1 data back from disk and *redistribute* particles to the ranks
 that own their sub-box (Table 4: 435 s for Level 1, 75 s for Level 2).
-This module implements that exchange on top of the in-process
-communicator, and reports the bytes moved so the machine cost model can
-charge redistribution time at paper scale.
+:func:`alltoallv_arrays` is that exchange's collective on top of the
+in-process communicator; the machine cost model charges redistribution
+time at paper scale.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .communicator import Communicator
-from .decomposition import CartesianDecomposition
 
-__all__ = ["ExchangeStats", "alltoallv_arrays", "redistribute_arrays"]
-
-
-@dataclass
-class ExchangeStats:
-    """Accounting of one redistribution: what moved and how much."""
-
-    particles_sent: int = 0
-    bytes_sent: int = 0
-    particles_kept: int = 0
-
-    @property
-    def total_particles(self) -> int:
-        return self.particles_sent + self.particles_kept
+__all__ = ["alltoallv_arrays"]
 
 
 def alltoallv_arrays(
@@ -44,48 +28,3 @@ def alltoallv_arrays(
     if len(send_chunks) != comm.size:
         raise ValueError("send_chunks must have one entry per rank")
     return comm.alltoall(send_chunks)
-
-
-def redistribute_arrays(
-    comm: Communicator,
-    decomp: CartesianDecomposition,
-    arrays: dict[str, np.ndarray],
-    positions_key: str = "pos",
-) -> tuple[dict[str, np.ndarray], ExchangeStats]:
-    """Move rows of ``arrays`` to the ranks that own their positions.
-
-    ``arrays[positions_key]`` must be an ``(n, 3)`` position array; all
-    other entries are equal-length per-particle attributes.  Each row is
-    shipped to ``decomp.rank_of_position(row)``.  Returns the merged local
-    bundle (own rows kept + received rows appended) and exchange stats.
-    """
-    pos = np.atleast_2d(np.asarray(arrays[positions_key], dtype=float))
-    n = len(pos)
-    for key, arr in arrays.items():
-        if len(arr) != n:
-            raise ValueError(f"array {key!r} length {len(arr)} != positions length {n}")
-
-    owners = decomp.rank_of_position(pos) if n else np.empty(0, dtype=np.intp)
-    stats = ExchangeStats()
-
-    send_chunks: list[dict[str, np.ndarray]] = []
-    for dest in range(comm.size):
-        mask = owners == dest
-        chunk = {key: np.asarray(arr)[mask] for key, arr in arrays.items()}
-        send_chunks.append(chunk)
-        if dest != comm.rank:
-            k = int(mask.sum())
-            stats.particles_sent += k
-            stats.bytes_sent += sum(a.nbytes for a in chunk.values())
-        else:
-            stats.particles_kept += int(mask.sum())
-
-    received = alltoallv_arrays(comm, send_chunks)
-    merged: dict[str, np.ndarray] = {}
-    for key in arrays:
-        parts = [chunk[key] for chunk in received if len(chunk[key])]
-        if parts:
-            merged[key] = np.concatenate(parts)
-        else:
-            merged[key] = np.asarray(arrays[key])[:0]
-    return merged, stats

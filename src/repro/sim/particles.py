@@ -23,11 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Particles", "BYTES_PER_PARTICLE", "LEVEL1_SCHEMA", "wrap_periodic"]
+from ..io.levels import BYTES_PER_PARTICLE
 
-#: Raw bytes of Level 1 data per particle (paper §3: "each particle
-#: carries 36 bytes of information").
-BYTES_PER_PARTICLE = 36
+__all__ = ["Particles", "BYTES_PER_PARTICLE", "LEVEL1_SCHEMA", "wrap_periodic"]
 
 #: Field name -> numpy dtype of one Level 1 particle record.
 LEVEL1_SCHEMA: dict[str, np.dtype] = {

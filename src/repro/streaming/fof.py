@@ -16,7 +16,8 @@ Exactness argument (the contract ``docs/streaming.md`` spells out):
   linkable pair ``(p earlier, q later)`` therefore still has ``p``
   resident when ``q`` arrives: ``qx >= frontier`` implies
   ``px >= qx - ll >= frontier - ll`` for a direct link, and a wrapped
-  link forces ``px <= ll``.
+  link forces ``px <= ll``.  In an open box (``box=None``) there is no
+  wrap and no head slab.
 * Per slab piece, one :func:`~repro.analysis.fof.link_components` call
   over ``ring + piece`` finds every new edge (the periodic metric links
   the head slab to late pieces with no extra pass), and components are
@@ -30,10 +31,11 @@ Exactness argument (the contract ``docs/streaming.md`` spells out):
   and the forest compacted, so resident state is
   O(chunk + ring + active groups).
 
-The emitted catalog is bit-identical to the in-memory finder's
-``(halo_tags, halo_counts)`` for any chunk size: membership is exact by
-the argument above, and both sides identify a halo by its minimum
-particle tag.
+Membership is exact by the argument above, so the catalog is the same
+for any chunk size, and a halo is named by its minimum particle tag.
+Asked for ``labels``, the finder also keeps each particle's component
+until its group retires and returns every particle's halo tag — how
+:func:`~repro.analysis.fof.fof_grid` runs this pipeline from memory.
 
 The ring filter reads positions only, so the pass is a bounded-lag
 pipeline (``docs/streaming.md``, "Memory model"): the caller *plans*
@@ -42,11 +44,10 @@ of ``W`` threads *links* them, and the caller *merges* them in stream
 order, retiring once per chunk — so the output is the same at every
 ``W``, with at most ``chunk_rows + W * ring`` particles in flight.
 
-Implementation note: the link is the same compiled periodic pair search
-the in-memory finder runs (``link_components``: a k-d tree over the
-resident particles, memory proportional to ring + piece), so the
-streamed and in-memory catalogs cannot drift apart at the
-``d <= linking_length`` boundary — there is one finder, not two.
+The link is the one compiled pair search (``link_components``: a k-d
+tree over the resident particles, memory proportional to ring + piece);
+a piece of fewer than ``_POOL_ROWS`` resident rows links on the caller,
+so a small pass never starts the pool.
 """
 
 from __future__ import annotations
@@ -68,11 +69,9 @@ __all__ = ["StreamOrderError", "StreamedCatalog", "StreamingFOF", "GroupForest",
 
 _NO_TAG = np.iinfo(np.int64).max
 
-
-def _name_lane() -> None:
-    """Pool initializer: ``stream-link_N`` workers trace on ``stream-link-N`` lanes."""
-    thread = threading.current_thread()
-    thread.name = thread.name.replace("_", "-")
+#: A piece with fewer resident rows links on the caller: starting the pool
+#: costs about 1 ms, as much as linking a few hundred rows.
+_POOL_ROWS = 256
 
 
 class StreamOrderError(ValueError):
@@ -85,12 +84,15 @@ class StreamedCatalog:
 
     ``halo_tags``/``halo_counts`` are sorted by tag and bit-comparable
     to :class:`~repro.analysis.fof.FOFResult` on the same particles.
+    ``labels`` (only from a finder asked for them) is each particle's
+    halo tag, ``-1`` outside halos, in the order the particles arrived.
     """
 
     halo_tags: np.ndarray
     halo_counts: np.ndarray
     min_count: int
     n_particles: int
+    labels: np.ndarray | None = None
 
     @property
     def n_halos(self) -> int:
@@ -163,6 +165,7 @@ class _Piece:
     """One planned slab piece, from its hand-off to the pool to its merge."""
 
     tags: np.ndarray  # the piece's own particles, in resident order
+    at: slice | np.ndarray | None  # and their arrival rows, kept for labels
     keep: np.ndarray  # resident rows the ring keeps after this piece
     rows: int  # resident rows (ring + piece)
     last: bool  # the chunk's last piece: retirement follows its merge
@@ -170,33 +173,37 @@ class _Piece:
 
 
 class StreamingFOF:
-    """Incremental FOF over slab-ordered chunks (periodic box).
+    """Incremental FOF over slab-ordered chunks (periodic box, or open
+    with ``box=None``).
 
     Feed chunks with :meth:`ingest`; call :meth:`finalize` for the
-    catalog.  ``on_retire(tags, counts)`` fires whenever halos (groups
-    with ``count >= min_count``) become final — the hook the one-pass
+    catalog, with per-particle ``labels`` when built with
+    ``labels=True``.  ``on_retire(tags, counts)`` fires whenever halos
+    (groups with ``count >= min_count``) become final — the hook the one-pass
     accumulators fold; retirement order is deterministic (sorted by tag
     within each batch, at most one batch per chunk, batches in stream
     order) and independent of the link width.
 
-    The link pool starts at the first :meth:`ingest` and stops in
-    :meth:`finalize`, or in :meth:`close`, which abandons the pass; a
-    failing ingest closes it too.  Link spans parent under the span that
-    was open when the finder was built.
+    The link pool starts with the first piece of ``_POOL_ROWS`` resident
+    rows or more and stops in :meth:`finalize`, or in :meth:`close`,
+    which abandons the pass; a failing ingest closes it too.  Link spans
+    parent under the span that was open when the finder was built.
     """
 
     def __init__(
         self,
-        box: float,
+        box: float | None,
         linking_length: float,
         min_count: int = DEFAULT_MIN_COUNT,
         on_retire: Callable[[np.ndarray, np.ndarray], None] | None = None,
+        *,
+        labels: bool = False,
     ):
-        if box <= 0:
+        if box is not None and box <= 0:
             raise ValueError("box must be positive")
-        if not 0 < linking_length < box:
+        if not 0 < linking_length < (np.inf if box is None else box):
             raise ValueError("need 0 < linking_length < box")
-        self.box = float(box)
+        self.box = None if box is None else float(box)
         self.linking_length = float(linking_length)
         self.min_count = int(min_count)
         self.on_retire = on_retire
@@ -215,6 +222,16 @@ class StreamingFOF:
         self._done_counts: list[np.ndarray] = []
         self._tags_seen: list[np.ndarray] = []  # only retired outputs, not members
         self._counts_seen: list[np.ndarray] = []
+        # label state: each piece's arrival rows and their component ids
+        # (numbered across the pass), each component's minimum tag, and
+        # the components whose group is still active, with its slot
+        self._labels = labels
+        self._row_comps: list[tuple[slice | np.ndarray, np.ndarray]] = []
+        self._comp_tags: list[np.ndarray] = []
+        self._retired_comps: list[tuple[np.ndarray, np.ndarray]] = []
+        self._n_comps = 0
+        self._open_comps = np.empty(0, dtype=np.int64)
+        self._open_slots = np.empty(0, dtype=np.intp)
         self._catalog: StreamedCatalog | None = None
         self._closed = False
         self.n_particles = 0
@@ -239,8 +256,8 @@ class StreamingFOF:
         self.n_chunks += 1
         if n_c == 0:
             return
-        if not (pos.min() >= 0.0 and pos.max() < self.box):  # slab snapshots are
-            pos = wrap_periodic(pos, self.box)
+        if self.box is not None and not (pos.min() >= 0.0 and pos.max() < self.box):
+            pos = wrap_periodic(pos, self.box)  # slab snapshots are wrapped
         try:
             self._plan(pos, tags)
         except BaseException:
@@ -256,10 +273,11 @@ class StreamingFOF:
                 f"chunk {self.n_chunks - 1} min x {xmin:.6g} < frontier "
                 f"{self._frontier:.6g}: stream is not slab-ordered"
             )
+        order = None
         if np.any(x[1:] < x[:-1]):  # pieces are x slabs, so sort inside the chunk
             order = np.argsort(x, kind="stable")
             pos, tags = pos[order], tags[order]
-        n_c = len(pos)
+        n_c, n_0 = len(pos), self.n_particles
         self._largest_chunk = max(self._largest_chunk, n_c)
         n_pieces = max(1, min(self._width, n_c // max(len(self._ring_pos), 1)))
         cuts = [n_c * i // n_pieces for i in range(n_pieces + 1)]
@@ -270,39 +288,55 @@ class StreamingFOF:
                 or hi - lo + sum(len(p.tags) for p in self._in_flight) > self._largest_chunk
             ):
                 self._merge(self._in_flight.popleft())
-            self._submit(pos[lo:hi], tags[lo:hi], last=hi == n_c)
+            at = None
+            if self._labels:
+                at = slice(n_0 + lo, n_0 + hi) if order is None else n_0 + order[lo:hi]
+            self._submit(pos[lo:hi], tags[lo:hi], at, last=hi == n_c)
 
-    def _submit(self, pos: np.ndarray, tags: np.ndarray, last: bool) -> None:
+    def _submit(
+        self, pos: np.ndarray, tags: np.ndarray, at: slice | np.ndarray | None, last: bool
+    ) -> None:
         """Frontier advance, ring filter and resident set; link on the pool."""
-        ll = self.linking_length
+        ll, box = self.linking_length, self.box
         resident = np.concatenate([self._ring_pos, pos])
         # resident rows are in stream order, so ascending x: the head slab
         # (x <= ll) leads.  A piece inside (2 ll, box - ll) is more than ll
         # from it directly and through the x wrap, so it is left out
         head = 0
-        if pos[0, 0] > 2 * ll and pos[-1, 0] < self.box - ll:
+        if box is not None and pos[0, 0] > 2 * ll and pos[-1, 0] < box - ll:
             head = int(np.searchsorted(self._ring_pos[:, 0], ll, side="right"))
         self._frontier = max(self._frontier, float(pos[-1, 0]))
         x = resident[:, 0]
-        keep = (x >= self._frontier - ll) | (x <= ll)
+        keep = x >= self._frontier - ll
+        if box is not None:
+            keep |= x <= ll
         self._ring_pos = resident[keep]
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                self._width, thread_name_prefix="stream-link", initializer=_name_lane
-            )
-        links = self._pool.submit(self._link, resident, head)
-        self._in_flight.append(_Piece(tags, keep, len(resident), last, links))
+        links: Future = Future()
+        if len(resident) < _POOL_ROWS:
+            links.set_result(self._link(resident, head))
+        else:
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(
+                    self._width, thread_name_prefix="stream-link", initializer=self._start_lane
+                )
+            links = self._pool.submit(self._link, resident, head)
+        self._in_flight.append(_Piece(tags, at, keep, len(resident), last, links))
         self.peak_resident = max(self.peak_resident, sum(p.rows for p in self._in_flight))
 
+    def _start_lane(self) -> None:
+        """Pool initializer: ``stream-link_N`` workers trace on
+        ``stream-link-N`` lanes, under the span open at construction."""
+        thread = threading.current_thread()
+        thread.name = thread.name.replace("_", "-")
+        get_recorder().bind_thread(self._trace)
+
     def _link(self, resident: np.ndarray, head: int) -> np.ndarray:
-        """The link stage, on a pool thread: one periodic pair search over
-        ring + piece (both already wrapped) past the first ``head`` rows
-        finds every new edge, including head-slab links through the x
-        wrap.  The rows left out get singleton components: their links
-        so far are already held by their groups."""
-        rec = get_recorder()
-        rec.bind_thread(self._trace)
-        with rec.span("stream.link", rows=len(resident) - head):
+        """The link stage: one pair search over ring + piece (both already
+        wrapped) past the first ``head`` rows finds every new edge,
+        including head-slab links through the x wrap.  The rows left out
+        get singleton components: their links so far are already held by
+        their groups."""
+        with get_recorder().span("stream.link", rows=len(resident) - head):
             links = link_components(resident[head:], self.linking_length, self.box)
         return np.concatenate([np.arange(head), head + links]) if head else links
 
@@ -351,6 +385,14 @@ class StreamingFOF:
             forest.fold(roots, counts[grouped], min_tag[grouped])
             comp_group[grouped] = roots
             self._ring_group = comp_group[kept_inv]
+            if self._labels:
+                first = self._n_comps
+                self._n_comps += n_comp
+                self._row_comps.append((piece.at, first + own_inv))
+                self._comp_tags.append(min_tag)  # final for the done components
+                active = np.flatnonzero(grouped & (counts > 0))
+                self._open_comps = np.concatenate([self._open_comps, first + active])
+                self._open_slots = np.concatenate([self._open_slots, comp_group[active]])
             if piece.last:
                 self._retire()
 
@@ -367,8 +409,14 @@ class StreamingFOF:
             np.concatenate([forest.counts[gone], *self._done_counts]),
         )
         self._done_tags, self._done_counts = [], []
+        if self._labels:  # a retired group names its components by its minimum tag
+            slots = forest.dsu.find_many(self._open_slots)
+            out = ~in_ring[slots]
+            self._retired_comps.append((self._open_comps[out], forest.min_tags[slots[out]]))
+            self._open_comps, self._open_slots = self._open_comps[~out], slots[~out]
         old_roots = forest.compact(roots[in_ring[roots]])
         self._ring_group = np.searchsorted(old_roots, self._ring_group)
+        self._open_slots = np.searchsorted(old_roots, self._open_slots)
 
     def _emit(self, tags: np.ndarray, counts: np.ndarray) -> None:
         """Record one retirement batch (halos only, sorted by tag)."""
@@ -400,8 +448,25 @@ class StreamingFOF:
         tags = np.concatenate([np.empty(0, dtype=np.int64), *self._tags_seen])
         counts = np.concatenate([np.empty(0, dtype=np.int64), *self._counts_seen])
         order = np.argsort(tags, kind="stable")
-        self._catalog = StreamedCatalog(tags[order], counts[order], self.min_count, self.n_particles)
+        tags, counts = tags[order], counts[order]
+        self._catalog = StreamedCatalog(
+            tags, counts, self.min_count, self.n_particles, self._final_labels(tags)
+        )
         return self._catalog
+
+    def _final_labels(self, halo_tags: np.ndarray) -> np.ndarray | None:
+        """Each particle's component tag where a halo carries it, else ``-1``."""
+        if not self._labels:
+            return None
+        comp_tags = np.concatenate([np.empty(0, dtype=np.int64), *self._comp_tags])
+        for comps, tags in self._retired_comps:
+            comp_tags[comps] = tags
+        # with repeated tags a small component can share a kept halo's tag: it keeps it
+        comp_tags[~np.isin(comp_tags, halo_tags)] = -1
+        labels = np.empty(self.n_particles, dtype=np.int64)
+        for at, comps in self._row_comps:
+            labels[at] = comp_tags[comps]
+        return labels
 
     def close(self) -> None:
         """Stop the link pool and join its threads; pieces not yet merged

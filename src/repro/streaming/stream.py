@@ -120,9 +120,9 @@ class ArrayStream:
         )
         if len(tag) != n:
             raise ValueError("tags length mismatch")
-        order = slab_order(pos, box)
-        self._pos = wrap_periodic(pos[order], box)
-        self._tag = tag[order]
+        pos = wrap_periodic(pos, box)
+        order = np.argsort(pos[:, 0], kind="stable")
+        self._pos, self._tag = pos[order], tag[order]
         self.box = float(box)
         self.chunk_rows = int(chunk_rows)
         self._retry = resolve_retry(retry)
@@ -234,9 +234,10 @@ def write_slab_snapshot(
     )
     if len(tag) != n:
         raise ValueError("tags length mismatch")
-    order = slab_order(pos, box)
-    spos = wrap_periodic(pos[order], box)
-    stag = tag[order]
+    if n and not (pos.min() >= 0.0 and pos.max() < box):
+        pos = wrap_periodic(pos, box)  # once: the slab order is read from it
+    order = np.argsort(pos[:, 0], kind="stable")
+    spos, stag = pos[order], tag[order]
     blocks = []
     for start in range(0, max(n, 1), block_rows):
         stop = min(start + block_rows, n)

@@ -10,12 +10,12 @@ is the O(n²) all-pairs finder under the minimum-image metric (positions
 need not be wrapped), over ``link_brute``: an all-pairs stand-in for
 :func:`repro.analysis.fof.link_components` with its signature, the
 minimum image on the ``periodic`` axes only.  They share only the label
-convention (``_finalize``: a halo is named by its minimum tag) with the
-production finder, none of the pair search.
+convention with the production finder (a halo is named by its minimum
+tag), none of the pair search.
 
-``finalize_reference`` is the sorting form of ``_finalize`` (stable sort
-by component, segment minima, ``isin`` over every row) that the
-bincount form replaced.
+``finalize_reference`` turns component ids into that convention by one
+stable sort over the rows (segment minima, ``isin`` over every row); the
+oracles above label their components through it.
 
 ``catalog_sha256`` is the digest the benchmarks compare catalogs by.
 """
@@ -30,7 +30,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from repro.analysis.fof import DEFAULT_MIN_COUNT, FOFResult, _finalize
+from repro.analysis.fof import DEFAULT_MIN_COUNT, FOFResult
 from repro.analysis.union_find import DisjointSet
 from tests.oracles.kdtree import KDTree
 
@@ -107,7 +107,7 @@ def fof_kdtree(
     pos = np.atleast_2d(np.asarray(pos, dtype=float))
     n = len(pos)
     if n == 0:
-        return _finalize(np.empty(0, dtype=np.intp), tags, min_count)
+        return finalize_reference(np.empty(0, dtype=np.intp), tags, min_count)
     tree = KDTree(pos, leaf_size=leaf_size)
     dsu = DisjointSet(n)
     ll2 = linking_length * linking_length
@@ -163,7 +163,7 @@ def fof_kdtree(
         process(0)
     finally:
         sys.setrecursionlimit(old_limit)
-    return _finalize(dsu.labels(), tags, min_count)
+    return finalize_reference(dsu.labels(), tags, min_count)
 
 
 def fof_periodic_tree(
@@ -177,11 +177,11 @@ def fof_periodic_tree(
     pos = np.atleast_2d(np.asarray(pos, dtype=float))
     n = len(pos)
     if n == 0:
-        return _finalize(np.empty(0, dtype=np.intp), tags, min_count)
+        return finalize_reference(np.empty(0, dtype=np.intp), tags, min_count)
     pairs = cKDTree(pos, boxsize=box).query_pairs(ll, output_type="ndarray")
     graph = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
     _, roots = connected_components(graph, directed=False)
-    return _finalize(np.asarray(roots, dtype=np.intp), tags, min_count)
+    return finalize_reference(np.asarray(roots, dtype=np.intp), tags, min_count)
 
 
 def link_brute(
@@ -221,4 +221,4 @@ def _fof_brute_periodic(
     pos: np.ndarray, ll: float, box: float, tags: np.ndarray | None, min_count: int
 ) -> FOFResult:
     """O(n²) periodic FOF: every pair under the minimum-image metric."""
-    return _finalize(link_brute(pos, ll, box), tags, min_count)
+    return finalize_reference(link_brute(pos, ll, box), tags, min_count)

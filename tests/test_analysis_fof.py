@@ -21,9 +21,10 @@ from scipy.spatial import cKDTree
 
 from repro.analysis import fof as fof_module
 from repro.analysis import fof_grid, halo_groups, parallel_fof
-from repro.analysis.fof import _finalize, link_components, wrap_periodic
+from repro.analysis.fof import link_components, wrap_periodic
 from repro.parallel import CartesianDecomposition, run_spmd
 from repro.streaming import ArrayStream, StreamingFOF
+from repro.streaming import fof as streaming_fof
 from tests.oracles.fof_reference import (
     _fof_brute_periodic,
     box_gap_sq,
@@ -507,6 +508,73 @@ def test_pair_one_ulp_past_linking_length_is_not_linked(box, x_at_ll, apart):
         _assert_same_result(got, _oracle(pos, 0.25, box))
 
 
+# -- fof_grid is the slab pipeline: every chunking, width and hand-off ------------
+
+
+def _slab_field(seed, n, box, ll):
+    """Clumps of spread ``ll`` in a uniform field, the first centred on the
+    x = 0 face, so that a halo links through the x wrap; positions are
+    left unwrapped."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0, box, (4, 3))
+    centers[0, 0] = 0.0
+    clumps = centers[rng.integers(0, 4, n // 2)] + rng.normal(0, ll, (n // 2, 3))
+    pos = np.concatenate([clumps, rng.uniform(0, box, (n - n // 2, 3))])
+    return pos, rng.permutation(n).astype(np.int64) + 1
+
+
+def _fof_grid_as(mp, chunk_rows, width, pooled):
+    """``fof_grid`` in chunks of ``chunk_rows`` at link width ``width``,
+    every piece on the link pool when ``pooled``."""
+    mp.setattr(fof_module, "_CHUNK_ROWS", chunk_rows)
+    mp.setattr(streaming_fof, "link_width", lambda: width)
+    if pooled:
+        mp.setattr(streaming_fof, "_POOL_ROWS", 0)
+    return fof_grid
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**31),
+    n=st.integers(0, 300),
+    chunk_rows=st.integers(1, 64),
+    width=st.sampled_from([1, 2, 3]),
+    pooled=st.booleans(),
+    periodic=st.booleans(),
+    min_count=st.integers(1, 6),
+)
+def test_prop_slab_driver_equals_oracles(seed, n, chunk_rows, width, pooled, periodic, min_count):
+    """``fof_grid`` over many chunks and pieces, inline or pooled, ≡ the
+    brute-force (periodic) and k-d tree (open) oracles: labels, tags, counts."""
+    box, ll = 10.0, 0.3
+    pos, tags = _slab_field(seed, n, box, ll)
+    box = box if periodic else None
+    with pytest.MonkeyPatch.context() as mp:
+        got = _fof_grid_as(mp, chunk_rows, width, pooled)(
+            pos, ll, tags=tags, min_count=min_count, box=box
+        )
+    _assert_same_result(got, _oracle(pos, ll, box, tags, min_count))
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("box", [None, 10.0])
+def test_halos_across_piece_cuts_and_the_x_wrap_equal_the_oracle(monkeypatch, width, box):
+    n, ll, chunk_rows = 600, 0.3, 50
+    pos, tags = _slab_field(3, n, 10.0, ll)
+    got = _fof_grid_as(monkeypatch, chunk_rows, width, pooled=True)(
+        pos, ll, tags=tags, min_count=5, box=box
+    )
+    _assert_same_result(got, _oracle(pos, ll, box, tags, 5))
+    # chunk ends are piece cuts; a halo holds the rows on both sides of one
+    x = pos[:, 0] if box is None else wrap_periodic(pos, box)[:, 0]
+    labels = got.labels[np.argsort(x, kind="stable")]
+    cut = np.arange(chunk_rows, n, chunk_rows)
+    assert ((labels[cut - 1] == labels[cut]) & (labels[cut] >= 0)).any()
+    if box is not None:  # and one halo holds rows at both x faces
+        low, high = set(got.labels[x < ll]), set(got.labels[x > box - ll])
+        assert (low & high) - {-1}
+
+
 def test_box_edge_positions_wrap_to_half_open_interval():
     """``np.mod(-1e-17, box)`` is ``box``; the tree needs ``[0, box)``."""
     box = 102.0
@@ -543,7 +611,7 @@ def _face_field(seed, n, box, ll):
 def test_prop_periodic_link_equals_periodic_tree_and_brute_force(seed, n, box, ll_frac):
     ll = np.nextafter(box / 2, 0) if ll_frac == 0.5 else ll_frac * box
     pos = _face_field(seed, n, box, ll)
-    got = _finalize(link_components(pos, ll, box), None, 1).labels
+    got = finalize_reference(link_components(pos, ll, box), None, 1).labels
     assert np.array_equal(got, fof_periodic_tree(pos, ll, box, min_count=1).labels)
     assert np.array_equal(got, _fof_brute_periodic(pos, ll, box, None, 1).labels)
 
@@ -562,8 +630,9 @@ def test_prop_per_axis_periodic_link_equals_brute_force(seed, n, box, ll_frac, p
     ll = ll_frac * box
     pos = _face_field(seed, n, box, ll)
     periodic = np.asarray(periodic)
-    got = _finalize(link_components(pos, ll, box, periodic), None, 1).labels
-    assert np.array_equal(got, _finalize(link_brute(pos, ll, box, periodic), None, 1).labels)
+    got = finalize_reference(link_components(pos, ll, box, periodic), None, 1).labels
+    want = finalize_reference(link_brute(pos, ll, box, periodic), None, 1).labels
+    assert np.array_equal(got, want)
 
 
 def _spy_components(mp):
@@ -673,7 +742,7 @@ def test_prop_prepass_keeps_every_row_with_a_partner(
 def test_prepass_on_the_smallest_inputs(n, box):
     pos = np.array([[0.0, 0.5, 0.5], [0.25, 0.5, 0.5]])[:n]
     assert np.array_equal(fof_module._linkable(pos, 0.25), np.arange(n) if n == 2 else [])
-    got = _finalize(link_components(pos, 0.25, box), None, 1)
+    got = finalize_reference(link_components(pos, 0.25, box), None, 1)
     assert got.n_halos == min(n, 1)
 
 
@@ -706,38 +775,3 @@ def test_an_isolated_field_never_enters_the_tree(monkeypatch, rng, box):
     roots = link_components(pos, 0.1, box)
     assert rows == [0]
     assert len(np.unique(roots)) == len(pos)
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(0, 2**31),
-    n=st.integers(0, 400),
-    min_count=st.integers(0, 6),
-    dense=st.booleans(),
-    tag_kind=st.sampled_from(["none", "unique", "repeated"]),
-)
-def test_prop_finalize_equals_the_sorting_oracle(seed, n, min_count, dense, tag_kind):
-    """Mostly singletons, many components of exactly ``min_count`` rows;
-    dense ids (``link_components``) or union-find roots (the oracles'),
-    and tags repeated the way ghost images repeat them."""
-    rng = np.random.default_rng(seed)
-    sizes = rng.choice([1, 1, 1, max(min_count, 1), min_count + 1, 2 * min_count + 3], n)
-    comp = np.repeat(np.arange(n), sizes)[:n]
-    rng.shuffle(comp)
-    if dense:  # ids in order of first appearance, like connected_components
-        _, first, inverse = np.unique(comp, return_index=True, return_inverse=True)
-        roots = np.argsort(np.argsort(first))[inverse]
-    else:  # each component named by one of its rows, like DisjointSet.labels
-        roots = np.zeros(n, dtype=np.intp)
-        for c in np.unique(comp):
-            at = np.flatnonzero(comp == c)
-            roots[at] = rng.choice(at)
-    tags = {
-        "none": None,
-        "unique": rng.permutation(10 * n + 1)[:n],
-        "repeated": rng.integers(0, max(n // 3, 1), n),
-    }[tag_kind]
-    roots = roots.astype(np.intp)
-    _assert_same_result(
-        _finalize(roots, tags, min_count), finalize_reference(roots, tags, min_count)
-    )

@@ -1,5 +1,9 @@
 """GenericIO block format: roundtrips, block access, corruption detection."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,3 +205,15 @@ def test_a_listener_never_submits_a_half_written_file(tmp_path, monkeypatch, rng
     assert submitted == [path]
     assert (listener.stats.submit_retries, listener.stats.jobs_failed) == (0, 0)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["l2_step0002.gio"]
+
+
+@pytest.mark.parametrize("module", ["repro.io.genericio", "repro.service"])
+def test_import_loads_neither_the_simulation_nor_scipy(module):
+    """GenericIO (and the campaign service, through the Level 2 devices)
+    import in a fresh interpreter without ``repro.sim`` or scipy."""
+    probe = f"import sys, {module}; print(sorted({{'repro.sim', 'scipy'}} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.split() == ["[]"]

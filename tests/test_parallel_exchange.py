@@ -1,106 +1,8 @@
-"""Particle redistribution: conservation, ownership, accounting."""
+"""The variable-size all-to-all of named-array bundles."""
 
-import numpy as np
 import pytest
 
-from repro.parallel import (
-    CartesianDecomposition,
-    SpmdError,
-    alltoallv_arrays,
-    redistribute_arrays,
-    run_spmd,
-)
-
-
-def test_redistribution_conserves_particles(rng):
-    box = 80.0
-    n_per_rank = 100
-
-    def prog(comm):
-        local_rng = np.random.default_rng(comm.rank)
-        arrays = {
-            "pos": local_rng.uniform(0, box, (n_per_rank, 3)),
-            "tag": np.arange(n_per_rank, dtype=np.int64) + comm.rank * n_per_rank,
-        }
-        decomp = CartesianDecomposition.for_ranks(box, comm.size)
-        merged, stats = redistribute_arrays(comm, decomp, arrays)
-        return merged["tag"], stats
-
-    results = run_spmd(4, prog)
-    all_tags = np.sort(np.concatenate([tags for tags, _ in results]))
-    assert np.array_equal(all_tags, np.arange(4 * n_per_rank))
-
-
-def test_redistribution_ownership_correct():
-    box = 40.0
-
-    def prog(comm):
-        local_rng = np.random.default_rng(comm.rank + 10)
-        decomp = CartesianDecomposition.for_ranks(box, comm.size)
-        arrays = {"pos": local_rng.uniform(0, box, (50, 3))}
-        merged, _ = redistribute_arrays(comm, decomp, arrays)
-        owners = decomp.rank_of_position(merged["pos"])
-        return np.all(owners == comm.rank)
-
-    assert all(run_spmd(4, prog))
-
-
-def test_stats_account_for_every_particle():
-    box = 40.0
-
-    def prog(comm):
-        local_rng = np.random.default_rng(comm.rank)
-        decomp = CartesianDecomposition.for_ranks(box, comm.size)
-        arrays = {"pos": local_rng.uniform(0, box, (64, 3))}
-        _, stats = redistribute_arrays(comm, decomp, arrays)
-        return stats
-
-    results = run_spmd(4, prog)
-    for stats in results:
-        assert stats.total_particles == 64
-        assert stats.bytes_sent >= 0
-
-
-def test_multiple_attribute_arrays_travel_together():
-    box = 40.0
-
-    def prog(comm):
-        local_rng = np.random.default_rng(comm.rank)
-        decomp = CartesianDecomposition.for_ranks(box, comm.size)
-        pos = local_rng.uniform(0, box, (30, 3))
-        # value encodes position so we can verify alignment after exchange
-        checksum = pos.sum(axis=1)
-        merged, _ = redistribute_arrays(
-            comm, decomp, {"pos": pos, "checksum": checksum}
-        )
-        return np.allclose(merged["pos"].sum(axis=1), merged["checksum"])
-
-    assert all(run_spmd(4, prog))
-
-
-def test_length_mismatch_raises():
-    def prog(comm):
-        decomp = CartesianDecomposition.for_ranks(10.0, comm.size)
-        redistribute_arrays(
-            comm, decomp, {"pos": np.zeros((3, 3)), "tag": np.zeros(2)}
-        )
-
-    with pytest.raises(SpmdError):
-        run_spmd(2, prog, timeout=3.0)
-
-
-def test_empty_rank_is_fine():
-    def prog(comm):
-        decomp = CartesianDecomposition.for_ranks(10.0, comm.size)
-        if comm.rank == 0:
-            local_rng = np.random.default_rng(0)
-            arrays = {"pos": local_rng.uniform(0, 10, (40, 3))}
-        else:
-            arrays = {"pos": np.empty((0, 3))}
-        merged, _ = redistribute_arrays(comm, decomp, arrays)
-        return len(merged["pos"])
-
-    assert sum(run_spmd(4, prog)) == 40
+from repro.parallel import SpmdError, alltoallv_arrays, run_spmd
 
 
 def test_alltoallv_requires_one_chunk_per_rank():

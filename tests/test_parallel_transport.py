@@ -23,7 +23,6 @@ from repro.parallel import (
     SpmdConfig,
     SpmdError,
     alltoallv_arrays,
-    redistribute_arrays,
     resolve_transport,
     run_spmd,
 )
@@ -126,11 +125,15 @@ def test_prop_redistribute_identical_across_transports(seed, n):
     def prog(comm):
         decomp = CartesianDecomposition.for_ranks(1.0, comm.size)
         mine = np.arange(comm.rank, n, comm.size)
-        local, stats = redistribute_arrays(
-            comm, decomp, {"pos": pos[mine], "tag": tag[mine]}
-        )
+        owner = decomp.rank_of_position(pos[mine])
+        send = [
+            {"pos": pos[mine[owner == d]], "tag": tag[mine[owner == d]]} for d in range(comm.size)
+        ]
+        received = alltoallv_arrays(comm, send)
+        local = {key: np.concatenate([r[key] for r in received]) for key in ("pos", "tag")}
         order = np.argsort(local["tag"])
-        return local["pos"][order].copy(), local["tag"][order].copy(), stats.bytes_sent
+        sent = sum(c["pos"].nbytes + c["tag"].nbytes for d, c in enumerate(send) if d != comm.rank)
+        return local["pos"][order].copy(), local["tag"][order].copy(), sent
 
     thread, process = _run_both(2, prog)
     for t, p in zip(thread, process):

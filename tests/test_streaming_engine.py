@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.analysis import mass_function
-from repro.analysis.fof import fof_grid
+from repro.analysis.fof import fof_grid, wrap_periodic
 from repro.analysis.power_spectrum import measure_power_spectrum
 from repro.check import check_determinism
 from repro.streaming import (
@@ -26,7 +26,7 @@ from repro.streaming import (
     write_slab_snapshot,
 )
 from repro.streaming import fof as streaming_fof
-from tests.oracles.fof_reference import catalog_sha256
+from tests.oracles.fof_reference import _fof_brute_periodic, catalog_sha256, fof_periodic_tree
 
 BOX, LL, MIN_COUNT = 20.0, 0.4, 10
 MF_BINS = (10.0, 1000.0, 16)
@@ -37,6 +37,10 @@ def reference(blob_points):
     tags = np.arange(len(blob_points), dtype=np.int64)
     ref = fof_grid(np.mod(blob_points, BOX), LL, tags=tags, min_count=MIN_COUNT, box=BOX)
     order = np.argsort(ref.halo_tags, kind="stable")
+    # fof_grid runs the streaming pipeline, so it is checked against an oracle too
+    oracle = fof_periodic_tree(wrap_periodic(blob_points, BOX), LL, BOX, tags, MIN_COUNT)
+    assert np.array_equal(oracle.halo_tags, ref.halo_tags[order])
+    assert np.array_equal(oracle.halo_counts, ref.halo_counts[order])
     return ref.halo_tags[order], ref.halo_counts[order]
 
 
@@ -144,6 +148,8 @@ def test_prop_output_is_link_width_invariant(seed, n, chunk_rows):
     min_count = 3
     ref = fof_grid(pos, LL, tags=tags, min_count=min_count, box=BOX)
     want = catalog_sha256(ref.halo_tags, ref.halo_counts)
+    oracle = _fof_brute_periodic(pos, LL, BOX, tags, min_count)
+    assert catalog_sha256(oracle.halo_tags, oracle.halo_counts) == want
     runs = {w: _one_pass(w, pos, tags, chunk_rows or n, min_count) for w in (1, 2, 3)}
     base_batches, base = runs[1][1], runs[1][2]
     for cat, batches, result in runs.values():
@@ -363,5 +369,14 @@ def test_streaming_preview_algorithm(mini_sim):
     order = np.argsort(ref.halo_tags, kind="stable")
     assert np.array_equal(preview["halo_tags"], ref.halo_tags[order])
     assert np.array_equal(preview["halo_counts"], ref.halo_counts[order])
+    oracle = fof_periodic_tree(
+        wrap_periodic(np.asarray(mini_sim.particles.pos, dtype=np.float64), box),
+        ll,
+        box,
+        np.asarray(mini_sim.particles.tag, dtype=np.int64),
+        8,
+    )
+    assert np.array_equal(oracle.halo_tags, preview["halo_tags"])
+    assert np.array_equal(oracle.halo_counts, preview["halo_counts"])
     assert preview["n_halos"] == len(ref.halo_tags)
     assert preview["peak_resident_particles"] < mini_sim.config.np_per_dim**3

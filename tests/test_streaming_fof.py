@@ -17,13 +17,17 @@ from repro.streaming import (
     slab_order,
 )
 from repro.streaming import fof as streaming_fof
-from tests.oracles.fof_reference import _fof_brute_periodic, catalog_sha256
+from tests.oracles.fof_reference import _fof_brute_periodic, catalog_sha256, fof_periodic_tree
 
 
 def _reference_catalog(pos, tags, box, ll, min_count):
     """In-memory FOF catalog as sorted ``(tag, count)`` pairs."""
     ref = fof_grid(np.mod(pos, box), ll, tags=tags, min_count=min_count, box=box)
     order = np.argsort(ref.halo_tags, kind="stable")
+    # fof_grid runs this pipeline, so it is checked against an oracle too
+    oracle = fof_periodic_tree(wrap_periodic(pos, box), ll, box, tags, min_count)
+    assert np.array_equal(oracle.halo_tags, ref.halo_tags[order])
+    assert np.array_equal(oracle.halo_counts, ref.halo_counts[order])
     return ref.halo_tags[order], ref.halo_counts[order]
 
 
